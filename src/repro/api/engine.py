@@ -139,6 +139,10 @@ class QueryResult:
     timed_out: bool = False
     plan: Optional[OmegaQueryPlan] = None
     planned: Optional[PlannedQuery] = None
+    #: The planner's search counters (``planned.search``) when this ask
+    #: planned afresh, empty otherwise; the only part of ``planned`` that
+    #: travels through :meth:`to_dict`.
+    plan_search: Dict[str, int] = field(default_factory=dict)
     execution: Optional[ExecutionResult] = None
     #: The lowered physical-operator program the ask executed (``None``
     #: only for strategies without a lowering).
@@ -204,7 +208,7 @@ class QueryResult:
                     entry["heap_peak"] = int(op.heap_peak)
                     entry["heap_pops"] = int(op.heap_pops)
                 trace.append(entry)
-        return {
+        document = {
             "protocol_version": PROTOCOL_VERSION,
             "query": str(self.query),
             "name": str(self.query.name),
@@ -222,6 +226,13 @@ class QueryResult:
             "parallelism": int(execution.parallelism) if execution is not None else 1,
             "trace": trace,
         }
+        if self.plan_search:
+            # Sparse, like the heap counters: only freshly ω-planned asks
+            # carry it, so plain documents keep the v1 golden shape.
+            document["plan_search"] = {
+                str(name): int(count) for name, count in self.plan_search.items()
+            }
+        return document
 
     @classmethod
     def from_dict(cls, document: Dict[str, object]) -> "QueryResult":
@@ -290,6 +301,10 @@ class QueryResult:
             cache_hit=bool(document.get("cache_hit", False)),
             plan_source=str(document.get("plan_source", "none")),
             timed_out=bool(document.get("timed_out", False)),
+            plan_search={
+                str(name): int(count)
+                for name, count in (document.get("plan_search") or {}).items()
+            },
             execution=execution,
         )
 
@@ -966,6 +981,7 @@ class QueryEngine:
             plan_source=plan_source,
             plan=outcome.plan if outcome.plan is not None else plan,
             planned=planned,
+            plan_search=dict(planned.search) if planned is not None else {},
             execution=outcome.execution,
             program=program,
             relation=relation,

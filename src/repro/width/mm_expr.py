@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, List, Optional, Tuple
+from typing import Iterable, List, Optional
 
 from ..constants import gamma as gamma_of
 from ..hypergraph.hypergraph import Hypergraph, VertexSet
@@ -114,35 +114,6 @@ class MMTerm:
         return self.label()
 
 
-def _partition_is_realizable(
-    hypergraph: Hypergraph,
-    block: VertexSet,
-    first: VertexSet,
-    second: VertexSet,
-) -> bool:
-    """Whether hyperedge families A, B realizing (first, second) exist.
-
-    Per Definition 4.5 we need ``A ∪ B = ∂(block)``, ``A = ∪A ⊇ block ∪
-    first`` with ``A ∩ second = ∅``, and symmetrically for ``B``.  This
-    holds iff (i) no incident hyperedge meets both ``first`` and ``second``
-    and (ii) every vertex of ``block`` lies in some incident edge avoiding
-    ``second`` and in some incident edge avoiding ``first``.
-    """
-    incident = hypergraph.incident_edges(block)
-    for edge in incident:
-        if edge & first and edge & second:
-            return False
-    for vertex in block:
-        edges_with_vertex = [edge for edge in incident if vertex in edge]
-        if not edges_with_vertex:
-            return False
-        if not any(not (edge & second) for edge in edges_with_vertex):
-            return False
-        if not any(not (edge & first) for edge in edges_with_vertex):
-            return False
-    return True
-
-
 def enumerate_mm_terms(
     hypergraph: Hypergraph,
     block: Iterable[str] | str,
@@ -163,27 +134,72 @@ def enumerate_mm_terms(
     hypergraphs; widths computed with such a cap are upper bounds.
     """
     block_set = frozenset([block]) if isinstance(block, str) else frozenset(block)
-    neighbourhood = hypergraph.neighbours(block_set)
+    return mm_terms_over_edges(
+        block_set, hypergraph.incident_edges(block_set), max_neighbourhood
+    )
+
+
+def mm_terms_over_edges(
+    block: VertexSet,
+    incident: Iterable[VertexSet],
+    max_neighbourhood: Optional[int] = None,
+) -> List[MMTerm]:
+    """:func:`enumerate_mm_terms` given only ``∂(block)``, the incident edges.
+
+    The terms depend on nothing else of the hypergraph, which lets the
+    planner enumerate them from the scopes of its pseudo-relations.
+
+    Per Definition 4.5 a split needs hyperedge families ``A ∪ B = ∂(block)``
+    with ``∪A ⊇ block ∪ first``, ``∪A ∩ second = ∅`` and symmetrically for
+    ``B``.  This holds iff (i) no incident hyperedge meets both ``first``
+    and ``second`` and (ii) every vertex of ``block`` lies in some incident
+    edge avoiding ``second`` and in some incident edge avoiding ``first``.
+    Neighbour sets are bitmasks over the sorted neighbourhood: for a given
+    ``first``, (i) confines ``second`` to the neighbours no edge shares with
+    ``first``, so only submasks of that set are visited.  Of each unordered
+    pair the orientation with the smaller least neighbour in ``first`` is
+    kept — for disjoint sets that is ``sorted(first) < sorted(second)``.
+    """
+    edges = list(incident)
+    neighbourhood = frozenset().union(*edges) - block
     if max_neighbourhood is not None and len(neighbourhood) > max_neighbourhood:
         return []
     neighbours = sorted(neighbourhood)
-    terms: dict[Tuple[VertexSet, VertexSet], MMTerm] = {}
-    # Assign each neighbour to one of: first (0), second (1), group-by (2).
-    for assignment in itertools.product((0, 1, 2), repeat=len(neighbours)):
-        first = frozenset(v for v, a in zip(neighbours, assignment) if a == 0)
-        second = frozenset(v for v, a in zip(neighbours, assignment) if a == 1)
-        if not first or not second:
+    bit = {vertex: 1 << index for index, vertex in enumerate(neighbours)}
+    masks = [sum(bit[v] for v in edge if v in bit) for edge in edges]
+    # Per block vertex, the neighbour masks of the incident edges holding it.
+    covers = [
+        [mask for edge, mask in zip(edges, masks) if vertex in edge]
+        for vertex in block
+    ]
+    full = (1 << len(neighbours)) - 1
+
+    def members(mask: int) -> VertexSet:
+        return frozenset(v for v in neighbours if bit[v] & mask)
+
+    terms: List[MMTerm] = []
+    for first in range(1, full):
+        if not all(any(not mask & first for mask in cover) for cover in covers):
             continue
-        key = (first, second) if sorted(first) <= sorted(second) else (second, first)
-        if key in terms:
-            continue
-        if not _partition_is_realizable(hypergraph, block_set, first, second):
-            continue
-        group_by = neighbourhood - first - second
-        terms[key] = MMTerm(
-            first=key[0], second=key[1], eliminated=block_set, group_by=group_by
-        )
-    return sorted(terms.values(), key=lambda t: t.label())
+        allowed = full & ~first
+        for mask in masks:
+            if mask & first:
+                allowed &= ~mask
+        # Keep only neighbours above the least one of ``first``.
+        allowed &= ~((first & -first) - 1)
+        second = allowed
+        while second:
+            if all(any(not mask & second for mask in cover) for cover in covers):
+                terms.append(
+                    MMTerm(
+                        first=members(first),
+                        second=members(second),
+                        eliminated=block,
+                        group_by=members(full & ~first & ~second),
+                    )
+                )
+            second = (second - 1) & allowed
+    return sorted(terms, key=lambda t: t.label())
 
 
 def emm_value(

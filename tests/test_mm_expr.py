@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+import itertools
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.hypergraph import (
@@ -125,7 +127,57 @@ class TestMMTerm:
         assert term.evaluate(h, 3.0) >= h(["X", "Y", "Z", "W"]) - 1e-9
 
 
+def _reference_terms(hypergraph, block):
+    """Definition 4.5 by brute force: every 3-way assignment of ``N(block)``."""
+    block = frozenset(block)
+    incident = hypergraph.incident_edges(block)
+    neighbourhood = hypergraph.neighbours(block)
+    neighbours = sorted(neighbourhood)
+    terms = {}
+    for assignment in itertools.product((0, 1, 2), repeat=len(neighbours)):
+        first = frozenset(v for v, a in zip(neighbours, assignment) if a == 0)
+        second = frozenset(v for v, a in zip(neighbours, assignment) if a == 1)
+        if not first or not second:
+            continue
+        if any(edge & first and edge & second for edge in incident):
+            continue
+        if not all(
+            any(v in e and not e & second for e in incident)
+            and any(v in e and not e & first for e in incident)
+            for v in block
+        ):
+            continue
+        key = (first, second) if sorted(first) <= sorted(second) else (second, first)
+        terms[key] = MMTerm(
+            first=key[0], second=key[1], eliminated=block,
+            group_by=neighbourhood - first - second,
+        )
+    return sorted(terms.values(), key=lambda t: t.label())
+
+
+@st.composite
+def _hypergraph_and_block(draw):
+    vertices = [f"V{i}" for i in range(draw(st.integers(2, 7)))]
+    edges = draw(
+        st.lists(
+            st.lists(st.sampled_from(vertices), min_size=1, max_size=4, unique=True),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    block = draw(st.lists(st.sampled_from(vertices), min_size=1, max_size=2, unique=True))
+    return Hypergraph(vertices, edges), block
+
+
 class TestEMMEnumeration:
+    @settings(max_examples=300)
+    @given(_hypergraph_and_block())
+    def test_enumeration_matches_brute_force_definition(self, drawn):
+        hypergraph, block = drawn
+        assert enumerate_mm_terms(hypergraph, block) == _reference_terms(
+            hypergraph, block
+        )
+
     def test_triangle_single_term(self):
         terms = enumerate_mm_terms(triangle(), "Y")
         assert _labels(terms) == {"MM(X;Z;Y)"}

@@ -67,6 +67,20 @@ class TestRoundTrip:
         wire = rows.result.to_dict()
         assert wire == QueryResult.from_dict(wire).to_dict()
 
+    def test_planner_search_counters_are_additive_and_round_trip(self):
+        q = parse_query("Q() :- R(X, Y), S(Y, Z)")
+        eng = engine()
+        fresh = eng.exists(q, strategy="omega")
+        wire = fresh.to_dict()
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert set(wire) == set(golden) | {"plan_search"}
+        assert wire["plan_search"] == fresh.planned.search
+        assert wire["plan_search"]["orders"] == 6
+        assert wire == QueryResult.from_dict(json.loads(json.dumps(wire))).to_dict()
+        # A plan-cache hit searched nothing: the v1 shape, unchanged.
+        eng.clear_result_cache()
+        assert set(eng.exists(q, strategy="omega").to_dict()) == set(golden)
+
     def test_timed_out_result_round_trips(self):
         from repro.api.errors import QueryTimeout
 
