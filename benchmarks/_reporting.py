@@ -1,16 +1,13 @@
 """Result-artefact writing shared by the benchmark modules.
 
-Each benchmark regenerates one table or figure of the paper (or one
-engine-level performance claim); besides the timings collected by
-pytest-benchmark, every run writes **two** artefacts under
-``benchmarks/results/``:
+Each benchmark regenerates one table or figure of the paper (engine
+performance is the ledger's business — ``python3 -m ledger``); besides
+the timings collected by pytest-benchmark, every run writes **two**
+artefacts under ``benchmarks/results/`` (git-ignored):
 
-* ``<name>.txt`` — the human-readable table ``EXPERIMENTS.md`` quotes;
+* ``<name>.txt`` — the human-readable table;
 * ``BENCH_<name>.json`` — the same rows machine-readable, plus the
-  machine fingerprint, the benchmark parameters and any derived metrics
-  (medians, p90s, speedup ratios).  CI uploads these and diffs them
-  against the committed baselines (``benchmarks/check_regressions.py``),
-  so the repository accumulates a queryable perf history.
+  machine fingerprint, the benchmark parameters and any derived metrics.
 
 The JSON document schema (``schema_version`` 1) is described in
 ``benchmarks/README.md``.

@@ -45,8 +45,8 @@ def main() -> None:
     print("=== select(limit=k): the first triangle witnesses ===")
     triangles = parse_query("Q(X, Y, Z) :- R(X, Y), S(Y, Z), T(X, Z)")
     witnesses = engine.select(triangles, limit=5)
-    # Nothing has executed yet; rows stream on the first pull, in a
-    # deterministic order independent of backend and parallelism.
+    # Nothing has executed yet; rows stream on the first pull, in
+    # discovery order (order="sorted" asks for the deterministic one).
     print(f"query     : {triangles}")
     print(f"executed before pulling rows? {witnesses.executed}")
     for x, y, z in witnesses:

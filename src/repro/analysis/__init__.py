@@ -5,8 +5,7 @@ Two independent tools live here:
 * :mod:`repro.analysis.verify` — a pass pipeline over lowered/optimized
   :class:`~repro.exec.ir.Program` DAGs that statically rejects unsound
   plans (broken schema inference, structural-key collisions, uncalibrated
-  streaming sinks, unsafe morsel specs, cache-key drift) before the VM
-  ever executes them.  Wired into
+  streaming sinks, cache-key drift) before the VM ever executes them.  Wired into
   :class:`~repro.api.QueryEngine` via ``verify_plans=...``, the
   ``EXPLAIN VERIFY`` statement and the ``repro verify`` CLI verb.
 * :mod:`repro.analysis.lint` — an AST-based linter enforcing

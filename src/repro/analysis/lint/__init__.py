@@ -4,9 +4,9 @@ The generic lint job (ruff) gates generic defects; the rules here encode
 invariants *specific to this engine* that no off-the-shelf linter knows:
 
 * ``guarded-state`` — mutable containers on lock-owning classes (the
-  parallel scheduler, the shared result cache) must name their lock in a
-  ``# guarded-by: <lock>`` annotation;
-* ``wall-clock`` — operator kernels and schedulers time with
+  plan, result and incremental caches the server's request threads
+  share) must name their lock in a ``# guarded-by: <lock>`` annotation;
+* ``wall-clock`` — operator kernels and the interpreter time with
   ``perf_counter``/``monotonic``; ``time.time`` drifts with NTP and
   breaks trace accounting;
 * ``unbounded-cache`` — cache/memo/log containers on long-lived objects

@@ -133,7 +133,7 @@ def guarded_state(module: LintModule) -> Iterator[LintFinding]:
 def wall_clock(module: LintModule) -> Iterator[LintFinding]:
     """``time.time()`` is banned in the execution layer.
 
-    Operator kernels and schedulers account durations in traces; wall
+    Operator kernels and the interpreter account durations in traces; wall
     clock drifts under NTP adjustment, so interval timing must use
     ``time.perf_counter()`` (or ``time.monotonic()`` for deadlines).
     Only modules under ``exec/`` are in scope — absolute timestamps are

@@ -5,10 +5,9 @@ checks cannot see because they are *program-level* properties: a structural
 key must never collide across rename-incompatible subtrees (the result
 cache would serve one query's rows to another), a streaming or ranked
 :class:`~repro.exec.ir.Enumerate` sink must sit on a fully calibrated
-join tree (otherwise dangling tuples leak into the output), morsel specs
-must keep the probe side at child 0 (the parallel VM partitions it), and
-every operator's structural key must agree with its scan closure (the
-cache version key is derived from it).  :func:`verify_program` checks all
+join tree (otherwise dangling tuples leak into the output), and every
+operator's structural key must agree with its scan closure (the cache
+version key is derived from it).  :func:`verify_program` checks all
 of them statically over any :class:`~repro.exec.ir.Program` — lowered or
 optimized — and returns structured :class:`Violation` records;
 :func:`assert_verified` raises
@@ -35,13 +34,10 @@ from ..api.errors import PlanVerificationError
 from ..exec.ir import (
     ENUMERATION_ORDERS,
     All_,
-    Antijoin,
     Any_,
     Count,
     Distinct,
     Enumerate,
-    GroupedMatMul,
-    Join,
     MultiSemijoin,
     NonEmpty,
     Operator,
@@ -364,63 +360,7 @@ def check_enumerate_contract(program: Program, ctx: _Context) -> Iterator[Violat
 
 
 # ----------------------------------------------------------------------
-# Pass 5: morsel safety
-# ----------------------------------------------------------------------
-#: The recombination contract per data-parallel operator class: the probe
-#: child index and whether chunk outputs may overlap.  Rewrite passes
-#: must keep fused operators on this table — the parallel VM partitions
-#: the declared child and recombines per the dedup flag.
-_MORSEL_TABLE = {
-    Join: (0, False),
-    Semijoin: (0, False),
-    Antijoin: (0, False),
-    MultiSemijoin: (0, False),
-    GroupedMatMul: (0, True),
-    Project: (0, True),
-    Distinct: (0, True),
-}
-
-
-def check_morsel_safety(program: Program, ctx: _Context) -> Iterator[Violation]:
-    """Every declared morsel spec must match the class recombination table.
-
-    Fusion keeps the probe as child 0 and the recombination mode
-    unchanged; an operator declaring a spec off this table (or pointing
-    the probe at a reducer) would make the parallel VM partition the
-    wrong operand and recombine unsoundly.
-    """
-    for node in ctx.nodes:
-        spec = node.morsel_spec()
-        if spec is None:
-            continue
-        expected = _MORSEL_TABLE.get(type(node))
-        if expected is None:
-            yield ctx.at(
-                node,
-                "morsel",
-                "declares a morsel spec but is not a known data-parallel "
-                "operator class",
-            )
-            continue
-        if not 0 <= spec.child < len(node.children):
-            yield ctx.at(
-                node, "morsel", f"morsel probe index {spec.child} out of range"
-            )
-            continue
-        if (spec.child, spec.dedup) != expected:
-            yield ctx.at(
-                node,
-                "morsel",
-                f"morsel spec (child={spec.child}, dedup={spec.dedup}) "
-                f"deviates from the class contract "
-                f"(child={expected[0]}, dedup={expected[1]})",
-            )
-        if isinstance(node, MultiSemijoin) and not node.reducers:
-            yield ctx.at(node, "morsel", "fused semijoin with no reducers")
-
-
-# ----------------------------------------------------------------------
-# Pass 6: cache keys — skey must agree with the scan closure
+# Pass 5: cache keys — skey must agree with the scan closure
 # ----------------------------------------------------------------------
 def _skey_relations(skey) -> frozenset:
     """Relation names recorded inside a structural key (``scan`` tags)."""
@@ -473,7 +413,7 @@ def check_cache_keys(program: Program, ctx: _Context) -> Iterator[Violation]:
 
 
 # ----------------------------------------------------------------------
-# Pass 7: verb/sink agreement
+# Pass 6: verb/sink agreement
 # ----------------------------------------------------------------------
 def check_verb_sink(program: Program, ctx: _Context) -> Iterator[Violation]:
     """The root's kind must match the verb the program was lowered for."""
@@ -501,7 +441,6 @@ VERIFIER_PASSES: Tuple[Callable[[Program, _Context], Iterable[Violation]], ...] 
     check_schemas,
     check_skey_soundness,
     check_enumerate_contract,
-    check_morsel_safety,
     check_cache_keys,
     check_verb_sink,
 )

@@ -43,13 +43,7 @@ Typical use::
 
 from ..exec.vm import ResultCache, ResultCacheStats
 from .cache import CachedPlanEntry, CacheStats, PlanCache
-from .engine import (
-    PARALLELISM_ENV,
-    Explanation,
-    QueryEngine,
-    QueryResult,
-    default_parallelism,
-)
+from .engine import Explanation, QueryEngine, QueryResult
 from .errors import (
     EngineError,
     QueryParseError,
@@ -75,7 +69,6 @@ __all__ = [
     "DEFAULT_REGISTRY",
     "EngineError",
     "Explanation",
-    "PARALLELISM_ENV",
     "PlanCache",
     "QueryEngine",
     "QueryParseError",
@@ -84,7 +77,6 @@ __all__ = [
     "ResultCacheStats",
     "ResultSet",
     "VERBS",
-    "default_parallelism",
     "row_order_key",
     "Strategy",
     "StrategyDisagreement",

@@ -46,7 +46,6 @@ from ..exec.vm import (
     ResultCache,
     ResultCacheStats,
     VirtualMachine,
-    WorkerPool,
 )
 from .cache import (
     CachedPlanEntry,
@@ -71,10 +70,6 @@ from .strategies import (
     StrategyRegistry,
 )
 
-#: Environment knob for the default engine worker count (``1`` = fully
-#: sequential execution, the historical behaviour).
-PARALLELISM_ENV = "REPRO_PARALLELISM"
-
 #: Environment knob for the default ``verify_plans`` stage — ``off``
 #: (the default), ``lowered`` or ``optimized``.  The test suite exports
 #: ``optimized`` from ``tests/conftest.py`` so every engine it builds
@@ -86,16 +81,6 @@ VERIFY_PLANS_ENV = "REPRO_VERIFY_PLANS"
 #: from a newer protocol and the server stamps it on every response, so
 #: clients and servers can evolve the payload compatibly.
 PROTOCOL_VERSION = 1
-
-
-def default_parallelism() -> int:
-    """The worker count from ``REPRO_PARALLELISM`` (1 when unset/invalid)."""
-    raw = os.environ.get(PARALLELISM_ENV, "").strip()
-    try:
-        value = int(raw)
-    except ValueError:
-        return 1
-    return max(value, 1)
 
 
 @dataclass
@@ -395,21 +380,11 @@ class QueryEngine:
         given, the database's relations are converted in place via
         :meth:`Database.convert_backend` so every strategy runs on that
         representation.  ``None`` leaves the database untouched.
-    parallelism:
-        Worker count for query execution.  ``1`` keeps the classic
-        sequential executor; ``>= 2`` runs lowered programs on the
-        parallel morsel-driven VM (independent operators scheduled
-        concurrently, large probe sides chunked) and shards
-        :meth:`ask_many` batches across the worker pool.  Defaults to the
-        ``REPRO_PARALLELISM`` environment variable, else ``1``.  Engines
-        with ``parallelism > 1`` own a thread pool — release it with
-        :meth:`close` or use the engine as a context manager (threads are
-        also reaped at interpreter exit, so leaking it is benign in
-        scripts).
     dispatcher:
         Optional :class:`~repro.exec.dispatch.KernelDispatcher` overriding
-        the adaptive kernel-choice policy (morsel size, mixed-backend
-        conversion threshold, Strassen-vs-BLAS overhead factor).  By
+        the adaptive kernel-choice policy (stream chunk size,
+        mixed-backend conversion threshold, Strassen-vs-BLAS overhead
+        factor).  By
         default the engine builds one parameterised by its ω.
     incremental:
         When ``True`` (the default) the engine keeps a bounded store of
@@ -440,7 +415,6 @@ class QueryEngine:
         plan_cache_size: int = 128,
         result_cache_size: int = 32,
         backend: Optional[str] = None,
-        parallelism: Optional[int] = None,
         dispatcher: Optional[KernelDispatcher] = None,
         incremental: bool = True,
         verify_plans: Optional[str] = None,
@@ -460,17 +434,8 @@ class QueryEngine:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self._plan_cache = PlanCache(plan_cache_size)
         self._result_cache = ResultCache(result_cache_size)
-        resolved_parallelism = (
-            default_parallelism() if parallelism is None else parallelism
-        )
-        if resolved_parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
-        self.parallelism = resolved_parallelism
         self.dispatcher = (
             dispatcher if dispatcher is not None else KernelDispatcher(omega=omega)
-        )
-        self._pool: Optional[WorkerPool] = (
-            WorkerPool(self.parallelism) if self.parallelism > 1 else None
         )
         self._incremental = bool(incremental)
         self._incremental_store = IncrementalResultStore(
@@ -484,11 +449,7 @@ class QueryEngine:
     # Lifecycle
     # ------------------------------------------------------------------
     def close(self) -> None:
-        """Shut down the engine's worker pool (no-op when sequential)."""
-        if self._pool is not None:
-            self._pool.shutdown()
-            self._pool = None
-            self.parallelism = 1
+        """Release the sibling patch engine (idempotent)."""
         if self._patch_engine is not None:
             self._patch_engine.close()
             self._patch_engine = None
@@ -706,7 +667,7 @@ class QueryEngine:
         contract:
 
         * ``"sorted"`` — the deterministic total order, identical across
-          strategies, storage backends and ``parallelism``.  With a small
+          strategies and storage backends.  With a small
           ``limit`` the engine serves it by *ranked (any-k) enumeration*:
           a frontier heap pops the globally next tuple straight out of the
           calibrated join, so the first ``k`` tuples cost roughly an
@@ -822,20 +783,12 @@ class QueryEngine:
         *,
         omega: Optional[float] = None,
         plan: Optional[OmegaQueryPlan] = None,
-        dag_scheduling: bool = True,
         verb: str = "exists",
         select_options: Optional[SelectOptions] = None,
         timeout: Optional[float] = None,
         token: Optional[CancellationToken] = None,
     ) -> QueryResult:
-        """The shared verb executor behind exists/count/select.
-
-        ``dag_scheduling`` is the scheduler control for :meth:`ask_many`
-        shards: batch shards already occupy the pool's DAG executor, so
-        they run their VMs without DAG scheduling (morsel-level
-        parallelism stays on) — nesting both would let shards starve each
-        other.
-        """
+        """The shared verb executor behind exists/count/select."""
         start = time.perf_counter()
         omega_value = self.omega if omega is None else omega
         if token is None and timeout is not None:
@@ -907,15 +860,11 @@ class QueryEngine:
         stream: Optional[EnumerationStream] = None
         if program is not None:
             # The unified path: run the lowered program on the shared VM
-            # (per-operator traces, cross-query intermediate-result cache,
-            # parallel scheduling + morsels when the engine has workers).
+            # (per-operator traces, cross-query intermediate-result cache).
             vm = VirtualMachine(
                 self.database,
                 result_cache=self._result_cache,
                 dispatcher=self.dispatcher,
-                parallelism=self.parallelism,
-                pool=self._pool,
-                dag_scheduling=dag_scheduling,
                 token=token,
             )
             try:
@@ -1016,12 +965,6 @@ class QueryEngine:
         members report ``plan_source == "cache"``); with the cache disabled
         the representative's plan is renamed into each member's variables
         (``plan_source == "batch"``).  Results come back in input order.
-
-        With ``parallelism > 1`` the batch is *sharded* across the worker
-        pool: group representatives (which plan and warm the caches) run
-        concurrently first, then the remaining members fan out.  Shard VMs
-        keep morsel-level parallelism but skip DAG scheduling — the shards
-        themselves occupy the DAG executor.
         """
         if verb == "select":
             return [  # type: ignore[return-value]
@@ -1057,87 +1000,38 @@ class QueryEngine:
                 groups.setdefault(key, []).append(position)
             else:
                 singletons.append(position)
-        def member_result(
-            position: int, shared_canonical: Optional[OmegaQueryPlan]
-        ) -> QueryResult:
-            member_query = query_list[position]
-            if shared_canonical is None:
-                # The LRU cache carries the plan to the other members.
-                return self._ask(
+        for position in singletons:
+            results[position] = self._ask(
+                query_list[position], strategy, omega=omega, verb=verb
+            )
+        for members in groups.values():
+            representative = query_list[members[0]]
+            rep_result = self._ask(representative, strategy, omega=omega, verb=verb)
+            results[members[0]] = rep_result
+            shared_canonical: Optional[OmegaQueryPlan] = None
+            if not self._plan_cache.enabled and rep_result.plan is not None:
+                shared_canonical = rep_result.plan.rename(
+                    representative.canonical_mapping()
+                )
+            for position in members[1:]:
+                member_query = query_list[position]
+                if shared_canonical is None:
+                    # The LRU cache carries the plan to the other members.
+                    results[position] = self._ask(
+                        member_query, strategy, omega=omega, verb=verb
+                    )
+                    continue
+                inverse = {
+                    canonical: variable
+                    for variable, canonical in member_query.canonical_mapping().items()
+                }
+                result = self._ask(
                     member_query,
                     strategy,
                     omega=omega,
-                    dag_scheduling=self._pool is None,
-                    verb=verb,
+                    plan=shared_canonical.rename(inverse),
                 )
-            inverse = {
-                canonical: variable
-                for variable, canonical in member_query.canonical_mapping().items()
-            }
-            result = self._ask(
-                member_query,
-                strategy,
-                omega=omega,
-                plan=shared_canonical.rename(inverse),
-                dag_scheduling=self._pool is None,
-            )
-            result.plan_source = "batch"
-            return result
-
-        def shared_plan(members: List[int]) -> Optional[OmegaQueryPlan]:
-            rep_result = results[members[0]]
-            assert rep_result is not None
-            if not self._plan_cache.enabled and rep_result.plan is not None:
-                return rep_result.plan.rename(
-                    query_list[members[0]].canonical_mapping()
-                )
-            return None
-
-        if self._pool is None:
-            for position in singletons:
-                results[position] = self._ask(
-                    query_list[position], strategy, omega=omega, verb=verb
-                )
-            for members in groups.values():
-                results[members[0]] = self._ask(
-                    query_list[members[0]], strategy, omega=omega, verb=verb
-                )
-                shared_canonical = shared_plan(members)
-                for position in members[1:]:
-                    results[position] = member_result(position, shared_canonical)
-        else:
-            # Phase 1: singletons and group representatives in parallel.
-            def shard(position: int) -> Tuple[int, QueryResult]:
-                return position, self._ask(
-                    query_list[position], strategy, omega=omega,
-                    dag_scheduling=False, verb=verb,
-                )
-
-            phase_one = singletons + [members[0] for members in groups.values()]
-            futures = [self._pool.submit_node(shard, p) for p in phase_one]
-            for future in futures:
-                position, result = future.result()
-                results[position] = result
-            # Phase 2: the remaining group members fan out, reusing the
-            # representatives' plans (via the cache, or renamed directly).
-            def member_shard(
-                position: int, shared_canonical: Optional[OmegaQueryPlan]
-            ) -> Tuple[int, QueryResult]:
-                return position, member_result(position, shared_canonical)
-
-            phase_two: List[Tuple[int, Optional[OmegaQueryPlan]]] = []
-            for members in groups.values():
-                if len(members) == 1:
-                    continue
-                shared_canonical = shared_plan(members)
-                phase_two.extend(
-                    (position, shared_canonical) for position in members[1:]
-                )
-            futures = [
-                self._pool.submit_node(member_shard, p, sc) for p, sc in phase_two
-            ]
-            for future in futures:
-                position, result = future.result()
+                result.plan_source = "batch"
                 results[position] = result
         assert all(result is not None for result in results)
         return [result for result in results if result is not None]
@@ -1467,7 +1361,6 @@ class QueryEngine:
                 Database(),
                 omega=self.omega,
                 registry=self.registry,
-                parallelism=1,
                 incremental=False,
             )
         return self._patch_engine
@@ -1714,6 +1607,5 @@ class QueryEngine:
         return (
             f"QueryEngine({self.database!r}, omega={self.omega}, "
             f"strategies={self.registry.names()}, "
-            f"cache={stats.size}/{stats.maxsize}, "
-            f"parallelism={self.parallelism})"
+            f"cache={stats.size}/{stats.maxsize})"
         )

@@ -84,7 +84,7 @@ class QueryTimeout(QueryCancelledError, TimeoutError):
     ``timeout`` is the deadline the caller requested (seconds; ``None``
     when the token was built elsewhere), and ``result.execution`` records
     how far execution got — completed operator traces plus the abandoned
-    count — uniformly for sequential and parallel runs.
+    count.
     """
 
     def __init__(

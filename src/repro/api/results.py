@@ -8,9 +8,9 @@ virtual machine the first time rows are pulled (iteration, :meth:`fetch`,
 * ``order="sorted"`` — the historical deterministic contract: distinct
   output tuples in a total order that depends only on the tuples
   themselves (natural tuple order when the values support it, a
-  type-aware keyed order otherwise), identical across storage backends,
-  strategies, and ``parallelism``.  With a small ``limit`` the engine
-  serves this through the VM's *ranked* any-k cursor
+  type-aware keyed order otherwise), identical across storage backends
+  and strategies.  With a small ``limit`` the engine serves this through
+  the VM's *ranked* any-k cursor
   (:class:`~repro.exec.vm.RankedEnumerationStream`) — rows arrive
   incrementally, already in the deterministic order, after ~``exists`` +
   O(k log n) work; otherwise the run materializes once and this layer

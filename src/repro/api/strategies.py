@@ -125,23 +125,19 @@ class Strategy:
         database: Database,
         omega: float,
         plan: Optional[OmegaQueryPlan] = None,
-        *,
-        parallelism: int = 1,
     ) -> StrategyOutcome:
         """Answer the query directly (standalone use, without an engine).
 
         The default implementation lowers (:meth:`lower`) and runs a
-        private VM — with ``parallelism > 1`` a parallel morsel-driven one
-        on a transient worker pool; strategies that neither lower nor
-        override this raise ``NotImplementedError``.  (Engines run lowered
-        programs on their own shared VM instead of calling this.)
+        private VM; strategies that neither lower nor override this raise
+        ``NotImplementedError``.  (Engines run lowered programs on their
+        own shared VM instead of calling this.)
         """
         program = self.lower(query, database, omega, plan=plan)
         if program is None:
             raise NotImplementedError
         program, _ = optimize_program(program)
-        with VirtualMachine(database, parallelism=parallelism) as vm:
-            result = vm.run(program)
+        result = VirtualMachine(database).run(program)
         return StrategyOutcome(
             answer=result.answer,
             plan=plan,

@@ -33,9 +33,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "files", nargs="*", help="CSV/TSV files to pre-load as relations"
     )
     repl.add_argument(
-        "--parallelism", type=int, default=None, help="engine worker count"
-    )
-    repl.add_argument(
         "--timeout", type=float, default=None, help="per-statement timeout (s)"
     )
 
@@ -44,9 +41,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--port", type=int, default=7432)
     serve.add_argument(
         "files", nargs="*", help="CSV/TSV files to pre-load as relations"
-    )
-    serve.add_argument(
-        "--parallelism", type=int, default=None, help="engine worker count"
     )
     serve.add_argument(
         "--max-concurrency", type=int, default=4,
@@ -124,8 +118,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
 
     database = Database()
     _load_files(database, args.files)
-    kwargs = {} if args.parallelism is None else {"parallelism": args.parallelism}
-    engine = QueryEngine(database, **kwargs)
+    engine = QueryEngine(database)
     run_repl(Session(engine=engine), timeout=args.timeout)
     return 0
 
@@ -137,8 +130,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     database = Database()
     _load_files(database, args.files)
-    kwargs = {} if args.parallelism is None else {"parallelism": args.parallelism}
-    engine = QueryEngine(database, **kwargs)
+    engine = QueryEngine(database)
     server = QueryServer(
         engine=engine,
         host=args.host,

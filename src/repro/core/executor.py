@@ -50,22 +50,17 @@ class ExecutionResult:
     #: Per-operator VM traces (:class:`repro.exec.vm.OpTrace`); populated by
     #: every execution that goes through the IR path.
     operators: List = field(default_factory=list)
-    #: Worker count the VM scheduled the run with (1 = sequential); the
-    #: per-operator traces carry the ``worker``/``morsel_count`` details.
+    #: A key of the v1 wire document: ``QueryResult.to_dict``/``from_dict``
+    #: carry it, nothing else reads or sets it (a live run reports ``1``).
     parallelism: int = 1
-    #: Operators the parallel scheduler computed speculatively (excluded
-    #: from the trace list).
-    speculative_ops: int = 0
-    #: Operators abandoned before completion — doomed-subtree cancellation
-    #: in a parallel run, or (either scheduler) operators never evaluated
-    #: because a :class:`~repro.exec.vm.CancellationToken` fired mid-run.
+    #: Operators never evaluated because a
+    #: :class:`~repro.exec.vm.CancellationToken` fired mid-run.
     cancelled_ops: int = 0
     #: Whether the run was cut short by a deadline expiring.  The traces
     #: then cover only the operators that completed before the cut.
     timed_out: bool = False
     #: Whether a cancellation token cut the run short (deadline expiry
-    #: or explicit cancel).  Distinguishes token cuts from the benign
-    #: doomed-subtree ``cancelled_ops`` of a completed parallel run.
+    #: or explicit cancel).
     cancelled: bool = False
 
     def total_intermediate_tuples(self) -> int:
@@ -86,9 +81,6 @@ class ExecutionResult:
             steps=[],
             seconds=result.seconds,
             operators=list(result.traces),
-            parallelism=getattr(result, "parallelism", 1),
-            speculative_ops=getattr(result, "speculative_ops", 0),
-            cancelled_ops=getattr(result, "cancelled_ops", 0),
         )
 
     @classmethod
@@ -105,7 +97,6 @@ class ExecutionResult:
             steps=[],
             seconds=getattr(exc, "seconds", 0.0),
             operators=list(getattr(exc, "traces", [])),
-            parallelism=getattr(exc, "parallelism", 1),
             cancelled_ops=getattr(exc, "cancelled_ops", 0),
             timed_out=getattr(exc, "timed_out", False),
             cancelled=True,
@@ -114,8 +105,6 @@ class ExecutionResult:
     def describe(self) -> str:
         """A per-step (or per-operator) execution trace."""
         lines = [f"answer: {self.answer}  ({self.seconds * 1000:.2f} ms)"]
-        if self.parallelism > 1:
-            lines[0] += f"  [workers={self.parallelism}]"
         if self.timed_out:
             lines[0] += f"  [TIMED OUT; {self.cancelled_ops} operators abandoned]"
         elif self.cancelled:

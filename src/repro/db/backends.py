@@ -481,7 +481,7 @@ class _Dictionary:
     """One shared encoding dictionary: the code → value array plus caches.
 
     Every column derived from the same encoding (renames, row subsets,
-    morsel slices, operator outputs) points at the *same* dictionary
+    row slices, operator outputs) points at the *same* dictionary
     object, so the lazily built value → code hash index and the
     cross-dictionary translation tables are built once and visible to all
     of them — including columns created before the index existed.
@@ -511,7 +511,7 @@ class _Dictionary:
 
         Values unknown here map to ``-1``.  Cached per dictionary *pair*,
         so repeated probes between the same two relations (Yannakakis
-        passes, ``ask_many`` batches, morsel chunks) build it once.
+        passes, ``ask_many`` batches, enumeration chunks) build it once.
         """
         if other is self:
             table = np.arange(len(self.values), dtype=np.int64)
@@ -748,9 +748,10 @@ class ColumnarBackend(RelationBackend):
     def slice_rows(self, start: int, stop: int) -> "ColumnarBackend":
         """Rows ``[start, stop)`` as a new backend over code-array *views*.
 
-        The morsel entry point: no codes are copied, and the dictionaries
-        (with their lazily-built value→code indexes) stay shared with the
-        parent, so chunks probe through the parent's caches.
+        The chunk entry point of the streaming enumeration cursors: no
+        codes are copied, and the dictionaries (with their lazily-built
+        value→code indexes) stay shared with the parent, so chunks probe
+        through the parent's caches.
         """
         start = max(start, 0)
         stop = min(stop, self._n)
@@ -761,44 +762,6 @@ class ColumnarBackend(RelationBackend):
             column.with_codes(column.codes[start:stop]) for column in self._columns
         ]
         return ColumnarBackend(self.schema, columns, count)
-
-    @classmethod
-    def concat(
-        cls, parts: Sequence["ColumnarBackend"], dedup: bool = False
-    ) -> Optional["ColumnarBackend"]:
-        """Recombine morsel results into one backend.
-
-        All parts must share the same schema *and* the same per-column
-        dictionaries (true for outputs of chunks sliced off one parent);
-        otherwise ``None`` is returned and the caller recombines through
-        the generic row path.  With ``dedup`` the concatenated rows are
-        deduplicated (Project / GroupedMatMul chunks may overlap); without
-        it the parts are trusted to be disjoint (Join/Semijoin chunks).
-        """
-        if not parts:
-            raise ValueError("concat needs at least one part")
-        base = parts[0]
-        if any(part.schema != base.schema for part in parts[1:]):
-            return None
-        if len(parts) == 1:
-            return base
-        if not base.schema:
-            return cls(base.schema, (), 1 if any(len(p) for p in parts) else 0)
-        columns: List[_Column] = []
-        for position in range(len(base.schema)):
-            dictionary = base._columns[position].dictionary
-            if any(
-                part._columns[position].dictionary is not dictionary
-                for part in parts[1:]
-            ):
-                return None
-            codes = np.concatenate(
-                [part._columns[position].codes for part in parts]
-            )
-            columns.append(_Column(codes, dictionary))
-        if dedup:
-            return cls._from_encoded(base.schema, columns)
-        return cls(base.schema, columns, len(columns[0].codes))
 
     # -- mutation kernels -------------------------------------------------
     def append_rows(self, rows):
@@ -1057,8 +1020,9 @@ class ColumnarBackend(RelationBackend):
         join and semijoin probe against; it only depends on (relation,
         column-set), so it is computed once and kept in the backend cache
         alongside the distinct/degree indexes — renames share it, and
-        repeated probes (Yannakakis passes, ``ask_many`` batches, morsel
-        chunks) reuse it instead of re-sorting the build side every time.
+        repeated probes (Yannakakis passes, ``ask_many`` batches,
+        enumeration chunks) reuse it instead of re-sorting the build side
+        every time.
         ``None`` (also cached) marks a composite-key overflow.
         """
         key = ("sortkeys", tuple(positions))
@@ -1225,9 +1189,9 @@ class ColumnarBackend(RelationBackend):
         ``("keys", the reducer's translated composite keys)`` for an
         ``isin`` probe; ``None`` on composite overflow.  The structure is
         cached on the *reducer's* backend keyed by the probing side's
-        dictionaries, so every chunk of a morsel fan-out — and every later
-        probe from a relation sharing those dictionaries (Yannakakis
-        passes, ``ask_many`` batches) — reuses one build.
+        dictionaries, so every later probe from a relation sharing those
+        dictionaries (Yannakakis passes, ``ask_many`` batches, enumeration
+        chunks) reuses one build.
         """
         dictionaries = tuple(self._columns[p].dictionary for p in self_positions)
         key = (
@@ -1256,8 +1220,8 @@ class ColumnarBackend(RelationBackend):
         if right_keys is None:
             return None
         space = self._key_space(self_positions)
-        # Probe-side-size-independent decision, so morsel chunks and the
-        # unsplit run take the same deterministic path.
+        # Probe-side-size-independent decision, so a row slice and its
+        # parent take the same deterministic path.
         if space is not None and space <= min(
             max(8 * max(right_count, 1), 1 << 16), 1 << 26
         ):

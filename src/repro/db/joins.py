@@ -95,7 +95,9 @@ def default_variable_order(query: ConjunctiveQuery, database: Database) -> List[
     Reads the cached per-relation statistics (``V(A, r)``) straight off the
     stored relations — no per-atom renamed relation objects, no domain
     materialization — so ordering costs a handful of dictionary lookups
-    once the backends' stat caches are warm.
+    once the backends' stat caches are warm.  Ties break by variable name:
+    ``query.variables`` is a frozenset, and its iteration order follows
+    ``PYTHONHASHSEED``.
     """
     scores = {}
     for variable in query.variables:
@@ -106,7 +108,7 @@ def default_variable_order(query: ConjunctiveQuery, database: Database) -> List[
             column = relation.schema[atom.variables.index(variable)]
             domain_sizes.append(max(1, relation.stats.distinct(column)))
         scores[variable] = (-len(covering), min(domain_sizes))
-    return sorted(query.variables, key=lambda v: scores[v])
+    return sorted(query.variables, key=lambda v: (scores[v], v))
 
 
 # ----------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 ``select(order="sorted")`` promises distinct output tuples in a total
 order that depends only on the tuples themselves — identical across
-storage backends, strategies and ``parallelism``.  That contract is used
-in three places, so it lives here at the bottom of the dependency graph:
+storage backends and strategies.  That contract is used in three places,
+so it lives here at the bottom of the dependency graph:
 
 * :mod:`repro.api.results` sorts materialized outputs with
   :func:`_ordered_rows` (which re-exports from here);

@@ -23,9 +23,8 @@ backends ship:
   Semijoins become vectorized key-membership probes, joins become sort +
   ``searchsorted`` gathers, and Boolean matrices are filled straight from
   the code arrays; it wins by an order of magnitude on semijoin-heavy
-  workloads (e.g. Yannakakis on ≥10^5-row chains — see
-  ``benchmarks/bench_backends.py``) and whenever an operator streams many
-  rows through few columns.
+  workloads (e.g. Yannakakis on ≥10^5-row chains) and whenever an
+  operator streams many rows through few columns.
 
 Pick a backend per relation (``Relation(..., backend="columnar")``), per
 database (``Database(backend=...)`` / ``Database.convert_backend``) or per
@@ -573,39 +572,16 @@ class Relation:
             current = current.semijoin(other)
         return current
 
-    # ------------------------------------------------------------------
-    # Morsel partitioning (data-parallel execution)
-    # ------------------------------------------------------------------
-    def split_morsels(self, morsel_size: int) -> Optional[List["Relation"]]:
-        """Contiguous row chunks of at most ``morsel_size`` rows each.
-
-        The chunks share the parent's dictionaries and caches (they are
-        code-array views), so probing kernels behave exactly as on the
-        parent.  Returns ``None`` for non-columnar backends — the
-        row-store kernels are Python loops that hold the GIL, so
-        partitioning them buys nothing.
-        """
-        if morsel_size <= 0 or not isinstance(self._backend, ColumnarBackend):
-            return None
-        count = len(self._backend)
-        if count <= morsel_size:
-            return [self]
-        return [
-            Relation._wrap(self._backend.slice_rows(lo, lo + morsel_size), self.name)
-            for lo in range(0, count, morsel_size)
-        ]
-
     def row_slice(self, start: int, stop: int) -> "Relation":
         """The rows at storage positions ``[start, stop)`` as a relation.
 
-        The incremental counterpart of :meth:`split_morsels`, for callers
-        that pull chunks on demand (the VM's streaming enumeration cursor)
-        instead of partitioning up front.  Columnar backends slice their
-        code arrays (zero-copy views sharing the parent's dictionaries and
-        caches); the set backend snapshots its iteration order once —
-        cached on the backend so repeated slices stay O(slice) — and
-        slices the snapshot.  The position order is arbitrary but stable
-        for the lifetime of the relation.
+        For callers that pull chunks on demand (the VM's streaming
+        enumeration cursor).  Columnar backends slice their code arrays
+        (zero-copy views sharing the parent's dictionaries and caches);
+        the set backend snapshots its iteration order once — cached on
+        the backend so repeated slices stay O(slice) — and slices the
+        snapshot.  The position order is arbitrary but stable for the
+        lifetime of the relation.
         """
         if isinstance(self._backend, ColumnarBackend):
             return Relation._wrap(self._backend.slice_rows(start, stop), self.name)
@@ -615,110 +591,6 @@ class Relation:
             ordered = list(self._backend.iter_rows())
             self._backend.cache_put(cache_key, ordered, family_limit=1)
         return Relation(self.schema, ordered[start:stop], backend=self.backend_kind)
-
-    def semijoin_many_morsels(
-        self,
-        others: Iterable["Relation"],
-        morsel_size: int,
-        run_chunks: Callable[[Sequence[Callable[[], object]]], List[object]],
-    ) -> Optional["Relation"]:
-        """:meth:`semijoin_many` with the probe side split into morsels.
-
-        Per reducer, the per-chunk keep-masks are computed through
-        ``run_chunks`` (the VM's kernel-pool fan-out) and ANDed into one
-        accumulated mask per chunk; the surviving rows are gathered once
-        at the end, exactly like the unsplit fused path.  Consumption
-        semantics match :meth:`semijoin_many`: ``others`` is pulled
-        lazily and abandoned as soon as every chunk's mask is empty.
-        Returns ``None`` (before consuming anything) when the relation
-        cannot be chunked — the caller falls back to the unsplit kernel.
-        """
-        if not isinstance(self._backend, ColumnarBackend):
-            return None
-        parts = self.split_morsels(morsel_size)
-        if parts is None or len(parts) <= 1:
-            return None
-        part_backends = [part._backend for part in parts]
-        masks: List[Optional[np.ndarray]] = [None] * len(parts)
-
-        def gathered() -> "Relation":
-            kept = [
-                backend if mask is None else backend.take(np.nonzero(mask)[0])
-                for backend, mask in zip(part_backends, masks)
-            ]
-            combined = ColumnarBackend.concat(kept)
-            assert combined is not None  # chunks share dictionaries
-            return Relation._wrap(combined, self.name)
-
-        others = iter(others)
-        for other in others:
-            shared = [v for v in self.schema if v in other.variables]
-            if not shared:
-                if other.is_empty():
-                    return Relation(
-                        self.schema, (), self.name, backend=self._backend.kind
-                    )
-                continue
-            chunk_masks: Optional[List[Optional[np.ndarray]]] = None
-            if isinstance(other._backend, ColumnarBackend):
-                self_positions = self._positions(shared)
-                other_positions = other._positions(shared)
-                other_backend = other._backend
-                chunk_masks = run_chunks(
-                    [
-                        lambda backend=backend: backend.semijoin_mask(
-                            self_positions, other_backend, other_positions
-                        )
-                        for backend in part_backends
-                    ]
-                )
-                if any(mask is None for mask in chunk_masks):
-                    chunk_masks = None
-            if chunk_masks is None:
-                # Mixed backend or composite overflow: materialize what
-                # survives so far, then fold the rest sequentially.
-                current = gathered().semijoin(other)
-                for rest in others:
-                    if current.is_empty():
-                        break
-                    current = current.semijoin(rest)
-                return current
-            masks = [
-                chunk if mask is None else (mask & chunk)
-                for mask, chunk in zip(masks, chunk_masks)
-            ]
-            if not any(mask.any() for mask in masks):
-                break
-        if all(mask is None for mask in masks):
-            return self
-        return gathered()
-
-    @classmethod
-    def concat_morsels(
-        cls, parts: Sequence["Relation"], dedup: bool = False
-    ) -> "Relation":
-        """Recombine per-morsel operator outputs into one relation.
-
-        Fast path: columnar parts sharing dictionaries are concatenated on
-        their code arrays (deduplicated when ``dedup``).  Anything else
-        falls back to a generic row union.
-        """
-        if not parts:
-            raise ValueError("concat_morsels needs at least one part")
-        base = parts[0]
-        if len(parts) == 1:
-            return base
-        if all(isinstance(part._backend, ColumnarBackend) for part in parts):
-            combined = ColumnarBackend.concat(
-                [part._backend for part in parts], dedup=dedup
-            )
-            if combined is not None:
-                return cls._wrap(combined, base.name)
-        rows: set = set()
-        for part in parts:
-            aligned = part if part.schema == base.schema else part.project(base.schema)
-            rows.update(aligned._backend.iter_rows())
-        return cls(base.schema, rows, base.name, backend=base.backend_kind)
 
     def union(self, other: "Relation") -> "Relation":
         if set(self.schema) != set(other.schema):

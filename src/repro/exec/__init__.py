@@ -21,7 +21,6 @@ from .ir import (
     Join,
     LightPart,
     MatMul,
-    MorselSpec,
     MultiSemijoin,
     NonEmpty,
     Operator,
@@ -46,7 +45,6 @@ from .vm import (
     ResultCacheStats,
     VirtualMachine,
     VMResult,
-    WorkerPool,
     run_program,
 )
 from .optimize import (
@@ -87,7 +85,6 @@ __all__ = [
     "LoweredPlan",
     "LoweredStep",
     "MatMul",
-    "MorselSpec",
     "MultiSemijoin",
     "NonEmpty",
     "OpTrace",
@@ -105,7 +102,6 @@ __all__ = [
     "VMResult",
     "VirtualMachine",
     "Wcoj",
-    "WorkerPool",
     "eliminate_common_subexpressions",
     "fuse_semijoins",
     "lower_clique",

@@ -1,37 +1,31 @@
-"""Adaptive, statistics-driven kernel dispatch for the virtual machine.
+"""Statistics-driven kernel choices for the virtual machine.
 
-The VM has three ways to execute a relational operator:
-
-* the **row kernels** (Python loops over tuples — the ``set`` backend's
-  native mode, and the generic fallback for mixed-backend operand pairs);
-* the **columnar kernels** (vectorized NumPy code-array kernels); and
-* the **morsel-parallel columnar kernels** — the probe side partitioned
-  into fixed-size code-array chunks executed concurrently on the worker
-  pool and recombined.
-
+The interpreter (:mod:`repro.exec.vm`) runs each relational operator on
+one of two kernel families — the **row kernels** (Python loops over
+tuples: the ``set`` backend's native mode, and the generic fallback for
+mixed-backend operand pairs) or the **columnar kernels** (vectorized NumPy
+code-array kernels) — and each matrix product on BLAS or Strassen.
 :class:`KernelDispatcher` makes those choices per operator from the
 relations' cached :class:`~repro.db.backends.RelationStats`:
 
-* ``n_r`` decides whether a probe side is worth partitioning at all and
-  into how many chunks (``morsel_size`` rows each);
-* degree bounds (``deg(Y | X)``) cap the morsel count of a join so the
-  expected per-chunk output stays bounded even on high-fanout joins;
 * ``n_r`` of both operands drives mixed-backend resolution — when one
   operand is columnar and large, the dispatcher converts the other side so
   the pair runs on the columnar kernel instead of the row-loop fallback;
 * the distinct-count-sized matrix dimensions of an MM step pick the
   Strassen-vs-BLAS multiplication path through the cost model
   (:func:`repro.matmul.cost.preferred_mm_kernel`) instead of a fixed size
-  cutoff.
+  cutoff;
+* a select's ``limit``/``order`` pick its delivery (stream, ranked any-k,
+  or materialize + bounded sort), and ``morsel_size`` is the chunk size of
+  the streaming cursors and the default ``ResultSet`` batch size.
 
 The dispatcher is deliberately deterministic: decisions depend only on
-relation statistics and configuration, never on timing, so parallel runs
-stay reproducible and differential-testable against sequential ones.
+relation statistics and configuration, never on timing, so runs stay
+reproducible and differential-testable across backends.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional, Tuple
 
@@ -42,16 +36,11 @@ from ..db.relation import Relation
 from ..matmul.boolean import resolve_mm_kernel
 from ..matmul.cost import STRASSEN_OVERHEAD_FACTOR, preferred_mm_kernel
 
-#: Rows per morsel: sized so one chunk's code arrays (a few int64 columns)
-#: stay comfortably inside the per-core cache while still amortizing the
-#: NumPy kernel launch overhead.
+#: Rows per morsel — the largest root chunk a streaming enumeration
+#: cursor joins at once and the default ``ResultSet`` batch: sized so one
+#: chunk's code arrays (a few int64 columns) stay comfortably inside the
+#: per-core cache while still amortizing the NumPy kernel launch overhead.
 DEFAULT_MORSEL_SIZE = 32_768
-
-#: Upper bound on the *expected* output rows of one join morsel
-#: (``chunk rows × build-side degree bound``); the dispatcher narrows the
-#: chunks of explosive joins so that the fragments materialized by
-#: concurrently running chunks stay memory-bounded.
-DEFAULT_MAX_MORSEL_OUTPUT = 4_000_000
 
 #: A columnar operand must be at least this large before the dispatcher
 #: converts a mixed-backend partner to the columnar representation; below
@@ -72,8 +61,6 @@ DEFAULT_RANKED_LIMIT_CAP = DEFAULT_MORSEL_SIZE
 class DispatchStats:
     """Counters of the choices one dispatcher instance has made."""
 
-    morsel_ops: int = 0
-    morsel_chunks: int = 0
     conversions: int = 0
     mm_strassen: int = 0
     mm_blas: int = 0
@@ -87,18 +74,14 @@ class KernelDispatcher:
     omega:
         The MM exponent parameterising the cost model for kernel choice.
     morsel_size:
-        Rows per probe-side chunk for morsel-parallel execution.
-    min_partition_rows:
-        Probe sides smaller than this are never partitioned (defaults to
-        two morsels' worth — splitting below that only adds overhead).
+        Largest chunk (in rows) of a streaming enumeration cursor, and the
+        default batch size of a :class:`~repro.api.results.ResultSet`.
     convert_threshold:
         Minimum size of a columnar operand before a mixed-backend partner
         is converted to columnar.
     strassen_overhead:
         Constant-factor handicap the sub-cubic MM path must overcome (see
         :data:`repro.matmul.cost.STRASSEN_OVERHEAD_FACTOR`).
-    max_morsel_output:
-        Cap on expected per-chunk join output rows (degree-bound based).
     ranked_limit_cap:
         Largest sorted-select ``limit`` served by ranked (any-k)
         enumeration rather than materialize + bounded sort.
@@ -108,22 +91,16 @@ class KernelDispatcher:
         self,
         omega: float = DEFAULT_OMEGA,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
-        min_partition_rows: Optional[int] = None,
         convert_threshold: int = DEFAULT_CONVERT_THRESHOLD,
         strassen_overhead: float = STRASSEN_OVERHEAD_FACTOR,
-        max_morsel_output: int = DEFAULT_MAX_MORSEL_OUTPUT,
         ranked_limit_cap: int = DEFAULT_RANKED_LIMIT_CAP,
     ) -> None:
         if morsel_size <= 0:
             raise ValueError("morsel_size must be positive")
         self.omega = omega
         self.morsel_size = morsel_size
-        self.min_partition_rows = (
-            2 * morsel_size if min_partition_rows is None else min_partition_rows
-        )
         self.convert_threshold = convert_threshold
         self.strassen_overhead = strassen_overhead
-        self.max_morsel_output = max_morsel_output
         self.ranked_limit_cap = ranked_limit_cap
         self.stats = DispatchStats()
 
@@ -140,11 +117,11 @@ class KernelDispatcher:
 
         The three deliveries a select can get — ``stream`` (discovery
         order, cursor), ``ranked`` (sorted order, cursor) and materialize
-        + bounded sort — are picked here so both schedulers and every
-        strategy agree.  Ranked wins when the caller asked for sorted
-        order *and* bounded the output: per-popped-row cost is a heap
-        operation plus O(tree) restriction work, so small limits finish
-        in ~``exists`` + O(k log n).  Past ``ranked_limit_cap`` rows (or
+        + bounded sort — are picked here so every strategy agrees.  Ranked
+        wins when the caller asked for sorted order *and* bounded the
+        output: per-popped-row cost is a heap operation plus O(tree)
+        restriction work, so small limits finish in ~``exists`` +
+        O(k log n).  Past ``ranked_limit_cap`` rows (or
         when ``output_hint`` says the limit covers the whole output) the
         bulk materialize + ``nsmallest`` path is cheaper per row, and an
         unlimited sorted select always materializes.  Deterministic by
@@ -158,57 +135,6 @@ class KernelDispatcher:
         if output_hint is not None and 0 < output_hint <= limit:
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Morsel partitioning
-    # ------------------------------------------------------------------
-    def morsel_count(self, probe: Relation, workers: int) -> int:
-        """How many chunks to split a probe side into (1 = run unsplit)."""
-        if workers <= 1 or probe.backend_kind != "columnar":
-            return 1
-        rows = len(probe)
-        if rows < self.min_partition_rows:
-            return 1
-        count = math.ceil(rows / self.morsel_size)
-        self.stats.morsel_ops += 1
-        self.stats.morsel_chunks += count
-        return count
-
-    def join_morsel_count(
-        self,
-        probe: Relation,
-        build: Relation,
-        shared: Tuple[str, ...],
-        extras: Tuple[str, ...],
-        workers: int,
-    ) -> int:
-        """Morsel count for a join, degree-bounded on the build side.
-
-        The expected output of one chunk is ``chunk rows × deg(extras |
-        shared)`` on the build side; on explosive joins the chunks are
-        narrowed so each in-flight chunk's output stays under
-        ``max_morsel_output`` rows (at most ``workers`` chunks materialize
-        concurrently, so this bounds peak memory), floored at an eighth of
-        the configured morsel size to avoid absurd fragmentation.
-        """
-        if workers <= 1 or probe.backend_kind != "columnar":
-            return 1
-        rows = len(probe)
-        if rows < self.min_partition_rows:
-            return 1
-        fanout = max(build.stats.max_degree(extras, shared), 1) if shared else max(len(build), 1)
-        chunk_rows = max(self.morsel_size, 1)
-        if chunk_rows * fanout > self.max_morsel_output:
-            chunk_rows = min(
-                chunk_rows,
-                max(self.max_morsel_output // fanout, self.morsel_size // 8, 1),
-            )
-        count = math.ceil(rows / chunk_rows)
-        if count <= 1:
-            return 1
-        self.stats.morsel_ops += 1
-        self.stats.morsel_chunks += count
-        return count
 
     # ------------------------------------------------------------------
     # Mixed-backend resolution

@@ -36,22 +36,6 @@ Schema = Tuple[str, ...]
 StructuralKey = Tuple
 
 
-@dataclass(frozen=True)
-class MorselSpec:
-    """How an operator may be split into data-parallel morsels.
-
-    ``child`` is the index (into ``children``) of the *probe side* whose
-    rows can be partitioned into contiguous chunks, each executed against
-    the unchanged remaining operands and recombined.  When ``dedup`` is
-    true the chunk outputs may overlap (e.g. projections of different rows
-    collapsing to the same tuple) and recombination must deduplicate;
-    otherwise the chunk outputs are disjoint and concatenation suffices.
-    """
-
-    child: int
-    dedup: bool
-
-
 def _positions(schema: Schema, variables: Schema, what: str) -> Tuple[int, ...]:
     try:
         return tuple(schema.index(v) for v in variables)
@@ -129,13 +113,6 @@ class Operator:
     #: relation — the counting sink.  Scalar operators, like Boolean ones,
     #: can only appear at the root of a program.
     scalar: bool = False
-    #: Index into ``children`` of the operand whose *emptiness* alone
-    #: already decides an empty output (``None`` when no child has that
-    #: power).  This is the metadata behind the VM's lazy short-circuits:
-    #: the sequential executor skips the remaining children, and the
-    #: parallel scheduler completes the operator early and cancels the
-    #: now-doomed sibling subtrees.
-    empty_short_circuit: Optional[int] = None
 
     def __init_subclass__(cls, **kwargs) -> None:
         super().__init_subclass__(**kwargs)
@@ -185,15 +162,6 @@ class Operator:
     def kind(self) -> str:
         """A short lower-case operator-kind tag (used in traces and tests)."""
         return type(self).__name__.lower()
-
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        """How (if at all) this operator partitions into parallel morsels.
-
-        ``None`` means the operator must execute as one unit.  Overridden
-        by the data-parallel operators (Join, Semijoin/MultiSemijoin,
-        Antijoin, deduplicating Project, GroupedMatMul).
-        """
-        return None
 
 
 def _require_relational(node: Operator, what: str) -> None:
@@ -251,12 +219,6 @@ class Project(Operator):
     def label(self) -> str:
         return f"Project[{', '.join(self.schema) or '()'}]"
 
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        # Chunks of the child may project onto the same tuple, so the
-        # recombination deduplicates.  Nullary projections reduce to an
-        # emptiness test and are not worth partitioning.
-        return MorselSpec(child=0, dedup=True) if self.schema else None
-
 
 @dataclass(frozen=True)
 class Distinct(Project):
@@ -287,7 +249,6 @@ class Restrict(Operator):
     variable: str
     source: Operator
     source_variable: str
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Restrict")
@@ -367,7 +328,6 @@ class Join(Operator):
 
     left: Operator
     right: Operator
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.left, "Join")
@@ -383,11 +343,6 @@ class Join(Operator):
     def label(self) -> str:
         return "Join"
 
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        # Probe-side rows are distinct and the chunks partition them, so
-        # the per-chunk join outputs are disjoint: concatenate.
-        return MorselSpec(child=0, dedup=False)
-
 
 @dataclass(frozen=True)
 class Semijoin(Operator):
@@ -395,7 +350,6 @@ class Semijoin(Operator):
 
     child: Operator
     reducer: Operator
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Semijoin")
@@ -410,9 +364,6 @@ class Semijoin(Operator):
     def label(self) -> str:
         return "Semijoin"
 
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        return MorselSpec(child=0, dedup=False)
-
 
 @dataclass(frozen=True)
 class Antijoin(Operator):
@@ -420,7 +371,6 @@ class Antijoin(Operator):
 
     child: Operator
     reducer: Operator
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Antijoin")
@@ -434,9 +384,6 @@ class Antijoin(Operator):
 
     def label(self) -> str:
         return "Antijoin"
-
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        return MorselSpec(child=0, dedup=False)
 
 
 @dataclass(frozen=True)
@@ -452,7 +399,6 @@ class MultiSemijoin(Operator):
 
     child: Operator
     reducers: Tuple[Operator, ...]
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "MultiSemijoin")
@@ -472,9 +418,6 @@ class MultiSemijoin(Operator):
 
     def label(self) -> str:
         return f"MultiSemijoin[{len(self.reducers)} reducers]"
-
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        return MorselSpec(child=0, dedup=False)
 
 
 @dataclass(frozen=True)
@@ -523,7 +466,6 @@ class MatMul(Operator):
     row_variables: Schema
     inner_variables: Schema
     col_variables: Schema
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.left, "MatMul")
@@ -571,7 +513,6 @@ class GroupedMatMul(Operator):
     inner_variables: Schema
     col_variables: Schema
     group_variables: Schema
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.left, "GroupedMatMul")
@@ -609,12 +550,6 @@ class GroupedMatMul(Operator):
             f"{','.join(self.inner_variables)} ; {','.join(self.col_variables)}"
             + (f" | {group}]" if group else "]")
         )
-
-    def morsel_spec(self) -> Optional[MorselSpec]:
-        # A group's left rows may be split across chunks; the same output
-        # (row, col, group) triple can then be produced by several chunks,
-        # so recombination deduplicates.
-        return MorselSpec(child=0, dedup=True)
 
 
 # ----------------------------------------------------------------------
@@ -687,7 +622,6 @@ class Count(Operator):
     child: Operator
     variables_out: Schema
     scalar = True
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Count")
@@ -754,7 +688,6 @@ class Enumerate(Operator):
     limit: Optional[int] = None
     order: str = "sorted"
     parents: Tuple[int, ...] = ()
-    empty_short_circuit = 0
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Enumerate")

@@ -16,19 +16,6 @@ Three passes run by default (:func:`optimize_program`):
 
 All passes preserve the declared output schema of the root, so a program
 can be optimized at plan time, cached, and renamed later.
-
-Morsel safety
--------------
-The parallel VM splits the probe side of data-parallel operators into
-chunks (see :meth:`repro.exec.ir.Operator.morsel_spec`), which is only
-sound when the other operands are independent of the probe's *partial*
-results.  Every pass here preserves that property: CSE and pruning only
-merge/remove nodes, and semijoin fusion keeps the probe as child 0 while
-its single-consumer guard doubles as the morsel-safety guard — a reducer
-somehow derived from the fused intermediate would make that intermediate
-multi-consumer, which blocks the fusion.  :func:`morsel_partitionable`
-reports the partitionable operators of a program (used by the parallel-VM
-test suite to pin this invariant).
 """
 
 from __future__ import annotations
@@ -36,7 +23,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .ir import MorselSpec
 from .ir import (
     All_,
     Antijoin,
@@ -189,30 +175,14 @@ def eliminate_common_subexpressions(program: Program) -> Tuple[Program, int]:
     return rewritten, merged
 
 
-def morsel_partitionable(program: Program) -> Dict[Operator, MorselSpec]:
-    """The program's data-parallel operators and their partition specs.
-
-    Rewrite passes must keep these operators partitionable (probe side at
-    child 0, recombination mode unchanged); the parallel VM consults the
-    same specs at execution time.
-    """
-    specs: Dict[Operator, MorselSpec] = {}
-    for node in program.nodes():
-        spec = node.morsel_spec()
-        if spec is not None:
-            specs[node] = spec
-    return specs
-
-
 def fuse_semijoins(program: Program) -> Tuple[Program, int]:
     """Collapse single-consumer semijoin chains into ``MultiSemijoin`` nodes.
 
     ``Semijoin(Semijoin(x, a), b)`` is only fused when the inner semijoin
     has no other parent in the DAG — otherwise its intermediate result is
     needed anyway and fusing would duplicate work.  The same guard keeps
-    fusion *morsel-safe*: the fused operator still partitions the original
-    probe ``x`` (child 0), and no reducer can depend on the fused-away
-    intermediate, because such a dependency would make the intermediate
+    the reducers independent of the partially reduced target: a reducer
+    derived from the fused-away intermediate would make that intermediate
     multi-consumer and block the fusion.
     """
     parents: Dict[Operator, int] = {}

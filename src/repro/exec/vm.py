@@ -1,52 +1,32 @@
 """The instrumented virtual machine executing physical-operator programs.
 
-One executor for every strategy: the VM walks a lowered
-:class:`~repro.exec.ir.Program` bottom-up, evaluates each operator against
-the database through the pluggable :class:`~repro.db.relation.Relation`
-kernels, and records a per-operator trace (rows in/out, the storage-backend
-kernel used, wall-clock seconds, cache provenance, worker and morsel
-diagnostics) that feeds :meth:`repro.api.QueryEngine.explain` and the
-benchmarks.
+One sequential interpreter for every strategy: the VM walks a lowered
+:class:`~repro.exec.ir.Program` depth-first from its root on the calling
+thread, evaluates each operator against the database through the
+pluggable :class:`~repro.db.relation.Relation` kernels, and records a
+per-operator trace (rows in/out, the storage-backend kernel used,
+exclusive and inclusive seconds, cache provenance) that feeds
+:meth:`repro.api.QueryEngine.explain` and the performance ledger.
 
 Evaluation is lazy where emptiness already decides the result: a join whose
 left side is empty never evaluates its right side, ``Any``/``All``
 short-circuit, and a ``NonEmpty`` root stops as soon as the answer is
-known.  Row-at-a-time fallbacks that used to live in ``db/joins.py`` and
+known.  Laziness is nothing more than not recursing into a child.
+Row-at-a-time fallbacks that used to live in ``db/joins.py`` and
 ``core/executor.py`` (the GenericJoin backtracking search, the grouped
 Boolean-matrix elimination) are operator implementations here.
 
-Parallel execution
-------------------
-With ``parallelism > 1`` the VM becomes a morsel-driven parallel executor
-on two levels:
-
-* **DAG-level** — a topological scheduler dispatches *independent*
-  operators concurrently on a shared :class:`WorkerPool` (the columnar
-  NumPy kernels release the GIL, so sibling subtrees genuinely overlap).
-  Scheduling is speculative-but-deterministic: operators run as soon as
-  their operands are available, an operator whose short-circuit operand
-  (:attr:`~repro.exec.ir.Operator.empty_short_circuit`) comes out empty
-  completes immediately, and subtrees no other live consumer needs are
-  *cancelled*.  The reported traces are filtered to the operators the
-  sequential lazy semantics would have evaluated (the deterministic
-  *needed set*), so results and trace row-counts are bit-identical to a
-  sequential run — speculatively computed doomed work costs time, never
-  determinism.
-* **Morsel-level** — the data-parallel operators (Join,
-  Semijoin/Antijoin/MultiSemijoin, deduplicating Project, GroupedMatMul)
-  split their probe side into fixed-size code-array chunks
-  (:meth:`~repro.db.relation.Relation.split_morsels`), execute the chunks
-  concurrently on the pool's kernel executor and recombine
-  (:meth:`~repro.db.relation.Relation.concat_morsels`), so one huge
-  operator no longer serialises the machine.  Chunk boundaries come from
-  the statistics-driven :class:`~repro.exec.dispatch.KernelDispatcher`,
-  which also resolves mixed-backend operand pairs and picks the
-  Strassen-vs-BLAS matrix path.
-
-The two levels use *separate* thread pools (``WorkerPool.dag`` /
-``WorkerPool.kernel``): DAG tasks may block on morsel chunks, morsel
-chunks never block on anything, so the system cannot deadlock however
-small the pools are.
+One query, one thread
+---------------------
+The paper's algorithm is for-loops plus matrix multiplication costed on
+one RAM, and the interpreter is exactly that.  The only step where
+hardware parallelism belongs is inside the MM kernel (BLAS threads):
+scheduling operators and probe-side chunks on threads measured
+0.36-0.88x of this interpreter on one and on two cores (tables in
+CHANGES.md), so there is no intra-query thread pool.  Concurrency
+*across* queries is the server's business — its request threads share one
+engine — which is why :class:`ResultCache` serializes on a lock and a
+:class:`CancellationToken` may be fired from another thread.
 
 Cross-query sharing
 -------------------
@@ -71,14 +51,11 @@ equal scan closures and the sharing stays sound.
 from __future__ import annotations
 
 import heapq
-import math
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import (
-    Callable,
     Dict,
     Hashable,
     Iterator,
@@ -124,17 +101,6 @@ from .ir import (
 #: streaming Enumerate sink).  ``bool`` must be tested before ``int``
 #: everywhere — Python's bool is an int subclass.
 Payload = TUnion[Relation, bool, int, "EnumerationStream"]
-#: A child-payload provider: returns the child's result, raising
-#: :class:`_NotReady` (parallel mode) when it is not available yet.
-Getter = Callable[[Operator], Payload]
-
-
-class _NotReady(Exception):
-    """Raised by the parallel payload provider for a still-pending child."""
-
-    def __init__(self, node: Operator) -> None:
-        super().__init__(node.label())
-        self.node = node
 
 
 # ----------------------------------------------------------------------
@@ -146,11 +112,11 @@ class CancellationToken:
     Two ways a token fires: an explicit :meth:`cancel` (a client
     disconnected, the server is draining) or a *deadline* — a monotonic
     timestamp after which the token reports cancelled and
-    :attr:`timed_out` is true.  Both schedulers consult the token between
-    operators (and the WCOJ row search consults it between bound-variable
-    extensions), so cancellation latency is one operator/kernel call, not
-    one query.  Checks are lock-free reads; tokens are cheap enough to
-    build one per ask.
+    :attr:`timed_out` is true.  The interpreter consults the token between
+    operators (the streaming cursors per chunk, the WCOJ row search
+    between bound-variable extensions), so cancellation latency is one
+    operator/kernel call, not one query.  Checks are lock-free reads;
+    tokens are cheap enough to build one per ask.
     """
 
     __slots__ = ("_cancelled", "_deadline", "_timed_out")
@@ -205,10 +171,9 @@ class QueryCancelled(RuntimeError):
     """A VM run was cancelled (deadline expiry or explicit cancel).
 
     The VM enriches the exception on its way out with the partial traces
-    of the operators that *did* complete, how many program operators were
-    abandoned (``cancelled_ops``), and the scheduling mode — so callers
-    (the engine, and through it the server) can report timeout-triggered
-    cancellation uniformly for sequential and parallel runs.
+    of the operators that *did* complete and how many program operators
+    were abandoned (``cancelled_ops``), so callers (the engine, and
+    through it the server) can report a structured partial result.
     """
 
     def __init__(self, timed_out: bool = False) -> None:
@@ -216,12 +181,10 @@ class QueryCancelled(RuntimeError):
             "query execution timed out" if timed_out else "query execution cancelled"
         )
         self.timed_out = timed_out
-        #: Operators abandoned by the cancellation (not evaluated, or
-        #: evaluated speculatively and discarded).
+        #: Operators abandoned by the cancellation (never evaluated).
         self.cancelled_ops = 0
         #: Traces of the operators that completed before the token fired.
         self.traces: List["OpTrace"] = []
-        self.parallelism = 1
         self.seconds = 0.0
 
 
@@ -246,16 +209,12 @@ class OpTrace:
     cache_hit: bool = False
     matrix_shape: Optional[Tuple[int, int, int]] = None
     group_count: int = 0
-    #: Which pool worker executed the operator (``None`` when the run was
-    #: sequential).
+    #: Keys of the v1 wire document (``QueryResult.to_dict``/``from_dict``
+    #: carry them).  The interpreter never sets them: a live run reports
+    #: ``None``/``0``.
     worker: Optional[str] = None
-    #: How many probe-side chunks the operator was split into (0 = the
-    #: operator ran unsplit).
     morsel_count: int = 0
-    #: Inclusive span of the operator's evaluation.  Sequentially this
-    #: includes the children's time; in a parallel run the children were
-    #: already materialized, so wall and exclusive coincide — comparing
-    #: the two against the run total is how the parallel schedule reads.
+    #: Inclusive span of the operator's evaluation (children included).
     wall_seconds: float = 0.0
     #: Ranked-enumeration frontier-heap accounting (0 unless the operator
     #: was a ranked Enumerate sink): the largest heap size the drain
@@ -273,12 +232,8 @@ class OpTrace:
             if self.matrix_shape is not None
             else ""
         )
-        if self.morsel_count:
-            extra += f" morsels={self.morsel_count}"
         if self.heap_pops:
             extra += f" heap={self.heap_pops}p/{self.heap_peak}max"
-        if self.worker is not None:
-            extra += f" worker={self.worker}"
         return (
             f"#{self.op_id} {self.label}: {self.rows_in} -> {self.rows_out} rows "
             f"({self.kernel}, {self.seconds * 1000:.2f} ms){extra}{flags}"
@@ -288,8 +243,8 @@ class OpTrace:
 class EnumerationStream:
     """A pull-driven cursor over a streaming :class:`~repro.exec.ir.Enumerate` sink.
 
-    Produced by both schedulers when the Enumerate root asks for streaming
-    delivery (``order="stream"``, ``order="ranked"`` — see
+    Produced when the Enumerate root asks for streaming delivery
+    (``order="stream"``, ``order="ranked"`` — see
     :class:`RankedEnumerationStream` — or a frontier-carrying sink).  By
     the time the stream exists, the sink's children — the calibrated
     reducer state — are fully evaluated; that work is the ~``exists``-cost prefix, and calibration is
@@ -661,13 +616,6 @@ class VMResult:
     seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
-    #: Worker count the run was scheduled with (1 = sequential).
-    parallelism: int = 1
-    #: Operators that were computed speculatively but turned out not to be
-    #: needed by the lazy semantics (their traces are excluded), plus
-    #: subtrees the scheduler cancelled before they ran.
-    speculative_ops: int = 0
-    cancelled_ops: int = 0
 
     def trace_for(self, node: Operator, ids: Dict[Operator, int]) -> Optional[OpTrace]:
         """The trace of one operator (``None`` if it was short-circuited away)."""
@@ -681,12 +629,6 @@ class VMResult:
 
     def describe(self) -> str:
         lines = [f"answer: {self.answer}  ({self.seconds * 1000:.2f} ms)"]
-        if self.parallelism > 1:
-            lines[0] += (
-                f"  [workers={self.parallelism}"
-                f" speculative={self.speculative_ops}"
-                f" cancelled={self.cancelled_ops}]"
-            )
         lines.extend(f"  {trace.describe()}" for trace in self.traces)
         return "\n".join(lines)
 
@@ -718,8 +660,8 @@ class ResultCache:
     relation wider than ``max_entry_rows`` is never stored (the entry
     *count* alone would not bound a near-cross-product), and the LRU also
     evicts until the *sum* of retained rows fits ``max_total_rows``.
-    All operations are serialized on an internal lock, so concurrent VM
-    tasks (and engines sharding batches across threads) share one cache.
+    All operations are serialized on an internal lock, so the server's
+    request threads (one VM run each, one shared engine) share one cache.
     """
 
     def __init__(
@@ -802,56 +744,6 @@ class ResultCache:
 
 
 # ----------------------------------------------------------------------
-# Worker pools
-# ----------------------------------------------------------------------
-class WorkerPool:
-    """Two thread pools shared by VM runs: DAG tasks and morsel chunks.
-
-    Operator (DAG) tasks may block waiting for the chunks of a morsel
-    fan-out; chunk tasks are pure leaf computations that never block.
-    Keeping the two on separate executors makes the nesting trivially
-    deadlock-free regardless of pool sizes.  One pool is shared across
-    every ask of an engine so the threads are spawned once.
-    """
-
-    def __init__(self, workers: int) -> None:
-        if workers < 1:
-            raise ValueError("WorkerPool needs at least one worker")
-        self.workers = workers
-        self._dag = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-dag"
-        )
-        self._kernel = ThreadPoolExecutor(
-            max_workers=workers, thread_name_prefix="repro-morsel"
-        )
-
-    def submit_node(self, fn: Callable, *args) -> Future:
-        return self._dag.submit(fn, *args)
-
-    def submit_kernel(self, fn: Callable, *args) -> Future:
-        return self._kernel.submit(fn, *args)
-
-    def shutdown(self) -> None:
-        self._dag.shutdown(wait=True)
-        self._kernel.shutdown(wait=True)
-
-    def __enter__(self) -> "WorkerPool":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.shutdown()
-
-
-def _worker_name() -> Optional[str]:
-    """A short tag for the executing pool worker (``None`` off-pool)."""
-    name = threading.current_thread().name
-    if "repro-dag" in name or "repro-morsel" in name:
-        prefix, _, index = name.rpartition("_")
-        return ("w" if "dag" in prefix else "m") + index
-    return None
-
-
-# ----------------------------------------------------------------------
 # The virtual machine
 # ----------------------------------------------------------------------
 class VirtualMachine:
@@ -866,28 +758,14 @@ class VirtualMachine:
     dispatcher:
         The adaptive kernel dispatcher; defaults to the process-wide
         :data:`~repro.exec.dispatch.DEFAULT_DISPATCHER`.
-    parallelism:
-        Target worker count.  ``1`` (the default) keeps the classic
-        sequential recursive evaluator — bit-for-bit the PR 3 behaviour.
-        ``> 1`` enables the parallel scheduler and morsel execution.
-    pool:
-        A shared :class:`WorkerPool` (e.g. the engine's).  When
-        ``parallelism > 1`` and no pool is given, the VM creates and owns
-        one (close it with :meth:`close` or use the VM as a context
-        manager).
-    dag_scheduling:
-        When false, operators still evaluate sequentially but the
-        data-parallel operators use morsel chunks on the pool's kernel
-        executor.  This is the mode :meth:`~repro.api.QueryEngine.ask_many`
-        uses for its batch shards — the shard tasks occupy the DAG
-        executor, so nesting DAG scheduling inside them could starve it.
     token:
-        Optional :class:`CancellationToken`.  Both schedulers check it
-        cooperatively between operators (and inside the WCOJ row search),
-        raising :class:`QueryCancelled` — carrying the partial traces and
-        the abandoned-operator count — when it fires.  Already-completed
-        operator results stay in the shared result cache (they are
-        correct), so a timed-out ask never poisons later ones.
+        Optional :class:`CancellationToken`.  The interpreter checks it
+        cooperatively between operators (and inside the streaming cursors
+        and the WCOJ row search), raising :class:`QueryCancelled` —
+        carrying the partial traces and the abandoned-operator count —
+        when it fires.  Already-completed operator results stay in the
+        shared result cache (they are correct), so a timed-out ask never
+        poisons later ones.
     """
 
     def __init__(
@@ -896,74 +774,35 @@ class VirtualMachine:
         result_cache: Optional[ResultCache] = None,
         *,
         dispatcher: Optional[KernelDispatcher] = None,
-        parallelism: int = 1,
-        pool: Optional[WorkerPool] = None,
-        dag_scheduling: bool = True,
         token: Optional[CancellationToken] = None,
     ) -> None:
-        if parallelism < 1:
-            raise ValueError("parallelism must be at least 1")
         self.database = database
         self.result_cache = result_cache
         self.dispatcher = dispatcher if dispatcher is not None else DEFAULT_DISPATCHER
-        self.parallelism = parallelism
-        self.dag_scheduling = dag_scheduling
         self.token = token
-        self._owns_pool = False
-        if parallelism > 1 and pool is None:
-            pool = WorkerPool(parallelism)
-            self._owns_pool = True
-        self.pool = pool if parallelism > 1 else None
 
-    def close(self) -> None:
-        """Shut down a pool this VM created (shared pools are left alone)."""
-        if self._owns_pool and self.pool is not None:
-            self.pool.shutdown()
-            self.pool = None
-
-    def __enter__(self) -> "VirtualMachine":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    # ------------------------------------------------------------------
     def run(self, program: Program) -> VMResult:
         start = time.perf_counter()
         ids = program.node_ids()
-        fingerprints = _node_fingerprints(program, self.database)
-        context = _EvalContext(self)
+        state = _RunState(self, ids, _node_fingerprints(program, self.database))
         try:
-            if self.pool is not None and self.dag_scheduling and self.parallelism > 1:
-                result = _ParallelRun(self, program, ids, fingerprints, context).execute()
-            else:
-                state = _RunState(self, ids, fingerprints, context)
-                try:
-                    payload = state.eval(program.root)
-                except QueryCancelled as exc:
-                    # Uniform cancellation reporting: the sequential
-                    # interpreter counts its abandoned operators the same
-                    # way the parallel scheduler does.
-                    exc.cancelled_ops = len(ids) - len(state.traces)
-                    exc.traces = list(state.traces)
-                    exc.parallelism = 1
-                    raise
-                answer, relation, row_count, stream = _interpret_root(payload)
-                result = VMResult(
-                    answer=answer,
-                    relation=relation,
-                    row_count=row_count,
-                    stream=stream,
-                    traces=state.traces,
-                    cache_hits=state.cache_hits,
-                    cache_misses=state.cache_misses,
-                    parallelism=1,
-                )
+            payload = state.eval(program.root)
         except QueryCancelled as exc:
+            exc.cancelled_ops = len(ids) - len(state.traces)
+            exc.traces = list(state.traces)
             exc.seconds = time.perf_counter() - start
             raise
-        result.seconds = time.perf_counter() - start
-        return result
+        answer, relation, row_count, stream = _interpret_root(payload)
+        return VMResult(
+            answer=answer,
+            relation=relation,
+            row_count=row_count,
+            stream=stream,
+            traces=state.traces,
+            seconds=time.perf_counter() - start,
+            cache_hits=state.cache_hits,
+            cache_misses=state.cache_misses,
+        )
 
 
 def _node_fingerprints(
@@ -1009,450 +848,29 @@ def _interpret_root(
     return not payload.is_empty(), payload, None, None
 
 
-# ----------------------------------------------------------------------
-# Operator implementations (shared by the sequential and parallel paths)
-# ----------------------------------------------------------------------
-class _EvalContext:
-    """Per-run operator evaluation: kernels, morsel fan-out, split memo.
-
-    Child payloads arrive through a ``get`` callback so the same operator
-    code serves both execution modes: the sequential evaluator passes its
-    recursive ``eval`` (laziness = simply not calling ``get``), the
-    parallel scheduler passes a memo lookup that raises :class:`_NotReady`
-    for still-pending children (laziness = completing without them).
-    """
-
-    def __init__(self, vm: VirtualMachine) -> None:
-        self.vm = vm
-        self.dispatcher = vm.dispatcher
-        self.pool = vm.pool
-        self.workers = vm.parallelism if vm.pool is not None else 1
-        # guarded-by: _locks_guard; bounded-by: per-run lifetime (one program)
-        self.split_memo: Dict[Operator, Tuple[Relation, Relation]] = {}
-        # guarded-by: _locks_guard
-        self._split_locks: Dict[Operator, threading.Lock] = {}
-        self._locks_guard = threading.Lock()
-
-    # -- helpers --------------------------------------------------------
-    @staticmethod
-    def _relation(get: Getter, node: Operator) -> Relation:
-        payload = get(node)
-        assert isinstance(payload, Relation)
-        return payload
-
-    def _run_chunks(self, thunks: Sequence[Callable[[], Relation]]) -> List[Relation]:
-        """Execute morsel chunk thunks, fanning out on the kernel pool.
-
-        The first chunk runs in the calling thread *before* the fan-out so
-        the operands' lazily-built shared caches (dictionary indexes,
-        composite-key sort orders) are warmed once instead of raced.
-        """
-        token = self.vm.token
-        if self.pool is None or len(thunks) <= 1:
-            results = []
-            for thunk in thunks:
-                if token is not None:
-                    # Bound cancellation latency to one morsel when the
-                    # operator was split but runs on the calling thread.
-                    token.check()
-                results.append(thunk())
-            return results
-        first = thunks[0]()
-        futures = [self.pool.submit_kernel(thunk) for thunk in thunks[1:]]
-        return [first] + [future.result() for future in futures]
-
-    def _split(self, relation: Relation, count: int) -> Optional[List[Relation]]:
-        if count <= 1:
-            return None
-        size = math.ceil(len(relation) / count)
-        parts = relation.split_morsels(size)
-        if parts is None or len(parts) <= 1:
-            return None
-        return parts
-
-    def _heavy_light(
-        self, node: TUnion[HeavyPart, LightPart], get: Getter
-    ) -> Tuple[Relation, Relation]:
-        """Both halves of a degree split, computed once per (child, given, Δ)."""
-        twin_key = (
-            HeavyPart(node.child, node.given, node.threshold)
-            if isinstance(node, LightPart)
-            else node
-        )
-        entry = self.split_memo.get(twin_key)
-        if entry is not None:
-            return entry
-        with self._locks_guard:
-            lock = self._split_locks.setdefault(twin_key, threading.Lock())
-        with lock:
-            if twin_key not in self.split_memo:
-                child = self._relation(get, node.child)
-                self.split_memo[twin_key] = child.heavy_light_split(
-                    list(node.given), node.threshold
-                )
-        return self.split_memo[twin_key]
-
-    # -- the dispatcher -------------------------------------------------
-    def eval_op(self, node: Operator, get: Getter) -> Tuple[Payload, int, dict]:
-        extra: dict = {}
-        if isinstance(node, Scan):
-            relation = self.vm.database[node.relation]
-            if len(relation.schema) != len(node.schema):
-                raise ValueError(
-                    f"scan of {node.relation!r} expects arity {len(node.schema)} "
-                    f"but the relation has arity {len(relation.schema)}"
-                )
-            renamed = relation.rename(dict(zip(relation.schema, node.schema)))
-            return renamed.with_name(node.relation), len(relation), extra
-
-        if isinstance(node, Project):
-            child = self._relation(get, node.child)
-            if not node.schema:
-                # Nullary projection: one empty tuple iff the child is nonempty.
-                return (
-                    Relation((), [()] if not child.is_empty() else []),
-                    len(child),
-                    extra,
-                )
-            return self._project(node, child, extra), len(child), extra
-
-        if isinstance(node, Restrict):
-            child = self._relation(get, node.child)
-            if child.is_empty():
-                return child, 0, extra
-            source = self._relation(get, node.source)
-            values = source.column_values(node.source_variable)
-            return child.restrict(node.variable, values), len(child) + len(source), extra
-
-        if isinstance(node, (HeavyPart, LightPart)):
-            heavy, light = self._heavy_light(node, get)
-            child_len = len(self._relation(get, node.child))
-            return (heavy if isinstance(node, HeavyPart) else light), child_len, extra
-
-        if isinstance(node, Join):
-            left = self._relation(get, node.left)
-            if left.is_empty():
-                return Relation(node.schema, (), backend=left.backend_kind), 0, extra
-            right = self._relation(get, node.right)
-            left, right = self.dispatcher.resolve_operands(left, right)
-            return self._join(node, left, right, extra), len(left) + len(right), extra
-
-        if isinstance(node, Semijoin):
-            child = self._relation(get, node.child)
-            if child.is_empty():
-                return child, 0, extra
-            reducer = self._relation(get, node.reducer)
-            child, reducer = self.dispatcher.resolve_operands(child, reducer)
-            return (
-                self._semijoin(node, child, reducer, negate=False, extra=extra),
-                len(child) + len(reducer),
-                extra,
-            )
-
-        if isinstance(node, Antijoin):
-            child = self._relation(get, node.child)
-            if child.is_empty():
-                return child, 0, extra
-            reducer = self._relation(get, node.reducer)
-            child, reducer = self.dispatcher.resolve_operands(child, reducer)
-            return (
-                self._semijoin(node, child, reducer, negate=True, extra=extra),
-                len(child) + len(reducer),
-                extra,
-            )
-
-        if isinstance(node, MultiSemijoin):
-            return self._multi_semijoin(node, get)
-
-        if isinstance(node, Union):
-            inputs = [self._relation(get, x) for x in node.inputs]
-            rows_in = sum(len(r) for r in inputs)
-            result = inputs[0]
-            for other in inputs[1:]:
-                result = result.union(other)
-            return result, rows_in, extra
-
-        if isinstance(node, MatMul):
-            return self._matmul(node, get)
-
-        if isinstance(node, GroupedMatMul):
-            return self._grouped_matmul(node, get)
-
-        if isinstance(node, Wcoj):
-            inputs = [self._relation(get, x) for x in node.inputs]
-            rows_in = sum(len(r) for r in inputs)
-            rows = _wcoj_search(
-                inputs, node.variable_order, node.find_all, token=self.vm.token
-            )
-            backend = inputs[0].backend_kind if inputs else None
-            return Relation(node.variable_order, rows, backend=backend), rows_in, extra
-
-        if isinstance(node, Count):
-            child = self._relation(get, node.child)
-            count = child.count_distinct(list(node.variables_out))
-            extra["kernel"] = child.backend_kind
-            return count, len(child), extra
-
-        if isinstance(node, Enumerate):
-            if node.streaming:
-                # Streaming delivery: pull every child — the calibrated
-                # reducer state — then hand back a cursor.  Discovery
-                # order runs the top-down enumeration join lazily, chunk
-                # by chunk; ranked order drains the any-k frontier heap.
-                root = self._relation(get, node.child)
-                frontiers = [self._relation(get, f) for f in node.frontiers]
-                stream_cls = (
-                    RankedEnumerationStream
-                    if node.order == "ranked"
-                    else EnumerationStream
-                )
-                stream = stream_cls(
-                    node, root, frontiers, self.vm.token, self.dispatcher.morsel_size
-                )
-                extra["kernel"] = stream.kernel
-                return stream, stream.rows_in, extra
-            # Pass-through sink: the child already holds the distinct
-            # output tuples; the engine's ResultSet streams them from the
-            # run's result relation in deterministic order.
-            child = self._relation(get, node.child)
-            return child, len(child), extra
-
-        if isinstance(node, NonEmpty):
-            child = self._relation(get, node.child)
-            return not child.is_empty(), len(child), extra
-
-        if isinstance(node, Any_):
-            count = 0
-            for branch in node.inputs:
-                count += 1
-                if get(branch):
-                    return True, count, extra
-            return False, count, extra
-
-        if isinstance(node, All_):
-            count = 0
-            for branch in node.inputs:
-                count += 1
-                if not get(branch):
-                    return False, count, extra
-            return True, count, extra
-
-        raise TypeError(f"VM: unknown operator {type(node).__name__}")
-
-    # -- morsel-aware relational kernels --------------------------------
-    # Each kernel consults the operator's ``morsel_spec()`` — the IR's
-    # declaration of *whether* and *how* (probe child, recombination
-    # dedup) it may be partitioned; the dispatcher only decides how many
-    # chunks the declared probe side is worth.
-    def _project(self, node: Project, child: Relation, extra: dict) -> Relation:
-        variables = list(node.schema)
-        spec = node.morsel_spec()
-        parts = (
-            self._split(child, self.dispatcher.morsel_count(child, self.workers))
-            if spec is not None
-            else None
-        )
-        if parts is None:
-            return child.project(variables)
-        extra["morsels"] = len(parts)
-        results = self._run_chunks(
-            [lambda part=part: part.project(variables) for part in parts]
-        )
-        return Relation.concat_morsels(results, dedup=spec.dedup)
-
-    def _join(
-        self, node: Join, left: Relation, right: Relation, extra: dict
-    ) -> Relation:
-        shared = tuple(v for v in left.schema if v in right.variables)
-        extras = tuple(v for v in right.schema if v not in left.variables)
-        spec = node.morsel_spec()
-        parts = None
-        if spec is not None:
-            count = self.dispatcher.join_morsel_count(
-                left, right, shared, extras, self.workers
-            )
-            parts = self._split(left, count)
-        if parts is None:
-            return left.join(right)
-        extra["morsels"] = len(parts)
-        results = self._run_chunks(
-            [lambda part=part: part.join(right) for part in parts]
-        )
-        return Relation.concat_morsels(results, dedup=spec.dedup)
-
-    def _semijoin(
-        self,
-        node: TUnion[Semijoin, Antijoin],
-        child: Relation,
-        reducer: Relation,
-        negate: bool,
-        extra: dict,
-    ) -> Relation:
-        spec = node.morsel_spec()
-        parts = (
-            self._split(child, self.dispatcher.morsel_count(child, self.workers))
-            if spec is not None
-            else None
-        )
-        if parts is None:
-            return child.antijoin(reducer) if negate else child.semijoin(reducer)
-        extra["morsels"] = len(parts)
-        if negate:
-            thunks = [lambda part=part: part.antijoin(reducer) for part in parts]
-        else:
-            thunks = [lambda part=part: part.semijoin(reducer) for part in parts]
-        return Relation.concat_morsels(self._run_chunks(thunks), dedup=spec.dedup)
-
-    def _multi_semijoin(
-        self, node: MultiSemijoin, get: Getter
-    ) -> Tuple[Payload, int, dict]:
-        child = self._relation(get, node.child)
-        if child.is_empty():
-            return child, 0, {}
-        # Reducer subtrees are evaluated lazily: if an early reducer proves
-        # the target empty, the remaining subplans are never computed (the
-        # short-circuit the unfused chain had).
-        consumed = [0]
-
-        def reducers() -> Iterator[Relation]:
-            for reducer_node in node.reducers:
-                reducer = self._relation(get, reducer_node)
-                consumed[0] += len(reducer)
-                yield reducer
-
-        extra: dict = {}
-        result: Optional[Relation] = None
-        count = (
-            self.dispatcher.morsel_count(child, self.workers)
-            if node.morsel_spec() is not None
-            else 1
-        )
-        if count > 1:
-            # Fused chunked execution: per-chunk keep-masks ANDed reducer
-            # by reducer, one gather at the end — the same consumption
-            # protocol (and trace row-counts) as the unsplit fused kernel.
-            size = math.ceil(len(child) / count)
-            result = child.semijoin_many_morsels(
-                reducers(), size, self._run_chunks
-            )
-            if result is not None:
-                extra["morsels"] = count
-        if result is None:
-            result = child.semijoin_many(reducers())
-        return result, len(child) + consumed[0], extra
-
-    # -- matrix-multiplication operators --------------------------------
-    def _matmul(self, node: MatMul, get: Getter) -> Tuple[Payload, int, dict]:
-        left = self._relation(get, node.left)
-        if left.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                0,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        right = self._relation(get, node.right)
-        rows_in = len(left) + len(right)
-        if right.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                rows_in,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        left_matrix, row_index, inner_index = left.to_matrix(
-            list(node.row_variables), list(node.inner_variables)
-        )
-        right_matrix, _, col_index = right.to_matrix(
-            list(node.inner_variables), list(node.col_variables), row_index=inner_index
-        )
-        shape = (left_matrix.shape[0], left_matrix.shape[1], right_matrix.shape[1])
-        kernel = self.dispatcher.mm_kernel(*shape)
-        product = boolean_multiply(left_matrix, right_matrix, kernel=kernel)
-        decoded = Relation.from_matrix(
-            product,
-            node.row_variables,
-            node.col_variables,
-            row_index,
-            col_index,
-            backend=left.backend_kind,
-        )
-        return decoded, rows_in, {"matrix_shape": shape, "group_count": 1}
-
-    def _grouped_matmul(
-        self, node: GroupedMatMul, get: Getter
-    ) -> Tuple[Payload, int, dict]:
-        left = self._relation(get, node.left)
-        if left.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                0,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        right = self._relation(get, node.right)
-        rows_in = len(left) + len(right)
-        if right.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                rows_in,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        row_vars = list(node.row_variables)
-        inner_vars = list(node.inner_variables)
-        col_vars = list(node.col_variables)
-        group_vars = list(node.group_variables)
-        parts = (
-            self._split(left, self.dispatcher.morsel_count(left, self.workers))
-            if node.morsel_spec() is not None
-            else None
-        )
-        extra: dict = {}
-        if parts is None:
-            chunks = [
-                _grouped_product_rows(
-                    left, right, row_vars, inner_vars, col_vars, group_vars,
-                    self.dispatcher,
-                )
-            ]
-        else:
-            extra["morsels"] = len(parts)
-            chunks = self._run_chunks(
-                [
-                    lambda part=part: _grouped_product_rows(
-                        part, right, row_vars, inner_vars, col_vars, group_vars,
-                        self.dispatcher,
-                    )
-                    for part in parts
-                ]
-            )
-        rows_out: List[Tuple] = []
-        matched_groups: set = set()
-        max_shape = (0, 0, 0)
-        for chunk_rows, chunk_shape, chunk_groups in chunks:
-            rows_out.extend(chunk_rows)
-            matched_groups |= chunk_groups
-            max_shape = max(
-                max_shape, chunk_shape, key=lambda s: s[0] * max(s[1], 1) * max(s[2], 1)
-            )
-        produced = Relation(node.schema, rows_out, backend=left.backend_kind)
-        extra.update({"matrix_shape": max_shape, "group_count": len(matched_groups)})
-        return produced, rows_in, extra
-
-
 class _RunState:
-    """Sequential evaluation state: memo table, traces, cache counters."""
+    """One program run: memo table, traces, cache counters, operator kernels.
+
+    :meth:`eval` is the interpreter loop (memo, cancellation point, result
+    cache, timing, trace); :meth:`_eval_op` holds one branch per operator
+    class and pulls its children by calling :meth:`eval` back — laziness
+    is simply not making that call.
+    """
 
     def __init__(
         self,
         vm: VirtualMachine,
         ids: Dict[Operator, int],
         fingerprints: Dict[Operator, Hashable],
-        context: _EvalContext,
     ) -> None:
         self.vm = vm
+        self.dispatcher = vm.dispatcher
         self.ids = ids
         self.fingerprints = fingerprints
-        self.context = context
         # bounded-by: per-run lifetime (one entry per program operator)
         self.memo: Dict[Operator, Payload] = {}
+        # bounded-by: per-run lifetime (one entry per degree split)
+        self.split_memo: Dict[Operator, Tuple[Relation, Relation]] = {}
         self.traces: List[OpTrace] = []
         self.cache_hits = 0
         self.cache_misses = 0
@@ -1465,9 +883,8 @@ class _RunState:
         if node in self.memo:
             return self.memo[node]
         if self.vm.token is not None:
-            # The sequential interpreter's cooperative cancellation point:
-            # one check per operator evaluation, so a deadline fires within
-            # one kernel call even at parallelism=1.
+            # The cooperative cancellation point: one check per operator
+            # evaluation, so a deadline fires within one kernel call.
             self.vm.token.check()
         cache = self.vm.result_cache
         cache_key = None
@@ -1488,7 +905,7 @@ class _RunState:
             self.cache_misses += 1
         start = time.perf_counter()
         self._spans.append(0.0)
-        payload, rows_in, extra = self.context.eval_op(node, self.eval)
+        payload, rows_in, extra = self._eval_op(node)
         span = time.perf_counter() - start
         child_seconds = self._spans.pop()
         self._spans[-1] += span
@@ -1515,392 +932,282 @@ class _RunState:
         wall_seconds: float = 0.0,
         matrix_shape: Optional[Tuple[int, int, int]] = None,
         group_count: int = 0,
-        morsels: int = 0,
         kernel: Optional[str] = None,
     ) -> None:
-        self.traces.append(
-            _build_trace(
-                node,
-                self.ids,
-                payload,
-                rows_in=rows_in,
-                seconds=seconds,
-                wall_seconds=wall_seconds,
-                cache_hit=cache_hit,
-                matrix_shape=matrix_shape,
-                group_count=group_count,
-                morsels=morsels,
-                worker=None,
-                kernel=kernel,
+        if isinstance(payload, bool):
+            rows_out = int(payload)
+            kernel = kernel or "bool"
+        elif isinstance(payload, EnumerationStream):
+            # A streaming Enumerate sink: rows_out follows the tuples actually
+            # emitted (the stream updates its attached trace as it drains).
+            rows_out = payload.emitted
+            kernel = kernel or payload.kernel
+        elif isinstance(payload, int):
+            # A Count sink: rows_out records the count; the kernel override
+            # (set by _eval_op) names the backend that served the counting.
+            rows_out = int(payload)
+            kernel = kernel or "scalar"
+        else:
+            rows_out = len(payload)
+            kernel = kernel or payload.backend_kind
+        trace = OpTrace(
+            op_id=self.ids.get(node, 0),
+            kind=node.kind(),
+            label=node.label(),
+            schema=node.schema,
+            rows_in=rows_in,
+            rows_out=rows_out,
+            kernel=kernel,
+            seconds=seconds,
+            cache_hit=cache_hit,
+            matrix_shape=matrix_shape,
+            group_count=group_count,
+            wall_seconds=wall_seconds,
+        )
+        if isinstance(payload, EnumerationStream):
+            payload.attach_trace(trace)
+        self.traces.append(trace)
+
+    # -- operator implementations ---------------------------------------
+    def _relation(self, node: Operator) -> Relation:
+        payload = self.eval(node)
+        assert isinstance(payload, Relation)
+        return payload
+
+    def _heavy_light(
+        self, node: TUnion[HeavyPart, LightPart]
+    ) -> Tuple[Relation, Relation]:
+        """Both halves of a degree split, computed once per (child, given, Δ)."""
+        twin_key = (
+            HeavyPart(node.child, node.given, node.threshold)
+            if isinstance(node, LightPart)
+            else node
+        )
+        entry = self.split_memo.get(twin_key)
+        if entry is None:
+            child = self._relation(node.child)
+            entry = self.split_memo[twin_key] = child.heavy_light_split(
+                list(node.given), node.threshold
             )
-        )
+        return entry
 
-
-def _build_trace(
-    node: Operator,
-    ids: Dict[Operator, int],
-    payload: Payload,
-    rows_in: int,
-    seconds: float,
-    wall_seconds: float,
-    cache_hit: bool,
-    matrix_shape: Optional[Tuple[int, int, int]],
-    group_count: int,
-    morsels: int,
-    worker: Optional[str],
-    kernel: Optional[str] = None,
-) -> OpTrace:
-    if isinstance(payload, bool):
-        rows_out = int(payload)
-        kernel = kernel or "bool"
-    elif isinstance(payload, EnumerationStream):
-        # A streaming Enumerate sink: rows_out follows the tuples actually
-        # emitted (the stream updates its attached trace as it drains).
-        rows_out = payload.emitted
-        kernel = kernel or payload.kernel
-    elif isinstance(payload, int):
-        # A Count sink: rows_out records the count; the kernel override
-        # (set by eval_op) names the backend that served the counting.
-        rows_out = int(payload)
-        kernel = kernel or "scalar"
-    else:
-        rows_out = len(payload)
-        kernel = kernel or payload.backend_kind
-    trace = OpTrace(
-        op_id=ids.get(node, 0),
-        kind=node.kind(),
-        label=node.label(),
-        schema=node.schema,
-        rows_in=rows_in,
-        rows_out=rows_out,
-        kernel=kernel,
-        seconds=seconds,
-        cache_hit=cache_hit,
-        matrix_shape=matrix_shape,
-        group_count=group_count,
-        worker=worker,
-        morsel_count=morsels,
-        wall_seconds=wall_seconds,
-    )
-    if isinstance(payload, EnumerationStream):
-        payload.attach_trace(trace)
-    return trace
-
-
-# ----------------------------------------------------------------------
-# The parallel topological scheduler
-# ----------------------------------------------------------------------
-#: Node lifecycle states.
-_WAITING, _QUEUED, _DONE, _CANCELLED, _FAILED = range(5)
-
-
-class _ParallelRun:
-    """One parallel program execution: dependency counting + cancellation.
-
-    Every operator becomes a task on the pool's DAG executor.  A task
-    *attempts* evaluation through :meth:`_EvalContext.eval_op` with a
-    memo-backed payload provider; if a child it pulls is still pending the
-    attempt raises :class:`_NotReady` and the node waits for the next
-    trigger.  Triggers are: the last child completing, or *any* child
-    completing with a short-circuit-capable payload (an empty relation or
-    a Boolean) — which is exactly when the lazy semantics might complete
-    the operator without its remaining children.
-
-    Because ``eval_op`` pulls children in a deterministic, value-driven
-    order, the set of children each completed node *accessed* is
-    deterministic; the traces reported are those of the closure of the
-    root under accessed-edges (the needed set), making parallel runs
-    trace-identical to sequential ones.  Completed nodes outside that
-    closure were speculative; subtrees no live consumer can ever pull are
-    cancelled outright.
-    """
-
-    def __init__(
-        self,
-        vm: VirtualMachine,
-        program: Program,
-        ids: Dict[Operator, int],
-        fingerprints: Dict[Operator, Hashable],
-        context: _EvalContext,
-    ) -> None:
-        self.vm = vm
-        self.program = program
-        self.ids = ids
-        self.fingerprints = fingerprints
-        self.context = context
-        self.pool = vm.pool
-        assert self.pool is not None
-        nodes = program.nodes()
-        # All per-node scheduler tables below are guarded-by: lock and
-        # bounded-by: per-run lifetime (at most one entry per operator).
-        self.parents: Dict[Operator, List[Operator]] = {node: [] for node in nodes}  # guarded-by: lock
-        self.unresolved: Dict[Operator, int] = {}  # guarded-by: lock
-        self.need: Dict[Operator, int] = {node: 0 for node in nodes}  # guarded-by: lock
-        for node in nodes:
-            distinct_children = set(node.children)
-            self.unresolved[node] = len(distinct_children)
-            for child in distinct_children:
-                self.parents[child].append(node)
-                self.need[child] += 1
-        self.need[program.root] += 1  # the root is always needed
-        self.state: Dict[Operator, int] = {node: _WAITING for node in nodes}  # guarded-by: lock
-        self.dirty: Dict[Operator, bool] = {}  # guarded-by: lock
-        self.memo: Dict[Operator, Payload] = {}  # guarded-by: lock; bounded-by: per-run lifetime
-        self.records: Dict[Operator, OpTrace] = {}  # guarded-by: lock; bounded-by: per-run lifetime
-        self.accessed: Dict[Operator, Tuple[Operator, ...]] = {}  # guarded-by: lock
-        self.checked_cache: Dict[Operator, bool] = {}  # guarded-by: lock; bounded-by: per-run lifetime
-        self.futures: Dict[Operator, Future] = {}  # guarded-by: lock
-        self.cancelled = 0
-        #: Exceptions raised by node attempts.  A failure does NOT abort
-        #: the run by itself: sequential lazy evaluation never executes a
-        #: doomed sibling subtree, so a *speculative* failure (a kernel
-        #: error, even an OOM, on work laziness would have skipped) must
-        #: not fail a query that ``parallelism=1`` answers.  The failure
-        #: propagates only when a consumer actually *pulls* the failed
-        #: node — ending at the root exactly when the sequential run
-        #: would have raised.
-        self.failures: Dict[Operator, BaseException] = {}  # guarded-by: lock
-        self.lock = threading.Lock()
-        self.done = threading.Condition(self.lock)
-
-    # ------------------------------------------------------------------
-    def execute(self) -> VMResult:
-        root = self.program.root
-        with self.lock:
-            for node in list(self.unresolved):
-                if self.unresolved[node] == 0:
-                    self._schedule(node)
-            while self.state[root] not in (_DONE, _FAILED):
-                self.done.wait()
-        if self.state[root] == _FAILED:
-            failure = self.failures[root]
-            if isinstance(failure, QueryCancelled):
-                # Mirror the sequential interpreter's accounting: every
-                # operator that did not complete was abandoned by the
-                # cancellation (including the ones whose attempts raised).
-                failure.cancelled_ops = sum(
-                    1 for state in self.state.values() if state != _DONE
+    def _eval_op(self, node: Operator) -> Tuple[Payload, int, dict]:
+        """``(payload, rows_in, extra trace fields)`` of one operator."""
+        extra: dict = {}
+        if isinstance(node, Scan):
+            relation = self.vm.database[node.relation]
+            if len(relation.schema) != len(node.schema):
+                raise ValueError(
+                    f"scan of {node.relation!r} expects arity {len(node.schema)} "
+                    f"but the relation has arity {len(relation.schema)}"
                 )
-                failure.traces = sorted(
-                    self.records.values(), key=lambda trace: trace.op_id
+            renamed = relation.rename(dict(zip(relation.schema, node.schema)))
+            return renamed.with_name(node.relation), len(relation), extra
+
+        if isinstance(node, Project):
+            child = self._relation(node.child)
+            if not node.schema:
+                # Nullary projection: one empty tuple iff the child is nonempty.
+                return (
+                    Relation((), [()] if not child.is_empty() else []),
+                    len(child),
+                    extra,
                 )
-                failure.parallelism = self.vm.parallelism
-            raise failure
-        payload = self.memo[root]
-        answer, relation, row_count, stream = _interpret_root(payload)
-        needed = self._needed_closure(root)
-        traces = sorted(
-            (self.records[node] for node in needed if node in self.records),
-            key=lambda trace: trace.op_id,
-        )
-        hits = sum(1 for node in needed if self.records[node].cache_hit)
-        misses = sum(
-            1
-            for node in needed
-            if self.checked_cache.get(node) and not self.records[node].cache_hit
-        )
-        return VMResult(
-            answer=answer,
-            relation=relation,
-            row_count=row_count,
-            stream=stream,
-            traces=traces,
-            cache_hits=hits,
-            cache_misses=misses,
-            parallelism=self.vm.parallelism,
-            speculative_ops=len(self.records) - len(needed),
-            cancelled_ops=self.cancelled,
-        )
+            return child.project(list(node.schema)), len(child), extra
 
-    def _needed_closure(self, root: Operator) -> List[Operator]:
-        """The nodes the lazy sequential semantics would have evaluated."""
-        needed: List[Operator] = []
-        seen: set = set()
+        if isinstance(node, Restrict):
+            child = self._relation(node.child)
+            if child.is_empty():
+                return child, 0, extra
+            source = self._relation(node.source)
+            values = source.column_values(node.source_variable)
+            return child.restrict(node.variable, values), len(child) + len(source), extra
 
-        def visit(node: Operator) -> None:
-            if node in seen:
-                return
-            seen.add(node)
-            needed.append(node)
-            for child in self.accessed.get(node, ()):
-                visit(child)
+        if isinstance(node, (HeavyPart, LightPart)):
+            heavy, light = self._heavy_light(node)
+            child_len = len(self._relation(node.child))
+            return (heavy if isinstance(node, HeavyPart) else light), child_len, extra
 
-        visit(root)
-        return needed
+        if isinstance(node, Join):
+            left = self._relation(node.left)
+            if left.is_empty():
+                return Relation(node.schema, (), backend=left.backend_kind), 0, extra
+            right = self._relation(node.right)
+            left, right = self.dispatcher.resolve_operands(left, right)
+            return left.join(right), len(left) + len(right), extra
 
-    # -- scheduling (lock held) -----------------------------------------
-    def _schedule(self, node: Operator) -> None:
-        if self.state[node] != _WAITING:
-            return
-        self.state[node] = _QUEUED
-        self.futures[node] = self.pool.submit_node(self._task, node)
+        if isinstance(node, (Semijoin, Antijoin)):
+            child = self._relation(node.child)
+            if child.is_empty():
+                return child, 0, extra
+            reducer = self._relation(node.reducer)
+            child, reducer = self.dispatcher.resolve_operands(child, reducer)
+            reduced = (
+                child.antijoin(reducer)
+                if isinstance(node, Antijoin)
+                else child.semijoin(reducer)
+            )
+            return reduced, len(child) + len(reducer), extra
 
-    def _trigger(self, node: Operator) -> None:
-        if self.need[node] <= 0:
-            return  # orphaned: no live consumer, don't resurrect it
-        if self.state[node] == _WAITING:
-            self._schedule(node)
-        elif self.state[node] == _QUEUED:
-            self.dirty[node] = True
+        if isinstance(node, MultiSemijoin):
+            return self._multi_semijoin(node)
 
-    def _release(self, node: Operator) -> None:
-        """One consumer of ``node`` is gone; cancel the subtree if orphaned."""
-        self.need[node] -= 1
-        if self.need[node] > 0:
-            return
-        state = self.state[node]
-        if state in (_DONE, _CANCELLED, _FAILED):
-            return
-        future = self.futures.get(node)
-        if state == _QUEUED and future is not None and not future.cancel():
-            # Already running — let it finish; its completion handler
-            # releases its own children.
-            return
-        self.state[node] = _CANCELLED
-        self.cancelled += 1
-        for child in set(node.children):
-            self._release(child)
+        if isinstance(node, Union):
+            inputs = [self._relation(x) for x in node.inputs]
+            rows_in = sum(len(r) for r in inputs)
+            result = inputs[0]
+            for other in inputs[1:]:
+                result = result.union(other)
+            return result, rows_in, extra
 
-    # -- task body (runs on a DAG worker) --------------------------------
-    def _get(self, node: Operator, accessed: List[Operator]) -> Payload:
-        # Reading self.memo/self.failures without the lock is safe:
-        # entries are written before the completion notification and
-        # never mutated.
-        failure = self.failures.get(node)
-        if failure is not None:
-            # Pulling a failed child is how failures propagate: the
-            # consumer's attempt re-raises and fails in turn, walking the
-            # chain up to the root iff the lazy semantics needs it.
-            raise failure
-        if node not in self.memo:
-            raise _NotReady(node)
-        if node not in accessed:
-            accessed.append(node)
-        return self.memo[node]
+        if isinstance(node, MatMul):
+            return self._matmul(node)
 
-    def _task(self, node: Operator) -> None:
-        try:
-            self._attempt(node)
-        except _NotReady:
-            with self.lock:
-                if self.need[node] <= 0 and self.state[node] == _QUEUED:
-                    # Orphaned mid-attempt (a cancel raced the running
-                    # task): finish the cancellation the releaser could
-                    # not perform.
-                    self.state[node] = _CANCELLED
-                    self.cancelled += 1
-                    self.dirty.pop(node, None)
-                    for child in set(node.children):
-                        self._release(child)
-                elif self.dirty.pop(node, False):
-                    # A trigger arrived mid-attempt; try again right away.
-                    self.futures[node] = self.pool.submit_node(self._task, node)
-                else:
-                    self.state[node] = _WAITING
-        except BaseException as exc:
-            self._fail(node, exc)
+        if isinstance(node, GroupedMatMul):
+            return self._grouped_matmul(node)
 
-    def _fail(self, node: Operator, exc: BaseException) -> None:
-        """Record a node failure; consumers that pull it fail in turn."""
-        with self.lock:
-            self.failures[node] = exc
-            self.state[node] = _FAILED
-            self.dirty.pop(node, None)
-            for parent in self.parents[node]:
-                self.unresolved[parent] -= 1
-                # A failure is a decided outcome: wake the parent so it
-                # either short-circuits without this child or inherits
-                # the failure by pulling it.
-                self._trigger(parent)
-            for child in set(node.children):
-                self._release(child)
-            self.done.notify_all()
+        if isinstance(node, Wcoj):
+            inputs = [self._relation(x) for x in node.inputs]
+            rows_in = sum(len(r) for r in inputs)
+            rows = _wcoj_search(
+                inputs, node.variable_order, node.find_all, token=self.vm.token
+            )
+            backend = inputs[0].backend_kind if inputs else None
+            return Relation(node.variable_order, rows, backend=backend), rows_in, extra
 
-    def _attempt(self, node: Operator) -> None:
-        if self.vm.token is not None:
-            # A fired token fails this node; the failure propagates through
-            # the scheduler's existing failure/cancel path (parents pull
-            # the failed child and fail in turn) up to the root.
-            self.vm.token.check()
-        cache = self.vm.result_cache
-        checked = False
-        # Same exemptions as the sequential path: Scan and the
-        # pass-through Enumerate never enter the result cache.
-        if cache is not None and cache.enabled and not isinstance(node, (Scan, Enumerate)):
-            checked = True
-            hit = cache.get((node.skey, self.fingerprints[node]))
-            if hit is not None:
-                stored_schema, payload = hit
-                if isinstance(payload, Relation):
-                    payload = payload.rename(dict(zip(stored_schema, node.schema)))
-                trace = _build_trace(
-                    node, self.ids, payload,
-                    rows_in=0, seconds=0.0, wall_seconds=0.0,
-                    cache_hit=True, matrix_shape=None, group_count=0,
-                    morsels=0, worker=_worker_name(),
+        if isinstance(node, Count):
+            child = self._relation(node.child)
+            count = child.count_distinct(list(node.variables_out))
+            extra["kernel"] = child.backend_kind
+            return count, len(child), extra
+
+        if isinstance(node, Enumerate):
+            if node.streaming:
+                # Streaming delivery: pull every child — the calibrated
+                # reducer state — then hand back a cursor.  Discovery
+                # order runs the top-down enumeration join lazily, chunk
+                # by chunk; ranked order drains the any-k frontier heap.
+                root = self._relation(node.child)
+                frontiers = [self._relation(f) for f in node.frontiers]
+                stream_cls = (
+                    RankedEnumerationStream
+                    if node.order == "ranked"
+                    else EnumerationStream
                 )
-                self._complete(node, payload, trace, (), checked)
-                return
-        accessed: List[Operator] = []
-        start = time.perf_counter()
-        payload, rows_in, extra = self.context.eval_op(
-            node, lambda child: self._get(child, accessed)
-        )
-        span = time.perf_counter() - start
-        if checked:
-            cache.put((node.skey, self.fingerprints[node]), node.schema, payload)
-        trace = _build_trace(
-            node, self.ids, payload,
-            rows_in=rows_in, seconds=span, wall_seconds=span,
-            cache_hit=False,
-            matrix_shape=extra.get("matrix_shape"),
-            group_count=extra.get("group_count", 0),
-            morsels=extra.get("morsels", 0),
-            worker=_worker_name(),
-            kernel=extra.get("kernel"),
-        )
-        self._complete(node, payload, trace, tuple(accessed), checked)
+                stream = stream_cls(
+                    node, root, frontiers, self.vm.token, self.dispatcher.morsel_size
+                )
+                extra["kernel"] = stream.kernel
+                return stream, stream.rows_in, extra
+            # Pass-through sink: the child already holds the distinct
+            # output tuples; the engine's ResultSet streams them from the
+            # run's result relation in deterministic order.
+            child = self._relation(node.child)
+            return child, len(child), extra
 
-    def _complete(
-        self,
-        node: Operator,
-        payload: Payload,
-        trace: OpTrace,
-        accessed: Tuple[Operator, ...],
-        checked_cache: bool,
-    ) -> None:
-        is_bool = isinstance(payload, bool)
-        is_empty = isinstance(payload, Relation) and payload.is_empty()
-        with self.lock:
-            if self.state[node] == _DONE:  # pragma: no cover - defensive
-                return
-            self.memo[node] = payload
-            self.records[node] = trace
-            self.accessed[node] = accessed
-            self.checked_cache[node] = checked_cache
-            self.state[node] = _DONE
-            self.dirty.pop(node, None)
-            for parent in self.parents[node]:
-                self.unresolved[parent] -= 1
-                trigger = self.unresolved[parent] == 0
-                if not trigger and is_empty:
-                    # Early attempt only where the IR metadata says this
-                    # child's emptiness alone can decide the parent.
-                    # Structural equality, not identity: an un-CSE'd DAG
-                    # may hold several equal instances of one operator.
-                    short_circuit = parent.empty_short_circuit
-                    trigger = (
-                        short_circuit is not None
-                        and parent.children[short_circuit] == node
-                    )
-                if not trigger and is_bool:
-                    # Boolean combinators complete on a decided prefix.
-                    trigger = True
-                if trigger:
-                    self._trigger(parent)
-            for child in set(node.children):
-                self._release(child)
-            self.done.notify_all()
+        if isinstance(node, NonEmpty):
+            child = self._relation(node.child)
+            return not child.is_empty(), len(child), extra
+
+        if isinstance(node, Any_):
+            count = 0
+            for branch in node.inputs:
+                count += 1
+                if self.eval(branch):
+                    return True, count, extra
+            return False, count, extra
+
+        if isinstance(node, All_):
+            count = 0
+            for branch in node.inputs:
+                count += 1
+                if not self.eval(branch):
+                    return False, count, extra
+            return True, count, extra
+
+        raise TypeError(f"VM: unknown operator {type(node).__name__}")
+
+    def _multi_semijoin(self, node: MultiSemijoin) -> Tuple[Payload, int, dict]:
+        child = self._relation(node.child)
+        if child.is_empty():
+            return child, 0, {}
+        # Reducer subtrees are evaluated lazily: if an early reducer proves
+        # the target empty, the remaining subplans are never computed (the
+        # short-circuit the unfused chain had).
+        consumed = [0]
+
+        def reducers() -> Iterator[Relation]:
+            for reducer_node in node.reducers:
+                reducer = self._relation(reducer_node)
+                consumed[0] += len(reducer)
+                yield reducer
+
+        result = child.semijoin_many(reducers())
+        return result, len(child) + consumed[0], {}
+
+    # -- matrix-multiplication operators --------------------------------
+    def _matmul(self, node: MatMul) -> Tuple[Payload, int, dict]:
+        left = self._relation(node.left)
+        if left.is_empty():
+            return (
+                Relation(node.schema, (), backend=left.backend_kind),
+                0,
+                {"matrix_shape": (0, 0, 0)},
+            )
+        right = self._relation(node.right)
+        rows_in = len(left) + len(right)
+        if right.is_empty():
+            return (
+                Relation(node.schema, (), backend=left.backend_kind),
+                rows_in,
+                {"matrix_shape": (0, 0, 0)},
+            )
+        left_matrix, row_index, inner_index = left.to_matrix(
+            list(node.row_variables), list(node.inner_variables)
+        )
+        right_matrix, _, col_index = right.to_matrix(
+            list(node.inner_variables), list(node.col_variables), row_index=inner_index
+        )
+        shape = (left_matrix.shape[0], left_matrix.shape[1], right_matrix.shape[1])
+        kernel = self.dispatcher.mm_kernel(*shape)
+        product = boolean_multiply(left_matrix, right_matrix, kernel=kernel)
+        decoded = Relation.from_matrix(
+            product,
+            node.row_variables,
+            node.col_variables,
+            row_index,
+            col_index,
+            backend=left.backend_kind,
+        )
+        return decoded, rows_in, {"matrix_shape": shape, "group_count": 1}
+
+    def _grouped_matmul(self, node: GroupedMatMul) -> Tuple[Payload, int, dict]:
+        left = self._relation(node.left)
+        if left.is_empty():
+            return (
+                Relation(node.schema, (), backend=left.backend_kind),
+                0,
+                {"matrix_shape": (0, 0, 0)},
+            )
+        right = self._relation(node.right)
+        rows_in = len(left) + len(right)
+        if right.is_empty():
+            return (
+                Relation(node.schema, (), backend=left.backend_kind),
+                rows_in,
+                {"matrix_shape": (0, 0, 0)},
+            )
+        rows_out, max_shape, group_count = _grouped_product_rows(
+            left,
+            right,
+            list(node.row_variables),
+            list(node.inner_variables),
+            list(node.col_variables),
+            list(node.group_variables),
+            self.dispatcher,
+        )
+        produced = Relation(node.schema, rows_out, backend=left.backend_kind)
+        return produced, rows_in, {"matrix_shape": max_shape, "group_count": group_count}
 
 
 # ----------------------------------------------------------------------
@@ -1967,10 +1274,9 @@ def _group_rows(
         key = tuple(row[p] for p in positions)
         groups.setdefault(key, []).append(row)
     if backend is not None:
-        # Positional key, so renames (which share the backend cache) and
-        # every chunk of a morsel fan-out reuse one grouping pass; the
-        # backend bounds the family so long-lived relations don't
-        # accumulate row copies.
+        # Positional key, so renames (which share the backend cache)
+        # reuse one grouping pass; the backend bounds the family so
+        # long-lived relations don't accumulate row copies.
         backend.cache_put(cache_key, groups, family_limit=4)
     return groups
 
@@ -2017,23 +1323,22 @@ def _grouped_product_rows(
     col_vars: List[str],
     group_vars: List[str],
     dispatcher: KernelDispatcher,
-) -> Tuple[List[Tuple], Tuple[int, int, int], set]:
-    """Per-group Boolean matrix products over one (chunk of the) left side.
+) -> Tuple[List[Tuple], Tuple[int, int, int], int]:
+    """One Boolean matrix product per group binding shared by both sides.
 
     Returns the decoded output rows, the largest product shape seen, and
-    the set of group keys matched on both sides — chunk results recombine
-    by concatenation + dedup (a group's left rows may span chunks).
+    the number of group keys matched on both sides.
     """
     left_groups = _group_rows(left, group_vars)
     right_groups = _group_rows(right, group_vars, share=True)
     rows_out: List[Tuple] = []
     max_shape = (0, 0, 0)
-    matched: set = set()
+    matched = 0
     for group_key, left_rows in left_groups.items():
         right_rows = right_groups.get(group_key)
         if not right_rows:
             continue
-        matched.add(group_key)
+        matched += 1
         left_matrix, row_index, inner_index = _binary_matrix(
             left_rows, left.schema, row_vars, inner_vars
         )
@@ -2059,25 +1364,10 @@ def run_program(
     database: Database,
     result_cache: Optional[ResultCache] = None,
     *,
-    parallelism: int = 1,
     dispatcher: Optional[KernelDispatcher] = None,
-    pool: Optional[WorkerPool] = None,
     token: Optional[CancellationToken] = None,
 ) -> VMResult:
-    """Convenience wrapper: execute one program on one database.
-
-    With ``parallelism > 1`` and no shared ``pool``, a transient
-    :class:`WorkerPool` is created for the run and shut down afterwards.
-    """
-    vm = VirtualMachine(
-        database,
-        result_cache=result_cache,
-        dispatcher=dispatcher,
-        parallelism=parallelism,
-        pool=pool,
-        token=token,
-    )
-    try:
-        return vm.run(program)
-    finally:
-        vm.close()
+    """Convenience wrapper: execute one program on one database."""
+    return VirtualMachine(
+        database, result_cache=result_cache, dispatcher=dispatcher, token=token
+    ).run(program)

@@ -351,7 +351,6 @@ class Session:
                     "size": results.size,
                     "maxsize": results.maxsize,
                 },
-                "parallelism": self.engine.parallelism,
             }
             text = "\n".join(
                 [
@@ -361,7 +360,6 @@ class Session:
                     f"({plans.size}/{plans.maxsize} entries)",
                     f"result cache: {results.hits} hits / {results.misses} misses "
                     f"({results.size}/{results.maxsize} entries)",
-                    f"parallelism:  {self.engine.parallelism}",
                 ]
             )
             return Outcome(

@@ -16,8 +16,7 @@ Three load-shedding layers keep the server honest under pressure:
 * **deadlines** — a per-query :class:`~repro.exec.vm.CancellationToken`
   (request ``timeout`` clamped by ``max_timeout``, else
   ``default_timeout``) threads into the VM's cooperative cancel path,
-  so runaway queries stop within one operator/morsel at any
-  parallelism;
+  so runaway queries stop within one operator or stream chunk;
 * **graceful drain** — :meth:`shutdown` stops accepting connections,
   answers new statements with ``shutting_down``, waits for in-flight
   queries up to ``drain_timeout`` seconds, then fires their tokens.

@@ -1,4 +1,4 @@
-"""Timeout and cancellation: tokens, both VM schedulers, partial results.
+"""Timeout and cancellation: tokens, the VM's cancellation points, partial results.
 
 Everything here is deterministic — expired deadlines (``timeout=0``),
 pre-cancelled tokens, and a token subclass that trips after a fixed
@@ -71,13 +71,12 @@ class TestToken:
 
 
 # ----------------------------------------------------------------------
-# Engine verbs under expired deadlines (both schedulers)
+# Engine verbs under expired deadlines
 # ----------------------------------------------------------------------
 class TestDeadlines:
-    @pytest.mark.parametrize("parallelism", [1, 2])
     @pytest.mark.parametrize("verb", ["exists", "count"])
-    def test_timeout_zero_is_deterministic(self, parallelism, verb):
-        engine = QueryEngine(chain_db(), parallelism=parallelism)
+    def test_timeout_zero_is_deterministic(self, verb):
+        engine = QueryEngine(chain_db())
         query = parse_query(CHAIN)
         with pytest.raises(QueryTimeout) as exc:
             getattr(engine, verb)(query, timeout=0)
@@ -87,9 +86,8 @@ class TestDeadlines:
         assert error.query is query
         assert "deadline" in str(error)
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_partial_result_is_structured(self, parallelism):
-        engine = QueryEngine(chain_db(), parallelism=parallelism)
+    def test_partial_result_is_structured(self):
+        engine = QueryEngine(chain_db())
         with pytest.raises(QueryTimeout) as exc:
             engine.count(parse_query(CHAIN), timeout=0)
         partial = exc.value.result
@@ -127,9 +125,8 @@ class TestDeadlines:
 # Explicit cancellation (server drain / client disconnect path)
 # ----------------------------------------------------------------------
 class TestExplicitCancel:
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_pre_cancelled_token_raises_cancelled_not_timeout(self, parallelism):
-        engine = QueryEngine(chain_db(), parallelism=parallelism)
+    def test_pre_cancelled_token_raises_cancelled_not_timeout(self):
+        engine = QueryEngine(chain_db())
         token = CancellationToken()
         token.cancel()
         with pytest.raises(QueryCancelledError) as exc:
@@ -138,10 +135,9 @@ class TestExplicitCancel:
         assert exc.value.result is not None
         assert not exc.value.result.timed_out
 
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_mid_run_cancel_keeps_completed_traces(self, parallelism):
+    def test_mid_run_cancel_keeps_completed_traces(self):
         """A token firing after N operator checks abandons the rest."""
-        engine = QueryEngine(chain_db(), parallelism=parallelism)
+        engine = QueryEngine(chain_db())
         with pytest.raises(QueryCancelledError) as exc:
             engine.count(parse_query(CHAIN), token=TripAfter(3))
         partial = exc.value.result
@@ -150,22 +146,15 @@ class TestExplicitCancel:
         assert partial.execution.cancelled_ops >= 1
         assert "abandoned" in partial.execution.describe()
 
-    def test_mid_run_cancel_records_scheduling_mode(self):
-        engine = QueryEngine(chain_db(), parallelism=2)
-        with pytest.raises(QueryCancelledError) as exc:
-            engine.count(parse_query(CHAIN), token=TripAfter(3))
-        assert exc.value.result.execution.parallelism == 2
-
 
 # ----------------------------------------------------------------------
 # Caches stay correct across cancellations
 # ----------------------------------------------------------------------
 class TestCacheHygiene:
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_timeout_does_not_poison_answers(self, parallelism):
+    def test_timeout_does_not_poison_answers(self):
         query = parse_query(CHAIN)
         expected = QueryEngine(chain_db()).count(query).row_count
-        engine = QueryEngine(chain_db(), parallelism=parallelism)
+        engine = QueryEngine(chain_db())
         with pytest.raises(QueryTimeout):
             engine.count(query, timeout=0)
         # Re-asking without a deadline gives the correct, full answer.

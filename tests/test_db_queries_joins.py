@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.db import (
@@ -24,6 +29,27 @@ from repro.db import (
     yannakakis_boolean,
 )
 from repro.hypergraph import four_cycle, triangle
+
+
+_ORDER_SCRIPT = """
+from repro.api import QueryEngine
+from repro.db import Database, Relation, parse_query
+from repro.db.joins import default_variable_order
+
+pairs = [(i, (i + 1) % 8) for i in range(8)]
+database = Database(
+    {name: Relation(("A", "B"), pairs) for name in ("R", "S", "T", "U", "V")}
+)
+engine = QueryEngine(database)
+for text in (
+    "Q() :- R(X, Y), S(Y, Z), T(X, Z)",
+    "Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)",
+    "Q() :- R(A, B), S(B, C), T(C, D), U(D, E), V(E, F)",
+):
+    query = parse_query(text)
+    print(default_variable_order(query, database))
+    print(engine.explain(query, "generic_join").describe())
+"""
 
 
 class TestQueryParsing:
@@ -127,6 +153,21 @@ class TestJoinAlgorithms:
         assert not generic_join(q, db, variable_order=["Y", "X"]).is_empty()
         with pytest.raises(ValueError):
             generic_join(q, db, variable_order=["X"])
+
+    def test_generic_join_order_does_not_follow_the_hash_seed(self):
+        # Equal-size relations tie every variable's score, so the order is
+        # decided by the tie-break alone.
+        source = str(Path(__file__).resolve().parents[1] / "src")
+        outputs = set()
+        for hash_seed in "0123":
+            env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=source)
+            done = subprocess.run(
+                [sys.executable, "-c", _ORDER_SCRIPT],
+                env=env, capture_output=True, text=True, timeout=120, check=True,
+            )
+            outputs.add(done.stdout)
+        assert len(outputs) == 1
+        assert outputs.pop().count("Wcoj[") == 3
 
     @pytest.mark.parametrize("seed", range(4))
     def test_yannakakis_matches_naive_on_acyclic(self, seed):

@@ -16,10 +16,12 @@ from repro.db import (
 )
 from repro.exec import (
     Join,
+    KernelDispatcher,
     NonEmpty,
     Project,
     Scan,
     Semijoin,
+    VirtualMachine,
     Wcoj,
     eliminate_common_subexpressions,
     fuse_semijoins,
@@ -209,6 +211,36 @@ class TestVM:
         assert not result.answer
         evaluated = {trace.label for trace in result.traces}
         assert "Scan S(Y, Z)" not in evaluated  # right side never touched
+
+    def test_lazily_skipped_subtree_is_never_evaluated(self):
+        # The right scan targets a missing relation: while the left side
+        # is empty it is never evaluated; once it is needed it raises.
+        db = Database({"R": Relation(("X", "Y"), [])})
+        program = Program(
+            NonEmpty(Join(Scan("R", ("X", "Y")), Scan("Missing", ("Y", "Z"))))
+        )
+        result = run_program(program, db)
+        assert result.answer is False
+        assert "Scan Missing(Y, Z)" not in {trace.label for trace in result.traces}
+        db["R"] = Relation(("X", "Y"), [(1, 2)])
+        with pytest.raises(KeyError):
+            run_program(program, db)
+
+    def test_thread_pool_keywords_are_gone(self):
+        # One interpreter, no switch: the removed options are ordinary
+        # TypeErrors, not deprecated no-ops.
+        db = chain_database()
+        program = lower_naive(CHAIN)
+        for call in (
+            lambda: QueryEngine(db, parallelism=2),
+            lambda: VirtualMachine(db, parallelism=2),
+            lambda: VirtualMachine(db, dag_scheduling=False),
+            lambda: run_program(program, db, parallelism=2),
+            lambda: KernelDispatcher(min_partition_rows=16),
+            lambda: KernelDispatcher(max_morsel_output=16),
+        ):
+            with pytest.raises(TypeError):
+                call()
 
     def test_semijoin_many_matches_sequential_fold(self):
         import random

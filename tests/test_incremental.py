@@ -11,7 +11,7 @@ Four layers, from storage up:
   guards (self-joins, unbound atom variables) falling back to full
   execution;
 * differential replay — seeded interleaved insert/delete/query traces
-  across backends × parallelism × strategies, cross-checked step by
+  across backends × strategies, cross-checked step by
   step against a from-scratch engine built on the current data.  The
   incremental engine may *never* disagree: a stale cache shows up as a
   wrong answer with a reproducible seed.
@@ -344,13 +344,12 @@ def _reference_answers(rows_by_name, verb_key, backend, strategy):
     return engine.select(query, strategy).to_rows()
 
 
-@pytest.mark.parametrize("parallelism", [1, 4])
 @pytest.mark.parametrize("backend", BACKENDS)
 @pytest.mark.parametrize("seed", range(4))
-def test_interleaved_trace_matches_from_scratch(backend, parallelism, seed):
-    rng = random.Random(f"incremental:{backend}:{parallelism}:{seed}")
+def test_interleaved_trace_matches_from_scratch(backend, seed):
+    rng = random.Random(f"incremental:{backend}:{seed}")
     db = make_database(backend=backend)
-    engine = QueryEngine(db, parallelism=parallelism)
+    engine = QueryEngine(db)
     shadow = {name: set(db[name]) for name in ("R", "S", "T")}
 
     for step, (op, target, payload) in enumerate(_trace(rng, steps=40)):
@@ -424,9 +423,7 @@ def test_sorted_select_prefixes_after_updates(backend):
 
 def test_threshold_fallback_mid_trace_stays_correct():
     """Crossing the delta threshold mid-stream must not strand caches."""
-    engine = QueryEngine(
-        make_database(delta_threshold_rows=4), parallelism=1
-    )
+    engine = QueryEngine(make_database(delta_threshold_rows=4))
     assert engine.exists(CHAIN_BOOL).answer is True
     base = engine.count(CHAIN_FULL).row_count
     # One big batch blows past the threshold: full invalidation path.

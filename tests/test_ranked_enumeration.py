@@ -4,7 +4,7 @@ Pins the ranked select pipeline end to end:
 
 * differential — a sorted ``limit=k`` select equals the brute-force
   sorted output's first ``k`` rows across strategies × storage backends
-  × parallelism × limit boundaries (0, 1, mid, |output|, > |output|);
+  × limit boundaries (0, 1, mid, |output|, > |output|);
 * the heap invariant — ranked batches arrive globally nondecreasing
   under :func:`~repro.db.ordering.row_order_key`, the cursor emits
   exactly ``min(k, |output|)`` tuples, and the trace carries the
@@ -29,7 +29,7 @@ import pytest
 
 from repro.api import QueryEngine
 from repro.api.errors import QueryCancelledError
-from repro.db import Database, Relation, available_backends, parse_query, random_database
+from repro.db import Relation, available_backends, parse_query, random_database
 from repro.db.ordering import row_order_key, value_order_key
 from repro.exec.dispatch import KernelDispatcher
 from repro.exec.vm import CancellationToken
@@ -61,15 +61,14 @@ def test_sorted_limits_equal_brute_force_prefix_everywhere(shape, seed):
         )
         expected = sorted(brute_force_outputs(query, database), key=row_order_key)
         total = len(expected)
-        for parallelism in (1, 4):
-            with QueryEngine(database, parallelism=parallelism) as engine:
-                for strategy in _strategies(query):
-                    for k in (0, 1, min(3, total), total, total + 7):
-                        label = f"{shape}/{backend}/{strategy}/p{parallelism}/k={k}"
-                        rows = engine.select(
-                            query, strategy=strategy, limit=k, order="sorted"
-                        ).to_rows()
-                        assert rows == expected[:k], label
+        engine = QueryEngine(database)
+        for strategy in _strategies(query):
+            for k in (0, 1, min(3, total), total, total + 7):
+                label = f"{shape}/{backend}/{strategy}/k={k}"
+                rows = engine.select(
+                    query, strategy=strategy, limit=k, order="sorted"
+                ).to_rows()
+                assert rows == expected[:k], label
 
 
 # ----------------------------------------------------------------------

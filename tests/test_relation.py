@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.db import Relation
+from repro.db.backends import ColumnarBackend
 
 
 def small_relation(schema):
@@ -287,3 +288,39 @@ class TestBackends:
         col_index = {("a",): 0, (2,): 1}
         matrix, _, _ = r.to_matrix(["X"], ["Y"], row_index=row_index, col_index=col_index)
         assert matrix[0, 0] == 1 and matrix[1, 1] == 1 and matrix.sum() == 2
+
+    def test_sorted_composite_keys_cached_and_shared_across_renames(self):
+        backend = ColumnarBackend.from_columns(
+            ("X", "Y"), [[3, 1, 2, 1], [0, 1, 0, 1]]
+        )
+        first = backend.sorted_composite_keys((0, 1))
+        assert first is not None
+        again = backend.sorted_composite_keys((0, 1))
+        assert again is first  # cached, not recomputed
+        renamed = backend.rename(("A", "B"))
+        assert renamed.sorted_composite_keys((0, 1)) is first  # shared cache
+
+    def test_translation_table_cached_per_dictionary_pair(self):
+        left = ColumnarBackend.from_columns(("X",), [[1, 2, 3, 4]])
+        right = ColumnarBackend.from_columns(("X",), [[3, 4, 5]])
+        table_one = left._columns[0].dictionary.translate_from(
+            right._columns[0].dictionary
+        )
+        table_two = left._columns[0].dictionary.translate_from(
+            right._columns[0].dictionary
+        )
+        assert table_one is table_two
+        # Derived relations (projections, row slices) share the dictionary,
+        # so they hit the same cached table.
+        sliced = right.slice_rows(0, 2)
+        assert (
+            left._columns[0].dictionary.translate_from(sliced._columns[0].dictionary)
+            is table_one
+        )
+
+    def test_lazy_index_shared_with_derived_columns(self):
+        backend = ColumnarBackend.from_columns(("X",), [list(range(10))])
+        derived = backend.take(np.arange(5))
+        # Building the index through the derived column makes it visible to
+        # the parent (one dictionary, one index).
+        assert derived._columns[0].index is backend._columns[0].index

@@ -273,12 +273,9 @@ class TestWireDetails:
 # Deadlines over the wire
 # ----------------------------------------------------------------------
 class TestDeadlines:
-    @pytest.mark.parametrize("parallelism", [1, 2])
-    def test_request_timeout_returns_structured_partial(self, parallelism):
+    def test_request_timeout_returns_structured_partial(self):
         async def scenario():
-            server = await started_server(
-                engine=QueryEngine(make_database(), parallelism=parallelism)
-            )
+            server = await started_server()
             try:
                 async with await QueryClient.connect("127.0.0.1", server.port) as c:
                     with pytest.raises(ServerError) as exc:

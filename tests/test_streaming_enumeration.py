@@ -3,7 +3,7 @@
 Pins the PR's select pipeline end to end:
 
 * differential — ``order="stream"`` and ``order="sorted"`` produce the
-  same tuple *set* across strategies × storage backends × parallelism;
+  same tuple *set* across strategies × storage backends;
 * limit boundaries (0, 1, |output|, > |output|) under both orders;
 * sorted determinism under streaming limits (bounded-heap selection
   equals the full sort's prefix);
@@ -92,19 +92,18 @@ def test_stream_and_sorted_agree_everywhere(shape, seed):
             backend=backend,
         )
         expected = brute_force_outputs(query, database)
-        for parallelism in (1, 4):
-            with QueryEngine(database, parallelism=parallelism) as engine:
-                for strategy in _strategies(query):
-                    label = f"{shape}/{backend}/{strategy}/p{parallelism}"
-                    sorted_rows = engine.select(
-                        query, strategy=strategy, order="sorted"
-                    ).to_rows()
-                    streamed = engine.select(
-                        query, strategy=strategy, order="stream"
-                    ).to_rows()
-                    assert set(streamed) == expected, label
-                    assert len(streamed) == len(expected), label  # distinct
-                    assert set(sorted_rows) == set(streamed), label
+        engine = QueryEngine(database)
+        for strategy in _strategies(query):
+            label = f"{shape}/{backend}/{strategy}"
+            sorted_rows = engine.select(
+                query, strategy=strategy, order="sorted"
+            ).to_rows()
+            streamed = engine.select(
+                query, strategy=strategy, order="stream"
+            ).to_rows()
+            assert set(streamed) == expected, label
+            assert len(streamed) == len(expected), label  # distinct
+            assert set(sorted_rows) == set(streamed), label
 
 
 @pytest.mark.parametrize("order", ["stream", "sorted"])
@@ -125,18 +124,17 @@ def test_limit_boundaries(order):
             assert rows == full[: min(k, total)]
 
 
-def test_sorted_limits_are_deterministic_across_runs_and_parallelism():
+def test_sorted_limits_are_deterministic_across_runs():
     query = parse_query(SHAPES["triangle"])
     database = random_database(
         query, 30, domain_size=6, seed=3, plant_witness=True, backend="columnar"
     )
     reference = None
-    for parallelism in (1, 4, 1):
-        with QueryEngine(database, parallelism=parallelism) as engine:
-            rows = engine.select(query, limit=5, order="sorted").to_rows()
-            if reference is None:
-                reference = rows
-            assert rows == reference
+    for _ in range(3):
+        rows = QueryEngine(database).select(query, limit=5, order="sorted").to_rows()
+        if reference is None:
+            reference = rows
+        assert rows == reference
 
 
 # ----------------------------------------------------------------------
