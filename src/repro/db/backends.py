@@ -14,9 +14,10 @@ a :class:`RelationBackend`.  Two implementations ship:
     code, distinct-code sets, grouped row indexes) are built lazily and
     cached.  Semijoins become vectorized membership probes on composite
     keys, natural joins become sort + ``searchsorted`` gathers on code
-    arrays, projections deduplicate via ``np.unique`` and Boolean matrices
-    are filled directly from the code arrays.  Operator outputs share the
-    input dictionaries, so chains of operators never re-encode values.
+    arrays, projections deduplicate via ``np.unique`` and the grouped
+    Boolean matrix product (:meth:`ColumnarBackend.matmul`) goes from code
+    arrays to code arrays.  Operator outputs share the input dictionaries,
+    so chains of operators never re-encode values.
 
 Both backends expose a :class:`RelationStats` view — the textbook
 ``n_r`` / ``V(A, r)`` / ``deg(Y | X)`` statistics — with all computations
@@ -44,6 +45,7 @@ place.
 from __future__ import annotations
 
 from typing import (
+    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -57,6 +59,7 @@ from typing import (
 
 import numpy as np
 
+from ..matmul.boolean import boolean_multiply
 from .ordering import value_order_key
 
 Value = object
@@ -276,9 +279,9 @@ class RelationBackend:
     ) -> None:
         """Store a kernel-side memo entry on this backend's shared cache.
 
-        The extension point for executor-level memoization (e.g. the
-        VM's grouped-MM row groupings): entries live with the backend —
-        shared by renames, surviving across probes — and the eviction
+        The extension point for facade-level memoization (e.g. the
+        set backend's sorted row snapshots): entries live with the backend
+        — shared by renames, surviving across probes — and the eviction
         policy stays in this module: ``family_limit`` bounds how many
         entries of the key's family (``key[0]``) are retained (see
         :func:`_bounded_cache_put` for the thread contract).
@@ -1432,6 +1435,194 @@ class ColumnarBackend(RelationBackend):
         row_part = self.decode_key_rows(row_positions, pairs[:, : len(row_positions)])
         col_part = self.decode_key_rows(col_positions, pairs[:, len(row_positions):])
         return list(zip(row_part, col_part))
+
+    # -- grouped Boolean matrix product ---------------------------------
+    def _row_keys(
+        self, code_arrays: Sequence[np.ndarray], positions: Sequence[int], n_rows: int
+    ) -> np.ndarray:
+        """One non-negative int64 key per row, equal exactly when the code rows are.
+
+        The composite key where it fits; past ``_COMPOSITE_LIMIT`` each code
+        row's index among the distinct ones, still computed on codes.
+        """
+        keys = self._composite_keys(code_arrays, positions, n_rows)
+        if keys is None:
+            stacked = np.stack(code_arrays, axis=1)
+            keys = np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
+        return keys
+
+    def _shared_keys(
+        self,
+        positions: Sequence[int],
+        other: "ColumnarBackend",
+        other_positions: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both sides' rows keyed over ``positions`` in this side's code space.
+
+        A row of ``other`` carrying a value this side's dictionaries do not
+        know matches nothing here and gets the key ``-1``.
+        """
+        translated = [
+            self.translate_codes(p, other, op)
+            for p, op in zip(positions, other_positions)
+        ]
+        joint = [
+            np.concatenate((self._columns[p].codes, codes))
+            for p, codes in zip(positions, translated)
+        ]
+        keys = self._row_keys(joint, positions, self._n + other._n)
+        own, theirs = keys[: self._n], keys[self._n:]
+        for codes in translated:
+            theirs[codes < 0] = -1
+        return own, theirs
+
+    def matmul(
+        self,
+        other: "ColumnarBackend",
+        row_positions: Sequence[int],
+        inner_positions: Sequence[int],
+        group_positions: Sequence[int],
+        other_inner_positions: Sequence[int],
+        other_col_positions: Sequence[int],
+        other_group_positions: Sequence[int],
+        schema: Tuple[str, ...],
+        mm_kernel: Callable[[int, int, int], Optional[Callable]],
+    ) -> Tuple["ColumnarBackend", Tuple[int, int, int], int]:
+        """One Boolean matrix product per group key present on both sides.
+
+        ``self`` is read as ``rows × inner`` and ``other`` as ``inner ×
+        cols`` within each binding of the group columns; the nonzero
+        entries decode to rows over ``schema`` = rows + cols + group.
+        Everything happens on dictionary codes: the other side's inner and
+        group codes are translated into this side's dictionaries, every key
+        is ranked within its group in one sort per dimension, and the loop
+        over groups only fills two 0/1 matrices, multiplies them on the
+        kernel ``mm_kernel(rows, inner, cols)`` names (``None`` = BLAS) and
+        reads the nonzeros back.  A group's dimensions are its distinct row
+        keys × its distinct inner keys *on this side* × its distinct column
+        keys.  The output columns share the operands' dictionaries, and
+        (row, column, group) triples are distinct by construction.
+
+        Returns ``(product, the shape with the most cells, groups matched)``.
+        """
+        left_group, right_group = self._shared_keys(
+            group_positions, other, other_group_positions
+        )
+        # Group ids index the sorted distinct group keys of this side; rows
+        # whose group the opposite side lacks take no part.
+        group_keys, left_gid = np.unique(left_group, return_inverse=True)
+        n_groups = len(group_keys)
+        right_gid = np.searchsorted(group_keys, right_group)
+        right_rows = np.nonzero(right_gid < n_groups)[0]
+        right_rows = right_rows[
+            group_keys[right_gid[right_rows]] == right_group[right_rows]
+        ]
+        matched = np.zeros(n_groups, dtype=bool)
+        matched[right_gid[right_rows]] = True
+        left_rows = np.nonzero(matched[left_gid])[0]
+        # Group-contiguous row order, so a group is one slice of every array.
+        left_rows = left_rows[np.argsort(left_gid[left_rows], kind="stable")]
+        right_rows = right_rows[np.argsort(right_gid[right_rows], kind="stable")]
+        left_gid, right_gid = left_gid[left_rows], right_gid[right_rows]
+
+        left_inner, right_inner = self._shared_keys(
+            inner_positions, other, other_inner_positions
+        )
+        row_keys = self._row_keys(self._codes(row_positions), row_positions, self._n)
+        col_keys = other._row_keys(
+            other._codes(other_col_positions), other_col_positions, other._n
+        )
+        row_rank, row_count, row_heads = _ranks_within_groups(
+            left_gid, row_keys[left_rows], n_groups, len(left_rows)
+        )
+        col_rank, col_count, col_heads = _ranks_within_groups(
+            right_gid, col_keys[right_rows], n_groups, len(right_rows)
+        )
+        inner_rank, inner_count, _ = _ranks_within_groups(
+            np.concatenate((left_gid, right_gid)),
+            np.concatenate((left_inner[left_rows], right_inner[right_rows])),
+            n_groups,
+            len(left_rows),
+        )
+        left_inner_rank = inner_rank[: len(left_rows)]
+        # An inner key this side's group lacks selects an all-zero matrix
+        # row: it counts towards no dimension and is left out of the fill.
+        fill = np.nonzero(inner_rank[len(left_rows):] >= 0)[0]
+        right_inner_rank = inner_rank[len(left_rows):][fill]
+        right_col_rank, right_fill_gid = col_rank[fill], right_gid[fill]
+
+        groups = np.nonzero(matched)[0]
+        left_ends = np.searchsorted(left_gid, groups, side="right").tolist()
+        right_ends = np.searchsorted(right_fill_gid, groups, side="right").tolist()
+        row_bases = (np.cumsum(row_count) - row_count)[groups].tolist()
+        col_bases = (np.cumsum(col_count) - col_count)[groups].tolist()
+        shapes = np.stack((row_count, inner_count, col_count), axis=1)[groups].tolist()
+        # Seeded with an empty array so that no matched group is no special case.
+        out_rows = [np.empty(0, dtype=np.int64)]
+        out_cols = [np.empty(0, dtype=np.int64)]
+        left_start = right_start = 0
+        for (rows, inner, cols), left_end, right_end, row_base, col_base in zip(
+            shapes, left_ends, right_ends, row_bases, col_bases
+        ):
+            left_matrix = np.zeros((rows, inner), dtype=np.uint8)
+            left_matrix[
+                row_rank[left_start:left_end], left_inner_rank[left_start:left_end]
+            ] = 1
+            right_matrix = np.zeros((inner, cols), dtype=np.uint8)
+            right_matrix[
+                right_inner_rank[right_start:right_end],
+                right_col_rank[right_start:right_end],
+            ] = 1
+            left_start, right_start = left_end, right_end
+            product = boolean_multiply(
+                left_matrix, right_matrix, kernel=mm_kernel(rows, inner, cols)
+            )
+            hit_rows, hit_cols = np.nonzero(product)
+            out_rows.append(hit_rows + row_base)
+            out_cols.append(hit_cols + col_base)
+        # One source row per output entry: the first row of the operand that
+        # carries the entry's row (column) key within its group.
+        left_source = left_rows[row_heads[np.concatenate(out_rows)]]
+        right_source = right_rows[col_heads[np.concatenate(out_cols)]]
+        columns = [self._columns[p].take(left_source) for p in row_positions]
+        columns += [other._columns[p].take(right_source) for p in other_col_positions]
+        columns += [self._columns[p].take(left_source) for p in group_positions]
+        # Most cells first; equal cell counts fall to the larger shape, so the
+        # reported shape does not depend on the order groups are met in.
+        largest = max(shapes, key=lambda s: (s[0] * s[1] * s[2], s), default=(0, 0, 0))
+        return (
+            ColumnarBackend(schema, columns, len(left_source)),
+            tuple(largest),
+            len(groups),
+        )
+
+
+def _ranks_within_groups(
+    groups: np.ndarray, keys: np.ndarray, n_groups: int, n_ranked: int
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Rank every row's key among the distinct keys of its group, in one sort.
+
+    Only the first ``n_ranked`` rows say which keys a group has; the rows
+    after them look their key up and get ``-1`` when the group lacks it
+    (the right operand's inner keys against the left operand's).  Returns
+    ``(rank per row, distinct keys per group, the first row carrying each
+    distinct (group, key), in (group, rank) order)``.
+    """
+    order = np.lexsort((keys, groups))  # stable: the lowest row leads its run
+    sorted_groups, sorted_keys = groups[order], keys[order]
+    run_start = np.ones(len(order), dtype=bool)
+    run_start[1:] = (sorted_groups[1:] != sorted_groups[:-1]) | (
+        sorted_keys[1:] != sorted_keys[:-1]
+    )
+    heads = order[run_start]
+    ranked = heads < n_ranked
+    run_groups = sorted_groups[run_start]
+    counts = np.bincount(run_groups[ranked], minlength=n_groups)
+    run_ranks = np.cumsum(ranked) - 1 - (np.cumsum(counts) - counts)[run_groups]
+    run_ranks[~ranked] = -1
+    ranks = np.empty(len(order), dtype=np.int64)
+    ranks[order] = run_ranks[np.cumsum(run_start) - 1]
+    return ranks, counts, heads[ranked]
 
 
 #: Registered storage backends by name.

@@ -5,7 +5,8 @@ A relation ``R(X, Y, ...)`` is a schema (tuple of variable names) plus a
 (select/project/join/semijoin), relations expose the *degree* statistics of
 Definition E.9 — ``deg_R(Y | X)`` — and the heavy/light partitioning that
 the paper's algorithms (Figure 1, PANDA decomposition steps) are built on,
-plus conversion to 0/1 matrices for the matrix-multiplication eliminations.
+plus the grouped Boolean matrix product of the matrix-multiplication
+eliminations and conversion to and from 0/1 matrices.
 
 Backend protocol
 ----------------
@@ -21,8 +22,9 @@ backends ship:
 * ``"columnar"`` (:class:`~repro.db.backends.ColumnarBackend`) —
   dictionary-encoded NumPy code columns with lazily-built hash indexes.
   Semijoins become vectorized key-membership probes, joins become sort +
-  ``searchsorted`` gathers, and Boolean matrices are filled straight from
-  the code arrays; it wins by an order of magnitude on semijoin-heavy
+  ``searchsorted`` gathers, and the grouped Boolean matrix product
+  (:meth:`Relation.matmul`) goes from code arrays to code arrays without
+  building a row tuple; it wins by an order of magnitude on semijoin-heavy
   workloads (e.g. Yannakakis on ≥10^5-row chains) and whenever an
   operator streams many rows through few columns.
 
@@ -790,6 +792,51 @@ class Relation:
             rows.append(inverse_rows[i] + inverse_cols[j])
         return Relation(
             list(row_variables) + list(col_variables), rows, name, backend=backend
+        )
+
+    def matmul(
+        self,
+        other: "Relation",
+        row_variables: Sequence[str],
+        inner_variables: Sequence[str],
+        col_variables: Sequence[str],
+        group_variables: Sequence[str],
+        mm_kernel: Callable[[int, int, int], Optional[Callable]],
+    ) -> Tuple["Relation", Tuple[int, int, int], int]:
+        """``MM(rows ; inner ; cols | group)``: a Boolean product per group binding.
+
+        For every binding of ``group_variables`` present on both sides,
+        ``self`` over ``row_variables × inner_variables`` is multiplied with
+        ``other`` over ``inner_variables × col_variables``; the nonzero
+        entries are the output rows over rows + cols + group.  No group
+        variables means one plain product.  The work is
+        :meth:`ColumnarBackend.matmul` on dictionary codes — a set-backed
+        operand is converted on the way in and the product comes back in
+        this relation's backend kind.  ``mm_kernel(rows, inner, cols)``
+        picks the multiplication kernel of one product (``None`` = BLAS).
+
+        Returns ``(product, largest product shape, groups matched)``.
+        """
+        schema = tuple(row_variables) + tuple(col_variables) + tuple(group_variables)
+        if len(set(schema)) != len(schema):
+            raise ValueError(f"duplicate variables in schema {schema}")
+        left = self.with_backend(ColumnarBackend.kind)
+        right = other.with_backend(ColumnarBackend.kind)
+        product, shape, group_count = left._backend.matmul(
+            right._backend,
+            left._positions(row_variables),
+            left._positions(inner_variables),
+            left._positions(group_variables),
+            right._positions(inner_variables),
+            right._positions(col_variables),
+            right._positions(group_variables),
+            schema,
+            mm_kernel,
+        )
+        return (
+            Relation._wrap(product).with_backend(self.backend_kind),
+            shape,
+            group_count,
         )
 
     # ------------------------------------------------------------------

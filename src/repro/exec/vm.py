@@ -12,9 +12,15 @@ Evaluation is lazy where emptiness already decides the result: a join whose
 left side is empty never evaluates its right side, ``Any``/``All``
 short-circuit, and a ``NonEmpty`` root stops as soon as the answer is
 known.  Laziness is nothing more than not recursing into a child.
-Row-at-a-time fallbacks that used to live in ``db/joins.py`` and
-``core/executor.py`` (the GenericJoin backtracking search, the grouped
-Boolean-matrix elimination) are operator implementations here.
+
+The relational kernels live behind :class:`~repro.db.relation.Relation`,
+and that includes the paper's one non-combinatorial primitive: ``MatMul``
+and ``GroupedMatMul`` — the grouped Boolean product ``MM(X; Y; Z | G)`` of
+Definition 4.5 — are one method here and one kernel on dictionary codes
+there (:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`), to
+which this module only lends the dispatcher's per-product BLAS/Strassen
+choice.  The single operator whose loop the VM owns is ``Wcoj``, the
+GenericJoin backtracking search, which is row-at-a-time by nature.
 
 One query, one thread
 ---------------------
@@ -66,12 +72,9 @@ from typing import (
     Union as TUnion,
 )
 
-import numpy as np
-
 from ..db.database import Database
 from ..db.ordering import value_order_key
 from ..db.relation import Relation, Row
-from ..matmul.boolean import boolean_multiply, matrix_from_pairs
 from .dispatch import DEFAULT_DISPATCHER, KernelDispatcher
 from .ir import (
     All_,
@@ -1060,11 +1063,8 @@ class _RunState:
                 result = result.union(other)
             return result, rows_in, extra
 
-        if isinstance(node, MatMul):
+        if isinstance(node, (MatMul, GroupedMatMul)):
             return self._matmul(node)
-
-        if isinstance(node, GroupedMatMul):
-            return self._grouped_matmul(node)
 
         if isinstance(node, Wcoj):
             inputs = [self._relation(x) for x in node.inputs]
@@ -1146,72 +1146,32 @@ class _RunState:
         return result, len(child) + consumed[0], {}
 
     # -- matrix-multiplication operators --------------------------------
-    def _matmul(self, node: MatMul) -> Tuple[Payload, int, dict]:
+    def _matmul(
+        self, node: TUnion[MatMul, GroupedMatMul]
+    ) -> Tuple[Payload, int, dict]:
+        """Both MM operators: ``MatMul`` is the product with no group variables."""
         left = self._relation(node.left)
-        if left.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                0,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        right = self._relation(node.right)
-        rows_in = len(left) + len(right)
-        if right.is_empty():
+        right = None if left.is_empty() else self._relation(node.right)
+        rows_in = 0 if right is None else len(left) + len(right)
+        if right is None or right.is_empty():
             return (
                 Relation(node.schema, (), backend=left.backend_kind),
                 rows_in,
                 {"matrix_shape": (0, 0, 0)},
             )
-        left_matrix, row_index, inner_index = left.to_matrix(
-            list(node.row_variables), list(node.inner_variables)
-        )
-        right_matrix, _, col_index = right.to_matrix(
-            list(node.inner_variables), list(node.col_variables), row_index=inner_index
-        )
-        shape = (left_matrix.shape[0], left_matrix.shape[1], right_matrix.shape[1])
-        kernel = self.dispatcher.mm_kernel(*shape)
-        product = boolean_multiply(left_matrix, right_matrix, kernel=kernel)
-        decoded = Relation.from_matrix(
-            product,
-            node.row_variables,
-            node.col_variables,
-            row_index,
-            col_index,
-            backend=left.backend_kind,
-        )
-        return decoded, rows_in, {"matrix_shape": shape, "group_count": 1}
-
-    def _grouped_matmul(self, node: GroupedMatMul) -> Tuple[Payload, int, dict]:
-        left = self._relation(node.left)
-        if left.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                0,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        right = self._relation(node.right)
-        rows_in = len(left) + len(right)
-        if right.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                rows_in,
-                {"matrix_shape": (0, 0, 0)},
-            )
-        rows_out, max_shape, group_count = _grouped_product_rows(
-            left,
+        product, shape, group_count = left.matmul(
             right,
-            list(node.row_variables),
-            list(node.inner_variables),
-            list(node.col_variables),
-            list(node.group_variables),
-            self.dispatcher,
+            node.row_variables,
+            node.inner_variables,
+            node.col_variables,
+            node.group_variables if isinstance(node, GroupedMatMul) else (),
+            self.dispatcher.mm_kernel,
         )
-        produced = Relation(node.schema, rows_out, backend=left.backend_kind)
-        return produced, rows_in, {"matrix_shape": max_shape, "group_count": group_count}
+        return product, rows_in, {"matrix_shape": shape, "group_count": group_count}
 
 
 # ----------------------------------------------------------------------
-# Row-loop kernels (moved from db/joins.py and core/executor.py)
+# The one row-loop kernel: GenericJoin's backtracking search
 # ----------------------------------------------------------------------
 def _wcoj_search(
     relations: Sequence[Relation],
@@ -1257,106 +1217,6 @@ def _wcoj_search(
 
     extend({}, 0)
     return results
-
-
-def _group_rows(
-    relation: Relation, group_vars: Sequence[str], share: bool = False
-) -> Dict[Tuple, List[Tuple]]:
-    positions = [relation.schema.index(v) for v in group_vars]
-    backend = relation._backend if share else None
-    cache_key = ("mmgroups", tuple(positions))
-    if backend is not None:
-        cached = backend.cache_get(cache_key)
-        if cached is not None:
-            return cached
-    groups: Dict[Tuple, List[Tuple]] = {}
-    for row in relation.rows:
-        key = tuple(row[p] for p in positions)
-        groups.setdefault(key, []).append(row)
-    if backend is not None:
-        # Positional key, so renames (which share the backend cache)
-        # reuse one grouping pass; the backend bounds the family so
-        # long-lived relations don't accumulate row copies.
-        backend.cache_put(cache_key, groups, family_limit=4)
-    return groups
-
-
-def _binary_matrix(
-    rows: Sequence[Tuple],
-    schema: Sequence[str],
-    row_vars: Sequence[str],
-    col_vars: Sequence[str],
-    row_index: Optional[Dict[Tuple, int]] = None,
-) -> Tuple[np.ndarray, Dict[Tuple, int], Dict[Tuple, int]]:
-    row_positions = [schema.index(v) for v in row_vars]
-    col_positions = [schema.index(v) for v in col_vars]
-    pairs = {
-        (
-            tuple(row[p] for p in row_positions),
-            tuple(row[p] for p in col_positions),
-        )
-        for row in rows
-    }
-    if row_index is None:
-        row_index = {}
-        for row_key, _ in sorted(pairs):
-            if row_key not in row_index:
-                row_index[row_key] = len(row_index)
-    col_index: Dict[Tuple, int] = {}
-    for _, col_key in sorted(pairs):
-        if col_key not in col_index:
-            col_index[col_key] = len(col_index)
-    matrix = matrix_from_pairs(
-        pairs,
-        row_index,
-        col_index,
-        shape=(max(len(row_index), 1), max(len(col_index), 1)),
-    )
-    return matrix, row_index, col_index
-
-
-def _grouped_product_rows(
-    left: Relation,
-    right: Relation,
-    row_vars: List[str],
-    inner_vars: List[str],
-    col_vars: List[str],
-    group_vars: List[str],
-    dispatcher: KernelDispatcher,
-) -> Tuple[List[Tuple], Tuple[int, int, int], int]:
-    """One Boolean matrix product per group binding shared by both sides.
-
-    Returns the decoded output rows, the largest product shape seen, and
-    the number of group keys matched on both sides.
-    """
-    left_groups = _group_rows(left, group_vars)
-    right_groups = _group_rows(right, group_vars, share=True)
-    rows_out: List[Tuple] = []
-    max_shape = (0, 0, 0)
-    matched = 0
-    for group_key, left_rows in left_groups.items():
-        right_rows = right_groups.get(group_key)
-        if not right_rows:
-            continue
-        matched += 1
-        left_matrix, row_index, inner_index = _binary_matrix(
-            left_rows, left.schema, row_vars, inner_vars
-        )
-        right_matrix, _, col_index = _binary_matrix(
-            right_rows, right.schema, inner_vars, col_vars, row_index=inner_index
-        )
-        shape = (left_matrix.shape[0], left_matrix.shape[1], right_matrix.shape[1])
-        kernel = dispatcher.mm_kernel(*shape)
-        product = boolean_multiply(left_matrix, right_matrix, kernel=kernel)
-        max_shape = max(
-            max_shape, shape, key=lambda s: s[0] * max(s[1], 1) * max(s[2], 1)
-        )
-        row_values = {position: key for key, position in row_index.items()}
-        col_values = {position: key for key, position in col_index.items()}
-        nonzero_rows, nonzero_cols = np.nonzero(product)
-        for i, j in zip(nonzero_rows.tolist(), nonzero_cols.tolist()):
-            rows_out.append(row_values[i] + col_values[j] + group_key)
-    return rows_out, max_shape, matched
 
 
 def run_program(

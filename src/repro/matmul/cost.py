@@ -72,11 +72,10 @@ def mm_kernel_advantage(
     planning-model assumption, not something the shipped kernel delivers,
     so dispatch never credits the kernel with savings it cannot produce.
     """
-    shape = MatrixShape(rows, inner, cols)
-    modelled = shape.cost(max(omega, STRASSEN_OMEGA))
+    modelled = rectangular_cost(rows, inner, cols, max(omega, STRASSEN_OMEGA))
     if modelled <= 0.0:
         return 0.0
-    return shape.naive_cost() / modelled
+    return float(rows) * inner * cols / modelled
 
 
 def preferred_mm_kernel(
