@@ -274,6 +274,16 @@ def check_skey_soundness(program: Program, ctx: _Context) -> Iterator[Violation]
 # ----------------------------------------------------------------------
 # Pass 4: the Enumerate contract
 # ----------------------------------------------------------------------
+def _lost_outputs(ctx: _Context, sink: Operator, rule: str) -> Iterator[Violation]:
+    """Every output variable of a sink must come from one of its inputs
+    (the constructors check it too; this guards nodes rewritten afterwards)."""
+    inputs = (sink.child, *getattr(sink, "frontiers", ()))
+    carried = {variable for node in inputs for variable in node.schema}
+    lost = [v for v in sink.variables_out or sink.schema if v not in carried]
+    if lost:
+        yield ctx.at(sink, rule, f"output variables {lost} are in no input schema")
+
+
 def check_enumerate_contract(program: Program, ctx: _Context) -> Iterator[Violation]:
     """Streaming/ranked sinks need a calibrated tree and explicit parents.
 
@@ -296,6 +306,9 @@ def check_enumerate_contract(program: Program, ctx: _Context) -> Iterator[Violat
             continue
         if node.limit is not None and node.limit < 0:
             yield ctx.at(node, "enumerate", f"negative limit {node.limit}")
+        # Lowering joins only the subtree that carries the head, so the
+        # sink's inputs are the only place an output variable can come from.
+        yield from _lost_outputs(ctx, node, "enumerate")
         if not node.frontiers:
             continue
         sequence = (node.child,) + tuple(node.frontiers)
@@ -432,6 +445,9 @@ def check_verb_sink(program: Program, ctx: _Context) -> Iterator[Violation]:
         )
     if ctx.verb != "exists" and isinstance(root, NonEmpty):
         yield ctx.at(root, "verb-sink", f"Boolean root under verb {ctx.verb!r}")
+    for sink in (root, *root.children[:1]):
+        if isinstance(sink, (Count, Distinct)):
+            yield from _lost_outputs(ctx, sink, "verb-sink")
 
 
 #: The pipeline, in execution order.  Each pass is ``(program, context)

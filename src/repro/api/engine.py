@@ -37,7 +37,7 @@ from ..core.plan import OmegaQueryPlan
 from ..core.planner import PlannedQuery
 from ..exec.dispatch import KernelDispatcher
 from ..exec.ir import Program
-from ..exec.lower import SelectOptions, apply_select_options, check_verb
+from ..exec.lower import SelectOptions, apply_select_options, check_verb, describe_join_tree
 from ..exec.optimize import optimize_program
 from ..exec.vm import (
     CancellationToken,
@@ -334,6 +334,8 @@ class Explanation:
             lines.append("plan (cached):")
             lines.append(self.plan.describe())
         if self.program is not None:
+            if self.program.source == "yannakakis":
+                lines.append(describe_join_tree(self.program))
             lines.append("operators:")
             lines.append(self.program.describe())
         return "\n".join(lines)
@@ -1048,13 +1050,13 @@ class QueryEngine:
         """Report the chosen strategy and plan without executing the query.
 
         ``verb`` selects which workload's program is shown — an
-        enumeration ``explain`` renders the full-reducer + top-down
-        enumeration DAG where the Boolean one shows the upward semijoin
-        pass.  For plan-based strategies the plan is obtained through the
-        same cache path as :meth:`ask` (so explaining a query warms the
-        cache for the ask that follows).  With ``include_widths=True`` the
-        report also carries the classical width measures ρ* and fhtw of
-        the query hypergraph.
+        enumeration ``explain`` renders the reduce-then-join DAG (and, for
+        Yannakakis, names the join tree's root and the atoms it joins) where
+        the Boolean one shows the upward semijoin pass.  For plan-based
+        strategies the plan is obtained through the same cache path as
+        :meth:`ask` (so explaining a query warms the cache for the ask that
+        follows).  With ``include_widths=True`` the report also carries the
+        classical width measures ρ* and fhtw of the query hypergraph.
         """
         omega_value = self.omega if omega is None else omega
         self.database.validate_against(query)

@@ -282,7 +282,7 @@ class GenericJoinStrategy(Strategy):
 @register_strategy
 class YannakakisStrategy(Strategy):
     """Semijoin reduction (α-acyclic only): the upward pass for ``exists``,
-    the full reducer plus top-down enumeration for ``count``/``select``."""
+    plus calibrating and joining the head's connex subtree for ``count``/``select``."""
 
     name = "yannakakis"
     verbs = VERBS

@@ -60,7 +60,7 @@ from typing import (
 import numpy as np
 
 from ..matmul.boolean import boolean_multiply
-from .ordering import value_order_key
+from .ordering import _uniform_natural_order, value_order_key
 
 Value = object
 Row = Tuple[Value, ...]
@@ -490,13 +490,14 @@ class _Dictionary:
     of them — including columns created before the index existed.
     """
 
-    __slots__ = ("values", "_index", "_xlate")
+    __slots__ = ("values", "_index", "_xlate", "_order_ranks")
 
     def __init__(
         self, values: np.ndarray, index: Optional[Dict[Value, int]] = None
     ) -> None:
         self.values = values
         self._index = index
+        self._order_ranks: Optional[np.ndarray] = None
         #: id(other dictionary) → (table, other dictionary).  The entry
         #: pins the other dictionary so its id stays valid; dictionaries
         #: of live relations reference each other for as long as both
@@ -508,6 +509,28 @@ class _Dictionary:
         if self._index is None:
             self._index = {value: code for code, value in enumerate(self.values)}
         return self._index
+
+    @property
+    def order_ranks(self) -> np.ndarray:
+        """Code → rank under the deterministic value order.
+
+        Codes are *not* value-ordered in general: the ``np.unique`` path of
+        :meth:`_Column.from_values` assigns them sorted, the dict-encoding
+        fallback (mixed types, NaN columns) first-seen.  Type-uniform
+        values (:func:`~repro.db.ordering._uniform_natural_order`'s rule)
+        rank by a NumPy argsort of their natural order, anything else by
+        the :func:`~repro.db.ordering.value_order_key` sort.
+        """
+        if self._order_ranks is None:
+            values = self.values
+            if _uniform_natural_order((value,) for value in values):
+                order = np.argsort(values, kind="stable")
+            else:
+                order = sorted(range(len(values)), key=lambda c: value_order_key(values[c]))
+            ranks = np.empty(len(values), dtype=np.int64)
+            ranks[order] = np.arange(len(values), dtype=np.int64)
+            self._order_ranks = ranks
+        return self._order_ranks
 
     def translate_from(self, other: "_Dictionary") -> np.ndarray:
         """A table mapping the other dictionary's codes into this one.
@@ -1041,26 +1064,14 @@ class ColumnarBackend(RelationBackend):
         return entry
 
     def value_order_ranks(self, position: int) -> np.ndarray:
-        """Code → rank under the deterministic value order, cached.
+        """One column's code → rank table under the deterministic value order.
 
-        Dictionary codes are *not* value-ordered in general: the
-        ``np.unique`` fast path of :meth:`_Column.from_values` assigns
-        codes in sorted order, but the dict-encoding fallback (mixed
-        types, NaN columns) assigns them first-seen.  This table re-ranks
-        the (small) dictionary by :func:`~repro.db.ordering.value_order_key`
-        so rank comparisons on codes are value comparisons under the
-        ``select(order="sorted")`` contract.  Cost is O(dictionary), not
-        O(rows), and the table is cached per column.
+        Rank comparisons on codes are value comparisons under the
+        ``select(order="sorted")`` contract.  The table costs O(dictionary),
+        not O(rows), and lives on the column's shared :class:`_Dictionary`,
+        so every relation derived from one encoding ranks it once.
         """
-        key = ("valranks", position)
-        cached = self._cache.get(key)
-        if cached is None:
-            values = self._columns[position].values
-            order = sorted(range(len(values)), key=lambda c: value_order_key(values[c]))
-            cached = np.empty(len(values), dtype=np.int64)
-            cached[order] = np.arange(len(values), dtype=np.int64)
-            self._cache[key] = cached
-        return cached
+        return self._columns[position].dictionary.order_ranks
 
     def value_sorted_order(self, positions: Tuple[int, ...]) -> np.ndarray:
         """Row permutation ordering the rows by value over ``positions``.

@@ -7,8 +7,8 @@ so it lives here at the bottom of the dependency graph:
 
 * :mod:`repro.api.results` sorts materialized outputs with
   :func:`_ordered_rows` (which re-exports from here);
-* :class:`~repro.db.backends.ColumnarBackend` builds cached per-column
-  *value ranks* (dictionary codes re-ranked by :func:`value_order_key`)
+* :class:`~repro.db.backends.ColumnarBackend` caches *value ranks* on
+  each shared dictionary (codes re-ranked by :func:`value_order_key`),
   so relations can hand out value-sorted row orders without decoding;
 * the VM's :class:`~repro.exec.vm.RankedEnumerationStream` keys its
   frontier heap with :func:`value_order_key` components, which is what

@@ -13,7 +13,7 @@ sinks over the query's free variables:
 * :func:`lower_generic_join` — a single :class:`~repro.exec.ir.Wcoj`
   operator holding the worst-case-optimal search;
 * :func:`lower_yannakakis` — the GYO join tree becomes an upward semijoin
-  program (which the optimizer then fuses);
+  program (which the optimizer then fuses), joined only where the head is;
 * :func:`lower_plan` — an :class:`~repro.core.plan.OmegaQueryPlan`'s
   elimination steps become Join/Project or GroupedMatMul nodes, with the
   side-splitting and realizability checks done *statically* from the
@@ -253,74 +253,123 @@ def lower_generic_join(
 # ----------------------------------------------------------------------
 # Yannakakis
 # ----------------------------------------------------------------------
+def _connex_tree(
+    query: ConjunctiveQuery, verb: str
+) -> Tuple[List[Tuple[str, Optional[str]]], List[str]]:
+    """The join tree oriented for the head, and its connex subtree.
+
+    Returns ``(atom, parent)`` pairs children-first (root last) and the
+    subtree's atoms root-first.  ``exists`` and Boolean heads keep the GYO
+    ear-removal order and a subtree of just its root.  Any other head tries
+    every atom as the root of the same GYO edges, walked breadth-first; the
+    subtree is the root plus, per output variable, the path to the nearest
+    atom holding it (the first in the walk: the atoms holding one variable
+    are connected).  The smallest subtree wins — one atom, when one covers
+    the head — ties going to the atom GYO removed last, so a head that
+    gains nothing keeps ``exists``' upward pass.
+    """
+    from ..db.joins import _gyo_join_tree
+
+    order = _gyo_join_tree(query)
+    outputs = () if verb == "exists" else query.output_variables
+    if not outputs:
+        return order, [order[-1][0]]
+    scopes = {atom.relation: atom.variable_set for atom in query.atoms}
+    edges = [pair for child, parent in order[:-1] for pair in ((child, parent), (parent, child))]
+
+    def rooted_at(root: str):
+        parent_of: Dict[str, Optional[str]] = {root: None}
+        sequence = [root]
+        for name in sequence:  # grows while walked: parents precede children
+            for near, far in edges:
+                if near == name and far not in parent_of:
+                    parent_of[far] = name
+                    sequence.append(far)
+        joined = {root}
+        for variable in outputs:
+            name = next(n for n in sequence if variable in scopes[n])
+            while name not in joined:
+                joined.add(name)
+                name = parent_of[name]
+        return [(n, parent_of[n]) for n in reversed(sequence)], [n for n in sequence if n in joined]
+
+    trees = [rooted_at(name) for name, _ in reversed(order)]
+    return min(trees, key=lambda tree: len(tree[1]))
+
+
+def describe_join_tree(program: Program) -> str:
+    """One line naming a Yannakakis program's orientation, read off its operators."""
+    joined: List[Operator] = []
+    pending = [program.root]
+    while pending:  # root first: through the sink, Joins and Projects
+        node = pending.pop()
+        if node is program.root or isinstance(node, (Join, Project)):
+            pending.extend(reversed(node.children))
+            continue
+        while node.children:  # the atom a chain of semijoins reduces
+            node = node.children[0]
+        joined.append(node)
+    reducers = [n for n in program.nodes() if isinstance(n, Scan) and n not in joined]
+    return (
+        f"join tree: root {joined[0].label()[len('Scan '):]}; "
+        f"joined {{{', '.join(n.relation for n in joined)}}}; "
+        f"reducers only {{{', '.join(n.relation for n in reducers)}}}"
+    )
+
+
 def lower_yannakakis(
     query: ConjunctiveQuery,
     verb: str = "exists",
     select_options: Optional[SelectOptions] = None,
 ) -> Program:
-    """The GYO join tree as a semijoin-reduction program under a verb sink.
+    """The join tree as a semijoin-reduction program under a verb sink.
 
     Raises ``ValueError`` when the query is cyclic.
 
-    ``exists`` lowers to the classic upward pass: emptiness anywhere in the
-    tree propagates to the root through the semijoins (a reducer with no
-    shared variables empties its target when it is itself empty), so
-    non-emptiness of the reduced root answers the Boolean question — this
-    path is unchanged from the Boolean-only engine.
+    Every verb runs the upward pass over the whole tree of
+    :func:`_connex_tree`: emptiness anywhere reaches the root through the
+    semijoins (a reducer with no shared variables empties its target when
+    it is itself empty), and every root tuple left extends to an answer.
+    ``exists`` — and a Boolean head, whose nullary projection is 1/0 by
+    non-emptiness — sinks on that reduced root.
 
-    ``count``/``select`` lower to the *full reducer*: the upward pass is
-    followed by a downward calibration pass (every relation semijoined by
-    its already-calibrated parent), after which no tuple is dangling.  The
-    output is then assembled top-down along the join tree — each reduced
-    relation joined in root-first, with intermediates projected onto the
-    output variables plus the join keys still needed — which is the
-    Yannakakis enumeration whose intermediate sizes stay bounded by input
-    plus output, finished by the verb's Count/Enumerate sink.
+    ``count``/``select`` touch only the head's *connex subtree* again;
+    atoms outside it are reducers and nothing else.  The subtree's atoms
+    are calibrated downward (each semijoined by its already-calibrated
+    parent, after which none of their tuples dangles) and joined
+    root-first, intermediates projected onto the outputs plus the join
+    keys still needed, so sizes stay bounded by input plus output.  When
+    one atom covers the head there is nothing to calibrate or join: the
+    Count / Enumerate sink sits directly on the reduced root.
 
     A ``select`` with streaming :class:`SelectOptions` (``order="stream"``
-    or ``"ranked"``) skips the materialized top-down join entirely: the
-    calibrated frontier relations are handed to a streaming
-    :class:`Enumerate` sink — carrying the join-tree ``parents`` indices
-    so ranked mode can recalibrate restrictions — and the VM performs the
-    enumeration join lazily, stopping once the limit is reached.
+    or ``"ranked"``) skips the materialized join: the subtree's calibrated
+    relations go to a streaming :class:`Enumerate` sink — with the
+    join-tree ``parents`` indices, so ranked mode can recalibrate
+    restrictions — and the VM joins lazily, stopping at the limit.
     """
     check_verb(verb)
-    from ..db.joins import _gyo_join_tree
-
-    order = _gyo_join_tree(query)
+    order, sequence = _connex_tree(query, verb)
+    parent_of = dict(order)
     nodes: Dict[str, Operator] = {
         atom.relation: scan for atom, scan in zip(query.atoms, scan_atoms(query))
     }
     for name, parent in order:
         if parent is not None:
             nodes[parent] = Semijoin(nodes[parent], nodes[name])
-    root_name = order[-1][0]
     if verb == "exists":
-        return Program(NonEmpty(nodes[root_name]), source="yannakakis")
-    if query.is_boolean:
-        # A Boolean head outputs the nullary projection — 1/0 by
-        # non-emptiness, which the upward pass alone already decides; the
-        # downward calibration and enumeration join would be pure waste.
-        return Program(
-            _output_sink(nodes[root_name], query, verb), source="yannakakis"
-        )
-
-    # Downward calibration: walk the ear-removal order root-first; every
-    # node's parent is already fully calibrated when the node is reduced.
-    for name, parent in reversed(order):
-        if parent is not None:
-            nodes[name] = Semijoin(nodes[name], nodes[parent])
-
-    # Top-down enumeration join (root first, parents always before their
-    # children), projecting early onto outputs + still-needed join keys.
-    sequence = [name for name, _ in reversed(order)]
-    if verb == "select" and select_options is not None and select_options.streaming:
+        return Program(NonEmpty(nodes[sequence[0]]), source="yannakakis")
+    for name in sequence[1:]:
+        nodes[name] = Semijoin(nodes[name], nodes[parent_of[name]])
+    if (
+        verb == "select"
+        and select_options is not None
+        and select_options.streaming
+        and not query.is_boolean
+    ):
         # Join-tree parents as indices into [root, *frontiers]: the ranked
         # stream's semijoin recalibration sweeps follow exactly these edges.
-        parent_of = {name: parent for name, parent in order}
-        parents = tuple(
-            sequence.index(parent_of[name]) for name in sequence[1:]
-        )
+        parents = tuple(sequence.index(parent_of[name]) for name in sequence[1:])
         return Program(
             Enumerate(
                 nodes[sequence[0]],
@@ -332,6 +381,8 @@ def lower_yannakakis(
             ),
             source="yannakakis",
         )
+    # Top-down enumeration join (parents always before their children),
+    # projecting early onto outputs + still-needed join keys.
     scopes = {atom.relation: atom.variable_set for atom in query.atoms}
     outputs = set(query.output_variables)
     joined = nodes[sequence[0]]
