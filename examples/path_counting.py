@@ -15,8 +15,7 @@ verbs sharing one set of strategies, caches and VM kernels:
 * ``engine.select(q, limit=k)`` — a lazy ResultSet streaming the first
   ``k`` distinct output tuples in a deterministic order.
 
-The historical ``answer_boolean_query`` free function is deprecated; build
-one ``QueryEngine`` and use the verbs.
+Build one ``QueryEngine`` and use the verbs.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ import ast
 import re
 from typing import Iterator, List, Optional, Tuple
 
+from ...db.backends import BACKENDS
 from .framework import LintFinding, LintModule, register_rule
 
 #: Constructors whose presence marks a class as lock-owning.
@@ -214,16 +215,21 @@ def _handler_swallows(handler: ast.ExceptHandler) -> bool:
     return True
 
 
+def _names_in(node: ast.AST) -> List[str]:
+    """Identifiers and string constants in an expression (tuples unpacked)."""
+    found: List[str] = []
+    for part in ast.walk(node):
+        if isinstance(part, ast.Name):
+            found.append(part.id)
+        elif isinstance(part, ast.Attribute):
+            found.append(part.attr)
+        elif isinstance(part, ast.Constant) and isinstance(part.value, str):
+            found.append(part.value)
+    return found
+
+
 def _catches_cancel(handler: ast.ExceptHandler) -> bool:
-    if handler.type is None:
-        return False
-    names = []
-    for node in ast.walk(handler.type):
-        if isinstance(node, ast.Name):
-            names.append(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.append(node.attr)
-    return "QueryCancelled" in names
+    return handler.type is not None and "QueryCancelled" in _names_in(handler.type)
 
 
 @register_rule("swallowed-cancel")
@@ -264,3 +270,56 @@ def swallowed_cancel(module: LintModule) -> Iterator[LintFinding]:
                         f"the bound exception, or catch QueryCancelled first"
                     ),
                 )
+
+
+@register_rule("backend-kind")
+def backend_kind(module: LintModule) -> Iterator[LintFinding]:
+    """Only ``db/backends.py`` may ask which storage backend holds the tuples.
+
+    Every backend implements the whole operator protocol, so code outside
+    the storage layer has no reason to branch on the representation:
+    ``isinstance(x, ColumnarBackend)`` / ``SetBackend`` and comparing a
+    ``.backend_kind`` / ``.kind`` against a backend-name literal are how
+    second code paths (and the fallbacks between them) creep back in.
+    Passing a kind along (``Relation(..., backend=left.backend_kind)``) is
+    fine — that is naming a representation, not dispatching on it.
+    """
+    if module.path.endswith("db/backends.py"):
+        return
+    classes = {cls.__name__ for cls in BACKENDS.values()}
+    for scope, _cls, node in _walk_scopes(module.tree):
+        symbol = None
+        if (
+            isinstance(node, ast.Call)
+            and getattr(node.func, "id", "") == "isinstance"
+            and len(node.args) == 2
+        ):
+            hits = classes.intersection(_names_in(node.args[1]))
+            symbol = f"isinstance:{sorted(hits)[0]}" if hits else None
+        elif isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            reads_kind = any(
+                isinstance(side, ast.Attribute) and side.attr in {"backend_kind", "kind"}
+                for side in sides
+            )
+            literals = [
+                name
+                for side in sides
+                if not isinstance(side, ast.Attribute)
+                for name in _names_in(side)
+                if name in BACKENDS
+            ]
+            symbol = f"kind:{literals[0]}" if reads_kind and literals else None
+        if symbol is not None:
+            yield LintFinding(
+                rule="backend-kind",
+                path=module.path,
+                line=node.lineno,
+                scope=scope,
+                symbol=symbol,
+                message=(
+                    "storage-backend dispatch outside db/backends.py; call the "
+                    "RelationBackend protocol method instead of branching on "
+                    "the representation"
+                ),
+            )

@@ -1,9 +1,7 @@
 """The public query-answering API: engine facade, strategies, plan cache.
 
 This package is the supported surface for answering conjunctive queries —
-Boolean and output-producing; the free functions in
-:mod:`repro.core.engine` remain as thin wrappers over it.  The moving
-parts:
+Boolean and output-producing.  The moving parts:
 
 :class:`QueryEngine`
     A stateful facade owning a database, organised around three query

@@ -87,8 +87,8 @@ PROTOCOL_VERSION = 1
 class QueryResult:
     """The outcome of one :meth:`QueryEngine.exists`/``count``/``select`` run.
 
-    Extends the seed's ``EngineReport`` with verb-aware output fields, a
-    plan/execute timing breakdown and plan-provenance counters:
+    The answer with verb-aware output fields, a plan/execute timing
+    breakdown and plan-provenance counters:
 
     * ``verb`` / ``output_variables`` — which workload ran and the query's
       free variables; ``row_count`` is the number of distinct output
@@ -1386,7 +1386,13 @@ class QueryEngine:
         patch_db = engine.database
         for name in {atom.relation for atom in query.atoms}:
             if name == delta_name:
-                relation = Relation(self.database[name].schema, rows)
+                # In the stored relation's kind: a binary operator answers in
+                # its left operand's kind, and a delta on the left must not
+                # pull a large stored relation over to another one.
+                stored = self.database[name]
+                relation = Relation(
+                    stored.schema, rows, backend=stored.backend_kind
+                )
             else:
                 relation = self.database[name]
                 if patch_db._relations.get(name) is relation:

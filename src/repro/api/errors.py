@@ -153,8 +153,8 @@ class StrategyDisagreement(EngineError, AssertionError):
     Carries the per-strategy answers (Booleans for ``exists``, counts for
     ``count``, sorted row tuples for ``select``) and the full results when
     available, so cross-validation harnesses can report exactly who
-    disagreed.  Subclasses :class:`AssertionError` for backwards
-    compatibility with the old ``compare_strategies`` behaviour.
+    disagreed.  Subclasses :class:`AssertionError`, so a cross-validation
+    run inside a test fails like any other assertion.
     """
 
     def __init__(

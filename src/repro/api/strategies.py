@@ -29,7 +29,7 @@ from typing import Callable, Dict, Optional, Tuple, Union, overload
 from ..db.database import Database
 from ..db.joins import default_variable_order
 from ..db.query import ConjunctiveQuery
-from ..core.executor import ExecutionResult, PlanExecutor
+from ..core.executor import ExecutionResult
 from ..core.plan import OmegaQueryPlan
 from ..core.planner import PlannedQuery, plan_query
 from ..exec.ir import Program
@@ -317,14 +317,4 @@ class OmegaStrategy(Strategy):
             raise UnsupportedWorkload(self.name, verb, query)
         if plan is None:
             plan = self.plan(query, database, omega).plan
-        return lower_plan(query, database, plan).program
-
-    def execute(self, query, database, omega, plan=None):
-        planned: Optional[PlannedQuery] = None
-        if plan is None:
-            planned = self.plan(query, database, omega)
-            plan = planned.plan
-        execution = PlanExecutor(query, database).run(plan, omega)
-        return StrategyOutcome(
-            answer=execution.answer, plan=plan, planned=planned, execution=execution
-        )
+        return lower_plan(query, database, plan)

@@ -15,8 +15,7 @@ from .cycle import (
     four_cycle_generic_join,
     four_cycle_matrix_only,
 )
-from .engine import STRATEGIES, EngineReport, answer_boolean_query, compare_strategies
-from .executor import ExecutionResult, PlanExecutor, StepTrace
+from .executor import ExecutionResult
 from .plan import OmegaQueryPlan, PlanStep, StepMethod, all_for_loop_plan
 from .planner import (
     PlannedQuery,
@@ -37,26 +36,20 @@ from .triangle import (
 
 __all__ = [
     "CliqueReport",
-    "EngineReport",
     "ExecutionResult",
     "FOUR_CYCLE_QUERY",
     "FourCycleReport",
     "OmegaQueryPlan",
-    "PlanExecutor",
     "PlanStep",
     "PlannedQuery",
     "PlannedStep",
-    "STRATEGIES",
     "StepMethod",
-    "StepTrace",
     "TRIANGLE_QUERY",
     "TriangleReport",
     "all_for_loop_plan",
-    "answer_boolean_query",
     "candidate_orders",
     "clique_detect_bruteforce",
     "clique_detect_mm",
-    "compare_strategies",
     "enumerate_cliques",
     "four_cycle_adaptive",
     "four_cycle_combinatorial",

@@ -1,7 +1,10 @@
 """Pluggable relation storage backends and per-relation statistics.
 
-A :class:`~repro.db.relation.Relation` is a thin facade; the tuples live in
-a :class:`RelationBackend`.  Two implementations ship:
+A :class:`~repro.db.relation.Relation` is a thin facade; the tuples *and the
+operators over them* live in a :class:`RelationBackend`, one positional
+protocol that each implementation covers in full.  This module is the only
+place that knows which representation holds the tuples.  Two
+implementations ship:
 
 :class:`SetBackend`
     The reference implementation — a ``frozenset`` of value tuples, exactly
@@ -17,7 +20,10 @@ a :class:`RelationBackend`.  Two implementations ship:
     arrays, projections deduplicate via ``np.unique`` and the grouped
     Boolean matrix product (:meth:`ColumnarBackend.matmul`) goes from code
     arrays to code arrays.  Operator outputs share the input dictionaries,
-    so chains of operators never re-encode values.
+    so chains of operators never re-encode values.  Every kernel is total:
+    where the dictionaries of a key multiply past one int64 the code rows
+    are re-ranked instead (:meth:`ColumnarBackend._row_keys`), never handed
+    to a row loop.
 
 Both backends expose a :class:`RelationStats` view — the textbook
 ``n_r`` / ``V(A, r)`` / ``deg(Y | X)`` statistics — with all computations
@@ -60,12 +66,18 @@ from typing import (
 import numpy as np
 
 from ..matmul.boolean import boolean_multiply
-from .ordering import _uniform_natural_order, value_order_key
+from .ordering import (
+    _ordered_rows,
+    _uniform_natural_order,
+    row_order_key,
+    value_order_key,
+)
 
 Value = object
 Row = Tuple[Value, ...]
 
-#: Composite int64 keys fall back to generic paths past this stride product.
+#: Largest dictionary-size product one int64 composite key may span; wider
+#: keys are ranked densely on their code rows (:meth:`ColumnarBackend._row_keys`).
 _COMPOSITE_LIMIT = 1 << 62
 
 #: Per-backend cap on cached probe structures / translation tables of one
@@ -76,7 +88,7 @@ _COMPOSITE_LIMIT = 1 << 62
 _FAMILY_CACHE_LIMIT = 16
 
 
-def _bounded_cache_put(cache: dict, key: tuple, value: object, limit: int) -> None:
+def _put_bounded(cache: dict, key: tuple, value: object, limit: int) -> None:
     """Insert into a backend cache, evicting oldest same-family entries.
 
     The family is ``key[0]`` (e.g. ``"sjprobe"``); plain dicts preserve
@@ -162,13 +174,16 @@ class RelationStats:
 # The backend protocol
 # ----------------------------------------------------------------------
 class RelationBackend:
-    """Storage + kernels for one relation.
+    """Storage + operators for one relation: the positional protocol.
 
-    Subclasses implement the constructors and the positional primitives;
-    the :class:`~repro.db.relation.Relation` facade translates variable
-    names to positions, dispatches to backend fast paths when both operands
-    share a representation, and falls back to generic row-at-a-time logic
-    otherwise.  All backends use set semantics (no duplicate rows).
+    Every backend implements *all* of it — constructors, accessors,
+    mutation kernels, statistics and the operators below — so the
+    :class:`~repro.db.relation.Relation` facade only translates variable
+    names to column positions, hands binary operators a right operand of
+    the left operand's kind, calls the method and wraps what comes back.
+    An operator is total (no "cannot do this one" return value) and its
+    result is a backend of the receiver's kind.  All backends use set
+    semantics (no duplicate rows).
     """
 
     kind: str = ""
@@ -268,32 +283,6 @@ class RelationBackend:
                 f"variable {variable!r} not in schema {self.schema}"
             ) from None
 
-    # -- kernel-side memoization ----------------------------------------
-    def cache_get(self, key: tuple) -> Optional[object]:
-        """Read an entry from this backend's shared memo cache."""
-        cache = getattr(self, "_cache", None)
-        return None if cache is None else cache.get(key)
-
-    def cache_put(
-        self, key: tuple, value: object, family_limit: Optional[int] = None
-    ) -> None:
-        """Store a kernel-side memo entry on this backend's shared cache.
-
-        The extension point for facade-level memoization (e.g. the
-        set backend's sorted row snapshots): entries live with the backend
-        — shared by renames, surviving across probes — and the eviction
-        policy stays in this module: ``family_limit`` bounds how many
-        entries of the key's family (``key[0]``) are retained (see
-        :func:`_bounded_cache_put` for the thread contract).
-        """
-        cache = getattr(self, "_cache", None)
-        if cache is None:
-            return
-        if family_limit is None:
-            cache[key] = value
-        else:
-            _bounded_cache_put(cache, key, value, family_limit)
-
     # -- statistics -----------------------------------------------------
     def stats(self) -> RelationStats:
         return RelationStats(self)
@@ -329,6 +318,116 @@ class RelationBackend:
         raise NotImplementedError
 
     def stats_fingerprint(self) -> Tuple[int, Tuple[int, ...]]:
+        raise NotImplementedError
+
+    # -- operators ------------------------------------------------------
+    # ``other`` is always a backend of the receiver's own class.
+    def project(
+        self, positions: Sequence[int], schema: Tuple[str, ...]
+    ) -> "RelationBackend":
+        """The distinct rows over ``positions``, named by ``schema``."""
+        raise NotImplementedError
+
+    def select_equals(self, items: Sequence[Tuple[int, Value]]) -> "RelationBackend":
+        """The rows holding ``value`` at ``position`` for every item."""
+        raise NotImplementedError
+
+    def restrict(self, position: int, values: Iterable[Value]) -> "RelationBackend":
+        """The rows whose ``position`` value lies in ``values``."""
+        raise NotImplementedError
+
+    def join(
+        self,
+        self_positions: Sequence[int],
+        other: "RelationBackend",
+        other_positions: Sequence[int],
+        other_extra_positions: Sequence[int],
+        schema: Tuple[str, ...],
+    ) -> "RelationBackend":
+        """Equi-join on the paired positions: own columns + the other's extras."""
+        raise NotImplementedError
+
+    def semijoin(
+        self,
+        self_positions: Sequence[int],
+        other: "RelationBackend",
+        other_positions: Sequence[int],
+        negate: bool = False,
+    ) -> "RelationBackend":
+        """The rows whose key appears in ``other`` (``negate``: does not appear)."""
+        raise NotImplementedError
+
+    def semijoin_many(
+        self,
+        reducers: Iterable[Tuple[Sequence[int], "RelationBackend", Sequence[int]]],
+    ) -> "RelationBackend":
+        """Several semijoins in one pass over ``(own positions, other, its positions)``.
+
+        ``reducers`` is pulled lazily and no further once nothing survives.
+        """
+        raise NotImplementedError
+
+    def union(
+        self, other: "RelationBackend", other_positions: Sequence[int]
+    ) -> "RelationBackend":
+        """Set union, the other's columns aligned by ``other_positions``."""
+        raise NotImplementedError
+
+    def slice_rows(self, start: int, stop: int) -> "RelationBackend":
+        """The rows at storage positions ``[start, stop)`` (stable per backend)."""
+        raise NotImplementedError
+
+    def value_sorted_order(self, positions: Tuple[int, ...]) -> Sequence[int]:
+        """Storage positions ordering the rows by value over ``positions``."""
+        raise NotImplementedError
+
+    def ordered_rows(self, limit: Optional[int]) -> List[Row]:
+        """The first ``limit`` rows (all for ``None``) in deterministic value order."""
+        raise NotImplementedError
+
+    def ordered_values(self, position: int) -> List[Value]:
+        """One column's distinct values in deterministic value order."""
+        raise NotImplementedError
+
+    def degree_map(
+        self, target_positions: Sequence[int], given_positions: Sequence[int]
+    ) -> Dict[Row, int]:
+        """Per ``given`` binding, its number of distinct ``target`` bindings."""
+        raise NotImplementedError
+
+    def degree_split(
+        self,
+        target_positions: Sequence[int],
+        given_positions: Sequence[int],
+        threshold: int,
+    ) -> Tuple["RelationBackend", "RelationBackend"]:
+        """``(heavy, light)``: the ``given`` bindings of degree above
+        ``threshold`` (over ``given``), and the full rows of all the others."""
+        raise NotImplementedError
+
+    def matrix_pairs(
+        self, row_positions: Sequence[int], col_positions: Sequence[int]
+    ) -> Iterable[Tuple[Row, Row]]:
+        """The distinct (row-key tuple, column-key tuple) pairs."""
+        raise NotImplementedError
+
+    def matmul(
+        self,
+        other: "RelationBackend",
+        row_positions: Sequence[int],
+        inner_positions: Sequence[int],
+        group_positions: Sequence[int],
+        other_inner_positions: Sequence[int],
+        other_col_positions: Sequence[int],
+        other_group_positions: Sequence[int],
+        schema: Tuple[str, ...],
+        mm_kernel: Callable[[int, int, int], Optional[Callable]],
+    ) -> Tuple["RelationBackend", Tuple[int, int, int], int]:
+        """One Boolean product per shared group binding (Def. 4.5).
+
+        Returns ``(product over schema, the shape with the most cells,
+        groups matched)``.
+        """
         raise NotImplementedError
 
 
@@ -476,6 +575,141 @@ class SetBackend(RelationBackend):
             self._cache["fingerprint"] = cached
         return cached
 
+    # -- operators: the reference semantics, one row at a time ------------
+    def _keep(self, rows: Iterable[Row]) -> "SetBackend":
+        return SetBackend(self.schema, frozenset(rows))
+
+    def project(self, positions, schema):
+        return SetBackend(
+            schema, frozenset(tuple(row[p] for p in positions) for row in self._rows)
+        )
+
+    def select_equals(self, items):
+        return self._keep(
+            row for row in self._rows if all(row[p] == value for p, value in items)
+        )
+
+    def restrict(self, position, values):
+        wanted = set(values)
+        return self._keep(row for row in self._rows if row[position] in wanted)
+
+    def join(self, self_positions, other, other_positions, other_extra_positions, schema):
+        index: Dict[Row, List[Row]] = {}
+        for row in other.iter_rows():
+            key = tuple(row[p] for p in other_positions)
+            index.setdefault(key, []).append(
+                tuple(row[p] for p in other_extra_positions)
+            )
+        out_rows: List[Row] = []
+        for row in self._rows:
+            key = tuple(row[p] for p in self_positions)
+            for extra in index.get(key, ()):
+                out_rows.append(row + extra)
+        return SetBackend(schema, frozenset(out_rows))
+
+    def semijoin(self, self_positions, other, other_positions, negate=False):
+        right_keys = {
+            tuple(row[p] for p in other_positions) for row in other.iter_rows()
+        }
+        return self._keep(
+            row
+            for row in self._rows
+            if (tuple(row[p] for p in self_positions) in right_keys) != negate
+        )
+
+    def semijoin_many(self, reducers):
+        # A surviving-row list filtered reducer by reducer, wrapped once.
+        survivors: Optional[List[Row]] = None
+        for positions, other, other_positions in reducers:
+            keys = {
+                tuple(row[p] for p in other_positions) for row in other.iter_rows()
+            }
+            source: Iterable[Row] = self._rows if survivors is None else survivors
+            survivors = [
+                row for row in source if tuple(row[p] for p in positions) in keys
+            ]
+            if not survivors:
+                break
+        return self if survivors is None else self._keep(survivors)
+
+    def union(self, other, other_positions):
+        aligned = (tuple(row[p] for p in other_positions) for row in other.iter_rows())
+        return self._keep(self._rows.union(aligned))
+
+    def _row_list(self) -> List[Row]:
+        """The iteration order, snapshotted once so storage positions are stable."""
+        snapshot = self._cache.get("rowlist")
+        if snapshot is None:
+            snapshot = self._cache["rowlist"] = list(self._rows)
+        return snapshot
+
+    def slice_rows(self, start, stop):
+        return self._keep(self._row_list()[start:stop])
+
+    def value_sorted_order(self, positions):
+        key = ("valsort", tuple(positions))
+        cached = self._cache.get(key)
+        if cached is None:
+            snapshot = self._row_list()
+            cached = sorted(
+                range(len(snapshot)),
+                key=lambda i: row_order_key([snapshot[i][p] for p in positions]),
+            )
+            _put_bounded(self._cache, key, cached, 8)
+        return cached
+
+    def ordered_rows(self, limit):
+        return _ordered_rows(self._rows, limit)
+
+    def ordered_values(self, position):
+        key = ("ordvals", position)
+        cached = self._cache.get(key)
+        if cached is None:
+            cached = sorted(self.distinct_values(position), key=value_order_key)
+            _put_bounded(self._cache, key, cached, 8)
+        return cached
+
+    def degree_map(self, target_positions, given_positions):
+        seen: Dict[Row, set] = {}
+        for row in self._rows:
+            key = tuple(row[p] for p in given_positions)
+            seen.setdefault(key, set()).add(tuple(row[p] for p in target_positions))
+        return {key: len(values) for key, values in seen.items()}
+
+    def degree_split(self, target_positions, given_positions, threshold):
+        degrees = self.degree_map(target_positions, given_positions)
+        heavy_keys = {key for key, degree in degrees.items() if degree > threshold}
+        heavy_rows = set()
+        light_rows = []
+        for row in self._rows:
+            key = tuple(row[p] for p in given_positions)
+            if key in heavy_keys:
+                heavy_rows.add(key)
+            else:
+                light_rows.append(row)
+        heavy_schema = tuple(self.schema[p] for p in given_positions)
+        return SetBackend(heavy_schema, frozenset(heavy_rows)), self._keep(light_rows)
+
+    def matrix_pairs(self, row_positions, col_positions):
+        return {
+            (tuple(row[p] for p in row_positions), tuple(row[p] for p in col_positions))
+            for row in self._rows
+        }
+
+    def matmul(self, other, *positions_schema_and_kernel):
+        # The product is defined on dictionary codes: encode, multiply, decode.
+        product, shape, group_count = ColumnarBackend.from_rows(
+            self.schema, self._rows
+        ).matmul(
+            ColumnarBackend.from_rows(other.schema, other.iter_rows()),
+            *positions_schema_and_kernel,
+        )
+        return (
+            SetBackend(product.schema, frozenset(product.iter_rows())),
+            shape,
+            group_count,
+        )
+
 
 # ----------------------------------------------------------------------
 # ColumnarBackend: dictionary-encoded NumPy columns
@@ -556,7 +790,7 @@ class _Dictionary:
             # relation) probed by many distinct partners must not pin
             # them all forever.  Evict over a snapshot with pop(...,
             # None) — concurrent workers may race this loop (see
-            # _bounded_cache_put's thread contract).
+            # _put_bounded's thread contract).
             overflow = len(self._xlate) - _FAMILY_CACHE_LIMIT
             if overflow > 0:
                 for stale in list(self._xlate)[:overflow]:
@@ -881,44 +1115,21 @@ class ColumnarBackend(RelationBackend):
             return out, ((),)
         columns = self._columns
         positions = tuple(range(width))
-        row_keys = self._composite_keys(self._codes(positions), positions, self._n)
-        if row_keys is not None:
-            target_arrays = [
-                np.asarray([c[p] for c in candidates], dtype=np.int64)
-                for p in positions
-            ]
-            target_keys = self._composite_keys(
-                target_arrays, positions, len(candidates)
-            )
-        else:
-            target_keys = None
-        if row_keys is not None and target_keys is not None:
-            mask = np.isin(row_keys, target_keys)
-            hit = np.isin(target_keys, row_keys)
-            removed = [
-                tuple(columns[p].values[c[p]] for p in positions)
-                for c, present in zip(candidates, hit)
-                if present
-            ]
-        else:  # composite overflow: one generic pass over the rows
-            victim_keys = seen_keys
-            mask = np.fromiter(
-                (
-                    tuple(int(columns[p].codes[i]) for p in positions) in victim_keys
-                    for i in range(self._n)
-                ),
-                dtype=bool,
-                count=self._n,
-            )
-            present = {
-                tuple(int(columns[p].codes[i]) for p in positions)
-                for i in np.nonzero(mask)[0]
-            }
-            removed = [
-                tuple(columns[p].values[c[p]] for p in positions)
-                for c in candidates
-                if c in present
-            ]
+        victims = ColumnarBackend(
+            self.schema,
+            [
+                column.with_codes(np.asarray([c[p] for c in candidates], dtype=np.int64))
+                for p, column in enumerate(columns)
+            ],
+            len(candidates),
+        )
+        row_keys, target_keys = self._shared_keys(positions, victims, positions)
+        mask = np.isin(row_keys, target_keys)
+        removed = [
+            tuple(columns[p].values[c[p]] for p in positions)
+            for c, present in zip(candidates, np.isin(target_keys, row_keys))
+            if present
+        ]
         count = int(mask.sum())
         if not count:
             return self, ()
@@ -992,29 +1203,48 @@ class ColumnarBackend(RelationBackend):
     def _codes(self, positions: Sequence[int]) -> List[np.ndarray]:
         return [self._columns[p].codes for p in positions]
 
-    def _composite_keys(
-        self,
-        code_arrays: Sequence[np.ndarray],
-        positions: Sequence[int],
-        n_rows: int,
-    ) -> Optional[np.ndarray]:
-        """Mix per-column codes into one int64 key per row (None on overflow).
+    def _key_space(self, positions: Sequence[int]) -> int:
+        """Size of the composite key space the dictionaries of ``positions`` span."""
+        total = 1
+        for position in positions:
+            total *= max(len(self._columns[position].values), 1)
+        return total
 
-        Strides come from the *dictionary* sizes of ``positions``; any code
-        array expressed in those dictionaries' spaces can be mixed, which is
-        how another relation's translated codes become probe keys.
+    def _fits(self, positions: Sequence[int]) -> bool:
+        """Whether one int64 composite key can hold a row over ``positions``."""
+        return self._key_space(positions) <= _COMPOSITE_LIMIT
+
+    def _row_keys(
+        self, code_arrays: Sequence[np.ndarray], positions: Sequence[int], n_rows: int
+    ) -> np.ndarray:
+        """One int64 key per row: equal, and ordered, exactly as the code rows are.
+
+        The composite key — per-column codes mixed with the *dictionary*
+        sizes of ``positions`` as strides; any code array expressed in
+        those dictionaries' spaces can be mixed, which is how another
+        relation's translated codes become probe keys.  This is the one
+        place composite-key overflow is met: before a stride would carry
+        the key space past ``_COMPOSITE_LIMIT``, the keys so far are
+        replaced by their ranks among the distinct ones (one 1-D sort),
+        which keeps equality and order and shrinks the space to at most
+        ``n_rows``.  Ranks depend on the rows ranked, so keys from two
+        calls compare only when ``positions`` :meth:`_fits`; wider keys of
+        two relations are ranked together (:meth:`_shared_keys`).
         """
         if not code_arrays:
             return np.zeros(n_rows, dtype=np.int64)
         keys = code_arrays[0].astype(np.int64, copy=True)
-        total = len(self._columns[positions[0]].values)
+        space = max(len(self._columns[positions[0]].values), 1)
         for codes, position in zip(code_arrays[1:], positions[1:]):
-            size = len(self._columns[position].values)
-            total *= max(size, 1)
-            if total > _COMPOSITE_LIMIT:
-                return None
+            size = max(len(self._columns[position].values), 1)
+            if space * size > _COMPOSITE_LIMIT:
+                # Afterwards space <= n_rows, and rows x one dictionary is
+                # far inside int64 for anything that fits in memory.
+                distinct, keys = np.unique(keys, return_inverse=True)
+                space = len(distinct)
             keys *= size
             keys += codes
+            space *= size
         return keys
 
     def translate_codes(
@@ -1037,9 +1267,38 @@ class ColumnarBackend(RelationBackend):
         """The dictionary code of one value (the per-variable hash index)."""
         return self._columns[position].index.get(value)
 
+    def _shared_keys(
+        self,
+        positions: Sequence[int],
+        other: "ColumnarBackend",
+        other_positions: Sequence[int],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """Both sides' rows keyed over ``positions`` in this side's code space.
+
+        The two-relation form of :meth:`_row_keys`, at any key width: the
+        other side's codes are translated into this side's dictionaries and
+        both sides' rows are keyed (and, past the composite limit, ranked)
+        as one array, so ``own == theirs`` exactly where the rows agree.  A
+        row of ``other`` carrying a value this side's dictionaries do not
+        know matches nothing here and gets the key ``-1``.
+        """
+        translated = [
+            self.translate_codes(p, other, op)
+            for p, op in zip(positions, other_positions)
+        ]
+        joint = [
+            np.concatenate((self._columns[p].codes, codes))
+            for p, codes in zip(positions, translated)
+        ]
+        keys = self._row_keys(joint, positions, self._n + other._n)
+        own, theirs = keys[: self._n], keys[self._n:]
+        for codes in translated:
+            theirs[codes < 0] = -1
+        return own, theirs
+
     def sorted_composite_keys(
         self, positions: Tuple[int, ...]
-    ) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """``(sorted keys, argsort order)`` of one column-set, cached.
 
         The composite-key sort order of a relation's columns is what every
@@ -1048,19 +1307,14 @@ class ColumnarBackend(RelationBackend):
         alongside the distinct/degree indexes — renames share it, and
         repeated probes (Yannakakis passes, ``ask_many`` batches,
         enumeration chunks) reuse it instead of re-sorting the build side
-        every time.
-        ``None`` (also cached) marks a composite-key overflow.
+        every time.  Only for positions that :meth:`_fits`.
         """
         key = ("sortkeys", tuple(positions))
-        if key in self._cache:
-            return self._cache[key]
-        keys = self._composite_keys(self._codes(positions), positions, self._n)
-        if keys is None:
-            entry: Optional[Tuple[np.ndarray, np.ndarray]] = None
-        else:
+        entry = self._cache.get(key)
+        if entry is None:
+            keys = self._row_keys(self._codes(positions), positions, self._n)
             order = np.argsort(keys, kind="stable")
-            entry = (keys[order], order)
-        self._cache[key] = entry
+            entry = self._cache[key] = (keys[order], order)
         return entry
 
     def value_order_ranks(self, position: int) -> np.ndarray:
@@ -1078,12 +1332,12 @@ class ColumnarBackend(RelationBackend):
 
         The value-order analogue of :meth:`sorted_composite_keys`: per-
         column codes are mapped through :meth:`value_order_ranks` and the
-        rank arrays are mixed into one composite key per row with the same
-        dictionary-stride machinery (ranks occupy the same ``[0, |dict|)``
-        space as codes), then argsorted stably; composite-key overflow
-        falls back to ``np.lexsort`` over the rank arrays.  Cached per
-        (relation, column-set), so repeated ranked enumerations over the
-        same calibrated relations re-sort nothing.
+        rank arrays are mixed into one key per row with the same machinery
+        (ranks occupy the same ``[0, |dict|)`` space as codes, and
+        :meth:`_row_keys` preserves the lexicographic order at any width),
+        then argsorted stably.  Cached per (relation, column-set), so
+        repeated ranked enumerations over the same calibrated relations
+        re-sort nothing.
         """
         key = ("valsort", tuple(positions))
         cached = self._cache.get(key)
@@ -1091,15 +1345,14 @@ class ColumnarBackend(RelationBackend):
             ranks = [
                 self.value_order_ranks(p)[self._columns[p].codes] for p in positions
             ]
-            keys = self._composite_keys(ranks, positions, self._n)
-            if keys is not None:
-                cached = np.argsort(keys, kind="stable")
-            elif ranks:
-                cached = np.lexsort(tuple(reversed(ranks)))
-            else:
-                cached = np.arange(self._n, dtype=np.int64)
-            self._cache[key] = cached
+            keys = self._row_keys(ranks, positions, self._n)
+            cached = self._cache[key] = np.argsort(keys, kind="stable")
         return cached
+
+    def ordered_rows(self, limit):
+        # Only the requested prefix of the cached permutation is decoded.
+        order = self.value_sorted_order(tuple(range(len(self.schema))))
+        return list(self.take(order if limit is None else order[:limit]).iter_rows())
 
     def ordered_values(self, position: int) -> List[Value]:
         """One column's distinct values in deterministic value order, cached."""
@@ -1158,12 +1411,13 @@ class ColumnarBackend(RelationBackend):
         self_positions: Sequence[int],
         other: "ColumnarBackend",
         other_positions: Sequence[int],
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """This side's rows as composite keys in the *other* side's key space.
 
         Rows carrying a value unknown to the other side's dictionaries get
         the sentinel key ``-1`` (valid keys are always non-negative), so
-        they match nothing when probed.  ``None`` on composite overflow.
+        they match nothing when probed.  Only when ``other_positions``
+        :meth:`_fits` on the other side.
         """
         translated = []
         valid: Optional[np.ndarray] = None
@@ -1172,36 +1426,26 @@ class ColumnarBackend(RelationBackend):
             ok = codes >= 0
             valid = ok if valid is None else (valid & ok)
             translated.append(codes)
-        keys = other._composite_keys(translated, other_positions, self._n)
-        if keys is None:
-            return None
+        keys = other._row_keys(translated, other_positions, self._n)
         if valid is not None and not valid.all():
             # Mixing a -1 component into a composite key can collide with
             # a genuine key, so invalid rows are stamped out wholesale.
             keys[~valid] = -1
         return keys
 
-    def _key_space(self, positions: Sequence[int]) -> Optional[int]:
-        """Size of the composite key space of ``positions`` (None past cap)."""
-        total = 1
-        for position in positions:
-            total *= max(len(self._columns[position].values), 1)
-            if total > _COMPOSITE_LIMIT:
-                return None
-        return total
-
     def _semijoin_probe(
         self,
         self_positions: Sequence[int],
         other: "ColumnarBackend",
         other_positions: Sequence[int],
-    ) -> Optional[Tuple[str, np.ndarray]]:
+    ) -> Tuple[str, np.ndarray]:
         """The reducer's key set, prepared for probing from this side.
 
         Returns ``("table", dense Boolean lookup table over this side's
         composite code space)`` when the space is small enough, else
         ``("keys", the reducer's translated composite keys)`` for an
-        ``isin`` probe; ``None`` on composite overflow.  The structure is
+        ``isin`` probe; only when ``self_positions`` :meth:`_fits`.  The
+        structure is
         cached on the *reducer's* backend keyed by the probing side's
         dictionaries, so every later probe from a relation sharing those
         dictionaries (Yannakakis passes, ``ask_many`` batches, enumeration
@@ -1230,13 +1474,11 @@ class ColumnarBackend(RelationBackend):
             keep = np.nonzero(valid)[0]
             translated = [codes[keep] for codes in translated]
         right_count = len(translated[0]) if translated else len(other)
-        right_keys = self._composite_keys(translated, self_positions, right_count)
-        if right_keys is None:
-            return None
+        right_keys = self._row_keys(translated, self_positions, right_count)
         space = self._key_space(self_positions)
         # Probe-side-size-independent decision, so a row slice and its
         # parent take the same deterministic path.
-        if space is not None and space <= min(
+        if space <= min(
             max(8 * max(right_count, 1), 1 << 16), 1 << 26
         ):
             table = np.zeros(space, dtype=bool)
@@ -1247,7 +1489,7 @@ class ColumnarBackend(RelationBackend):
         # The stored tuple carries the probing dictionaries purely to pin
         # them (keeping the key's ids valid); bounded per backend so a
         # process-long reducer can't accumulate probe tables forever.
-        _bounded_cache_put(
+        _put_bounded(
             other._cache, key, (entry[0], entry[1], dictionaries), _FAMILY_CACHE_LIMIT
         )
         return entry
@@ -1258,48 +1500,41 @@ class ColumnarBackend(RelationBackend):
         other: "ColumnarBackend",
         other_positions: Sequence[int],
         negate: bool = False,
-    ) -> Optional[np.ndarray]:
+    ) -> np.ndarray:
         """The Boolean keep-mask of a semijoin, without materializing rows.
 
         The reducer's codes are translated into this side's key space
         (cached per dictionary pair) and probed through a cached dense
         lookup table over the code space when it is small enough, else
-        ``isin`` (see :meth:`_semijoin_probe`).  Fused multi-semijoin
-        execution ANDs several of these masks and gathers once.  Returns
-        ``None`` when the composite key would overflow, in which case the
-        caller falls back to the generic path.
+        ``isin`` (see :meth:`_semijoin_probe`); keys too wide for one int64
+        are ranked jointly over both sides (:meth:`_shared_keys`).  Fused
+        multi-semijoin execution ANDs several of these masks and gathers
+        once.
         """
-        left_keys = self._composite_keys(
-            self._codes(self_positions), self_positions, self._n
-        )
-        if left_keys is None:
-            return None
-        probe = self._semijoin_probe(self_positions, other, other_positions)
-        if probe is None:
-            return None
-        kind, data = probe
-        if kind == "table":
-            membership = data[left_keys]
+        if self._fits(self_positions):
+            left_keys = self._row_keys(
+                self._codes(self_positions), self_positions, self._n
+            )
+            kind, data = self._semijoin_probe(self_positions, other, other_positions)
         else:
-            membership = np.isin(left_keys, data)
+            left_keys, data = self._shared_keys(self_positions, other, other_positions)
+            kind = "keys"
+        membership = data[left_keys] if kind == "table" else np.isin(left_keys, data)
         return ~membership if negate else membership
 
-    def semijoin(
-        self,
-        self_positions: Sequence[int],
-        other: "ColumnarBackend",
-        other_positions: Sequence[int],
-        negate: bool = False,
-    ) -> Optional["ColumnarBackend"]:
-        """Rows whose key appears (or not) in the other side's key index.
-
-        Returns ``None`` when the composite key would overflow, in which
-        case the caller falls back to the generic path.
-        """
+    def semijoin(self, self_positions, other, other_positions, negate=False):
         mask = self.semijoin_mask(self_positions, other, other_positions, negate)
-        if mask is None:
-            return None
         return self.take(np.nonzero(mask)[0])
+
+    def semijoin_many(self, reducers):
+        # The per-reducer keep-masks are ANDed and the rows gathered once.
+        mask: Optional[np.ndarray] = None
+        for positions, other, other_positions in reducers:
+            part = self.semijoin_mask(positions, other, other_positions)
+            mask = part if mask is None else (mask & part)
+            if not mask.any():
+                break
+        return self if mask is None else self.take(np.nonzero(mask)[0])
 
     def join(
         self,
@@ -1308,21 +1543,25 @@ class ColumnarBackend(RelationBackend):
         other_positions: Sequence[int],
         other_extra_positions: Sequence[int],
         schema: Tuple[str, ...],
-    ) -> Optional["ColumnarBackend"]:
-        """Natural join probing the build side's cached composite-key sort.
+    ) -> "ColumnarBackend":
+        """Natural join probing the build side's composite-key sort.
 
         The probe (``self``) side's keys are translated into the build
         (``other``) side's key space and looked up with ``searchsorted``
         against :meth:`sorted_composite_keys` — the sort order is computed
-        once per (relation, column-set) and reused across probes.
+        once per (relation, column-set) and reused across probes.  Keys too
+        wide for one int64 are ranked jointly over both sides
+        (:meth:`_shared_keys`) and sorted for this one join.
         """
-        sorted_entry = other.sorted_composite_keys(tuple(other_positions))
-        if sorted_entry is None:
-            return None
-        sorted_keys, order = sorted_entry
-        left_keys = self._probe_keys(self_positions, other, other_positions)
-        if left_keys is None:
-            return None
+        if other._fits(other_positions):
+            sorted_keys, order = other.sorted_composite_keys(tuple(other_positions))
+            left_keys = self._probe_keys(self_positions, other, other_positions)
+        else:
+            build_keys, left_keys = other._shared_keys(
+                other_positions, self, self_positions
+            )
+            order = np.argsort(build_keys, kind="stable")
+            sorted_keys = build_keys[order]
 
         starts = np.searchsorted(sorted_keys, left_keys, side="left")
         ends = np.searchsorted(sorted_keys, left_keys, side="right")
@@ -1407,28 +1646,29 @@ class ColumnarBackend(RelationBackend):
             return [()] * len(key_rows)
         return list(zip(*decoded))
 
-    def split_by_keys(
-        self, positions: Sequence[int], heavy_key_rows: np.ndarray
-    ) -> Optional[Tuple["ColumnarBackend", "ColumnarBackend"]]:
-        """Partition rows by membership of their ``positions`` key in a key set.
-
-        Returns ``(heavy backend over positions, light backend over the full
-        schema)``; ``None`` if the composite key overflows.
-        """
-        row_keys = self._composite_keys(self._codes(positions), positions, self._n)
-        if row_keys is None:
-            return None
-        heavy_columns = [self._columns[p].with_codes(heavy_key_rows[:, i])
-                         for i, p in enumerate(positions)]
-        heavy_keys = self._composite_keys(
-            [column.codes for column in heavy_columns], positions, len(heavy_key_rows)
+    def degree_map(self, target_positions, given_positions):
+        keys, counts = self.degree_counts(
+            tuple(target_positions), tuple(given_positions)
         )
-        if heavy_keys is None:
-            return None
-        heavy_schema = tuple(self.schema[p] for p in positions)
-        heavy = ColumnarBackend(heavy_schema, heavy_columns, len(heavy_key_rows))
-        light_mask = np.isin(row_keys, heavy_keys, invert=True)
-        light = self.take(np.nonzero(light_mask)[0])
+        return dict(zip(self.decode_key_rows(given_positions, keys), counts.tolist()))
+
+    def degree_split(self, target_positions, given_positions, threshold):
+        keys, counts = self.degree_counts(
+            tuple(target_positions), tuple(given_positions)
+        )
+        heavy_rows = keys[counts > threshold]
+        heavy = ColumnarBackend(
+            tuple(self.schema[p] for p in given_positions),
+            [
+                self._columns[p].with_codes(heavy_rows[:, i])
+                for i, p in enumerate(given_positions)
+            ],
+            len(heavy_rows),
+        )
+        # The light rows are an antijoin against the heavy bindings.
+        light = self.semijoin(
+            given_positions, heavy, range(len(given_positions)), negate=True
+        )
         return heavy, light
 
     def matrix_pairs(
@@ -1448,45 +1688,6 @@ class ColumnarBackend(RelationBackend):
         return list(zip(row_part, col_part))
 
     # -- grouped Boolean matrix product ---------------------------------
-    def _row_keys(
-        self, code_arrays: Sequence[np.ndarray], positions: Sequence[int], n_rows: int
-    ) -> np.ndarray:
-        """One non-negative int64 key per row, equal exactly when the code rows are.
-
-        The composite key where it fits; past ``_COMPOSITE_LIMIT`` each code
-        row's index among the distinct ones, still computed on codes.
-        """
-        keys = self._composite_keys(code_arrays, positions, n_rows)
-        if keys is None:
-            stacked = np.stack(code_arrays, axis=1)
-            keys = np.unique(stacked, axis=0, return_inverse=True)[1].reshape(-1)
-        return keys
-
-    def _shared_keys(
-        self,
-        positions: Sequence[int],
-        other: "ColumnarBackend",
-        other_positions: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Both sides' rows keyed over ``positions`` in this side's code space.
-
-        A row of ``other`` carrying a value this side's dictionaries do not
-        know matches nothing here and gets the key ``-1``.
-        """
-        translated = [
-            self.translate_codes(p, other, op)
-            for p, op in zip(positions, other_positions)
-        ]
-        joint = [
-            np.concatenate((self._columns[p].codes, codes))
-            for p, codes in zip(positions, translated)
-        ]
-        keys = self._row_keys(joint, positions, self._n + other._n)
-        own, theirs = keys[: self._n], keys[self._n:]
-        for codes in translated:
-            theirs[codes < 0] = -1
-        return own, theirs
-
     def matmul(
         self,
         other: "ColumnarBackend",

@@ -10,11 +10,13 @@ eliminations and conversion to and from 0/1 matrices.
 
 Backend protocol
 ----------------
-Storage lives behind :class:`~repro.db.backends.RelationBackend`; this
-facade translates variable names into column positions, dispatches to a
-backend fast path when both operands share a representation, and falls back
-to generic row-at-a-time logic (the reference semantics) otherwise.  Two
-backends ship:
+Storage *and operators* live behind
+:class:`~repro.db.backends.RelationBackend`, one positional protocol that
+every backend implements in full.  This facade does not know which backend
+it wraps: an operator translates variable names into column positions,
+converts the right operand of a binary operator to the left operand's kind
+(:meth:`Relation.with_backend` — so the result has the left operand's
+kind), calls the backend method and wraps the result.  Two backends ship:
 
 * ``"set"`` (:class:`~repro.db.backends.SetBackend`) — a frozenset of
   tuples, the reference implementation and the default.  Best for tiny
@@ -56,9 +58,7 @@ from typing import (
 import numpy as np
 
 from ..matmul.boolean import matrix_from_pairs
-from .ordering import _ordered_rows, row_order_key, value_order_key
 from .backends import (
-    ColumnarBackend,
     RelationBackend,
     RelationStats,
     Row,
@@ -179,18 +179,18 @@ class Relation:
     def __contains__(self, row: Sequence[Value]) -> bool:
         return tuple(row) in self._backend.row_set()
 
+    def _normal_form(self) -> Tuple[Tuple[str, ...], FrozenSet[Row]]:
+        """Schema and rows with the columns sorted: equality is up to column order."""
+        schema = sorted(self.schema)
+        return tuple(schema), self.project(schema).rows
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        if set(self.schema) != set(other.schema):
-            return False
-        return (
-            self.project(sorted(self.schema)).rows
-            == other.project(sorted(other.schema)).rows
-        )
+        return self._normal_form() == other._normal_form()
 
     def __hash__(self) -> int:
-        return hash((self.schema, self.rows))
+        return hash(self._normal_form())
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         label = self.name or "Relation"
@@ -248,6 +248,16 @@ class Relation:
     def _positions(self, variables: Sequence[str]) -> List[int]:
         return [self._backend.position(variable) for variable in variables]
 
+    def _aligned(self, other: "Relation") -> "Relation":
+        """``other`` in this relation's backend kind (binary-operator rule)."""
+        return other.with_backend(self.backend_kind)
+
+    def _shared(self, other: "Relation") -> List[str]:
+        return [v for v in self.schema if v in other.variables]
+
+    def _empty(self) -> "Relation":
+        return Relation(self.schema, (), self.name, backend=self.backend_kind)
+
     def column_values(self, variable: str) -> FrozenSet[Value]:
         """The active domain of one column (cached distinct-value index)."""
         return self._backend.distinct_values(self._backend.position(variable))
@@ -266,47 +276,22 @@ class Relation:
         :func:`~repro.db.ordering.row_order_key`, ties broken stably by
         storage position) is the ``select(order="sorted")`` contract; the
         indices address the same storage positions :meth:`row_slice`
-        reads.  Columnar backends compute it once per (relation,
-        column-set) from cached per-column value ranks
-        (:meth:`~repro.db.backends.ColumnarBackend.value_sorted_order`);
-        the set backend keys a Python sort over its cached row snapshot.
+        reads.  Computed once per (relation, column-set) and cached on the
+        backend: from per-column value ranks on the columnar backend, by a
+        keyed Python sort of the row snapshot on the set backend.
         """
-        positions = tuple(self._positions(list(variables)))
-        if isinstance(self._backend, ColumnarBackend):
-            return self._backend.value_sorted_order(positions)
-        cache_key = ("valsort", positions)
-        cached = self._backend.cache_get(cache_key)
-        if cached is None:
-            snapshot = self._backend.cache_get(("rowlist",))
-            if snapshot is None:
-                snapshot = list(self._backend.iter_rows())
-                self._backend.cache_put(("rowlist",), snapshot, family_limit=1)
-            cached = sorted(
-                range(len(snapshot)),
-                key=lambda i: row_order_key([snapshot[i][p] for p in positions]),
-            )
-            self._backend.cache_put(cache_key, cached, family_limit=8)
-        return cached
+        return self._backend.value_sorted_order(tuple(self._positions(variables)))
 
     def ordered_rows(self, limit: Optional[int] = None) -> List[Row]:
-        """The rows in the deterministic sorted-order contract, vectorized.
+        """The rows in the deterministic sorted-order contract.
 
         The materialized arm of ``select(order="sorted")``: the first
         ``limit`` rows (all of them when ``limit`` is ``None``) under the
-        same total order :meth:`sorted_order` indexes.  On the columnar
-        backend the permutation comes from the cached vectorized sort and
-        only the requested prefix is decoded — far cheaper on large
-        outputs than materializing every tuple and sorting in Python.
-        The set backend falls back to the keyed bounded selection.
+        same total order :meth:`sorted_order` indexes.  The columnar
+        backend decodes only the requested prefix of its cached vectorized
+        sort; the set backend runs a keyed bounded selection.
         """
-        if isinstance(self._backend, ColumnarBackend):
-            order = self._backend.value_sorted_order(
-                tuple(range(len(self.schema)))
-            )
-            if limit is not None:
-                order = order[:limit]
-            return list(self._backend.take(np.asarray(order)).iter_rows())
-        return _ordered_rows(self.rows, limit)
+        return self._backend.ordered_rows(limit)
 
     def ordered_distinct_values(self, variable: str) -> List[Value]:
         """One column's distinct values in deterministic value order.
@@ -317,27 +302,7 @@ class Relation:
         Cached per column on the backend, so repeated ranked selects over
         the same calibrated relations pay the sort once.
         """
-        position = self._backend.position(variable)
-        if isinstance(self._backend, ColumnarBackend):
-            return list(self._backend.ordered_values(position))
-        cache_key = ("ordvals", position)
-        cached = self._backend.cache_get(cache_key)
-        if cached is None:
-            cached = sorted(
-                self._backend.distinct_values(position), key=value_order_key
-            )
-            self._backend.cache_put(cache_key, cached, family_limit=8)
-        return list(cached)
-
-    def _columnar_pair(
-        self, other: "Relation"
-    ) -> Optional[Tuple[ColumnarBackend, ColumnarBackend]]:
-        """Both backends, when both relations are columnar (fast-path gate)."""
-        if isinstance(self._backend, ColumnarBackend) and isinstance(
-            other._backend, ColumnarBackend
-        ):
-            return self._backend, other._backend
-        return None
+        return list(self._backend.ordered_values(self._backend.position(variable)))
 
     # ------------------------------------------------------------------
     # Classical operators
@@ -347,13 +312,9 @@ class Relation:
         variables = list(variables)
         if len(set(variables)) != len(variables):
             raise ValueError(f"duplicate variables in schema {tuple(variables)}")
-        positions = self._positions(variables)
-        if isinstance(self._backend, ColumnarBackend):
-            return Relation._wrap(
-                self._backend.project(positions, tuple(variables))
-            )
-        rows = {tuple(row[p] for p in positions) for row in self._backend.iter_rows()}
-        return Relation(variables, rows)
+        return Relation._wrap(
+            self._backend.project(self._positions(variables), tuple(variables))
+        )
 
     def count_distinct(self, variables: Sequence[str]) -> int:
         """The number of distinct projections onto ``variables``.
@@ -382,19 +343,12 @@ class Relation:
                 for row in self._backend.iter_rows()
                 if condition(dict(zip(schema, row)))
             ]
-            return Relation(schema, keep, self.name, backend=self._backend.kind)
+            return Relation(schema, keep, self.name, backend=self.backend_kind)
         positions = self._positions(list(condition.keys()))
-        wanted = list(condition.values())
-        if isinstance(self._backend, ColumnarBackend):
-            return Relation._wrap(
-                self._backend.select_equals(list(zip(positions, wanted))), self.name
-            )
-        keep = [
-            row
-            for row in self._backend.iter_rows()
-            if all(row[p] == value for p, value in zip(positions, wanted))
-        ]
-        return Relation(self.schema, keep, self.name)
+        return Relation._wrap(
+            self._backend.select_equals(list(zip(positions, condition.values()))),
+            self.name,
+        )
 
     def restrict(self, variable: str, values: Iterable[Value]) -> "Relation":
         """Select the rows whose ``variable`` value lies in ``values``.
@@ -403,11 +357,7 @@ class Relation:
         backend answers it with one vectorized index probe.
         """
         position = self._backend.position(variable)
-        if isinstance(self._backend, ColumnarBackend):
-            return Relation._wrap(self._backend.restrict(position, values), self.name)
-        wanted = set(values)
-        keep = [row for row in self._backend.iter_rows() if row[position] in wanted]
-        return Relation(self.schema, keep, self.name)
+        return Relation._wrap(self._backend.restrict(position, values), self.name)
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename columns (variables not mentioned keep their names)."""
@@ -418,79 +368,41 @@ class Relation:
 
     def join(self, other: "Relation") -> "Relation":
         """Natural (hash) join on the shared variables."""
-        shared = [v for v in self.schema if v in other.variables]
+        shared = self._shared(other)
         other_only = [v for v in other.schema if v not in self.variables]
-        out_schema = tuple(self.schema) + tuple(other_only)
-        pair = self._columnar_pair(other)
-        if pair is not None:
-            left, right = pair
-            joined = left.join(
+        other = self._aligned(other)
+        return Relation._wrap(
+            self._backend.join(
                 self._positions(shared),
-                right,
+                other._backend,
                 other._positions(shared),
                 other._positions(other_only),
-                out_schema,
+                tuple(self.schema) + tuple(other_only),
             )
-            if joined is not None:
-                return Relation._wrap(joined)
-        left_positions = self._positions(shared)
-        right_shared_positions = other._positions(shared)
-        right_extra_positions = other._positions(other_only)
-
-        index: Dict[Row, List[Row]] = {}
-        for row in other._backend.iter_rows():
-            key = tuple(row[p] for p in right_shared_positions)
-            index.setdefault(key, []).append(
-                tuple(row[p] for p in right_extra_positions)
-            )
-        out_rows: List[Row] = []
-        for row in self._backend.iter_rows():
-            key = tuple(row[p] for p in left_positions)
-            for extra in index.get(key, ()):
-                out_rows.append(tuple(row) + extra)
-        return Relation(out_schema, out_rows, backend=self._backend.kind)
+        )
 
     def semijoin(self, other: "Relation") -> "Relation":
         """Keep the rows whose shared-variable projection appears in ``other``."""
-        shared = [v for v in self.schema if v in other.variables]
+        shared = self._shared(other)
         if not shared:
-            return self if not other.is_empty() else Relation(
-                self.schema, (), self.name, backend=self._backend.kind
-            )
+            return self if not other.is_empty() else self._empty()
         return self._semijoin(other, shared, negate=False)
 
     def antijoin(self, other: "Relation") -> "Relation":
         """Keep the rows whose shared-variable projection does NOT appear in ``other``."""
-        shared = [v for v in self.schema if v in other.variables]
+        shared = self._shared(other)
         if not shared:
-            return self if other.is_empty() else Relation(
-                self.schema, (), self.name, backend=self._backend.kind
-            )
+            return self if other.is_empty() else self._empty()
         return self._semijoin(other, shared, negate=True)
 
     def _semijoin(
         self, other: "Relation", shared: List[str], negate: bool
     ) -> "Relation":
-        pair = self._columnar_pair(other)
-        if pair is not None:
-            left, right = pair
-            reduced = left.semijoin(
-                self._positions(shared), right, other._positions(shared), negate
-            )
-            if reduced is not None:
-                return Relation._wrap(reduced, self.name)
-        left_positions = self._positions(shared)
-        other_positions = other._positions(shared)
-        right_keys = {
-            tuple(row[p] for p in other_positions)
-            for row in other._backend.iter_rows()
-        }
-        keep = [
-            row
-            for row in self._backend.iter_rows()
-            if (tuple(row[p] for p in left_positions) in right_keys) != negate
-        ]
-        return Relation(self.schema, keep, self.name, backend=self._backend.kind)
+        other = self._aligned(other)
+        reduced = self._backend.semijoin(
+            self._positions(shared), other._backend, other._positions(shared), negate
+        )
+        return Relation._wrap(reduced, self.name)
 
     def semijoin_many(self, others: Iterable["Relation"]) -> "Relation":
         """Reduce by several independent relations in one fused pass.
@@ -502,77 +414,19 @@ class Relation:
         backend filters a surviving-row list reducer by reducer and wraps
         it once at the end.  ``others`` is consumed lazily — as soon as the
         accumulated reduction is provably empty, remaining reducers (which
-        may be generators evaluating whole subplans) are never pulled.
+        may be generators evaluating whole subplans) are never pulled.  A
+        reducer sharing no variable keeps everything unless it is empty.
         """
-        others = iter(others)
         if self.is_empty():
             return self
-        if isinstance(self._backend, ColumnarBackend):
-            mask: Optional[np.ndarray] = None
+
+        def reducers() -> Iterator[Tuple[List[int], RelationBackend, List[int]]]:
             for other in others:
-                shared = [v for v in self.schema if v in other.variables]
-                if not shared:
-                    if other.is_empty():
-                        return Relation(
-                            self.schema, (), self.name, backend=self._backend.kind
-                        )
-                    continue
-                part = None
-                if isinstance(other._backend, ColumnarBackend):
-                    part = self._backend.semijoin_mask(
-                        self._positions(shared), other._backend, other._positions(shared)
-                    )
-                if part is None:
-                    # Mixed backend or composite-key overflow: materialize
-                    # the mask so far, then fold the rest sequentially.
-                    current = self if mask is None else Relation._wrap(
-                        self._backend.take(np.nonzero(mask)[0]), self.name
-                    )
-                    current = current.semijoin(other)
-                    for rest in others:
-                        if current.is_empty():
-                            break
-                        current = current.semijoin(rest)
-                    return current
-                mask = part if mask is None else (mask & part)
-                if not mask.any():
-                    break
-            if mask is None:
-                return self
-            return Relation._wrap(self._backend.take(np.nonzero(mask)[0]), self.name)
-        if self._backend.kind == "set":
-            survivors: Optional[List[Row]] = None
-            for other in others:
-                shared = [v for v in self.schema if v in other.variables]
-                if not shared:
-                    if other.is_empty():
-                        return Relation(
-                            self.schema, (), self.name, backend=self._backend.kind
-                        )
-                    continue
-                positions = self._positions(shared)
-                other_positions = other._positions(shared)
-                keys = {
-                    tuple(row[p] for p in other_positions)
-                    for row in other._backend.iter_rows()
-                }
-                source: Iterable[Row] = (
-                    self._backend.iter_rows() if survivors is None else survivors
-                )
-                survivors = [
-                    row for row in source if tuple(row[p] for p in positions) in keys
-                ]
-                if not survivors:
-                    break
-            if survivors is None:
-                return self
-            return Relation(self.schema, survivors, self.name, backend=self._backend.kind)
-        current = self
-        for other in others:
-            if current.is_empty():
-                break
-            current = current.semijoin(other)
-        return current
+                shared = self._shared(other)
+                other = self._aligned(other)
+                yield self._positions(shared), other._backend, other._positions(shared)
+
+        return Relation._wrap(self._backend.semijoin_many(reducers()), self.name)
 
     def row_slice(self, start: int, stop: int) -> "Relation":
         """The rows at storage positions ``[start, stop)`` as a relation.
@@ -585,30 +439,15 @@ class Relation:
         snapshot.  The position order is arbitrary but stable for the
         lifetime of the relation.
         """
-        if isinstance(self._backend, ColumnarBackend):
-            return Relation._wrap(self._backend.slice_rows(start, stop), self.name)
-        cache_key = ("rowlist",)
-        ordered = self._backend.cache_get(cache_key)
-        if ordered is None:
-            ordered = list(self._backend.iter_rows())
-            self._backend.cache_put(cache_key, ordered, family_limit=1)
-        return Relation(self.schema, ordered[start:stop], backend=self.backend_kind)
+        return Relation._wrap(self._backend.slice_rows(start, stop), self.name)
 
     def union(self, other: "Relation") -> "Relation":
         if set(self.schema) != set(other.schema):
             raise ValueError("union requires identical variable sets")
-        pair = self._columnar_pair(other)
-        if pair is not None:
-            left, right = pair
-            return Relation._wrap(
-                left.union(right, other._positions(list(self.schema))), self.name
-            )
-        aligned = other.project(self.schema)
-        return Relation(
-            self.schema,
-            self.rows | aligned.rows,
+        other = self._aligned(other)
+        return Relation._wrap(
+            self._backend.union(other._backend, other._positions(self.schema)),
             self.name,
-            backend=self._backend.kind,
         )
 
     def intersect(self, other: "Relation") -> "Relation":
@@ -622,19 +461,7 @@ class Relation:
         """Cartesian product (the schemas must be disjoint)."""
         if self.variables & other.variables:
             raise ValueError("cross product requires disjoint schemas")
-        out_schema = tuple(self.schema) + tuple(other.schema)
-        pair = self._columnar_pair(other)
-        if pair is not None:
-            left, right = pair
-            joined = left.join([], right, [], other._positions(list(other.schema)), out_schema)
-            if joined is not None:
-                return Relation._wrap(joined)
-        rows = [
-            tuple(a) + tuple(b)
-            for a in self._backend.iter_rows()
-            for b in other._backend.iter_rows()
-        ]
-        return Relation(out_schema, rows, backend=self._backend.kind)
+        return self.join(other)
 
     # ------------------------------------------------------------------
     # Degree statistics (Definition E.9) and heavy/light partitioning
@@ -647,25 +474,21 @@ class Relation:
             [v for v in target if v in schema], [v for v in given if v in schema]
         )
 
+    def _degree_positions(
+        self, target: Sequence[str], given: Sequence[str]
+    ) -> Tuple[List[int], List[int]]:
+        """Positions of ``target`` minus ``given`` and of ``given``, schema-clipped."""
+        schema = set(self.schema)
+        return (
+            self._positions([v for v in target if v not in given and v in schema]),
+            self._positions([v for v in given if v in schema]),
+        )
+
     def degree_map(
         self, target: Sequence[str], given: Sequence[str] = ()
     ) -> Dict[Row, int]:
         """Per-binding degrees: for each ``given`` value, how many ``target`` values."""
-        target = [v for v in target if v not in given]
-        schema = set(self.schema)
-        target_positions = self._positions([v for v in target if v in schema])
-        given_positions = self._positions([v for v in given if v in schema])
-        if isinstance(self._backend, ColumnarBackend):
-            keys, counts = self._backend.degree_counts(
-                tuple(target_positions), tuple(given_positions)
-            )
-            decoded = self._backend.decode_key_rows(given_positions, keys)
-            return dict(zip(decoded, counts.tolist()))
-        seen: Dict[Row, set] = {}
-        for row in self._backend.iter_rows():
-            key = tuple(row[p] for p in given_positions)
-            seen.setdefault(key, set()).add(tuple(row[p] for p in target_positions))
-        return {key: len(values) for key, values in seen.items()}
+        return self._backend.degree_map(*self._degree_positions(target, given))
 
     def heavy_light_split(
         self,
@@ -683,44 +506,14 @@ class Relation:
         """
         if target is None:
             target = [v for v in self.schema if v not in given]
-        given = list(given)
-        heavy_name = f"{self.name or 'R'}_heavy"
-        light_name = f"{self.name or 'R'}_light"
-        if isinstance(self._backend, ColumnarBackend) and given:
-            schema = set(self.schema)
-            target_positions = tuple(
-                self._positions([v for v in target if v not in given and v in schema])
-            )
-            given_positions = self._positions(given)
-            keys, counts = self._backend.degree_counts(
-                target_positions, tuple(given_positions)
-            )
-            heavy_keys = keys[counts > threshold]
-            split = self._backend.split_by_keys(given_positions, heavy_keys)
-            if split is not None:
-                heavy_backend, light_backend = split
-                return (
-                    Relation._wrap(heavy_backend, heavy_name),
-                    Relation._wrap(light_backend, light_name),
-                )
-        degrees = self.degree_map(target, given)
-        heavy_keys_set = {key for key, degree in degrees.items() if degree > threshold}
-        given_positions = self._positions(given)
-        heavy_rows = set()
-        light_rows = []
-        for row in self._backend.iter_rows():
-            key = tuple(row[p] for p in given_positions)
-            if key in heavy_keys_set:
-                heavy_rows.add(key)
-            else:
-                light_rows.append(row)
-        heavy = Relation(
-            given, heavy_rows, name=heavy_name, backend=self._backend.kind
+        target_positions, _ = self._degree_positions(target, given)
+        heavy, light = self._backend.degree_split(
+            target_positions, self._positions(given), threshold
         )
-        light = Relation(
-            self.schema, light_rows, name=light_name, backend=self._backend.kind
+        return (
+            Relation._wrap(heavy, f"{self.name or 'R'}_heavy"),
+            Relation._wrap(light, f"{self.name or 'R'}_light"),
         )
-        return heavy, light
 
     # ------------------------------------------------------------------
     # Matrix conversion (for MM-based eliminations)
@@ -741,20 +534,9 @@ class Relation:
         """
         row_variables = list(row_variables)
         col_variables = list(col_variables)
-        row_positions = self._positions(row_variables)
-        col_positions = self._positions(col_variables)
-        if isinstance(self._backend, ColumnarBackend):
-            projected: Iterable[Tuple[Row, Row]] = self._backend.matrix_pairs(
-                row_positions, col_positions
-            )
-        else:
-            projected = {
-                (
-                    tuple(row[p] for p in row_positions),
-                    tuple(row[p] for p in col_positions),
-                )
-                for row in self._backend.iter_rows()
-            }
+        projected: Iterable[Tuple[Row, Row]] = self._backend.matrix_pairs(
+            self._positions(row_variables), self._positions(col_variables)
+        )
         if row_index is None or col_index is None:
             # Sorting fixes a deterministic index order; skipped when both
             # indexes are caller-supplied (mixed-type keys need not be
@@ -809,35 +591,30 @@ class Relation:
         ``self`` over ``row_variables × inner_variables`` is multiplied with
         ``other`` over ``inner_variables × col_variables``; the nonzero
         entries are the output rows over rows + cols + group.  No group
-        variables means one plain product.  The work is
-        :meth:`ColumnarBackend.matmul` on dictionary codes — a set-backed
-        operand is converted on the way in and the product comes back in
-        this relation's backend kind.  ``mm_kernel(rows, inner, cols)``
-        picks the multiplication kernel of one product (``None`` = BLAS).
+        variables means one plain product.  The work happens on dictionary
+        codes (:meth:`~repro.db.backends.ColumnarBackend.matmul`; the set
+        backend encodes on the way in) and the product comes back in this
+        relation's backend kind.  ``mm_kernel(rows, inner, cols)`` picks
+        the multiplication kernel of one product (``None`` = BLAS).
 
         Returns ``(product, largest product shape, groups matched)``.
         """
         schema = tuple(row_variables) + tuple(col_variables) + tuple(group_variables)
         if len(set(schema)) != len(schema):
             raise ValueError(f"duplicate variables in schema {schema}")
-        left = self.with_backend(ColumnarBackend.kind)
-        right = other.with_backend(ColumnarBackend.kind)
-        product, shape, group_count = left._backend.matmul(
-            right._backend,
-            left._positions(row_variables),
-            left._positions(inner_variables),
-            left._positions(group_variables),
-            right._positions(inner_variables),
-            right._positions(col_variables),
-            right._positions(group_variables),
+        other = self._aligned(other)
+        product, shape, group_count = self._backend.matmul(
+            other._backend,
+            self._positions(row_variables),
+            self._positions(inner_variables),
+            self._positions(group_variables),
+            other._positions(inner_variables),
+            other._positions(col_variables),
+            other._positions(group_variables),
             schema,
             mm_kernel,
         )
-        return (
-            Relation._wrap(product).with_backend(self.backend_kind),
-            shape,
-            group_count,
-        )
+        return Relation._wrap(product), shape, group_count
 
     # ------------------------------------------------------------------
     # Constructors

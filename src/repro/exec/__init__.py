@@ -55,8 +55,6 @@ from .optimize import (
     prune_operators,
 )
 from .lower import (
-    LoweredPlan,
-    LoweredStep,
     lower_clique,
     lower_four_cycle,
     lower_generic_join,
@@ -82,8 +80,6 @@ __all__ = [
     "Join",
     "KernelDispatcher",
     "LightPart",
-    "LoweredPlan",
-    "LoweredStep",
     "MatMul",
     "MultiSemijoin",
     "NonEmpty",

@@ -1,16 +1,12 @@
 """Statistics-driven kernel choices for the virtual machine.
 
-The interpreter (:mod:`repro.exec.vm`) runs each relational operator on
-one of two kernel families — the **row kernels** (Python loops over
-tuples: the ``set`` backend's native mode, and the generic fallback for
-mixed-backend operand pairs) or the **columnar kernels** (vectorized NumPy
-code-array kernels) — and each matrix product on BLAS or Strassen.
-:class:`KernelDispatcher` makes those choices per operator from the
-relations' cached :class:`~repro.db.backends.RelationStats`:
+The interpreter (:mod:`repro.exec.vm`) calls relational operators on
+:class:`~repro.db.relation.Relation`; which representation runs them is
+the storage layer's business alone (:mod:`repro.db.backends` — a binary
+operator runs in its left operand's backend kind).  What is left to choose
+per operator, :class:`KernelDispatcher` chooses from configuration and the
+relations' cached statistics:
 
-* ``n_r`` of both operands drives mixed-backend resolution — when one
-  operand is columnar and large, the dispatcher converts the other side so
-  the pair runs on the columnar kernel instead of the row-loop fallback;
 * the distinct-count-sized matrix dimensions of an MM step pick the
   Strassen-vs-BLAS multiplication path through the cost model
   (:func:`repro.matmul.cost.preferred_mm_kernel`) instead of a fixed size
@@ -27,12 +23,11 @@ reproducible and differential-testable across backends.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Callable, Optional
 
 import numpy as np
 
 from ..constants import DEFAULT_OMEGA
-from ..db.relation import Relation
 from ..matmul.boolean import resolve_mm_kernel
 from ..matmul.cost import STRASSEN_OVERHEAD_FACTOR, preferred_mm_kernel
 
@@ -41,11 +36,6 @@ from ..matmul.cost import STRASSEN_OVERHEAD_FACTOR, preferred_mm_kernel
 #: chunk's code arrays (a few int64 columns) stay comfortably inside the
 #: per-core cache while still amortizing the NumPy kernel launch overhead.
 DEFAULT_MORSEL_SIZE = 32_768
-
-#: A columnar operand must be at least this large before the dispatcher
-#: converts a mixed-backend partner to the columnar representation; below
-#: it the generic row loop is cheaper than encoding.
-DEFAULT_CONVERT_THRESHOLD = 2_048
 
 #: Largest ``limit`` a sorted select is served by ranked (any-k)
 #: enumeration.  Each ranked pop is a Python heap operation plus O(tree)
@@ -61,7 +51,6 @@ DEFAULT_RANKED_LIMIT_CAP = DEFAULT_MORSEL_SIZE
 class DispatchStats:
     """Counters of the choices one dispatcher instance has made."""
 
-    conversions: int = 0
     mm_strassen: int = 0
     mm_blas: int = 0
 
@@ -76,9 +65,6 @@ class KernelDispatcher:
     morsel_size:
         Largest chunk (in rows) of a streaming enumeration cursor, and the
         default batch size of a :class:`~repro.api.results.ResultSet`.
-    convert_threshold:
-        Minimum size of a columnar operand before a mixed-backend partner
-        is converted to columnar.
     strassen_overhead:
         Constant-factor handicap the sub-cubic MM path must overcome (see
         :data:`repro.matmul.cost.STRASSEN_OVERHEAD_FACTOR`).
@@ -91,7 +77,6 @@ class KernelDispatcher:
         self,
         omega: float = DEFAULT_OMEGA,
         morsel_size: int = DEFAULT_MORSEL_SIZE,
-        convert_threshold: int = DEFAULT_CONVERT_THRESHOLD,
         strassen_overhead: float = STRASSEN_OVERHEAD_FACTOR,
         ranked_limit_cap: int = DEFAULT_RANKED_LIMIT_CAP,
     ) -> None:
@@ -99,7 +84,6 @@ class KernelDispatcher:
             raise ValueError("morsel_size must be positive")
         self.omega = omega
         self.morsel_size = morsel_size
-        self.convert_threshold = convert_threshold
         self.strassen_overhead = strassen_overhead
         self.ranked_limit_cap = ranked_limit_cap
         self.stats = DispatchStats()
@@ -135,32 +119,6 @@ class KernelDispatcher:
         if output_hint is not None and 0 < output_hint <= limit:
             return False
         return True
-
-    # ------------------------------------------------------------------
-    # Mixed-backend resolution
-    # ------------------------------------------------------------------
-    def resolve_operands(
-        self, left: Relation, right: Relation
-    ) -> Tuple[Relation, Relation]:
-        """Align a mixed-backend operand pair on one representation.
-
-        When exactly one side is columnar and that side is large
-        (``convert_threshold``), the other side is converted so the pair
-        runs on the vectorized kernel; tiny pairs are left alone — the
-        generic row loop beats the encoding cost there.  Same-backend
-        pairs pass through untouched.
-        """
-        left_kind, right_kind = left.backend_kind, right.backend_kind
-        if left_kind == right_kind:
-            return left, right
-        columnar, other = (left, right) if left_kind == "columnar" else (right, left)
-        if len(columnar) < self.convert_threshold:
-            return left, right
-        converted = other.with_backend("columnar")
-        self.stats.conversions += 1
-        if columnar is left:
-            return left, converted
-        return converted, right
 
     # ------------------------------------------------------------------
     # Matrix-multiplication path

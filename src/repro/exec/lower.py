@@ -23,8 +23,8 @@ sinks over the query's free variables:
   adaptive 4-cycle split, Nešetřil–Poljak clique detection) expressed as
   IR DAGs rather than standalone engines.
 
-Lowerings that mirror an instrumented report (triangle, 4-cycle, ω-plans)
-also return *role* records pointing at the operators whose traces
+Lowerings that mirror an instrumented report (triangle, 4-cycle) also
+return *role* records pointing at the operators whose traces
 reconstruct the legacy diagnostics.
 
 Programs lowered here are *pure* in the relations they scan, which is
@@ -37,7 +37,7 @@ calibrated semijoin state of untouched subtrees is reused as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..core.plan import OmegaQueryPlan, PlanStep, StepMethod
@@ -398,48 +398,9 @@ def lower_yannakakis(
 # ----------------------------------------------------------------------
 # ω-query plans
 # ----------------------------------------------------------------------
-@dataclass
-class LoweredStep:
-    """One plan step and the operators that realize it."""
-
-    step: PlanStep
-    incident: Tuple[Operator, ...]
-    produced: Optional[Operator]
-    #: Operators created for this step (joins, the projection / MM node).
-    created: Tuple[Operator, ...] = ()
-
-
-def _collect_created(
-    produced: Operator, incident: Sequence[Operator]
-) -> Tuple[Operator, ...]:
-    """The operators of a step's subtree, excluding the pre-existing inputs."""
-    stop = set(incident)
-    seen: set = set()
-    created: List[Operator] = []
-
-    def visit(node: Operator) -> None:
-        if node in stop or node in seen:
-            return
-        seen.add(node)
-        for child in node.children:
-            visit(child)
-        created.append(node)
-
-    visit(produced)
-    return tuple(created)
-
-
-@dataclass
-class LoweredPlan:
-    """A lowered ω-query plan: the program plus per-step role records."""
-
-    program: Program
-    steps: List[LoweredStep] = field(default_factory=list)
-
-
 def lower_plan(
     query: ConjunctiveQuery, database: Optional[Database], plan: OmegaQueryPlan
-) -> LoweredPlan:
+) -> Program:
     """Lower an ω-query plan's elimination steps to the IR.
 
     Mirrors the elimination semantics of the legacy executor: each step
@@ -450,7 +411,6 @@ def lower_plan(
     happen here, statically, from the operator schemas.
     """
     nodes: List[Operator] = list(scan_atoms(query))
-    steps: List[LoweredStep] = []
     checks: List[Operator] = []
     for step in plan.steps:
         block = step.block
@@ -458,7 +418,6 @@ def lower_plan(
         others = [n for n in nodes if not (n.variables & block)]
         if not incident:
             # Variables mentioned by no remaining relation are unconstrained.
-            steps.append(LoweredStep(step=step, incident=(), produced=None))
             continue
         if step.method is StepMethod.FOR_LOOPS:
             joined = _fold_joins(incident, database)
@@ -467,14 +426,6 @@ def lower_plan(
         else:
             assert step.mm_term is not None
             produced = _lower_mm_step(incident, step, database)
-        steps.append(
-            LoweredStep(
-                step=step,
-                incident=tuple(incident),
-                produced=produced,
-                created=_collect_created(produced, incident),
-            )
-        )
         if produced.schema:
             nodes = others + [produced]
         else:
@@ -482,7 +433,7 @@ def lower_plan(
             checks.append(NonEmpty(produced))
     checks.extend(NonEmpty(n) for n in nodes)
     root: Operator = checks[0] if len(checks) == 1 else All_(tuple(checks))
-    return LoweredPlan(program=Program(root, source="omega-plan"), steps=steps)
+    return Program(root, source="omega-plan")
 
 
 def _lower_mm_step(

@@ -1036,7 +1036,6 @@ class _RunState:
             if left.is_empty():
                 return Relation(node.schema, (), backend=left.backend_kind), 0, extra
             right = self._relation(node.right)
-            left, right = self.dispatcher.resolve_operands(left, right)
             return left.join(right), len(left) + len(right), extra
 
         if isinstance(node, (Semijoin, Antijoin)):
@@ -1044,7 +1043,6 @@ class _RunState:
             if child.is_empty():
                 return child, 0, extra
             reducer = self._relation(node.reducer)
-            child, reducer = self.dispatcher.resolve_operands(child, reducer)
             reduced = (
                 child.antijoin(reducer)
                 if isinstance(node, Antijoin)

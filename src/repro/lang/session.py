@@ -144,7 +144,9 @@ class Session:
         base_dir: Optional[str] = None,
     ) -> None:
         if engine is None:
-            engine = QueryEngine(database if database is not None else Database())
+            engine = QueryEngine(
+                database if database is not None else Database(backend="columnar")
+            )
         self.engine = engine
         self.strategy = strategy
         self.base_dir = base_dir

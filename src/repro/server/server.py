@@ -102,7 +102,9 @@ class QueryServer:
         if max_queue_depth < 0:
             raise ValueError("max_queue_depth must be non-negative")
         if engine is None:
-            engine = QueryEngine(database if database is not None else Database())
+            engine = QueryEngine(
+                database if database is not None else Database(backend="columnar")
+            )
         self.engine = engine
         self.host = host
         self.port = port

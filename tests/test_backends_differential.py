@@ -17,7 +17,8 @@ import random
 import pytest
 
 from repro.api import QueryEngine
-from repro.db import Relation, available_backends, parse_query, random_database
+from repro.db import Relation, available_backends, backends, parse_query, random_database
+from repro.db.backends import ColumnarBackend
 
 BACKENDS = available_backends()
 
@@ -72,9 +73,19 @@ def test_all_strategies_agree_across_backends(shape, seed):
         assert all(answers.values())
 
 
-@pytest.mark.parametrize("seed", range(40))
-def test_operator_algebra_matches_reference_backend(seed):
+#: Every seed twice: as is, and with the composite-key limit so low that
+#: any key (5 values a column) is too wide for one int64 — the columnar
+#: operators then rank code rows jointly and must answer the same.
+ALGEBRA_CASES = [pytest.param(seed, None, id=str(seed)) for seed in range(40)] + [
+    pytest.param(seed, 4, id=f"{seed}-limit4") for seed in range(40)
+]
+
+
+@pytest.mark.parametrize("seed, composite_limit", ALGEBRA_CASES)
+def test_operator_algebra_matches_reference_backend(seed, composite_limit, monkeypatch):
     """Relation operators agree with SetBackend on random inputs."""
+    if composite_limit is not None:
+        monkeypatch.setattr(backends, "_COMPOSITE_LIMIT", composite_limit)
     rng = random.Random(seed)
     schema_a = ("X", "Y", "Z")[: rng.randint(1, 3)]
     overlap = rng.random() < 0.75
@@ -139,3 +150,88 @@ def test_operator_algebra_matches_reference_backend(seed):
     assert reference_a == columnar_a
     assert hash(reference_a) == hash(columnar_a)
     assert reference_a.stats.fingerprint() == columnar_a.stats.fingerprint()
+
+    rows_c = [tuple(rng.randint(0, 4) for _ in schema_a[:1]) for _ in range(4)]
+    reducers = [(schema_b, rows_b), (schema_a[:1], rows_c), (("Q",), [(0,)])]
+    many_ref = reference_a.semijoin_many(
+        Relation(schema, rows, backend="set") for schema, rows in reducers
+    )
+    many_col = columnar_a.semijoin_many(
+        Relation(schema, rows, backend="columnar") for schema, rows in reducers
+    )
+    assert many_ref.rows == many_col.rows
+    victims = rows_a[::2] + [tuple(9 for _ in schema_a)]
+    deleted_ref, removed_ref = reference_a.delete_rows(victims)
+    deleted_col, removed_col = columnar_a.delete_rows(victims)
+    assert deleted_ref.rows == deleted_col.rows
+    assert set(removed_ref) == set(removed_col) == set(rows_a[::2])
+    assert deleted_ref.semijoin(reference_b).rows == deleted_col.semijoin(columnar_b).rows
+
+    # Mixed-kind pairs, both orders: the right operand is converted, so the
+    # answer is the reference's and the kind is the left operand's.
+    binary = ["join", "semijoin", "antijoin"]
+    if set(schema_a) == set(schema_b):
+        binary += ["union", "intersect"]
+    for left, right in ((reference_a, columnar_b), (columnar_a, reference_b)):
+        for operator in binary:
+            mixed = getattr(left, operator)(right)
+            expected = getattr(reference_a, operator)(reference_b)
+            assert mixed.rows == expected.rows, operator
+            assert mixed.backend_kind == left.backend_kind, operator
+        mixed = left.semijoin_many([right, right])
+        assert mixed.rows == reference_a.semijoin(reference_b).rows
+        assert mixed.backend_kind == left.backend_kind
+
+
+def test_wide_keys_never_leave_the_code_domain(monkeypatch):
+    """Past the composite limit no columnar operator builds a Python row tuple."""
+    monkeypatch.setattr(backends, "_COMPOSITE_LIMIT", 4)
+    rng = random.Random(5)
+    rows_a = {tuple(rng.randrange(30) for _ in "XYZ") for _ in range(400)}
+    rows_b = {tuple(rng.randrange(30) for _ in "YZW") for _ in range(400)}
+    rows_c = {tuple(rng.randrange(30) for _ in "XYZ") for _ in range(400)}
+    a = Relation(("X", "Y", "Z"), rows_a, backend="columnar")
+    b = Relation(("Y", "Z", "W"), rows_b, backend="columnar")
+    c = Relation(("X", "Y", "Z"), rows_c, backend="columnar")
+    victims = sorted(rows_a)[::3]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a columnar operator materialised row tuples")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(ColumnarBackend, "iter_rows", forbidden)
+        patch.setattr(ColumnarBackend, "row_set", forbidden)
+        patch.setattr(ColumnarBackend, "from_rows", classmethod(forbidden))
+        results = {
+            "join": a.join(b),
+            "semijoin": a.semijoin(b),
+            "antijoin": a.antijoin(b),
+            "semijoin_many": a.semijoin_many([b, c]),
+            "intersect": a.intersect(c),
+            "union": a.union(c),
+            "project": a.project(["X", "Y"]),
+            "heavy": a.heavy_light_split(["X", "Y"], 1)[0],
+            "light": a.heavy_light_split(["X", "Y"], 1)[1],
+            "delete_rows": a.delete_rows(victims)[0],
+        }
+        sorted_positions = list(a.sorted_order(["Y", "Z"]))
+    ref_a, ref_b, ref_c = (r.with_backend("set") for r in (a, b, c))
+    expected = {
+        "join": ref_a.join(ref_b),
+        "semijoin": ref_a.semijoin(ref_b),
+        "antijoin": ref_a.antijoin(ref_b),
+        "semijoin_many": ref_a.semijoin_many([ref_b, ref_c]),
+        "intersect": ref_a.intersect(ref_c),
+        "union": ref_a.union(ref_c),
+        "project": ref_a.project(["X", "Y"]),
+        "heavy": ref_a.heavy_light_split(["X", "Y"], 1)[0],
+        "light": ref_a.heavy_light_split(["X", "Y"], 1)[1],
+        "delete_rows": ref_a.delete_rows(victims)[0],
+    }
+    for operator, relation in results.items():
+        assert relation.backend_kind == "columnar", operator
+        assert relation.rows == expected[operator].rows, operator
+    assert len(results["join"]) and len(results["heavy"]) and len(results["light"])
+    stored = list(a)
+    keys = [(stored[i][1], stored[i][2]) for i in sorted_positions]
+    assert keys == sorted(keys)

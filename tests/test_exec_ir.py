@@ -136,10 +136,10 @@ class TestLoweringEquivalence:
 
         db = triangle_instance(60, domain_size=14, seed=3, plant_triangle=True)
         plan = plan_query(TRIANGLE, db, OMEGA).plan
-        lowered = lower_plan(TRIANGLE, db, plan)
-        result = run_program(lowered.program, db)
+        program = lower_plan(TRIANGLE, db, plan)
+        result = run_program(program, db)
         assert result.answer == naive_boolean(TRIANGLE, db)
-        assert len(lowered.steps) == len(plan.steps)
+        assert program.source == "omega-plan"
 
 
 class TestOptimizer:
@@ -238,6 +238,7 @@ class TestVM:
             lambda: run_program(program, db, parallelism=2),
             lambda: KernelDispatcher(min_partition_rows=16),
             lambda: KernelDispatcher(max_morsel_output=16),
+            lambda: KernelDispatcher(convert_threshold=1),
         ):
             with pytest.raises(TypeError):
                 call()
@@ -381,13 +382,3 @@ class TestExplainRendersDag:
         assert result.program is not None
         scans = {n.relation for n in result.program.nodes() if n.kind() == "scan"}
         assert scans == {"A", "B", "C"}  # ... but the IR scans *its* relations
-
-
-class TestLegacyWrapperDeprecation:
-    def test_answer_boolean_query_warns(self):
-        from repro.core import answer_boolean_query
-
-        db = triangle_instance(30, domain_size=10, seed=0, plant_triangle=True)
-        with pytest.warns(DeprecationWarning, match="QueryEngine"):
-            report = answer_boolean_query(TRIANGLE, db, strategy="naive")
-        assert report.answer is True

@@ -234,6 +234,16 @@ class TestEnginePatching:
         assert result.row_count == base
         assert result.plan_source == "incremental"
 
+    def test_patch_delta_is_built_in_the_stored_kind(self):
+        # A binary operator answers in its left operand's kind: a set-backed
+        # delta on the left would convert every stored relation it meets.
+        for backend in BACKENDS:
+            engine = QueryEngine(make_database(backend))
+            engine.count(CHAIN_FULL)
+            engine.insert("S", [(2, 99)])
+            assert engine.count(CHAIN_FULL).plan_source == "incremental"
+            assert engine._patch_engine.database["S"].backend_kind == backend
+
     def test_count_bails_when_atom_variable_unbound(self):
         engine = QueryEngine(make_database())
         base = engine.count(CHAIN).row_count  # output (X, Z) hides Y

@@ -298,6 +298,8 @@ class TestSession:
         assert outcome.kind == "loaded"
         assert outcome.payload["rows"] == 2
         assert session.execute("EXISTS R(X, Y)").payload["answer"] is True
+        # The front door stores what every measured workload stores.
+        assert session.engine.database["R"].backend_kind == "columnar"
 
     def test_explain_does_not_execute(self):
         session = Session(triangle_db())

@@ -1,19 +1,17 @@
-"""Tests for ω-query plans, the executor, the planner and the engine."""
+"""Tests for ω-query plans, their execution, the planner and the engine."""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import QueryEngine, UnknownStrategyError
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.core import (
     OmegaQueryPlan,
-    PlanExecutor,
     PlanStep,
     StepMethod,
     all_for_loop_plan,
-    answer_boolean_query,
     candidate_orders,
-    compare_strategies,
     plan_for_order,
     plan_query,
 )
@@ -32,6 +30,13 @@ from repro.width import enumerate_mm_terms
 OMEGA = OMEGA_BEST_KNOWN
 TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 FOUR_CYCLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)")
+
+
+def run_plan(query, db, plan):
+    """Execute an explicit ω-query plan: the engine's ``exists`` with ``plan=``."""
+    return QueryEngine(db, omega=OMEGA, plan_cache_size=0).exists(
+        query, "omega", plan=plan
+    )
 
 
 def mm_step(hypergraph, block) -> PlanStep:
@@ -91,9 +96,9 @@ class TestExecutor:
     def test_for_loop_plan_matches_naive(self, seed):
         db = triangle_instance(70, domain_size=16, seed=seed, plant_triangle=(seed % 2 == 0))
         plan = all_for_loop_plan(triangle(), ["Y", "X", "Z"])
-        result = PlanExecutor(TRIANGLE, db).run(plan, OMEGA)
+        result = run_plan(TRIANGLE, db, plan)
         assert result.answer == naive_boolean(TRIANGLE, db)
-        assert result.steps  # a trace was recorded
+        assert result.execution.operators  # a trace was recorded
 
     @pytest.mark.parametrize("seed", range(6))
     def test_mm_plan_matches_naive(self, seed):
@@ -105,10 +110,11 @@ class TestExecutor:
         )
         plan = OmegaQueryPlan(hypergraph=triangle(), steps=steps)
         plan.validate()
-        result = PlanExecutor(TRIANGLE, db).run(plan, OMEGA)
+        result = run_plan(TRIANGLE, db, plan)
         assert result.answer == naive_boolean(TRIANGLE, db)
-        mm_traces = [t for t in result.steps if t.method is StepMethod.MATRIX_MULTIPLICATION]
-        assert mm_traces and mm_traces[0].group_count >= 0
+        mm_traces = [t for t in result.execution.operators if t.kind == "groupedmatmul"]
+        assert mm_traces and mm_traces[0].matrix_shape is not None
+        assert mm_traces[0].group_count >= 0
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_elimination_with_group_by(self, seed):
@@ -128,7 +134,7 @@ class TestExecutor:
             PlanStep(block=frozenset(["Z"]), method=StepMethod.FOR_LOOPS),
         )
         plan = OmegaQueryPlan(hypergraph=hypergraph, steps=steps)
-        result = PlanExecutor(FOUR_CYCLE, db).run(plan, OMEGA)
+        result = run_plan(FOUR_CYCLE, db, plan)
         assert result.answer == naive_boolean(FOUR_CYCLE, db)
 
     def test_empty_relation_gives_false(self):
@@ -140,7 +146,7 @@ class TestExecutor:
             }
         )
         plan = all_for_loop_plan(triangle(), ["X", "Y", "Z"])
-        assert not PlanExecutor(TRIANGLE, db).run(plan, OMEGA).answer
+        assert not run_plan(TRIANGLE, db, plan).answer
 
 
 class TestPlannerAndEngine:
@@ -171,37 +177,37 @@ class TestPlannerAndEngine:
             80, domain_size=18, seed=seed, plant_triangle=(seed % 2 == 0),
             skew="heavy" if seed % 2 else "uniform",
         )
-        reports = compare_strategies(TRIANGLE, db, omega=OMEGA)
+        reports = QueryEngine(db, omega=OMEGA).compare(TRIANGLE)
         assert len({r.answer for r in reports.values()}) == 1
 
     @pytest.mark.parametrize("seed", range(3))
     def test_engine_strategies_agree_on_four_cycle(self, seed):
         db = four_cycle_instance(60, domain_size=14, seed=seed, plant_cycle=(seed == 1))
-        reports = compare_strategies(FOUR_CYCLE, db, omega=OMEGA)
+        reports = QueryEngine(db, omega=OMEGA).compare(FOUR_CYCLE)
         assert len({r.answer for r in reports.values()}) == 1
 
     def test_engine_auto_uses_yannakakis_for_acyclic(self):
         q = parse_query("Q() :- R(X, Y), S(Y, Z)")
         db = random_database(q, 30, seed=3, plant_witness=True)
-        report = answer_boolean_query(q, db, strategy="auto")
+        report = QueryEngine(db).exists(q, "auto")
         assert report.strategy == "yannakakis"
         assert report.answer
 
     def test_engine_explicit_plan(self):
         db = triangle_instance(50, seed=4, plant_triangle=True)
         plan = all_for_loop_plan(triangle(), ["Z", "Y", "X"])
-        report = answer_boolean_query(TRIANGLE, db, plan=plan, omega=OMEGA)
+        report = run_plan(TRIANGLE, db, plan)
         assert report.strategy == "omega"
         assert report.answer
         assert report.execution is not None
 
     def test_engine_rejects_unknown_strategy(self):
         db = triangle_instance(10, seed=0)
-        with pytest.raises(ValueError):
-            answer_boolean_query(TRIANGLE, db, strategy="magic")
+        with pytest.raises(UnknownStrategyError):
+            QueryEngine(db).exists(TRIANGLE, "magic")
 
     def test_engine_report_describe(self):
         db = triangle_instance(40, seed=6, plant_triangle=True)
-        report = answer_boolean_query(TRIANGLE, db, strategy="omega", omega=OMEGA)
+        report = QueryEngine(db, omega=OMEGA).exists(TRIANGLE, "omega")
         text = report.describe()
         assert "strategy" in text and "answer" in text

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.db import Relation
+from repro.db import Relation, available_backends
 from repro.db.backends import ColumnarBackend
 
 
@@ -29,9 +29,12 @@ class TestBasics:
         assert (1, 2) in r
 
     def test_equality_is_schema_order_insensitive(self):
-        a = Relation(("X", "Y"), [(1, 2)])
-        b = Relation(("Y", "X"), [(2, 1)])
-        assert a == b
+        for backend in available_backends():
+            a = Relation(("X", "Y"), [(1, 2)], backend=backend)
+            b = Relation(("Y", "X"), [(2, 1)], backend=backend)
+            assert a == b
+            # Equal objects hash equal: a set keeps one of them.
+            assert hash(a) == hash(b) and len({a, b}) == 1
 
     def test_column_values_and_domain(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 2)])
