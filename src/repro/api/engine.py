@@ -385,9 +385,8 @@ class QueryEngine:
     dispatcher:
         Optional :class:`~repro.exec.dispatch.KernelDispatcher` overriding
         the adaptive kernel-choice policy (stream chunk size,
-        mixed-backend conversion threshold, Strassen-vs-BLAS overhead
-        factor).  By
-        default the engine builds one parameterised by its ω.
+        Strassen-vs-BLAS overhead factor).  By default the engine builds
+        one parameterised by its ω.
     incremental:
         When ``True`` (the default) the engine keeps a bounded store of
         whole-query ``exists``/``count`` answers and *patches* them under
@@ -468,8 +467,10 @@ class QueryEngine:
     def insert(self, relation: str, rows: Iterable[Sequence[object]]) -> int:
         """Insert ``rows`` into ``relation``; returns how many were new.
 
-        Delegates to :meth:`Database.insert`: the backend appends in O(Δ),
-        the exact delta lands in the relation's bounded log, and only that
+        Delegates to :meth:`Database.insert`: the backend appends in
+        O(|rows|) Python work plus a few memcpy-speed array passes (writers
+        serialise on the database lock, readers never block), the exact
+        delta lands in the relation's bounded log, and only that
         relation's version bumps — cached plans, cached subplan results
         and stored whole-query answers for queries that never read
         ``relation`` all survive.  Subsequent ``exists``/``count`` asks of

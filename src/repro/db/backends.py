@@ -33,19 +33,28 @@ re-scanning relations on every candidate order.
 
 **Mutation kernels.**  Both backends support :meth:`append_rows` and
 :meth:`delete_rows` — the primitives behind the database's delta-based
-``insert``/``delete`` path.  Appends extend the dictionary encoding (new
-values mint an *extended* dictionary rather than mutating the shared one,
-so composite-key strides cached by other relations stay valid) and seed
-the new backend's statistics incrementally: the row set, per-column
-distinct indexes and the stats fingerprint are adjusted in O(Δ) instead
-of recomputed, and cached max-degree entries become sound upper bounds
-(``old + |Δ|``).  Deletes are tombstone kernels: the surviving backend
-carries a Boolean tombstone mask and compacts **lazily** on first kernel
-access, so a delete whose relation is never probed again costs only the
-membership scan.  Caches whose values feed *answers* (``ndistinct``,
-order/probe/sjprobe structures) are never seeded — they rebuild lazily —
-while the answer-exact ones (``row_set``, ``distinct``) are patched in
-place.
+``insert``/``delete`` path.  A columnar write costs O(|Δ|) interpreter
+work plus a constant number of memcpy-speed NumPy passes over the code
+arrays, under three rules.  *Handover:* set semantics are decided on a
+private set of code tuples (:meth:`ColumnarBackend._take_write_index`)
+that a write pops from its predecessor, updates per row and gives to its
+successor — never copied, never shared.  *Fork:* a version written a
+second time (somebody kept a stale snapshot) finds no index and rebuilds
+it from its own code columns, so both branches stay correct.  *Lineage:*
+a column that gains no value keeps its dictionary; one that does mints an
+*extended* dictionary rather than mutating the shared one (composite-key
+strides cached by other relations stay valid), which takes over the
+parent's value → code index and translation tables, so the next probe
+patches a table for the values gained instead of rebuilding it
+(:class:`_Dictionary`).  Deletes are tombstone kernels: the surviving
+backend carries a Boolean tombstone mask and compacts **lazily** on first
+kernel access.  Seeded on the successor: the write index, per-column
+distinct codes (exact under appends) and the max-degree entries (sound
+upper bounds, ``old + |Δ|``).  Never seeded: the public ``row_set`` and
+``distinct`` value sets (frozensets: a copy per write) and the caches
+whose values feed *answers* (``ndistinct``, order/probe/sjprobe
+structures) — they rebuild on first use.  The set backend copies its frozenset per write: it is the
+reference, not the fast path.
 """
 
 from __future__ import annotations
@@ -722,9 +731,16 @@ class _Dictionary:
     object, so the lazily built value → code hash index and the
     cross-dictionary translation tables are built once and visible to all
     of them — including columns created before the index existed.
+
+    Dictionaries grow as a *lineage* (:meth:`extended`): successive
+    versions share one index and one lineage token, each version being
+    the prefix ``[0, len(values))`` of the newest.  The shared index may
+    thus hold codes of later versions; reads go through :meth:`lookup`,
+    which reports those as absent (composite-key strides would alias an
+    out-of-range code onto another row).
     """
 
-    __slots__ = ("values", "_index", "_xlate", "_order_ranks")
+    __slots__ = ("values", "_index", "_xlate", "_order_ranks", "_lineage")
 
     def __init__(
         self, values: np.ndarray, index: Optional[Dict[Value, int]] = None
@@ -732,17 +748,55 @@ class _Dictionary:
         self.values = values
         self._index = index
         self._order_ranks: Optional[np.ndarray] = None
-        #: id(other dictionary) → (table, other dictionary).  The entry
-        #: pins the other dictionary so its id stays valid; dictionaries
-        #: of live relations reference each other for as long as both
-        #: exist, which is exactly the lifetime the cache is useful for.
-        self._xlate: Dict[int, Tuple[np.ndarray, "_Dictionary"]] = {}
+        #: The lineage token, shared by every version: a one-element list
+        #: holding the newest version's size.  ``pop`` is the atomic claim
+        #: that lets exactly one writer at a time extend the lineage.
+        self._lineage: List[int] = [len(values)]
+        #: id(other lineage token) → (table, own size it was built for,
+        #: other dictionary it was built for).  The entry pins the other
+        #: dictionary (hence its token) so the id stays valid.
+        self._xlate: Dict[int, Tuple[np.ndarray, int, "_Dictionary"]] = {}
 
     @property
     def index(self) -> Dict[Value, int]:
         if self._index is None:
-            self._index = {value: code for code, value in enumerate(self.values)}
+            self._index = self._build_index()
         return self._index
+
+    def _build_index(self) -> Dict[Value, int]:
+        return {value: code for code, value in enumerate(self.values)}
+
+    def lookup(self, value: Value) -> Optional[int]:
+        """The code of ``value`` in *this* version, ``None`` when absent."""
+        code = self.index.get(value)
+        return code if code is not None and code < len(self.values) else None
+
+    def extended(self, extension: List[Value]) -> "_Dictionary":
+        """The successor version holding ``extension`` (absent here) as well.
+
+        Never mutates this version: other backends share it, and their
+        composite-key caches bake its size into their strides.  The newest
+        version of a lineage hands its index and translation tables on in
+        O(|extension|); any other one (a fork) starts a new lineage whose
+        index rebuilds lazily.
+        """
+        size = len(self.values)
+        values = np.empty(size + len(extension), dtype=object)
+        values[:size] = self.values
+        values[size:] = extension
+        try:
+            newest = self._lineage.pop()
+        except IndexError:  # another writer is extending the lineage now
+            return _Dictionary(values)
+        if newest != size:
+            self._lineage.append(newest)
+            return _Dictionary(values)
+        index = self.index
+        index.update(zip(extension, range(size, len(values))))
+        heir = _Dictionary(values, index)
+        heir._lineage, heir._xlate = self._lineage, dict(self._xlate)
+        self._lineage.append(len(values))
+        return heir
 
     @property
     def order_ranks(self) -> np.ndarray:
@@ -769,33 +823,65 @@ class _Dictionary:
     def translate_from(self, other: "_Dictionary") -> np.ndarray:
         """A table mapping the other dictionary's codes into this one.
 
-        Values unknown here map to ``-1``.  Cached per dictionary *pair*,
-        so repeated probes between the same two relations (Yannakakis
-        passes, ``ask_many`` batches, enumeration chunks) build it once.
+        Values unknown here map to ``-1``.  Cached per *lineage* pair, so
+        repeated probes between the same two relations (Yannakakis
+        passes, ``ask_many`` batches, enumeration chunks) build it once,
+        and after a write only the values either side gained since are
+        looked up — on a copy: readers may still hold the cached table.
         """
         if other is self:
             table = np.arange(len(self.values), dtype=np.int64)
             return table
-        entry = self._xlate.get(id(other))
-        if entry is None or entry[1] is not other:
-            own_index = self.index
-            table = np.fromiter(
-                (own_index.get(value, -1) for value in other.values),
-                dtype=np.int64,
-                count=len(other.values),
+        key = id(other._lineage)
+        size = len(self.values)
+        entry = self._xlate.get(key)
+        if entry is not None and entry[2] is other and entry[1] == size:
+            return entry[0]
+        if entry is None or len(entry[0]) > len(other.values):
+            table = self._build_table(other)
+        else:
+            # Entries come from this version or its ancestors and ``other``
+            # is a successor of the one they were built for: extend by its
+            # new codes, then enter the codes this side gained.
+            found = [self.lookup(value) for value in other.values[len(entry[0]):]]
+            table = np.concatenate(
+                (entry[0], np.array([-1 if c is None else c for c in found], dtype=np.int64))
             )
-            entry = (table, other)
-            self._xlate[id(other)] = entry
-            # Bound the table count: a process-long dictionary (stored
-            # relation) probed by many distinct partners must not pin
-            # them all forever.  Evict over a snapshot with pop(...,
-            # None) — concurrent workers may race this loop (see
-            # _put_bounded's thread contract).
-            overflow = len(self._xlate) - _FAMILY_CACHE_LIMIT
-            if overflow > 0:
-                for stale in list(self._xlate)[:overflow]:
-                    self._xlate.pop(stale, None)
-        return entry[0]
+            for code in range(entry[1], size):
+                theirs = other.lookup(self.values[code])
+                if theirs is not None:
+                    table[theirs] = code
+        self._xlate[key] = (table, size, other)
+        # Bound the table count: a process-long dictionary (stored
+        # relation) probed by many distinct partners must not pin them
+        # all forever.  Evict over a snapshot with pop(..., None) —
+        # concurrent workers may race this loop (see _put_bounded's
+        # thread contract).
+        overflow = len(self._xlate) - _FAMILY_CACHE_LIMIT
+        if overflow > 0:
+            for stale in list(self._xlate)[:overflow]:
+                self._xlate.pop(stale, None)
+        return table
+
+    def _build_table(self, other: "_Dictionary") -> np.ndarray:
+        if other._index is not None and len(self.values) < len(other.values):
+            # The smaller side drives when the larger one is indexed already
+            # (a one-row delta probing a stored relation it has never met):
+            # build the opposite table and invert it.
+            inverse = other._build_table(self)
+            table = np.full(len(other.values), -1, dtype=np.int64)
+            known = np.nonzero(inverse >= 0)[0]
+            table[inverse[known]] = known
+            return table
+        own_index = self.index
+        table = np.fromiter(
+            (own_index.get(value, -1) for value in other.values),
+            dtype=np.int64,
+            count=len(other.values),
+        )
+        if len(own_index) > len(self.values):
+            table[table >= len(self.values)] = -1  # codes of later versions
+        return table
 
 
 class _Column:
@@ -1024,130 +1110,141 @@ class ColumnarBackend(RelationBackend):
         return ColumnarBackend(self.schema, columns, count)
 
     # -- mutation kernels -------------------------------------------------
-    def append_rows(self, rows):
+    def _checked_rows(self, rows: Iterable[Sequence[Value]]) -> List[Row]:
         width = len(self.schema)
-        existing = self.row_set()
-        added: List[Row] = []
-        seen = set()
-        for row in rows:
-            row_tuple = tuple(row)
+        checked = [tuple(row) for row in rows]
+        for row_tuple in checked:
             if len(row_tuple) != width:
                 raise ValueError(
                     f"row {row_tuple} does not match schema of width {width}"
                 )
-            if row_tuple in existing or row_tuple in seen:
-                continue
-            seen.add(row_tuple)
-            added.append(row_tuple)
-        if not added:
-            return self, ()
+        return checked
+
+    def _take_write_index(self) -> set:
+        """The stored rows as a set of code tuples, *taken* from this version.
+
+        Only the two write kernels touch it: a write pops it (one atomic
+        dict operation, so two writers never share it), updates it in
+        O(|Δ|) and gives it to its successor — or back, when nothing
+        changed.  A version written a second time (a fork from a stale
+        snapshot) finds none and rebuilds it from its own code columns.
+        """
+        index = self._cache.pop("write_index", None)
+        if index is None:
+            index = set(zip(*(column.codes.tolist() for column in self._columns)))
+        return index
+
+    def append_rows(self, rows):
+        incoming = self._checked_rows(rows)
         if not self.schema:
-            out = ColumnarBackend(self.schema, (), 1)
-            out._cache["row_set"] = frozenset([()])
-            return out, ((),)
+            if self._n or not incoming:
+                return self, ()
+            return ColumnarBackend(self.schema, (), 1), ((),)
         old_columns = self._columns
-        new_columns: List[_Column] = []
-        for position in range(width):
-            own = old_columns[position]
-            # The union() dictionary-extension idiom: never mutate the
-            # shared dictionary in place — other backends sharing it have
-            # composite-key caches whose strides bake in its current size.
-            index = dict(own.index)
-            extension: List[Value] = []
-            fresh = np.empty(len(added), dtype=np.int64)
-            for i, row_tuple in enumerate(added):
-                value = row_tuple[position]
-                code = index.get(value)
+        dictionaries = [column.dictionary for column in old_columns]
+        #: Per column, the values this write brings: value → its new code,
+        #: in input order.
+        minted: List[Dict[Value, int]] = [{} for _ in dictionaries]
+        stored = self._take_write_index()
+        added: List[Row] = []
+        added_codes: List[Tuple[int, ...]] = []
+        for row_tuple in incoming:
+            codes = []
+            for dictionary, fresh, value in zip(dictionaries, minted, row_tuple):
+                code = dictionary.lookup(value)
                 if code is None:
-                    code = len(index)
-                    index[value] = code
-                    extension.append(value)
-                fresh[i] = code
-            codes = np.concatenate([own.codes, fresh])
-            if extension:
-                values = np.empty(len(index), dtype=object)
-                values[: len(own.values)] = own.values
-                values[len(own.values):] = extension
-                column = _Column(codes, values, index)
-            else:
-                column = _Column(codes, own.dictionary)
+                    code = fresh.get(value)
+                    if code is None:
+                        code = fresh[value] = len(dictionary.values) + len(fresh)
+                codes.append(code)
+            key = tuple(codes)
+            if key not in stored:
+                stored.add(key)
+                added.append(row_tuple)
+                added_codes.append(key)
+        if not added:
+            self._cache["write_index"] = stored
+            return self, ()
+        fresh_codes = np.array(added_codes, dtype=np.int64)
+        new_columns: List[_Column] = []
+        for position, own in enumerate(old_columns):
+            fresh = fresh_codes[:, position]
+            # A column that gains no value keeps its dictionary (and every
+            # cache keyed on it) and copies nothing.
+            dictionary = own.dictionary
+            if minted[position]:
+                dictionary = dictionary.extended(list(minted[position]))
+            column = _Column(np.concatenate([own.codes, fresh]), dictionary)
             # Distinct codes stay exact under appends: old codes survive
             # unchanged (the extended dictionary is a superset) and the
-            # fresh codes are unioned in — O(Δ + |distinct|), not O(n).
+            # fresh codes are merged into the sorted array — a stable sort
+            # of nearly sorted input, not np.union1d's hash of all of it.
             if own._distinct_codes is not None:
-                column._distinct_codes = np.union1d(own._distinct_codes, fresh)
+                merged = np.concatenate((own._distinct_codes, fresh))
+                merged.sort(kind="stable")
+                column._distinct_codes = merged[np.append(True, merged[1:] != merged[:-1])]
             new_columns.append(column)
         out = ColumnarBackend(self.schema, new_columns, self._n + len(added))
-        out._cache["row_set"] = existing | seen
-        for key, value in self._cache.items():
-            if isinstance(key, tuple) and key and key[0] == "distinct":
-                out._cache[key] = value | frozenset(r[key[1]] for r in added)
-            elif isinstance(key, tuple) and key and key[0] == "degree":
+        out._cache["write_index"] = stored
+        for key, value in list(self._cache.items()):
+            if isinstance(key, tuple) and key and key[0] == "degree":
                 # A group key gains at most |added| distinct targets: keep
                 # the entry as a sound upper bound for the cost model.
                 out._cache[key] = value + len(added)
         return out, tuple(added)
 
     def delete_rows(self, rows):
-        width = len(self.schema)
-        candidates: List[Tuple[int, ...]] = []
-        seen_keys = set()
-        for row in rows:
-            row_tuple = tuple(row)
-            if len(row_tuple) != width:
-                raise ValueError(
-                    f"row {row_tuple} does not match schema of width {width}"
-                )
-            codes = tuple(
-                self.lookup_code(position, value)
-                for position, value in enumerate(row_tuple)
-            )
-            # A value missing from a dictionary can't be stored here.
-            if any(code is None for code in codes) or codes in seen_keys:
-                continue
-            seen_keys.add(codes)
-            candidates.append(codes)
-        if not candidates or self._n == 0:
-            return self, ()
+        incoming = self._checked_rows(rows)
         if not self.schema:
-            out = ColumnarBackend(self.schema, (), 0)
-            out._cache["row_set"] = frozenset()
-            return out, ((),)
+            if not self._n or not incoming:
+                return self, ()
+            return ColumnarBackend(self.schema, (), 0), ((),)
         columns = self._columns
-        positions = tuple(range(width))
-        victims = ColumnarBackend(
-            self.schema,
-            [
-                column.with_codes(np.asarray([c[p] for c in candidates], dtype=np.int64))
-                for p, column in enumerate(columns)
-            ],
-            len(candidates),
-        )
-        row_keys, target_keys = self._shared_keys(positions, victims, positions)
-        mask = np.isin(row_keys, target_keys)
-        removed = [
-            tuple(columns[p].values[c[p]] for p in positions)
-            for c, present in zip(candidates, np.isin(target_keys, row_keys))
-            if present
-        ]
-        count = int(mask.sum())
-        if not count:
+        stored = self._take_write_index()
+        victims: List[Tuple[int, ...]] = []
+        for row_tuple in incoming:
+            # A value missing from a dictionary has no code, and a key
+            # holding None is in no stored row.
+            key = tuple(self.lookup_code(p, value) for p, value in enumerate(row_tuple))
+            if key in stored:
+                stored.discard(key)
+                victims.append(key)
+        if not victims:
+            self._cache["write_index"] = stored
             return self, ()
+        positions = tuple(range(len(columns)))
+        victim_codes = np.array(victims, dtype=np.int64)
+        targets = ColumnarBackend(
+            self.schema,
+            [column.with_codes(victim_codes[:, p]) for p, column in enumerate(columns)],
+            len(victims),
+        )
+        row_keys, target_keys = self._shared_keys(positions, targets, positions)
         # Tombstone, don't gather: the new backend shares the stored code
         # arrays and compacts lazily on first kernel access (_columns).
         out = ColumnarBackend(
-            self.schema, columns, self._n - count, tombstones=mask
+            self.schema,
+            columns,
+            self._n - len(victims),
+            tombstones=np.isin(row_keys, target_keys),
         )
-        cached_rows = self._cache.get("row_set")
-        if cached_rows is not None:
-            out._cache["row_set"] = cached_rows - frozenset(removed)
-        for key, value in self._cache.items():
+        out._cache["write_index"] = stored
+        for key, value in list(self._cache.items()):
             if isinstance(key, tuple) and key and key[0] == "degree":
                 out._cache[key] = value  # still a sound upper bound
-        return out, tuple(removed)
+        removed = tuple(
+            tuple(column.values[code] for column, code in zip(columns, key))
+            for key in victims
+        )
+        return out, removed
 
     def with_fresh_statistics(self) -> "ColumnarBackend":
-        return ColumnarBackend(self.schema, self._columns, self._n)
+        out = ColumnarBackend(self.schema, self._columns, self._n)
+        # Answer-exact, not a statistic: the write index moves on.
+        stored = self._cache.pop("write_index", None)
+        if stored is not None:
+            out._cache["write_index"] = stored
+        return out
 
     # -- statistics -----------------------------------------------------
     def distinct_count(self, position: int) -> int:
@@ -1265,7 +1362,7 @@ class ColumnarBackend(RelationBackend):
 
     def lookup_code(self, position: int, value: Value) -> Optional[int]:
         """The dictionary code of one value (the per-variable hash index)."""
-        return self._columns[position].index.get(value)
+        return self._columns[position].dictionary.lookup(value)
 
     def _shared_keys(
         self,
@@ -1382,8 +1479,8 @@ class ColumnarBackend(RelationBackend):
 
     def restrict(self, position: int, values: Iterable[Value]) -> "ColumnarBackend":
         """Rows whose ``position`` value lies in ``values`` (index probe)."""
-        index = self._columns[position].index
-        wanted = [index[v] for v in values if v in index]
+        lookup = self._columns[position].dictionary.lookup
+        wanted = [code for code in map(lookup, values) if code is not None]
         if not wanted:
             return self.take(np.empty(0, dtype=np.int64))
         mask = np.isin(self._columns[position].codes, np.asarray(wanted, dtype=np.int64))
@@ -1588,26 +1685,20 @@ class ColumnarBackend(RelationBackend):
         for position, other_position in enumerate(other_positions):
             own = self._columns[position]
             other_column = other._columns[other_position]
-            index = dict(own.index)
-            extension: List[Value] = []
-            table = np.empty(len(other_column.values), dtype=np.int64)
-            for code, value in enumerate(other_column.values):
-                mapped = index.get(value)
-                if mapped is None:
-                    mapped = len(index)
-                    index[value] = mapped
-                    extension.append(value)
-                table[code] = mapped
+            table = own.dictionary.translate_from(other_column.dictionary)
+            missing = np.nonzero(table < 0)[0]
+            dictionary = own.dictionary
+            if len(missing):
+                # A private extension: never mutate the shared dictionary
+                # (strides cached elsewhere bake in its size), and leave
+                # its lineage to the relation's own writes.
+                table = table.copy()
+                table[missing] = len(own.values) + np.arange(len(missing))
+                dictionary = _Dictionary(
+                    np.concatenate((own.values, other_column.values[missing]))
+                )
             codes = np.concatenate([own.codes, table[other_column.codes]])
-            if extension:
-                values = np.empty(len(index), dtype=object)
-                values[: len(own.values)] = own.values
-                values[len(own.values):] = extension
-                columns.append(_Column(codes, values, index))
-            else:
-                # No new values: keep sharing the existing dictionary (and
-                # its caches) instead of minting an identical one.
-                columns.append(_Column(codes, own.dictionary))
+            columns.append(_Column(codes, dictionary))
         if not columns:
             return ColumnarBackend(self.schema, (), 1 if (self._n or len(other)) else 0)
         return ColumnarBackend._from_encoded(self.schema, columns)

@@ -13,7 +13,8 @@ drift — so a thousand single-tuple inserts reuse one cached plan instead of
 re-planning a thousand times.
 
 **Delta log.**  :meth:`insert` / :meth:`delete` route through the storage
-backends' append/tombstone kernels (O(Δ) instead of a full re-encode) and
+backends' append/tombstone kernels (columnar: O(|Δ|) Python work plus a few
+memcpy-speed passes over the code arrays, no re-encode) and
 append the *exact* delta — only the rows that genuinely changed under set
 semantics — to a bounded per-relation log.  Consumers that cached a result
 at version ``v`` call :meth:`deltas_since` to obtain the contiguous batch
@@ -28,6 +29,7 @@ log clears — worst-case behavior is exactly the old full invalidation.
 from __future__ import annotations
 
 import itertools
+import threading
 from typing import (
     Dict,
     Hashable,
@@ -94,17 +96,21 @@ class Database:
         delta_threshold_rows: int = 512,
         delta_threshold_fraction: float = 0.05,
     ):
-        self._relations: Dict[str, Relation] = {}
+        self._relations: Dict[str, Relation] = {}  # guarded-by: _lock
         self._version = 0
         self._uid = next(_DB_UIDS)
         # Per-relation counters survive delete + re-add (entries are never
         # removed), so a stale fingerprint can never collide with a fresh
         # relation that happens to reuse the name.
-        self._versions: Dict[str, int] = {}
-        self._epochs: Dict[str, int] = {}
-        self._deltas: Dict[str, List[DeltaEntry]] = {}
-        self._delta_base: Dict[str, int] = {}
-        self._pending_rows: Dict[str, int] = {}
+        self._versions: Dict[str, int] = {}  # guarded-by: _lock
+        self._epochs: Dict[str, int] = {}  # guarded-by: _lock
+        self._deltas: Dict[str, List[DeltaEntry]] = {}  # guarded-by: _lock
+        self._delta_base: Dict[str, int] = {}  # guarded-by: _lock
+        self._pending_rows: Dict[str, int] = {}  # guarded-by: _lock
+        #: Serialises writers (each one a read-modify-write of the maps
+        #: above).  Readers take no lock: single dict reads are atomic and
+        #: the relations they return are immutable.
+        self._lock = threading.RLock()
         self.delta_log_limit = int(delta_log_limit)
         self.delta_threshold_rows = int(delta_threshold_rows)
         self.delta_threshold_fraction = float(delta_threshold_fraction)
@@ -143,16 +149,18 @@ class Database:
     def __setitem__(self, name: str, relation: Relation) -> None:
         if not isinstance(relation, Relation):
             raise TypeError("databases store Relation objects")
-        self._replace(name, relation.with_backend(self.backend).with_name(name))
+        with self._lock:
+            self._replace(name, relation.with_backend(self.backend).with_name(name))
 
     def __delitem__(self, name: str) -> None:
-        if name not in self._relations:
-            known = ", ".join(sorted(self._relations))
-            raise KeyError(f"no relation {name!r}; known relations: {known}")
-        del self._relations[name]
-        self._bump_version(name)
-        self._bump_epoch(name)
-        self._clear_deltas(name)
+        with self._lock:
+            if name not in self._relations:
+                known = ", ".join(sorted(self._relations))
+                raise KeyError(f"no relation {name!r}; known relations: {known}")
+            del self._relations[name]
+            self._bump_version(name)
+            self._bump_epoch(name)
+            self._clear_deltas(name)
 
     def __getitem__(self, name: str) -> Relation:
         try:
@@ -179,36 +187,38 @@ class Database:
     def insert(self, name: str, rows: Iterable[Sequence[Value]]) -> int:
         """Insert ``rows`` into relation ``name``; returns how many were new.
 
-        Routes through the backend's ``append_rows`` kernel (dictionary
-        extension + O(Δ) statistics seeding, no re-encode of existing
-        data), logs the exact delta, and bumps only this relation's
-        version — cached work for queries that never read ``name``
-        survives untouched.  Inserting rows that are already present is a
-        no-op (set semantics): nothing is logged and no cache is
-        invalidated.  Raises :class:`KeyError` when the relation does not
-        exist.
+        Routes through the backend's ``append_rows`` kernel — on the
+        columnar backend O(|rows|) interpreter work plus a constant number
+        of memcpy-speed passes over the code arrays: membership on a
+        handed-over index, dictionaries extended rather than copied, no
+        re-encode — logs the exact delta, and bumps only this relation's
+        version: cached work for queries that never read ``name`` survives
+        untouched.  Inserting rows that are already present is a no-op
+        (set semantics): nothing is logged and no cache is invalidated.
+        Writers serialise on the database lock; readers never block (they
+        hold immutable relations).  Raises :class:`KeyError` when the
+        relation does not exist.
         """
-        relation = self[name]  # KeyError with the known-relations hint
-        updated, added = relation.insert_rows(rows)
-        if not added:
-            return 0
-        self._apply_delta(name, updated, "insert", added)
-        return len(added)
+        with self._lock:
+            updated, added = self[name].insert_rows(rows)
+            if added:
+                self._apply_delta(name, updated, "insert", added)
+            return len(added)
 
     def delete(self, name: str, rows: Iterable[Sequence[Value]]) -> int:
         """Delete ``rows`` from relation ``name``; returns how many existed.
 
-        The columnar backend tombstones the victims and compacts lazily;
-        only the rows actually present are logged as the delta.  Deleting
-        absent rows is a no-op.  Raises :class:`KeyError` when the
-        relation does not exist.
+        Costs what an insert costs: the columnar backend finds the victims
+        in the same handed-over index, tombstones them with one vectorized
+        pass and compacts lazily; only the rows actually present are
+        logged as the delta.  Deleting absent rows is a no-op.  Raises
+        :class:`KeyError` when the relation does not exist.
         """
-        relation = self[name]
-        updated, removed = relation.delete_rows(rows)
-        if not removed:
-            return 0
-        self._apply_delta(name, updated, "delete", removed)
-        return len(removed)
+        with self._lock:
+            updated, removed = self[name].delete_rows(rows)
+            if removed:
+                self._apply_delta(name, updated, "delete", removed)
+            return len(removed)
 
     def _apply_delta(
         self, name: str, relation: Relation, kind: str, rows: Tuple[Row, ...]
@@ -342,23 +352,24 @@ class Database:
         """
         items = list(tables.items() if isinstance(tables, Mapping) else tables)
         items.extend(named.items())
-        version_before = self._version
-        for name, spec in items:
-            if not isinstance(spec, Relation):
-                if isinstance(spec, (str, bytes)) or not isinstance(
-                    spec, (tuple, list)
-                ) or len(spec) != 2:
-                    raise TypeError(
-                        "bulk_load values must be Relation objects or "
-                        f"(schema, rows) pairs; got {spec!r} for {name!r}"
-                    )
-                schema, rows = spec
-                # Build directly in the target backend (one encode, no
-                # intermediate row-store materialization).
-                spec = Relation(schema, rows, backend=self.backend)
-            self._replace(name, spec.with_backend(self.backend).with_name(name))
-        if items:
-            self._version = version_before + 1
+        with self._lock:
+            version_before = self._version
+            for name, spec in items:
+                if not isinstance(spec, Relation):
+                    if isinstance(spec, (str, bytes)) or not isinstance(
+                        spec, (tuple, list)
+                    ) or len(spec) != 2:
+                        raise TypeError(
+                            "bulk_load values must be Relation objects or "
+                            f"(schema, rows) pairs; got {spec!r} for {name!r}"
+                        )
+                    schema, rows = spec
+                    # Build directly in the target backend (one encode, no
+                    # intermediate row-store materialization).
+                    spec = Relation(schema, rows, backend=self.backend)
+                self._replace(name, spec.with_backend(self.backend).with_name(name))
+            if items:
+                self._version = version_before + 1
         return self
 
     def load_csv(
@@ -394,14 +405,15 @@ class Database:
         """
         if backend is not None:
             resolve_backend(backend)  # validate before adopting the name
-        self.backend = backend
-        converted = {
-            name: relation.with_backend(backend)
-            for name, relation in self._relations.items()
-        }
-        for name in converted:
-            if converted[name] is not self._relations[name]:
-                self._replace(name, converted[name])
+        with self._lock:
+            self.backend = backend
+            converted = {
+                name: relation.with_backend(backend)
+                for name, relation in self._relations.items()
+            }
+            for name in converted:
+                if converted[name] is not self._relations[name]:
+                    self._replace(name, converted[name])
         return self
 
     # ------------------------------------------------------------------

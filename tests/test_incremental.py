@@ -20,6 +20,8 @@ Four layers, from storage up:
 from __future__ import annotations
 
 import random
+import sys
+import threading
 
 import pytest
 
@@ -186,6 +188,73 @@ class TestDatabaseDeltas:
         assert db.fingerprint_for(["R", "S"]) == fp_rs  # untouched pair
         db.insert("R", [(7, 8)])
         assert db.fingerprint_for(["R", "S"]) != fp_rs
+
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_concurrent_writers_lose_no_update(self, backend):
+        # insert is a read-modify-write of the stored relation: four server
+        # threads writing one relation must serialise on the database lock,
+        # while readers (who take no lock) probe whatever version is current.
+        threads, per_thread, stored = 4, 200, 5000
+        db = Database(backend=backend, delta_log_limit=10**4, delta_threshold_rows=10**6)
+        db["R"] = Relation(SCHEMA, [(i, i + 1) for i in range(stored)], "R")
+        # Every written row brings a new value in both columns; the partner
+        # holds exactly the written b-values, so a consistent snapshot of n
+        # rows semijoins to n - stored of them.
+        written = [
+            [(-(t * per_thread + i) - 1, stored + 1 + t * per_thread + i) for i in range(per_thread)]
+            for t in range(threads)
+        ]
+        partner = Relation(
+            ("b", "c"), [(row[1], 0) for rows in written for row in rows], backend=backend
+        )
+        engine = QueryEngine(db)
+        base = db.relation_version("R")
+        failures = []
+        done = threading.Event()
+
+        def guarded(body, *args):
+            try:
+                body(*args)
+            except Exception as exc:  # surfaced below, never swallowed
+                failures.append(exc)
+
+        def writer(rows):
+            for row in rows:
+                assert engine.insert("R", [row]) == 1
+
+        def reader():
+            while not done.is_set():
+                snapshot = db["R"]
+                assert len(snapshot.semijoin(partner)) == len(snapshot) - stored
+
+        writers = [threading.Thread(target=guarded, args=(writer, rows)) for rows in written]
+        readers = [threading.Thread(target=guarded, args=(reader,)) for _ in range(2)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for worker in writers + readers:
+                worker.start()
+            for worker in writers:
+                worker.join(timeout=120)
+            done.set()
+            for worker in readers:
+                worker.join(timeout=120)
+        finally:
+            done.set()
+            sys.setswitchinterval(interval)
+        assert not any(worker.is_alive() for worker in writers + readers)
+        assert not failures, failures
+        expected = sorted(row for rows in written for row in rows)
+        assert len(db["R"]) == stored + len(expected)
+        assert set(expected) <= db["R"].rows
+        # Every delta is logged exactly once, under contiguous versions.
+        assert db.relation_version("R") == base + len(expected)
+        assert [v for v, _, _ in db._deltas["R"]] == list(
+            range(base + 1, base + len(expected) + 1)
+        )
+        replay = db.deltas_since("R", base)
+        assert all(kind == "insert" and len(rows) == 1 for kind, rows in replay)
+        assert sorted(rows[0] for _, rows in replay) == expected
 
 
 # ----------------------------------------------------------------------
