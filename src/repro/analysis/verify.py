@@ -429,7 +429,8 @@ def check_cache_keys(program: Program, ctx: _Context) -> Iterator[Violation]:
 # Pass 6: verb/sink agreement
 # ----------------------------------------------------------------------
 def check_verb_sink(program: Program, ctx: _Context) -> Iterator[Violation]:
-    """The root's kind must match the verb the program was lowered for."""
+    """The root's kind must match the verb the program was lowered for, and
+    a tree-form :class:`Count` must output every variable of its tree."""
     if ctx.verb is None:
         return
     root = program.root
@@ -448,6 +449,11 @@ def check_verb_sink(program: Program, ctx: _Context) -> Iterator[Violation]:
     for sink in (root, *root.children[:1]):
         if isinstance(sink, (Count, Distinct)):
             yield from _lost_outputs(ctx, sink, "verb-sink")
+    if isinstance(root, Count) and root.frontiers:
+        # Join tuples are distinct outputs only under a head of every tree variable.
+        missing = sorted({v for n in root.children for v in n.schema} - set(root.variables_out))
+        if missing:
+            yield ctx.at(root, "verb-sink", f"count by multiplicities drops tree variables {missing}")
 
 
 #: The pipeline, in execution order.  Each pass is ``(program, context)

@@ -166,6 +166,12 @@ class IncrementalEntry:
     db_uid: int
 
 
+#: Why an ask ran in full: no stored answer (or another database's), a log
+#: no longer reaching back to it, deltas on several relations (count), a
+#: mutated atom with a variable outside the head (count), no rule at all.
+FALLBACK_REASONS = ("no_entry", "truncated_log", "multi_relation", "unpinned_head", "no_rule")
+
+
 class IncrementalResultStore:
     """A bounded LRU of whole-query answers for delta patching.
 
@@ -186,6 +192,7 @@ class IncrementalResultStore:
         self._reused = 0
         self._stored = 0
         self._dropped = 0
+        self._fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
 
     @property
     def enabled(self) -> bool:
@@ -227,6 +234,11 @@ class IncrementalResultStore:
         with self._lock:
             self._reused += 1
 
+    def record_fallback(self, reason: str) -> None:
+        """An ask the store could not answer, for one of :data:`FALLBACK_REASONS`."""
+        with self._lock:
+            self._fallbacks[reason] += 1
+
     def clear(self) -> None:
         with self._lock:
             self._entries.clear()
@@ -241,4 +253,5 @@ class IncrementalResultStore:
                 "patched": self._patched,
                 "reused": self._reused,
                 "dropped": self._dropped,
+                **{f"fallback_{k}": v for k, v in self._fallbacks.items()},
             }

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import os
 import time
-from collections import Counter
 from dataclasses import dataclass, field
 from typing import Dict, Hashable, Iterable, List, NoReturn, Optional, Sequence, Tuple
 
@@ -487,7 +486,8 @@ class QueryEngine:
         return self.database.delete(relation, rows)
 
     def incremental_info(self) -> Dict[str, int]:
-        """Counters of the incremental answer store (stored/patched/dropped)."""
+        """Incremental-store counters: stored / patched / reused / dropped,
+        and ``fallback_<reason>`` per :data:`~repro.api.cache.FALLBACK_REASONS`."""
         return self._incremental_store.stats()
 
     # ------------------------------------------------------------------
@@ -1226,11 +1226,12 @@ class QueryEngine:
         stored answer is returned as-is, O(1)) or a sound patch rule
         applies to the logged deltas; ``None`` falls through to full
         evaluation — no stored entry, a truncated delta log (entry
-        dropped), or deltas violating a rule's soundness conditions.
+        dropped), or deltas violating a rule's soundness conditions — and
+        counts the fallback under its reason (:meth:`_fallback`).
         """
         entry = self._incremental_store.get(key)
         if entry is None or entry.db_uid != self.database.uid:
-            return None
+            return self._fallback("no_entry")
         names = {atom.relation for atom in query.atoms}
         deltas: Dict[str, Tuple] = {}
         for name in sorted(names):
@@ -1240,7 +1241,7 @@ class QueryEngine:
             )
             if replay is None:
                 self._incremental_store.drop(key)
-                return None
+                return self._fallback("truncated_log")
             if replay:
                 deltas[name] = replay
         if not deltas:
@@ -1302,9 +1303,8 @@ class QueryEngine:
         must use at least one inserted tuple, so ``Q(old ∪ Δ) = ∨_R
         Q[R := Δ_R, others := current]`` — each disjunct a query with one
         tiny relation.  That decomposition replaces *relations*, not
-        atoms, so it is only sound when each mutated relation feeds a
-        single atom (a self-join could pair a delta tuple in one atom
-        with an old tuple in another); otherwise we bail.
+        atoms; it is sound because a query's atoms name distinct relations
+        (:class:`~repro.db.query.ConjunctiveQuery` rejects self-joins).
         """
         kinds = {kind for replay in deltas.values() for kind, _ in replay}
         if entry.answer is True and kinds == {"insert"}:
@@ -1312,15 +1312,12 @@ class QueryEngine:
         if entry.answer is False and kinds == {"delete"}:
             return False
         if entry.answer is False and kinds == {"insert"}:
-            atom_counts = Counter(atom.relation for atom in query.atoms)
-            if any(atom_counts[name] != 1 for name in deltas):
-                return None
             for name, replay in deltas.items():
                 rows = [row for _, batch in replay for row in batch]
                 if self._patch_ask(query, "exists", name, rows).answer:
                     return True
             return False
-        return None
+        return self._fallback("no_rule")
 
     def _patch_count(
         self,
@@ -1332,31 +1329,31 @@ class QueryEngine:
 
         Delta counting needs every output tuple to pin the mutated
         relation's row, so contributions never collide: exactly one
-        relation mutated, feeding exactly one atom, and that atom's
-        variables all appear in the output head.  Then each logged batch
-        Δᵢ contributes ``±count(Q[R := Δᵢ, others := current])`` — the
-        batches replay chronologically, the backends log exact deltas
-        (set semantics), and the other relations are unchanged, so an
-        output tuple is added/removed exactly when its pinned R-row
-        appears/disappears.
+        relation mutated (it feeds one atom: atoms name distinct
+        relations), and that atom's variables all appear in the output
+        head.  The logged batches fold into one *net* delta
+        (:func:`_net_delta`; exact, as the log has set semantics), and an
+        output tuple is added/removed exactly when its pinned R-row is
+        net-inserted/-deleted: the count moves by ``count(Q[R := Δ⁺]) −
+        count(Q[R := Δ⁻])``, others current — at most two evaluations.
         """
         if len(deltas) != 1:
-            return None
+            return self._fallback("multi_relation")
         ((name, replay),) = deltas.items()
-        atoms = [atom for atom in query.atoms if atom.relation == name]
-        if len(atoms) != 1:
-            return None
-        if not set(atoms[0].variables) <= set(query.output_variables):
-            return None
+        (atom,) = [atom for atom in query.atoms if atom.relation == name]
+        if not set(atom.variables) <= set(query.output_variables):
+            return self._fallback("unpinned_head")
         count = int(entry.answer)
-        for kind, batch in replay:
-            contribution = self._patch_ask(
-                query, "count", name, list(batch)
-            ).row_count
-            if contribution is None:  # pragma: no cover - defensive
-                return None
-            count += contribution if kind == "insert" else -contribution
+        inserted, deleted = _net_delta(replay)
+        if inserted:
+            count += self._patch_ask(query, "count", name, inserted).row_count
+        if deleted:
+            count -= self._patch_ask(query, "count", name, deleted).row_count
         return count
+
+    def _fallback(self, reason: str) -> None:
+        """Count one store fallback under its reason; the ask runs in full."""
+        self._incremental_store.record_fallback(reason)
 
     def _ensure_patch_engine(self) -> "QueryEngine":
         if self._patch_engine is None:
@@ -1618,3 +1615,21 @@ class QueryEngine:
             f"strategies={self.registry.names()}, "
             f"cache={stats.size}/{stats.maxsize})"
         )
+
+
+def _net_delta(replay: Sequence[Tuple[str, Tuple]]) -> Tuple[List, List]:
+    """Fold chronological ``(kind, rows)`` batches into net ``(inserted, deleted)``.
+
+    The log has set semantics (a row is logged only when it changed), so a
+    row's kinds alternate: it is net-inserted when its first and last kinds
+    are both ``insert``, net-deleted when both are ``delete``, and cancels
+    otherwise.  Rows keep their first-logged order.
+    """
+    first: Dict = {}
+    last: Dict = {}
+    for kind, rows in replay:
+        for row in rows:
+            first.setdefault(row, kind)
+            last[row] = kind
+    net = [row for row, kind in first.items() if last[row] == kind]
+    return [r for r in net if first[r] == "insert"], [r for r in net if first[r] == "delete"]

@@ -120,6 +120,16 @@ def _put_bounded(cache: dict, key: tuple, value: object, limit: int) -> None:
     for stale in family_keys[: max(len(family_keys) - limit, 0)]:
         cache.pop(stale, None)
 
+
+_INT64_MAX = (1 << 63) - 1  #: the largest count a ``count_tree`` returns
+
+
+def _checked_count(total: int) -> int:
+    if total > _INT64_MAX:
+        raise OverflowError(f"join-tree count {total} does not fit in int64")
+    return total
+
+
 #: NumPy dtype kinds that round-trip safely through ``np.unique().tolist()``.
 _FAST_KINDS = "biufU"
 
@@ -316,6 +326,32 @@ class RelationBackend:
         return len(
             {tuple(row[p] for p in positions) for row in self.iter_rows()}
         )
+
+    def count_tree(
+        self, edges: Sequence[Tuple[int, Sequence[int], "RelationBackend", Sequence[int]]]
+    ) -> int:
+        """The number of tuples of the join of a tree rooted here, joining nothing.
+
+        ``edges[i] = (parent, parent positions, child, child positions)``:
+        node ``i + 1`` of ``[self, *children]`` joins node ``parent`` on
+        those positions.  Bottom-up, each row's multiplicity (1 at leaves)
+        is multiplied by the summed multiplicities of the child rows on its
+        key (0 when it dangles); the count is the root's sum, exact, and
+        raises :class:`OverflowError` past int64.  Summed in dicts here;
+        :class:`ColumnarBackend` overrides it on codes."""
+        rows = [list(node.iter_rows()) for node in [self] + [edge[2] for edge in edges]]
+        weights = [[1] * len(node_rows) for node_rows in rows]
+        for node in range(len(edges), 0, -1):  # children before their parents
+            parent, parent_positions, _, positions = edges[node - 1]
+            sums: Dict[Row, int] = {}
+            for row, weight in zip(rows[node], weights[node]):
+                key = tuple(row[p] for p in positions)
+                sums[key] = sums.get(key, 0) + weight
+            weights[parent] = [
+                weight * sums.get(tuple(row[p] for p in parent_positions), 0)
+                for row, weight in zip(rows[parent], weights[parent])
+            ]
+        return _checked_count(sum(weights[0]))
 
     def distinct_values(self, position: int) -> FrozenSet[Value]:
         """The active domain of one column (the distinct-value index)."""
@@ -753,9 +789,10 @@ class _Dictionary:
         #: that lets exactly one writer at a time extend the lineage.
         self._lineage: List[int] = [len(values)]
         #: id(other lineage token) → (table, own size it was built for,
-        #: other dictionary it was built for).  The entry pins the other
-        #: dictionary (hence its token) so the id stays valid.
-        self._xlate: Dict[int, Tuple[np.ndarray, int, "_Dictionary"]] = {}
+        #: that token); versions are prefixes, so the table's length names
+        #: the other version.  Pinning the token, never the dictionary,
+        #: keeps old versions of both sides (and their tables) collectable.
+        self._xlate: Dict[int, Tuple[np.ndarray, int, List[int]]] = {}
 
     @property
     def index(self) -> Dict[Value, int]:
@@ -828,6 +865,8 @@ class _Dictionary:
         passes, ``ask_many`` batches, enumeration chunks) build it once,
         and after a write only the values either side gained since are
         looked up — on a copy: readers may still hold the cached table.
+        Past ``_FAMILY_CACHE_LIMIT`` partners the least recently used
+        table is evicted, so a pair in steady use is never rebuilt.
         """
         if other is self:
             table = np.arange(len(self.values), dtype=np.int64)
@@ -835,7 +874,11 @@ class _Dictionary:
         key = id(other._lineage)
         size = len(self.values)
         entry = self._xlate.get(key)
-        if entry is not None and entry[2] is other and entry[1] == size:
+        if entry is not None and len(entry[0]) == len(other.values) and entry[1] == size:
+            # Re-inserted on every hit, so the dict's order is recency and
+            # eviction below drops the least recently used table.
+            self._xlate.pop(key, None)
+            self._xlate[key] = entry
             return entry[0]
         if entry is None or len(entry[0]) > len(other.values):
             table = self._build_table(other)
@@ -851,12 +894,13 @@ class _Dictionary:
                 theirs = other.lookup(self.values[code])
                 if theirs is not None:
                     table[theirs] = code
-        self._xlate[key] = (table, size, other)
+        self._xlate.pop(key, None)
+        self._xlate[key] = (table, size, other._lineage)
         # Bound the table count: a process-long dictionary (stored
         # relation) probed by many distinct partners must not pin them
-        # all forever.  Evict over a snapshot with pop(..., None) —
-        # concurrent workers may race this loop (see _put_bounded's
-        # thread contract).
+        # all forever.  Evict the least recently used over a snapshot with
+        # pop(..., None) — concurrent workers may race this loop (see
+        # _put_bounded's thread contract).
         overflow = len(self._xlate) - _FAMILY_CACHE_LIMIT
         if overflow > 0:
             for stale in list(self._xlate)[:overflow]:
@@ -1677,6 +1721,30 @@ class ColumnarBackend(RelationBackend):
         # concatenated output rows — are already distinct.
         return ColumnarBackend(schema, columns, total)
 
+    def count_tree(self, edges):
+        """Multiplicities on codes: per edge the parent's rows are located
+        in the child's cached composite-key sort, as :meth:`join` probes
+        its build side (keys too wide for one int64 ranked jointly,
+        :meth:`_shared_keys`), and read the child's summed multiplicities
+        off one prefix sum."""
+        nodes = [self] + [child for _, _, child, _ in edges]
+        weights: List[Optional[np.ndarray]] = [None] * len(nodes)
+        for node in range(len(edges), 0, -1):  # children before their parents
+            parent, parent_positions, child, positions = edges[node - 1]
+            if child._fits(positions):
+                sorted_keys, order = child.sorted_composite_keys(tuple(positions))
+                probe = nodes[parent]._probe_keys(parent_positions, child, positions)
+            else:
+                build, probe = child._shared_keys(positions, nodes[parent], parent_positions)
+                order = np.argsort(build, kind="stable")
+                sorted_keys = build[order]
+            runs = [np.searchsorted(sorted_keys, probe, side=side) for side in ("left", "right")]
+            weights[parent] = _edge_weights(weights[parent], weights[node], order, *runs)
+        root = weights[0]
+        if root is None or _largest(root) * len(root) <= _INT64_MAX:
+            return self._n if root is None else int(root.sum())
+        return _checked_count(sum(root.tolist()))
+
     def union(
         self, other: "ColumnarBackend", other_positions: Sequence[int]
     ) -> "ColumnarBackend":
@@ -1898,6 +1966,27 @@ class ColumnarBackend(RelationBackend):
             tuple(largest),
             len(groups),
         )
+
+
+def _largest(weights: np.ndarray) -> int:
+    return int(weights.max()) if len(weights) else 0
+
+
+def _edge_weights(above, below, order, starts, ends) -> np.ndarray:
+    """Each parent row's multiplicity (``above``; ``None`` = 1) times the
+    summed ``below`` of its child rows ``order[starts:ends]``: int64 while
+    a bound on every sum and product fits, else exact Python integers."""
+    bound = len(order) if below is None else _largest(below) * len(below)
+    if above is not None:
+        bound *= _largest(above)
+    dtype = np.int64 if bound <= _INT64_MAX else object
+    if below is None:
+        sums = (ends - starts).astype(dtype, copy=False)
+    else:
+        prefix = np.zeros(len(below) + 1, dtype=dtype)
+        prefix[1:] = np.cumsum(below[order].astype(dtype, copy=False))
+        sums = prefix[ends] - prefix[starts]
+    return sums if above is None else above.astype(dtype, copy=False) * sums
 
 
 def _ranks_within_groups(

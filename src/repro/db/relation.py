@@ -331,6 +331,20 @@ class Relation:
             raise ValueError(f"duplicate variables in projection {tuple(variables)}")
         return self._backend.count_distinct(self._positions(variables))
 
+    def count_join_tree(self, frontiers: Sequence["Relation"], parents: Sequence[int]) -> int:
+        """The number of tuples of the join tree rooted here, without joining.
+
+        ``parents[i]`` indexes frontier ``i``'s parent in ``[self,
+        *frontiers]``; each frontier joins its parent on their shared
+        variables (:meth:`~repro.db.backends.RelationBackend.count_tree`).
+        """
+        nodes = [self] + [self._aligned(frontier) for frontier in frontiers]
+        edges = []
+        for child, parent in zip(nodes[1:], parents):
+            keys = nodes[parent]._shared(child)
+            edges.append((parent, nodes[parent]._positions(keys), child._backend, child._positions(keys)))
+        return self._backend.count_tree(edges)
+
     def select(
         self,
         condition: Union[Mapping[str, Value], Callable[[Dict[str, Value]], bool]],

@@ -608,32 +608,73 @@ class Wcoj(Operator):
 # ----------------------------------------------------------------------
 # Output sinks (the engine's count / select verbs)
 # ----------------------------------------------------------------------
+def _check_parents(what: str, parents: Tuple[int, ...], frontiers: Tuple) -> None:
+    """``parents[i]`` indexes frontier ``i``'s tree parent in ``[child, *frontiers]``."""
+    if len(parents) != len(frontiers):
+        raise ValueError(
+            f"{what} parents {parents} must name one parent "
+            f"per frontier ({len(frontiers)} frontiers)"
+        )
+    for index, parent in enumerate(parents):
+        if not 0 <= parent <= index:
+            raise ValueError(
+                f"{what} parent {parent} of frontier {index} must "
+                "point at an earlier sequence position"
+            )
+
+
+def _tree_schema(child: Operator, frontiers: Tuple[Operator, ...]) -> Tuple[Schema, Tuple]:
+    """The root-first join schema over ``[child, *frontiers]``, and each
+    frontier's shared-variable pairs with the columns before it."""
+    joined = tuple(child.schema)
+    shared = []
+    for frontier in frontiers:
+        shared.append(_shared_pairs(joined, tuple(frontier.schema)))
+        joined += tuple(v for v in frontier.schema if v not in joined)
+    return joined, tuple(shared)
+
+
 @dataclass(frozen=True)
 class Count(Operator):
     """The number of distinct ``variables_out`` tuples of the child (an int).
 
-    The counting sink: evaluates to a scalar without materializing the
-    projected relation — the columnar backend counts unique code rows with
-    one ``np.unique`` over the stacked code arrays.  An empty
-    ``variables_out`` (Boolean-head query) counts the nullary projection:
-    ``1`` when the child is nonempty, else ``0``.
+    Without ``frontiers`` it counts the child's distinct projections
+    without materializing them (the columnar backend: one ``np.unique``
+    over code rows); an empty ``variables_out`` counts ``1`` for a
+    nonempty child, else ``0``.  With ``frontiers`` (the tree form, laid
+    out as :class:`Enumerate`'s: the child is the root, ``parents[i]``
+    indexes frontier ``i``'s parent in ``[child, *frontiers]``) it counts
+    the tuples of their join by multiplicities, bottom-up per tree edge
+    (:meth:`~repro.db.relation.Relation.count_join_tree`), joining nothing.
+    That is the distinct-output count only when ``variables_out`` holds
+    every tree variable (relations are sets) — the verifier checks it.
     """
 
     child: Operator
     variables_out: Schema
+    frontiers: Tuple[Operator, ...] = ()
+    parents: Tuple[int, ...] = ()
     scalar = True
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Count")
-        positions = _positions(self.child.schema, self.variables_out, "Count")
+        for frontier in self.frontiers:
+            _require_relational(frontier, "Count frontier")
+        _check_parents("Count", self.parents, self.frontiers)
+        joined, shared = _tree_schema(self.child, self.frontiers)
+        positions = _positions(joined, self.variables_out, "Count")
+        skey: StructuralKey = ("count", self.child.skey, positions)
+        if self.frontiers:
+            skey += (tuple(f.skey for f in self.frontiers), shared, self.parents)
         self._derive(
             schema=(),
-            children=(self.child,),
-            skey=("count", self.child.skey, positions),
+            children=(self.child,) + tuple(self.frontiers),
+            skey=skey,
         )
 
     def label(self) -> str:
-        return f"Count[{', '.join(self.variables_out) or '()'}]"
+        tree = "; by multiplicities" if self.frontiers else ""
+        return f"Count[{', '.join(self.variables_out) or '()'}{tree}]"
 
 
 #: Enumeration orders an :class:`Enumerate` sink may declare.  ``sorted``
@@ -701,24 +742,9 @@ class Enumerate(Operator):
         if self.limit is not None and self.limit < 0:
             raise ValueError("Enumerate limit must be non-negative")
         if self.parents:
-            if len(self.parents) != len(self.frontiers):
-                raise ValueError(
-                    f"Enumerate parents {self.parents} must name one parent "
-                    f"per frontier ({len(self.frontiers)} frontiers)"
-                )
-            for index, parent in enumerate(self.parents):
-                if not 0 <= parent <= index:
-                    raise ValueError(
-                        f"Enumerate parent {parent} of frontier {index} must "
-                        "point at an earlier sequence position"
-                    )
-        # The virtual schema of the top-down join (root columns, then each
-        # frontier's new columns in join order) — outputs must live in it.
-        joined = tuple(self.child.schema)
-        shared = []
-        for frontier in self.frontiers:
-            shared.append(_shared_pairs(joined, tuple(frontier.schema)))
-            joined += tuple(v for v in frontier.schema if v not in joined)
+            _check_parents("Enumerate", self.parents, self.frontiers)
+        # Outputs must live in the virtual schema of the top-down join.
+        joined, shared = _tree_schema(self.child, self.frontiers)
         outputs = (
             tuple(self.variables_out)
             if self.variables_out is not None
@@ -732,7 +758,7 @@ class Enumerate(Operator):
                 "enumerate",
                 self.child.skey,
                 tuple(f.skey for f in self.frontiers),
-                tuple(shared),
+                shared,
                 positions,
                 self.order,
                 self.limit,
@@ -944,7 +970,12 @@ def rename_operator(
             node.find_all,
         )
     elif isinstance(node, Count):
-        renamed = Count(r(node.child), _rename_schema(node.variables_out, m))
+        renamed = Count(
+            r(node.child),
+            _rename_schema(node.variables_out, m),
+            tuple(r(x) for x in node.frontiers),
+            node.parents,
+        )
     elif isinstance(node, Enumerate):
         renamed = Enumerate(
             r(node.child),

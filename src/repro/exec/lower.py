@@ -310,9 +310,11 @@ def describe_join_tree(program: Program) -> str:
             node = node.children[0]
         joined.append(node)
     reducers = [n for n in program.nodes() if isinstance(n, Scan) and n not in joined]
+    tree_count = isinstance(program.root, Count) and program.root.frontiers
+    combined = "count by multiplicities over" if tree_count else "joined"
     return (
         f"join tree: root {joined[0].label()[len('Scan '):]}; "
-        f"joined {{{', '.join(n.relation for n in joined)}}}; "
+        f"{combined} {{{', '.join(n.relation for n in joined)}}}; "
         f"reducers only {{{', '.join(n.relation for n in reducers)}}}"
     )
 
@@ -334,7 +336,10 @@ def lower_yannakakis(
     non-emptiness — sinks on that reduced root.
 
     ``count``/``select`` touch only the head's *connex subtree* again;
-    atoms outside it are reducers and nothing else.  The subtree's atoms
+    atoms outside it are reducers and nothing else.  A ``count`` whose head
+    holds every subtree variable counts join tuples (relations are sets):
+    a tree-form :class:`Count` sums multiplicities bottom-up over the
+    reduced subtree, with no calibration and no join.  Otherwise its atoms
     are calibrated downward (each semijoined by its already-calibrated
     parent, after which none of their tuples dangles) and joined
     root-first, intermediates projected onto the outputs plus the join
@@ -359,6 +364,15 @@ def lower_yannakakis(
             nodes[parent] = Semijoin(nodes[parent], nodes[name])
     if verb == "exists":
         return Program(NonEmpty(nodes[sequence[0]]), source="yannakakis")
+    scopes = {atom.relation: atom.variable_set for atom in query.atoms}
+    outputs = set(query.output_variables)
+    # Join-tree parents as indices into [root, *frontiers]: the multiplicity
+    # sums and the ranked stream's recalibration sweeps follow these edges.
+    parents = tuple(sequence.index(parent_of[name]) for name in sequence[1:])
+    if verb == "count" and all(scopes[name] <= outputs for name in sequence):
+        frontiers = tuple(nodes[name] for name in sequence[1:])
+        sink = Count(nodes[sequence[0]], tuple(query.output_variables), frontiers, parents)
+        return Program(sink, source="yannakakis")
     for name in sequence[1:]:
         nodes[name] = Semijoin(nodes[name], nodes[parent_of[name]])
     if (
@@ -367,9 +381,6 @@ def lower_yannakakis(
         and select_options.streaming
         and not query.is_boolean
     ):
-        # Join-tree parents as indices into [root, *frontiers]: the ranked
-        # stream's semijoin recalibration sweeps follow exactly these edges.
-        parents = tuple(sequence.index(parent_of[name]) for name in sequence[1:])
         return Program(
             Enumerate(
                 nodes[sequence[0]],
@@ -383,8 +394,6 @@ def lower_yannakakis(
         )
     # Top-down enumeration join (parents always before their children),
     # projecting early onto outputs + still-needed join keys.
-    scopes = {atom.relation: atom.variable_set for atom in query.atoms}
-    outputs = set(query.output_variables)
     joined = nodes[sequence[0]]
     for position, name in enumerate(sequence[1:], start=1):
         joined = Join(joined, nodes[name])

@@ -112,7 +112,7 @@ def _rebuild(node: Operator, children: Tuple[Operator, ...]) -> Operator:
     if isinstance(node, Wcoj):
         return Wcoj(tuple(children), node.variable_order, node.find_all)
     if isinstance(node, Count):
-        return Count(children[0], node.variables_out)
+        return Count(children[0], node.variables_out, tuple(children[1:]), node.parents)
     if isinstance(node, Enumerate):
         # ``parents`` must ride along: the ranked (any-k) stream follows
         # exactly these join-tree edges, and dropping them here would

@@ -1075,9 +1075,12 @@ class _RunState:
 
         if isinstance(node, Count):
             child = self._relation(node.child)
-            count = child.count_distinct(list(node.variables_out))
             extra["kernel"] = child.backend_kind
-            return count, len(child), extra
+            if not node.frontiers:
+                return child.count_distinct(list(node.variables_out)), len(child), extra
+            frontiers = [self._relation(f) for f in node.frontiers]
+            count = child.count_join_tree(frontiers, node.parents)
+            return count, len(child) + sum(len(f) for f in frontiers), extra
 
         if isinstance(node, Enumerate):
             if node.streaming:

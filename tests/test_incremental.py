@@ -8,8 +8,8 @@ Four layers, from storage up:
   bounded delta log, threshold fallback to fresh statistics;
 * engine patching — cached ``exists``/``count`` answers adjusted under
   small deltas (``plan_source == "incremental"``), with the soundness
-  guards (self-joins, unbound atom variables) falling back to full
-  execution;
+  guards (several mutated relations, unbound atom variables) falling back
+  to full execution;
 * differential replay — seeded interleaved insert/delete/query traces
   across backends × strategies, cross-checked step by
   step against a from-scratch engine built on the current data.  The

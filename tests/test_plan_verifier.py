@@ -212,6 +212,16 @@ def test_verb_sink_mismatch_is_flagged(lower_verb, claim_verb):
     assert "verb-sink" in rules(verify_program(program, verb=claim_verb))
 
 
+def test_tree_count_dropping_a_tree_variable_is_flagged():
+    program = lower_yannakakis(parse_query("Q(A, B, C) :- R(A, B), S(B, C)"), verb="count")
+    root = program.root
+    assert root.frontiers and verify_program(program, verb="count") == []
+    # Seeded mutant: the head forgets B, so the bottom-up sum would count
+    # (A, B, C) join tuples where distinct (A, C) outputs were asked for.
+    mutant = Program(Count(root.child, ("A", "C"), root.frontiers, root.parents), source="test")
+    assert rules(verify_program(mutant, verb="count")) == {"verb-sink"}
+
+
 # ----------------------------------------------------------------------
 # Engine wiring
 # ----------------------------------------------------------------------

@@ -39,6 +39,7 @@ SHAPES = {
     "triangle": "Q(X, Z) :- R(X, Y), S(Y, Z), T(X, Z)",
     "four_cycle": "Q(X, Z) :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)",
     "tri_tail": "Q(X, W) :- R(X, Y), S(Y, Z), T(X, Z), U(Z, W)",
+    "star_full": "Q(Y, C, X) :- R(C, X), S(C, Y)",
 }
 
 VERBS = ("exists", "count", "select")
