@@ -9,7 +9,7 @@ The package is organised by subsystem:
 * :mod:`repro.db` — relations, conjunctive queries, join algorithms, generators;
 * :mod:`repro.core` — ω-query plans, planner, per-class algorithms;
 * :mod:`repro.exec` — the unified physical execution layer: operator IR,
-  per-strategy lowering, rewrite passes (CSE, semijoin fusion, pruning)
+  per-strategy lowering, the dead-operator pruning pass
   and the instrumented virtual machine every strategy runs on;
 * :mod:`repro.api` — the public query engine: :class:`QueryEngine` facade,
   pluggable strategy registry, LRU plan+IR cache, batch execution with

@@ -38,14 +38,12 @@ from ..exec.ir import (
     Count,
     Distinct,
     Enumerate,
-    MultiSemijoin,
     NonEmpty,
     Operator,
     Program,
     Project,
     Scan,
     Semijoin,
-    rename_operator,
 )
 
 __all__ = [
@@ -222,24 +220,19 @@ def _canonical(node: Operator) -> Operator:
         for variable in member.schema:
             if variable not in mapping:
                 mapping[variable] = f"_v{len(mapping)}"
-    renamed = rename_operator(node, mapping, {})
+    memo: Dict[Operator, Operator] = {}
 
-    def normalize(member: Operator, memo: Dict[Operator, Operator]) -> Operator:
+    def normalize(member: Operator) -> Operator:
         if member in memo:
             return memo[member]
-        children = tuple(normalize(child, memo) for child in member.children)
         if isinstance(member, Distinct):
-            rebuilt: Operator = Project(children[0], member.variables_out)
-        elif children == member.children:
-            rebuilt = member
+            rebuilt: Operator = Project(normalize(member.child), member.variables_out)
         else:
-            from ..exec.optimize import _rebuild
-
-            rebuilt = _rebuild(member, children)
+            rebuilt = member.rebuild(normalize)
         memo[member] = rebuilt
         return rebuilt
 
-    return normalize(renamed, {})
+    return normalize(sub.rename(mapping).root)
 
 
 def check_skey_soundness(program: Program, ctx: _Context) -> Iterator[Violation]:
@@ -338,10 +331,9 @@ def check_enumerate_contract(program: Program, ctx: _Context) -> Iterator[Violat
                     "it in the sequence (not a tree)",
                 )
         # Full-reducer calibration: the child and every frontier must be a
-        # semijoin reduction, and each frontier's reducers must include
-        # its join-tree parent (the downward calibration pass).  The
-        # optimizer may have fused the chains into MultiSemijoin nodes.
-        if not isinstance(node.child, (Semijoin, MultiSemijoin)):
+        # semijoin reduction, and each frontier's outermost semijoin must be
+        # the one by its join-tree parent (the downward calibration pass).
+        if not isinstance(node.child, Semijoin):
             yield ctx.at(
                 node,
                 "enumerate",
@@ -351,7 +343,7 @@ def check_enumerate_contract(program: Program, ctx: _Context) -> Iterator[Violat
             )
         parents = node.parents or tuple(range(len(node.frontiers)))
         for index, frontier in enumerate(node.frontiers):
-            if not isinstance(frontier, (Semijoin, MultiSemijoin)):
+            if not isinstance(frontier, Semijoin):
                 yield ctx.at(
                     node,
                     "enumerate",
@@ -362,7 +354,7 @@ def check_enumerate_contract(program: Program, ctx: _Context) -> Iterator[Violat
             if not node.parents:
                 continue
             parent_node = sequence[parents[index]]
-            if parent_node not in frontier.children[1:]:
+            if frontier.reducer != parent_node:
                 yield ctx.at(
                     node,
                     "enumerate",

@@ -402,16 +402,6 @@ class RelationBackend:
         """The rows whose key appears in ``other`` (``negate``: does not appear)."""
         raise NotImplementedError
 
-    def semijoin_many(
-        self,
-        reducers: Iterable[Tuple[Sequence[int], "RelationBackend", Sequence[int]]],
-    ) -> "RelationBackend":
-        """Several semijoins in one pass over ``(own positions, other, its positions)``.
-
-        ``reducers`` is pulled lazily and no further once nothing survives.
-        """
-        raise NotImplementedError
-
     def union(
         self, other: "RelationBackend", other_positions: Sequence[int]
     ) -> "RelationBackend":
@@ -661,21 +651,6 @@ class SetBackend(RelationBackend):
             for row in self._rows
             if (tuple(row[p] for p in self_positions) in right_keys) != negate
         )
-
-    def semijoin_many(self, reducers):
-        # A surviving-row list filtered reducer by reducer, wrapped once.
-        survivors: Optional[List[Row]] = None
-        for positions, other, other_positions in reducers:
-            keys = {
-                tuple(row[p] for p in other_positions) for row in other.iter_rows()
-            }
-            source: Iterable[Row] = self._rows if survivors is None else survivors
-            survivors = [
-                row for row in source if tuple(row[p] for p in positions) in keys
-            ]
-            if not survivors:
-                break
-        return self if survivors is None else self._keep(survivors)
 
     def union(self, other, other_positions):
         aligned = (tuple(row[p] for p in other_positions) for row in other.iter_rows())
@@ -1635,22 +1610,20 @@ class ColumnarBackend(RelationBackend):
         )
         return entry
 
-    def semijoin_mask(
+    def semijoin(
         self,
         self_positions: Sequence[int],
         other: "ColumnarBackend",
         other_positions: Sequence[int],
         negate: bool = False,
-    ) -> np.ndarray:
-        """The Boolean keep-mask of a semijoin, without materializing rows.
+    ) -> "ColumnarBackend":
+        """The rows kept by a semijoin, gathered once through a Boolean mask.
 
         The reducer's codes are translated into this side's key space
         (cached per dictionary pair) and probed through a cached dense
         lookup table over the code space when it is small enough, else
         ``isin`` (see :meth:`_semijoin_probe`); keys too wide for one int64
-        are ranked jointly over both sides (:meth:`_shared_keys`).  Fused
-        multi-semijoin execution ANDs several of these masks and gathers
-        once.
+        are ranked jointly over both sides (:meth:`_shared_keys`).
         """
         if self._fits(self_positions):
             left_keys = self._row_keys(
@@ -1661,21 +1634,7 @@ class ColumnarBackend(RelationBackend):
             left_keys, data = self._shared_keys(self_positions, other, other_positions)
             kind = "keys"
         membership = data[left_keys] if kind == "table" else np.isin(left_keys, data)
-        return ~membership if negate else membership
-
-    def semijoin(self, self_positions, other, other_positions, negate=False):
-        mask = self.semijoin_mask(self_positions, other, other_positions, negate)
-        return self.take(np.nonzero(mask)[0])
-
-    def semijoin_many(self, reducers):
-        # The per-reducer keep-masks are ANDed and the rows gathered once.
-        mask: Optional[np.ndarray] = None
-        for positions, other, other_positions in reducers:
-            part = self.semijoin_mask(positions, other, other_positions)
-            mask = part if mask is None else (mask & part)
-            if not mask.any():
-                break
-        return self if mask is None else self.take(np.nonzero(mask)[0])
+        return self.take(np.nonzero(~membership if negate else membership)[0])
 
     def join(
         self,

@@ -418,30 +418,6 @@ class Relation:
         )
         return Relation._wrap(reduced, self.name)
 
-    def semijoin_many(self, others: Iterable["Relation"]) -> "Relation":
-        """Reduce by several independent relations in one fused pass.
-
-        Semantically equal to folding :meth:`semijoin` left-to-right (the
-        reducers are independent of the partially reduced result), but
-        executed without per-reducer materializations: the columnar backend
-        ANDs the per-reducer keep-masks and gathers once; the reference
-        backend filters a surviving-row list reducer by reducer and wraps
-        it once at the end.  ``others`` is consumed lazily — as soon as the
-        accumulated reduction is provably empty, remaining reducers (which
-        may be generators evaluating whole subplans) are never pulled.  A
-        reducer sharing no variable keeps everything unless it is empty.
-        """
-        if self.is_empty():
-            return self
-
-        def reducers() -> Iterator[Tuple[List[int], RelationBackend, List[int]]]:
-            for other in others:
-                shared = self._shared(other)
-                other = self._aligned(other)
-                yield self._positions(shared), other._backend, other._positions(shared)
-
-        return Relation._wrap(self._backend.semijoin_many(reducers()), self.name)
-
     def row_slice(self, start: int, stop: int) -> "Relation":
         """The rows at storage positions ``[start, stop)`` as a relation.
 

@@ -3,9 +3,9 @@
 Every strategy — naive, GenericJoin, Yannakakis, ω-query plans, and the
 triangle/4-cycle/clique specializations — lowers to one physical-operator
 DAG (:mod:`repro.exec.ir`), is rewritten by the optimizer
-(:mod:`repro.exec.optimize`: CSE, semijoin-chain fusion, dead-operator
-pruning) and executes on one instrumented virtual machine
-(:mod:`repro.exec.vm`) with per-operator traces and a bounded
+(:mod:`repro.exec.optimize`: dead-operator pruning) and executes on one
+instrumented virtual machine (:mod:`repro.exec.vm`) with per-operator
+traces and a bounded
 intermediate-result cache shared across queries.
 """
 
@@ -20,8 +20,6 @@ from .ir import (
     HeavyPart,
     Join,
     LightPart,
-    MatMul,
-    MultiSemijoin,
     NonEmpty,
     Operator,
     Program,
@@ -49,8 +47,6 @@ from .vm import (
 )
 from .optimize import (
     OptimizeStats,
-    eliminate_common_subexpressions,
-    fuse_semijoins,
     optimize_program,
     prune_operators,
 )
@@ -80,8 +76,6 @@ __all__ = [
     "Join",
     "KernelDispatcher",
     "LightPart",
-    "MatMul",
-    "MultiSemijoin",
     "NonEmpty",
     "OpTrace",
     "Operator",
@@ -98,8 +92,6 @@ __all__ = [
     "VMResult",
     "VirtualMachine",
     "Wcoj",
-    "eliminate_common_subexpressions",
-    "fuse_semijoins",
     "lower_clique",
     "lower_four_cycle",
     "lower_generic_join",

@@ -91,12 +91,7 @@ class KernelDispatcher:
     # ------------------------------------------------------------------
     # Select delivery
     # ------------------------------------------------------------------
-    def ranked_enumeration(
-        self,
-        limit: Optional[int],
-        order: str,
-        output_hint: Optional[int] = None,
-    ) -> bool:
+    def ranked_enumeration(self, limit: Optional[int], order: str) -> bool:
         """Whether a sorted select should run as ranked (any-k) enumeration.
 
         The three deliveries a select can get — ``stream`` (discovery
@@ -105,18 +100,14 @@ class KernelDispatcher:
         wins when the caller asked for sorted order *and* bounded the
         output: per-popped-row cost is a heap operation plus O(tree)
         restriction work, so small limits finish in ~``exists`` +
-        O(k log n).  Past ``ranked_limit_cap`` rows (or
-        when ``output_hint`` says the limit covers the whole output) the
-        bulk materialize + ``nsmallest`` path is cheaper per row, and an
-        unlimited sorted select always materializes.  Deterministic by
-        design: the decision reads configuration and statistics, never
-        timing.
+        O(k log n).  Past ``ranked_limit_cap`` rows the bulk materialize +
+        ``nsmallest`` path is cheaper per row, and an unlimited sorted
+        select always materializes.  Deterministic by design: the decision
+        reads configuration, never timing.
         """
         if order != "sorted" or limit is None:
             return False
         if limit > self.ranked_limit_cap:
-            return False
-        if output_hint is not None and 0 < output_hint <= limit:
             return False
         return True
 

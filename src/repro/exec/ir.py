@@ -21,19 +21,44 @@ the same way under different variable names, both subplans carry the same
 intermediate-result cache.
 
 Nodes are frozen dataclasses: equality and hashing are structural (and
-name-sensitive, which within-program common-subexpression elimination
-relies on); ``schema``/``skey``/``children`` are derived attributes
+name-sensitive), so a subtree built twice is one node to the VM's per-run
+memo, to :meth:`Program.nodes` and to the optimizer's rewrite memo, and
+evaluates once; ``schema``/``skey``/``children`` are derived attributes
 computed once in ``__post_init__``.
+
+Each operator is declared once, by its dataclass fields.
+:meth:`Operator.rebuild` and :meth:`Operator.rename` read the fields'
+declared types: an ``Operator`` or ``Tuple[Operator, ...]`` field is an
+input, a ``Variable``, ``Schema`` or ``Optional[Schema]`` field names
+variables, and every other field is kept as is.  A new operator class
+needs nothing in the optimizer or the renaming code.
 """
 
 from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, fields
-from typing import Dict, List, Mapping, Optional, Tuple
+from typing import Callable, Dict, List, Mapping, Optional, Tuple
 
-Schema = Tuple[str, ...]
+Variable = str
+Schema = Tuple[Variable, ...]
 StructuralKey = Tuple
+
+#: What :meth:`Operator.rename` does with a field, by its declared type
+#: (the source text of the annotation under postponed evaluation).
+_FIELD_ROLES = {
+    "Operator": "input",
+    "Tuple[Operator, ...]": "inputs",
+    "Variable": "variable",
+    "Schema": "variables",
+    "Optional[Schema]": "variables",
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _field_roles(cls: type) -> Tuple[Tuple[str, Optional[str]], ...]:
+    """``(field name, role or None)`` for each dataclass field of ``cls``, in order."""
+    return tuple((field.name, _FIELD_ROLES.get(field.type)) for field in fields(cls))
 
 
 def _positions(schema: Schema, variables: Schema, what: str) -> Tuple[int, ...]:
@@ -152,6 +177,45 @@ class Operator:
                     )
             raise ValueError(message) from None
 
+    def rebuild(self, transform: Callable[["Operator"], "Operator"]) -> "Operator":
+        """This operator, of its own class, over ``transform`` of each input.
+
+        Every other field is kept, so a :class:`Distinct` stays a Distinct
+        and an :class:`Enumerate` keeps its ``parents``.  Returns ``self``
+        when every input comes back as the same object.
+        """
+        return self.rename({}, transform)
+
+    def rename(
+        self, mapping: Mapping[str, str], transform: Callable[["Operator"], "Operator"]
+    ) -> "Operator":
+        """:meth:`rebuild`, with every variable-naming field renamed through ``mapping``.
+
+        Relation names, thresholds, limits and parent indices are not
+        variables and stay; an ``Optional[Schema]`` field left ``None``
+        stays ``None``.
+        """
+        values = []
+        same = True
+        for name, role in _field_roles(type(self)):
+            value = getattr(self, name)
+            if role == "input":
+                new = transform(value)
+                same = same and new is value
+            elif role == "inputs":
+                new = tuple(transform(node) for node in value)
+                same = same and all(a is b for a, b in zip(new, value))
+            elif role == "variable":
+                new = mapping.get(value, value)
+                same = same and new == value
+            elif role == "variables" and value is not None:
+                new = tuple(mapping.get(v, v) for v in value)
+                same = same and new == value
+            else:
+                new = value
+            values.append(new)
+        return self if same else type(self)(*values)
+
     @property
     def variables(self) -> frozenset:
         return frozenset(self.schema)
@@ -246,9 +310,9 @@ class Restrict(Operator):
     """
 
     child: Operator
-    variable: str
+    variable: Variable
     source: Operator
-    source_variable: str
+    source_variable: Variable
 
     def __post_init__(self) -> None:
         _require_relational(self.child, "Restrict")
@@ -387,40 +451,6 @@ class Antijoin(Operator):
 
 
 @dataclass(frozen=True)
-class MultiSemijoin(Operator):
-    """A fused chain of semijoins against independent reducers.
-
-    Produced by the optimizer's semijoin-chain fusion pass
-    (:func:`repro.exec.optimize.fuse_semijoins`): one pass over the target
-    instead of one materialization per reducer.  Semantically identical to
-    folding :class:`Semijoin` left-to-right because the reducers do not
-    depend on the partially reduced target.
-    """
-
-    child: Operator
-    reducers: Tuple[Operator, ...]
-
-    def __post_init__(self) -> None:
-        _require_relational(self.child, "MultiSemijoin")
-        if not self.reducers:
-            raise ValueError("MultiSemijoin needs at least one reducer")
-        for reducer in self.reducers:
-            _require_relational(reducer, "MultiSemijoin")
-        per_reducer = tuple(
-            (reducer.skey, _shared_pairs(self.child.schema, reducer.schema))
-            for reducer in self.reducers
-        )
-        self._derive(
-            schema=self.child.schema,
-            children=(self.child,) + tuple(self.reducers),
-            skey=("multisemijoin", self.child.skey, per_reducer),
-        )
-
-    def label(self) -> str:
-        return f"MultiSemijoin[{len(self.reducers)} reducers]"
-
-
-@dataclass(frozen=True)
 class Union(Operator):
     """Set union of relations over the same variable set (any column order)."""
 
@@ -453,49 +483,6 @@ class Union(Operator):
 # Matrix-multiplication operators
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
-class MatMul(Operator):
-    """One Boolean matrix product eliminating ``inner_variables``.
-
-    The left operand is encoded over ``row_variables × inner_variables``,
-    the right over ``inner_variables × col_variables``; the nonzero entries
-    of the product decode to the output relation over rows + columns.
-    """
-
-    left: Operator
-    right: Operator
-    row_variables: Schema
-    inner_variables: Schema
-    col_variables: Schema
-
-    def __post_init__(self) -> None:
-        _require_relational(self.left, "MatMul")
-        _require_relational(self.right, "MatMul")
-        row_positions = _positions(self.left.schema, self.row_variables, "MatMul rows")
-        inner_left = _positions(self.left.schema, self.inner_variables, "MatMul inner")
-        inner_right = _positions(self.right.schema, self.inner_variables, "MatMul inner")
-        col_positions = _positions(self.right.schema, self.col_variables, "MatMul cols")
-        self._derive(
-            schema=tuple(self.row_variables) + tuple(self.col_variables),
-            children=(self.left, self.right),
-            skey=(
-                "matmul",
-                self.left.skey,
-                self.right.skey,
-                row_positions,
-                inner_left,
-                inner_right,
-                col_positions,
-            ),
-        )
-
-    def label(self) -> str:
-        return (
-            f"MatMul[{','.join(self.row_variables)} ; "
-            f"{','.join(self.inner_variables)} ; {','.join(self.col_variables)}]"
-        )
-
-
-@dataclass(frozen=True)
 class GroupedMatMul(Operator):
     """A Boolean matrix product per binding of shared group-by variables.
 
@@ -505,6 +492,8 @@ class GroupedMatMul(Operator):
     ``row_variables × inner_variables`` and ``inner_variables ×
     col_variables``; side-specific group-by variables ride along on the
     outer dimensions (they are baked into row/col variables by lowering).
+    With no group variables (the default) it is one plain product, the
+    form the triangle, 4-cycle and clique lowerings emit.
     """
 
     left: Operator
@@ -512,7 +501,7 @@ class GroupedMatMul(Operator):
     row_variables: Schema
     inner_variables: Schema
     col_variables: Schema
-    group_variables: Schema
+    group_variables: Schema = ()
 
     def __post_init__(self) -> None:
         _require_relational(self.left, "GroupedMatMul")
@@ -898,104 +887,14 @@ class Program:
     def rename(self, mapping: Mapping[str, str]) -> "Program":
         """The same program over renamed variables (relation names unchanged)."""
         memo: Dict[Operator, Operator] = {}
-        return Program(rename_operator(self.root, mapping, memo), source=self.source)
+
+        def visit(node: Operator) -> Operator:
+            renamed = memo.get(node)
+            if renamed is None:
+                renamed = memo[node] = node.rename(mapping, visit)
+            return renamed
+
+        return Program(visit(self.root), source=self.source)
 
     def __len__(self) -> int:
         return len(self.nodes())
-
-
-def _rename_schema(schema: Schema, mapping: Mapping[str, str]) -> Schema:
-    return tuple(mapping.get(v, v) for v in schema)
-
-
-def rename_operator(
-    node: Operator, mapping: Mapping[str, str], memo: Dict[Operator, Operator]
-) -> Operator:
-    """Rebuild an operator DAG with variables renamed through ``mapping``."""
-    if node in memo:
-        return memo[node]
-    m = mapping
-
-    def r(child: Operator) -> Operator:
-        return rename_operator(child, mapping, memo)
-
-    if isinstance(node, Scan):
-        renamed: Operator = Scan(node.relation, _rename_schema(node.variables_out, m))
-    elif isinstance(node, Distinct):
-        renamed = Distinct(r(node.child), _rename_schema(node.variables_out, m))
-    elif isinstance(node, Project):
-        renamed = Project(r(node.child), _rename_schema(node.variables_out, m))
-    elif isinstance(node, Restrict):
-        renamed = Restrict(
-            r(node.child),
-            m.get(node.variable, node.variable),
-            r(node.source),
-            m.get(node.source_variable, node.source_variable),
-        )
-    elif isinstance(node, HeavyPart):
-        renamed = HeavyPart(r(node.child), _rename_schema(node.given, m), node.threshold)
-    elif isinstance(node, LightPart):
-        renamed = LightPart(r(node.child), _rename_schema(node.given, m), node.threshold)
-    elif isinstance(node, Join):
-        renamed = Join(r(node.left), r(node.right))
-    elif isinstance(node, Semijoin):
-        renamed = Semijoin(r(node.child), r(node.reducer))
-    elif isinstance(node, Antijoin):
-        renamed = Antijoin(r(node.child), r(node.reducer))
-    elif isinstance(node, MultiSemijoin):
-        renamed = MultiSemijoin(r(node.child), tuple(r(x) for x in node.reducers))
-    elif isinstance(node, Union):
-        renamed = Union(tuple(r(x) for x in node.inputs))
-    elif isinstance(node, MatMul):
-        renamed = MatMul(
-            r(node.left),
-            r(node.right),
-            _rename_schema(node.row_variables, m),
-            _rename_schema(node.inner_variables, m),
-            _rename_schema(node.col_variables, m),
-        )
-    elif isinstance(node, GroupedMatMul):
-        renamed = GroupedMatMul(
-            r(node.left),
-            r(node.right),
-            _rename_schema(node.row_variables, m),
-            _rename_schema(node.inner_variables, m),
-            _rename_schema(node.col_variables, m),
-            _rename_schema(node.group_variables, m),
-        )
-    elif isinstance(node, Wcoj):
-        renamed = Wcoj(
-            tuple(r(x) for x in node.inputs),
-            _rename_schema(node.variable_order, m),
-            node.find_all,
-        )
-    elif isinstance(node, Count):
-        renamed = Count(
-            r(node.child),
-            _rename_schema(node.variables_out, m),
-            tuple(r(x) for x in node.frontiers),
-            node.parents,
-        )
-    elif isinstance(node, Enumerate):
-        renamed = Enumerate(
-            r(node.child),
-            tuple(r(x) for x in node.frontiers),
-            (
-                None
-                if node.variables_out is None
-                else _rename_schema(node.variables_out, m)
-            ),
-            node.limit,
-            node.order,
-            node.parents,
-        )
-    elif isinstance(node, NonEmpty):
-        renamed = NonEmpty(r(node.child))
-    elif isinstance(node, Any_):
-        renamed = Any_(tuple(r(x) for x in node.inputs))
-    elif isinstance(node, All_):
-        renamed = All_(tuple(r(x) for x in node.inputs))
-    else:  # pragma: no cover - new operators must be added here
-        raise TypeError(f"rename_operator: unknown operator {type(node).__name__}")
-    memo[node] = renamed
-    return renamed

@@ -13,7 +13,7 @@ sinks over the query's free variables:
 * :func:`lower_generic_join` — a single :class:`~repro.exec.ir.Wcoj`
   operator holding the worst-case-optimal search;
 * :func:`lower_yannakakis` — the GYO join tree becomes an upward semijoin
-  program (which the optimizer then fuses), joined only where the head is;
+  program, joined only where the head is;
 * :func:`lower_plan` — an :class:`~repro.core.plan.OmegaQueryPlan`'s
   elimination steps become Join/Project or GroupedMatMul nodes, with the
   side-splitting and realizability checks done *statically* from the
@@ -56,7 +56,6 @@ from .ir import (
     HeavyPart,
     Join,
     LightPart,
-    MatMul,
     NonEmpty,
     Operator,
     Program,
@@ -542,7 +541,7 @@ def lower_triangle(
     heavy_z = HeavyPart(t, ("Z",), delta)
     m1 = Restrict(Restrict(r, "X", heavy_x, "X"), "Y", heavy_y, "Y")
     m2 = Restrict(Restrict(s, "Y", heavy_y, "Y"), "Z", heavy_z, "Z")
-    mm = MatMul(m1, m2, ("X",), ("Y",), ("Z",))
+    mm = GroupedMatMul(m1, m2, ("X",), ("Y",), ("Z",))
     heavy_check = NonEmpty(Semijoin(_project(t, ("X", "Z")), mm))
 
     root = Any_(tuple(light_checks) + (heavy_check,))
@@ -595,7 +594,7 @@ def _lower_two_paths(
 
     heavy_left = Restrict(left, middle, heavy, middle)
     heavy_right = Restrict(right, middle, heavy, middle)
-    matmul = MatMul(heavy_left, heavy_right, (first,), (middle,), (second,))
+    matmul = GroupedMatMul(heavy_left, heavy_right, (first,), (middle,), (second,))
     pairs = Union((light_pairs, matmul))
     return pairs, (light_left, light_right), matmul
 
@@ -640,7 +639,7 @@ def lower_clique(
     The groups (cliques of sizes ⌈k/3⌉, ⌈(k-1)/3⌉, ⌊k/3⌋) are enumerated by
     the caller; this builds the pairwise compatibility relations ``AB``,
     ``BC``, ``AC`` over group indices and lowers the detection to
-    ``NonEmpty(AC ⋉ MatMul(AB; B; BC))`` — exactly the GVEO σ = (A, B, C)
+    ``NonEmpty(AC ⋉ GroupedMatMul(AB; B; BC))`` — exactly the GVEO σ = (A, B, C)
     with MM term ``MM(B; C; A)`` of Lemma C.8.
     """
     from ..db.relation import Relation
@@ -673,6 +672,6 @@ def lower_clique(
             "AC": Relation(("A", "C"), ac),
         }
     )
-    mm = MatMul(Scan("AB", ("A", "B")), Scan("BC", ("B", "C")), ("A",), ("B",), ("C",))
+    mm = GroupedMatMul(Scan("AB", ("A", "B")), Scan("BC", ("B", "C")), ("A",), ("B",), ("C",))
     root = NonEmpty(Semijoin(Scan("AC", ("A", "C")), mm))
     return Program(root, source="clique-mm"), compat_db

@@ -14,10 +14,11 @@ short-circuit, and a ``NonEmpty`` root stops as soon as the answer is
 known.  Laziness is nothing more than not recursing into a child.
 
 The relational kernels live behind :class:`~repro.db.relation.Relation`,
-and that includes the paper's one non-combinatorial primitive: ``MatMul``
-and ``GroupedMatMul`` — the grouped Boolean product ``MM(X; Y; Z | G)`` of
-Definition 4.5 — are one method here and one kernel on dictionary codes
-there (:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`), to
+and that includes the paper's one non-combinatorial primitive:
+``GroupedMatMul`` — the grouped Boolean product ``MM(X; Y; Z | G)`` of
+Definition 4.5, a plain product when ``G`` is empty — is one method here
+and one kernel on dictionary codes there
+(:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`), to
 which this module only lends the dispatcher's per-product BLAS/Strassen
 choice.  The single operator whose loop the VM owns is ``Wcoj``, the
 GenericJoin backtracking search, which is row-at-a-time by nature.
@@ -86,8 +87,6 @@ from .ir import (
     HeavyPart,
     Join,
     LightPart,
-    MatMul,
-    MultiSemijoin,
     NonEmpty,
     Operator,
     Program,
@@ -1050,9 +1049,6 @@ class _RunState:
             )
             return reduced, len(child) + len(reducer), extra
 
-        if isinstance(node, MultiSemijoin):
-            return self._multi_semijoin(node)
-
         if isinstance(node, Union):
             inputs = [self._relation(x) for x in node.inputs]
             rows_in = sum(len(r) for r in inputs)
@@ -1061,7 +1057,7 @@ class _RunState:
                 result = result.union(other)
             return result, rows_in, extra
 
-        if isinstance(node, (MatMul, GroupedMatMul)):
+        if isinstance(node, GroupedMatMul):
             return self._matmul(node)
 
         if isinstance(node, Wcoj):
@@ -1128,29 +1124,8 @@ class _RunState:
 
         raise TypeError(f"VM: unknown operator {type(node).__name__}")
 
-    def _multi_semijoin(self, node: MultiSemijoin) -> Tuple[Payload, int, dict]:
-        child = self._relation(node.child)
-        if child.is_empty():
-            return child, 0, {}
-        # Reducer subtrees are evaluated lazily: if an early reducer proves
-        # the target empty, the remaining subplans are never computed (the
-        # short-circuit the unfused chain had).
-        consumed = [0]
-
-        def reducers() -> Iterator[Relation]:
-            for reducer_node in node.reducers:
-                reducer = self._relation(reducer_node)
-                consumed[0] += len(reducer)
-                yield reducer
-
-        result = child.semijoin_many(reducers())
-        return result, len(child) + consumed[0], {}
-
-    # -- matrix-multiplication operators --------------------------------
-    def _matmul(
-        self, node: TUnion[MatMul, GroupedMatMul]
-    ) -> Tuple[Payload, int, dict]:
-        """Both MM operators: ``MatMul`` is the product with no group variables."""
+    # -- matrix multiplication -----------------------------------------
+    def _matmul(self, node: GroupedMatMul) -> Tuple[Payload, int, dict]:
         left = self._relation(node.left)
         right = None if left.is_empty() else self._relation(node.right)
         rows_in = 0 if right is None else len(left) + len(right)
@@ -1165,7 +1140,7 @@ class _RunState:
             node.row_variables,
             node.inner_variables,
             node.col_variables,
-            node.group_variables if isinstance(node, GroupedMatMul) else (),
+            node.group_variables,
             self.dispatcher.mm_kernel,
         )
         return product, rows_in, {"matrix_shape": shape, "group_count": group_count}

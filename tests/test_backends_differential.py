@@ -151,15 +151,6 @@ def test_operator_algebra_matches_reference_backend(seed, composite_limit, monke
     assert hash(reference_a) == hash(columnar_a)
     assert reference_a.stats.fingerprint() == columnar_a.stats.fingerprint()
 
-    rows_c = [tuple(rng.randint(0, 4) for _ in schema_a[:1]) for _ in range(4)]
-    reducers = [(schema_b, rows_b), (schema_a[:1], rows_c), (("Q",), [(0,)])]
-    many_ref = reference_a.semijoin_many(
-        Relation(schema, rows, backend="set") for schema, rows in reducers
-    )
-    many_col = columnar_a.semijoin_many(
-        Relation(schema, rows, backend="columnar") for schema, rows in reducers
-    )
-    assert many_ref.rows == many_col.rows
     victims = rows_a[::2] + [tuple(9 for _ in schema_a)]
     deleted_ref, removed_ref = reference_a.delete_rows(victims)
     deleted_col, removed_col = columnar_a.delete_rows(victims)
@@ -178,9 +169,6 @@ def test_operator_algebra_matches_reference_backend(seed, composite_limit, monke
             expected = getattr(reference_a, operator)(reference_b)
             assert mixed.rows == expected.rows, operator
             assert mixed.backend_kind == left.backend_kind, operator
-        mixed = left.semijoin_many([right, right])
-        assert mixed.rows == reference_a.semijoin(reference_b).rows
-        assert mixed.backend_kind == left.backend_kind
 
 
 def test_wide_keys_never_leave_the_code_domain(monkeypatch):
@@ -206,7 +194,6 @@ def test_wide_keys_never_leave_the_code_domain(monkeypatch):
             "join": a.join(b),
             "semijoin": a.semijoin(b),
             "antijoin": a.antijoin(b),
-            "semijoin_many": a.semijoin_many([b, c]),
             "intersect": a.intersect(c),
             "union": a.union(c),
             "project": a.project(["X", "Y"]),
@@ -220,7 +207,6 @@ def test_wide_keys_never_leave_the_code_domain(monkeypatch):
         "join": ref_a.join(ref_b),
         "semijoin": ref_a.semijoin(ref_b),
         "antijoin": ref_a.antijoin(ref_b),
-        "semijoin_many": ref_a.semijoin_many([ref_b, ref_c]),
         "intersect": ref_a.intersect(ref_c),
         "union": ref_a.union(ref_c),
         "project": ref_a.project(["X", "Y"]),

@@ -1,8 +1,8 @@
 """The matrix operators, looked at directly.
 
-``MatMul`` and ``GroupedMatMul`` evaluate through one kernel on dictionary
-codes (:meth:`repro.db.backends.ColumnarBackend.matmul`).  These tests run
-both operators through the :class:`VirtualMachine` against an oracle made
+``GroupedMatMul``, grouped or a plain product, evaluates through one kernel
+on dictionary codes (:meth:`repro.db.backends.ColumnarBackend.matmul`).
+These tests run both forms through the :class:`VirtualMachine` against an oracle made
 of set comprehensions over plain tuples and pin everything the trace
 reports about a product — ``rows_in``, ``matrix_shape``, ``group_count`` —
 next to the row set, the schema and the output backend kind.
@@ -20,7 +20,7 @@ from repro.api import QueryEngine
 from repro.db import Database, Relation, available_backends, backends, parse_query
 from repro.db.backends import ColumnarBackend
 from repro.exec.dispatch import KernelDispatcher
-from repro.exec.ir import GroupedMatMul, MatMul, Program, Scan
+from repro.exec.ir import GroupedMatMul, Program, Scan
 from repro.exec.vm import VirtualMachine
 
 BACKENDS = available_backends()
@@ -85,7 +85,7 @@ def run_operator(left, right, rows, inner, cols, group, grouped=True):
     node = (
         GroupedMatMul(*scans, tuple(rows), tuple(inner), tuple(cols), tuple(group))
         if grouped
-        else MatMul(*scans, tuple(rows), tuple(inner), tuple(cols))
+        else GroupedMatMul(*scans, tuple(rows), tuple(inner), tuple(cols))
     )
     dispatcher = KernelDispatcher()
     result = VirtualMachine(database, dispatcher=dispatcher).run(Program(node))
@@ -389,6 +389,6 @@ def test_omega_strategy_on_mixed_type_columns(backend):
         assert result.answer is answer
         assert engine.exists(query, "generic_join").answer is answer
         assert any(
-            trace.kind in ("matmul", "groupedmatmul") and trace.group_count
+            trace.kind == "groupedmatmul" and trace.group_count
             for trace in result.execution.operators
         )

@@ -244,11 +244,6 @@ def test_dispatcher_ranked_enumeration_decision():
     assert not dispatcher.ranked_enumeration(cap + 1, "sorted")
     assert not dispatcher.ranked_enumeration(None, "sorted")
     assert not dispatcher.ranked_enumeration(16, "stream")
-    # A known output no larger than the limit favors one bulk sort.
-    assert not dispatcher.ranked_enumeration(16, "sorted", output_hint=10)
-    assert not dispatcher.ranked_enumeration(16, "sorted", output_hint=16)
-    assert dispatcher.ranked_enumeration(16, "sorted", output_hint=1000)
-    assert dispatcher.ranked_enumeration(16, "sorted", output_hint=0)
     # The cap is configurable.
     tight = KernelDispatcher(ranked_limit_cap=4)
     assert tight.ranked_enumeration(4, "sorted")

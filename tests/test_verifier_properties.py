@@ -18,19 +18,13 @@ import pytest
 
 from repro.analysis.verify import verify_program
 from repro.db import parse_query
-from repro.exec.ir import Enumerate, Program
 from repro.exec.lower import (
     SelectOptions,
     lower_generic_join,
     lower_naive,
     lower_yannakakis,
 )
-from repro.exec.optimize import (
-    eliminate_common_subexpressions,
-    fuse_semijoins,
-    optimize_program,
-    prune_operators,
-)
+from repro.exec.optimize import optimize_program, prune_operators
 
 SHAPES = {
     "path2": "Q(X, Z) :- R(X, Y), S(Y, Z)",
@@ -45,8 +39,6 @@ SHAPES = {
 VERBS = ("exists", "count", "select")
 
 PASSES = {
-    "cse": eliminate_common_subexpressions,
-    "fuse": fuse_semijoins,
     "prune": prune_operators,
     "all": optimize_program,
 }
@@ -142,24 +134,5 @@ def test_optimization_is_idempotent_on_the_corpus():
             for program in lowerings(query, verb):
                 once, _ = optimize_program(program)
                 twice, stats = optimize_program(once)
-                assert stats.cse_merged == 0, f"{shape}/{verb}"
-                assert stats.semijoins_fused == 0, f"{shape}/{verb}"
                 assert stats.operators_pruned == 0, f"{shape}/{verb}"
                 assert twice.describe() == once.describe()
-
-
-def test_streaming_lowering_carries_parents_through_fusion():
-    """Fusion rewrites frontier chains into MultiSemijoin nodes but must
-    keep the Enumerate root's parent edges aligned with the sequence."""
-    query = parse_query(SHAPES["chain3"])
-    program = lower_yannakakis(
-        query, verb="select", select_options=SelectOptions(limit=3, order="ranked")
-    )
-    fused, _ = fuse_semijoins(program)
-    root = fused.root
-    assert isinstance(root, Enumerate)
-    assert root.parents == program.root.parents
-    assert_valid(fused, "select", "chain3 ranked after fuse")
-    assert_valid(
-        Program(root, source=fused.source), "select", "rewrapped ranked root"
-    )
