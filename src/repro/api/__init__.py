@@ -11,8 +11,8 @@ Boolean and output-producing.  The moving parts:
     deterministic-order :class:`ResultSet` streaming them.
     ``engine.explain(query, verb=...)`` reports the chosen strategy, plan
     and width measures without executing, ``engine.ask_many(queries)``
-    runs a batch while sharing plans across isomorphic query shapes, and
-    ``engine.compare(query, verb=...)`` cross-validates strategies
+    runs a batch in input order (isomorphic members share one cached
+    plan), and ``engine.compare(query, verb=...)`` cross-validates strategies
     (raising :class:`StrategyDisagreement` on mismatch).  ``QueryEngine(db,
     backend="columnar")`` converts the database to a storage backend (see
     :mod:`repro.db.backends`) so every strategy runs on its kernels.
@@ -54,7 +54,6 @@ from .strategies import (
     DEFAULT_REGISTRY,
     VERBS,
     Strategy,
-    StrategyOutcome,
     StrategyRegistry,
     available_strategies,
     register_strategy,
@@ -78,7 +77,6 @@ __all__ = [
     "row_order_key",
     "Strategy",
     "StrategyDisagreement",
-    "StrategyOutcome",
     "StrategyRegistry",
     "UnknownStrategyError",
     "UnsupportedWorkload",

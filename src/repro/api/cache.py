@@ -13,7 +13,7 @@ serves every query isomorphic to the one that was planned.  Keys combine
   differently-headed queries over one body share a single cached plan,
 * the strategy name and the ω exponent the plan was costed with, and
 * the *per-relation plan fingerprint* of only the relations the query's
-  atoms touch (:meth:`~repro.db.Database.plan_fingerprint_for`) — mutating
+  atoms touch (the engine's name-insensitive ``_plan_fingerprint``) — mutating
   relation ``R`` therefore never evicts cached plans for queries that do
   not read ``R``, and because the fingerprint is built from statistics
   *epochs* (bumped on structural changes, not on small deltas), a stream
@@ -33,9 +33,7 @@ program (:class:`~repro.exec.ir.Program`) and the atom→relation binding the
 program was lowered against.  On a hit with the same binding the engine
 renames the cached program instead of lowering again; isomorphic queries
 over *different* relation names reuse the plan and re-lower (lowering is
-linear in the plan size).  The cache itself is value-agnostic: ``put``
-stores whatever it is given and ``get`` returns it untouched, so it can
-also hold bare :class:`~repro.core.plan.OmegaQueryPlan` objects.
+linear in the plan size).
 """
 
 from __future__ import annotations
@@ -46,6 +44,7 @@ from dataclasses import dataclass
 from typing import Hashable, Optional, Tuple
 
 from ..core.plan import OmegaQueryPlan
+from ..exec.ir import Program
 
 #: (strategy name, (shape signature, output signature, verb, atom sizes),
 #: omega, per-relation plan fingerprint of the atoms' relations)
@@ -58,12 +57,11 @@ class CachedPlanEntry:
 
     #: The ω-query plan in canonical variable space.
     plan: OmegaQueryPlan
-    #: The optimized physical-operator program in canonical variable space
-    #: (``None`` for strategies without a lowering).
-    program: Optional[object] = None
+    #: The optimized physical-operator program in canonical variable space.
+    program: Program
     #: Which relation each canonical atom scope was lowered against — reuse
     #: of ``program`` requires the requesting query to bind the same way.
-    binding: Hashable = None
+    binding: Hashable
 
 
 @dataclass(frozen=True)
@@ -83,20 +81,18 @@ class CacheStats:
 
 
 class PlanCache:
-    """A bounded mapping from :data:`PlanCacheKey` to canonical cache values.
+    """A bounded mapping from :data:`PlanCacheKey` to :class:`CachedPlanEntry`.
 
-    Values are typically :class:`CachedPlanEntry` objects (plan + lowered
-    program), but any object is stored and returned as-is.  ``maxsize <= 0``
-    disables caching entirely (every lookup misses and nothing is stored),
-    which the benchmarks use as the control arm.
+    ``maxsize <= 0`` disables caching entirely (every lookup misses and
+    nothing is stored).
     """
 
     def __init__(self, maxsize: int = 128) -> None:
         self.maxsize = maxsize
         # guarded-by: _lock; bounded-by: LRU eviction at maxsize
-        self._entries: "OrderedDict[PlanCacheKey, object]" = OrderedDict()
-        # ``ask_many`` shards batches across worker threads; all cache
-        # operations are serialized on this lock so concurrent shards
+        self._entries: "OrderedDict[PlanCacheKey, CachedPlanEntry]" = OrderedDict()
+        # The server's request threads share one engine; all cache
+        # operations are serialized on this lock so concurrent requests
         # share one consistent LRU.
         self._lock = threading.Lock()
         self._hits = 0
@@ -111,7 +107,7 @@ class PlanCache:
         with self._lock:
             return len(self._entries)
 
-    def get(self, key: PlanCacheKey) -> Optional[object]:
+    def get(self, key: PlanCacheKey) -> Optional[CachedPlanEntry]:
         with self._lock:
             if not self.enabled:
                 self._misses += 1
@@ -124,7 +120,7 @@ class PlanCache:
             self._hits += 1
             return value
 
-    def put(self, key: PlanCacheKey, value: object) -> None:
+    def put(self, key: PlanCacheKey, value: CachedPlanEntry) -> None:
         with self._lock:
             if not self.enabled:
                 return
@@ -180,7 +176,8 @@ class IncrementalResultStore:
     caches this store is *name-sensitive*: a patched count is only sound
     for the very query it was computed for.  ``maxsize <= 0`` disables the
     store (the engine then always re-executes).  Thread-safe for the same
-    reason as :class:`PlanCache`: ``ask_many`` shards run concurrently.
+    reason as :class:`PlanCache`: the server's request threads share one
+    engine.
     """
 
     def __init__(self, maxsize: int = 256) -> None:

@@ -6,9 +6,7 @@ through a registry, and memoizes ω-query plans in an LRU cache keyed by
 (canonical query shape, strategy, ω, per-relation plan fingerprint of the
 relations the query touches).  The second ask of any previously seen query
 shape therefore skips planning entirely — including asks of *isomorphic*
-queries with different variable or relation names — and batches
-(:meth:`QueryEngine.ask_many`) share plans across isomorphic group members
-even with the cache disabled.
+queries with different variable or relation names.
 
 The engine is also the front door for *incremental maintenance*:
 :meth:`QueryEngine.insert` / :meth:`QueryEngine.delete` route mutations
@@ -62,12 +60,7 @@ from .errors import (
     UnsupportedWorkload,
 )
 from .results import ResultSet
-from .strategies import (
-    DEFAULT_REGISTRY,
-    Strategy,
-    StrategyOutcome,
-    StrategyRegistry,
-)
+from .strategies import DEFAULT_REGISTRY, Strategy, StrategyRegistry
 
 #: Environment knob for the default ``verify_plans`` stage — ``off``
 #: (the default), ``lowered`` or ``optimized``.  The test suite exports
@@ -98,8 +91,7 @@ class QueryResult:
       (or, for ``plan_source == "incremental"``, whether the answer was
       served verbatim from the incremental store with zero deltas).
     * ``plan_source`` — ``"none"`` (strategy does not plan), ``"planner"``
-      (freshly planned), ``"cache"`` (LRU hit), ``"batch"`` (shared within
-      an :meth:`QueryEngine.ask_many` isomorphism group), ``"given"``
+      (freshly planned), ``"cache"`` (LRU hit), ``"given"``
       (caller-supplied plan) or ``"incremental"`` (no plan ran at all: the
       answer was patched from a previous ask via the delta log).
     """
@@ -129,7 +121,7 @@ class QueryResult:
     plan_search: Dict[str, int] = field(default_factory=dict)
     execution: Optional[ExecutionResult] = None
     #: The lowered physical-operator program the ask executed (``None``
-    #: only for strategies without a lowering).
+    #: only for answers served from the incremental store).
     program: Optional[Program] = None
     #: The distinct output relation of a ``select`` run (``None`` for the
     #: other verbs); :class:`~repro.api.results.ResultSet` streams it.
@@ -383,9 +375,8 @@ class QueryEngine:
         representation.  ``None`` leaves the database untouched.
     dispatcher:
         Optional :class:`~repro.exec.dispatch.KernelDispatcher` overriding
-        the adaptive kernel-choice policy (stream chunk size,
-        Strassen-vs-BLAS overhead factor).  By default the engine builds
-        one parameterised by its ω.
+        the select-delivery policy (stream chunk size, ranked-enumeration
+        cap).  By default the engine builds one with the default settings.
     incremental:
         When ``True`` (the default) the engine keeps a bounded store of
         whole-query ``exists``/``count`` answers and *patches* them under
@@ -434,9 +425,7 @@ class QueryEngine:
         self.registry = registry if registry is not None else DEFAULT_REGISTRY
         self._plan_cache = PlanCache(plan_cache_size)
         self._result_cache = ResultCache(result_cache_size)
-        self.dispatcher = (
-            dispatcher if dispatcher is not None else KernelDispatcher(omega=omega)
-        )
+        self.dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
         self._incremental = bool(incremental)
         self._incremental_store = IncrementalResultStore(
             256 if self._incremental else 0
@@ -506,25 +495,6 @@ class QueryEngine:
         """
         return self.registry.get(self._resolve_key(query, strategy, verb))
 
-    @staticmethod
-    def _verb_declared(strategy: Strategy, verb: str) -> bool:
-        """Whether a strategy opted into a verb (exists-only by default).
-
-        Pre-verb custom strategies never declare ``verbs``; they inherit
-        ``("exists",)`` from the base class, and the engine never passes a
-        ``verb`` argument to their ``supports``/``lower`` overrides.
-        """
-        return verb in getattr(strategy, "verbs", ("exists",))
-
-    @staticmethod
-    def _supports(strategy: Strategy, query: ConjunctiveQuery, verb: str) -> bool:
-        if verb == "exists":
-            # Single-argument call: safe for pre-verb supports() overrides.
-            return strategy.supports(query)
-        return QueryEngine._verb_declared(strategy, verb) and strategy.supports(
-            query, verb
-        )
-
     def _resolve_key(
         self, query: ConjunctiveQuery, strategy: str, verb: str = "exists"
     ) -> str:
@@ -539,7 +509,7 @@ class QueryEngine:
         check_verb(verb)
         if strategy == "auto":
             if "yannakakis" in self.registry:
-                if self._supports(self.registry.get("yannakakis"), query, verb):
+                if self.registry.get("yannakakis").supports(query, verb):
                     return "yannakakis"
             if verb != "exists":
                 # The ω/MM engine is exists-only; fall back to a
@@ -553,7 +523,7 @@ class QueryEngine:
                 for name in candidates:
                     if name not in self.registry:
                         continue
-                    if self._supports(self.registry.get(name), query, verb):
+                    if self.registry.get(name).supports(query, verb):
                         return name
                 # Auto was already tried — don't advise it in the error.
                 raise UnsupportedWorkload(
@@ -575,9 +545,9 @@ class QueryEngine:
         check_verb(verb)
         key = self._resolve_key(query, strategy, verb)
         resolved = self.registry.get(key)
-        if verb != "exists" and not self._verb_declared(resolved, verb):
+        if verb not in resolved.verbs:
             raise UnsupportedWorkload(key, verb, query)
-        if not self._supports(resolved, query, verb):
+        if not resolved.supports(query, verb):
             raise ValueError(
                 f"strategy {key!r} does not support query {query.name} "
                 f"({'acyclic' if query.is_acyclic() else 'cyclic'})"
@@ -861,48 +831,32 @@ class QueryEngine:
         row_count: Optional[int] = None
         relation: Optional[Relation] = None
         stream: Optional[EnumerationStream] = None
-        if program is not None:
-            # The unified path: run the lowered program on the shared VM
-            # (per-operator traces, cross-query intermediate-result cache).
-            vm = VirtualMachine(
-                self.database,
-                result_cache=self._result_cache,
-                dispatcher=self.dispatcher,
-                token=token,
-            )
-            try:
-                vm_result = vm.run(program)
-            except QueryCancelled as exc:
-                self._raise_cancelled(exc, query, verb, strategy_key, start, timeout)
-            outcome = StrategyOutcome(
-                answer=vm_result.answer,
-                plan=plan,
-                execution=ExecutionResult.from_vm(vm_result),
-            )
-            if verb == "count":
-                row_count = vm_result.row_count
-            elif verb == "select":
-                stream = vm_result.stream
-                if stream is None:
-                    relation = vm_result.relation
-                    if relation is None:  # pragma: no cover - defensive
-                        raise RuntimeError(
-                            "select program produced no relation payload"
-                        )
-                    row_count = len(relation)
-                # Streaming runs leave relation/row_count None: the output
-                # only exists as the cursor is pulled.
-        else:
-            # Legacy path for custom strategies without a lowering
-            # (exists-only: _resolve_supported rejected other verbs).
-            # Custom execute() implementations have no cooperative checks,
-            # so the deadline is only enforced at this boundary.
-            if token is not None:
-                self._check_token(token, query, verb, strategy_key, start, timeout)
-            outcome = resolved.execute(query, self.database, omega_value, plan=plan)
+        # Run the lowered program on the shared VM (per-operator traces,
+        # cross-query intermediate-result cache).
+        vm = VirtualMachine(
+            self.database,
+            result_cache=self._result_cache,
+            dispatcher=self.dispatcher,
+            token=token,
+        )
+        try:
+            vm_result = vm.run(program)
+        except QueryCancelled as exc:
+            self._raise_cancelled(exc, query, verb, strategy_key, start, timeout)
+        if verb == "count":
+            row_count = vm_result.row_count
+        elif verb == "select":
+            stream = vm_result.stream
+            if stream is None:
+                relation = vm_result.relation
+                if relation is None:  # pragma: no cover - defensive
+                    raise RuntimeError(
+                        "select program produced no relation payload"
+                    )
+                row_count = len(relation)
+            # Streaming runs leave relation/row_count None: the output
+            # only exists as the cursor is pulled.
         execute_seconds = time.perf_counter() - execute_start
-        if outcome.planned is not None:
-            planned = outcome.planned
         if incremental_key is not None and versions_before is not None:
             current = {
                 name: self.database.relation_version(name)
@@ -914,14 +868,14 @@ class QueryEngine:
             if current == versions_before and (
                 verb == "exists" or row_count is not None
             ):
-                answer_value = outcome.answer if verb == "exists" else row_count
+                answer_value = vm_result.answer if verb == "exists" else row_count
                 self._incremental_store.put(
                     incremental_key,
                     IncrementalEntry(answer_value, current, self.database.uid),
                 )
         return QueryResult(
             query=query,
-            answer=outcome.answer,
+            answer=vm_result.answer,
             strategy=strategy_key,
             seconds=time.perf_counter() - start,
             verb=verb,
@@ -931,10 +885,10 @@ class QueryEngine:
             execute_seconds=execute_seconds,
             cache_hit=cache_hit,
             plan_source=plan_source,
-            plan=outcome.plan if outcome.plan is not None else plan,
+            plan=plan,
             planned=planned,
             plan_search=dict(planned.search) if planned is not None else {},
-            execution=outcome.execution,
+            execution=ExecutionResult.from_vm(vm_result),
             program=program,
             relation=relation,
             stream=stream,
@@ -950,7 +904,7 @@ class QueryEngine:
         limit: Optional[int] = None,
         order: Optional[str] = None,
     ) -> List[QueryResult]:
-        """Answer a batch of queries, sharing plans across isomorphic shapes.
+        """Answer a batch of queries, one ask per query in input order.
 
         ``verb`` may be ``"exists"`` (the default), ``"count"`` or
         ``"select"`` — every query in the batch runs under that verb.  A
@@ -961,13 +915,9 @@ class QueryEngine:
         members still share work at pull time through the VM's
         intermediate-result cache.  ``limit``/``order`` are select-only.
 
-        Queries are grouped by (resolved strategy, canonical shape
-        signature, output signature, verb); each group is planned at most
-        once.  With the plan
-        cache enabled the sharing happens through the cache (later group
-        members report ``plan_source == "cache"``); with the cache disabled
-        the representative's plan is renamed into each member's variables
-        (``plan_source == "batch"``).  Results come back in input order.
+        Plans are shared the one way every ask shares them: through the
+        plan cache, so isomorphic members after the first report
+        ``plan_source == "cache"``, exactly as sequential asks would.
         """
         if verb == "select":
             return [  # type: ignore[return-value]
@@ -983,61 +933,7 @@ class QueryEngine:
             raise ValueError(
                 "limit/order apply to the 'select' verb only"
             )
-        query_list = list(queries)
-        results: List[Optional[QueryResult]] = [None] * len(query_list)
-        groups: Dict[Tuple[str, Hashable], List[int]] = {}
-        singletons: List[int] = []
-        for position, query in enumerate(query_list):
-            strategy_key = self._resolve_key(query, strategy, verb)
-            resolved = self.registry.get(strategy_key)
-            if resolved.uses_plans and verb == "exists":
-                # Group like the cache keys: same shape AND same relation
-                # statistics, so a shared plan was costed for its members.
-                # The output slot is () for the same reason as the plan
-                # cache — exists ignores heads, so differently-headed
-                # isomorphic bodies share one group.
-                key = (
-                    strategy_key,
-                    (query.shape_signature(), (), verb, self._atom_sizes(query)),
-                )
-                groups.setdefault(key, []).append(position)
-            else:
-                singletons.append(position)
-        for position in singletons:
-            results[position] = self._ask(
-                query_list[position], strategy, omega=omega, verb=verb
-            )
-        for members in groups.values():
-            representative = query_list[members[0]]
-            rep_result = self._ask(representative, strategy, omega=omega, verb=verb)
-            results[members[0]] = rep_result
-            shared_canonical: Optional[OmegaQueryPlan] = None
-            if not self._plan_cache.enabled and rep_result.plan is not None:
-                shared_canonical = rep_result.plan.rename(
-                    representative.canonical_mapping()
-                )
-            for position in members[1:]:
-                member_query = query_list[position]
-                if shared_canonical is None:
-                    # The LRU cache carries the plan to the other members.
-                    results[position] = self._ask(
-                        member_query, strategy, omega=omega, verb=verb
-                    )
-                    continue
-                inverse = {
-                    canonical: variable
-                    for variable, canonical in member_query.canonical_mapping().items()
-                }
-                result = self._ask(
-                    member_query,
-                    strategy,
-                    omega=omega,
-                    plan=shared_canonical.rename(inverse),
-                )
-                result.plan_source = "batch"
-                results[position] = result
-        assert all(result is not None for result in results)
-        return [result for result in results if result is not None]
+        return [self._ask(q, strategy, omega=omega, verb=verb) for q in queries]
 
     def explain(
         self,
@@ -1065,11 +961,12 @@ class QueryEngine:
         plan: Optional[OmegaQueryPlan] = None
         planned: Optional[PlannedQuery] = None
         cache_hit = False
-        program: Optional[Program] = None
         if resolved.uses_plans and verb == "exists":
             plan, planned, cache_hit, _, program = self._obtain_plan(
                 strategy_key, resolved, query, omega_value
             )
+        else:
+            program = self._lower(resolved, query, omega_value, plan, verb)
         widths: Dict[str, float] = {}
         if include_widths:
             from ..width import (
@@ -1084,8 +981,6 @@ class QueryEngine:
             widths["fractional hypertree width"] = fractional_hypertree_width(
                 hypergraph
             ).value
-        if program is None:
-            program = self._lower(resolved, query, omega_value, plan, verb)
         return Explanation(
             query=query,
             strategy=strategy_key,
@@ -1125,10 +1020,7 @@ class QueryEngine:
             explanation = self.explain(query, strategy, omega=omega, verb=verb)
         except PlanVerificationError as error:
             return list(error.violations)
-        program = explanation.program
-        if program is None:
-            return []
-        return verify_program(program, verb=verb, database=self.database)
+        return verify_program(explanation.program, verb=verb, database=self.database)
 
     def compare(
         self,
@@ -1150,9 +1042,9 @@ class QueryEngine:
             names = ["naive", "generic_join"]
             if verb == "exists":
                 names.append("omega")
-            if "yannakakis" in self.registry and self._supports(
-                self.registry.get("yannakakis"), query, verb
-            ):
+            if "yannakakis" in self.registry and self.registry.get(
+                "yannakakis"
+            ).supports(query, verb):
                 names.append("yannakakis")
         else:
             names = list(strategies)
@@ -1233,6 +1125,10 @@ class QueryEngine:
         if entry is None or entry.db_uid != self.database.uid:
             return self._fallback("no_entry")
         names = {atom.relation for atom in query.atoms}
+        # Snapshot before reading the log, as _ask does around execution: a
+        # write landing while the deltas are read or the patch runs leaves
+        # the patched answer's base version ambiguous, so it is not stored.
+        versions = {name: self.database.relation_version(name) for name in names}
         deltas: Dict[str, Tuple] = {}
         for name in sorted(names):
             base = entry.versions.get(name)
@@ -1268,10 +1164,10 @@ class QueryEngine:
             patched = self._patch_count(entry, deltas, query)
         if patched is None:
             return None
-        versions = {name: self.database.relation_version(name) for name in names}
-        self._incremental_store.put(
-            key, IncrementalEntry(patched, versions, self.database.uid)
-        )
+        if versions == {name: self.database.relation_version(name) for name in names}:
+            self._incremental_store.put(
+                key, IncrementalEntry(patched, versions, self.database.uid)
+            )
         self._incremental_store.record_patch()
         if verb == "exists":
             answer, row_count = bool(patched), None
@@ -1403,9 +1299,9 @@ class QueryEngine:
 
         The shape signature deliberately forgets which relations the atoms
         bind to (so renamed isomorphic queries share plans), but plans are
-        *costed* against the actual relation statistics — the cache key and
-        the batch grouping include these sizes so two same-shaped queries
-        over differently-sized relations are planned separately.  Sizes
+        *costed* against the actual relation statistics — the cache key
+        includes these sizes so two same-shaped queries over
+        differently-sized relations are planned separately.  Sizes
         enter as log₂ buckets (``bit_length``), not exact counts: a plan
         costed for 100 rows serves 101 rows just as well, and bucketing is
         what keeps plan-cache keys stable across a stream of small
@@ -1430,13 +1326,10 @@ class QueryEngine:
         plan: Optional[OmegaQueryPlan],
         verb: str = "exists",
         select_options: Optional[SelectOptions] = None,
-    ) -> Optional[Program]:
-        """Lower a strategy to an optimized program (``None`` if it cannot).
+    ) -> Program:
+        """Lower a strategy to an optimized program.
 
-        The ``verb`` keyword is only forwarded for non-``exists`` verbs, so
-        pre-verb custom strategies overriding :meth:`Strategy.lower` with
-        the old signature keep working on the Boolean path.  Select
-        limit/order options go to strategies declaring
+        Select limit/order options go to strategies declaring
         ``supports_select_options`` (Yannakakis pushes them into the
         top-down enumeration join); for every other strategy they are
         stamped onto the optimized program's enumeration root, which
@@ -1460,23 +1353,12 @@ class QueryEngine:
             )
         ):
             select_options = SelectOptions(select_options.limit, "ranked")
-        if verb == "exists":
-            program = strategy.lower(query, self.database, omega, plan=plan)
-        else:
-            kwargs = {}
-            if (
-                verb == "select"
-                and select_options is not None
-                and getattr(strategy, "supports_select_options", False)
-            ):
-                kwargs["select_options"] = select_options
-            program = strategy.lower(
-                query, self.database, omega, plan=plan, verb=verb, **kwargs
-            )
-            if program is None:
-                raise UnsupportedWorkload(strategy.name, verb, query)
-        if program is None:
-            return None
+        kwargs = {}
+        if select_options is not None and strategy.supports_select_options:
+            kwargs["select_options"] = select_options
+        program = strategy.lower(
+            query, self.database, omega, plan=plan, verb=verb, **kwargs
+        )
         if self.verify_plans == "lowered":
             assert_verified(
                 program, verb=verb, database=self.database, stage="lowered"
@@ -1497,8 +1379,7 @@ class QueryEngine:
     def _plan_fingerprint(self, query: ConjunctiveQuery) -> Hashable:
         """Epochs of the query's relations, keyed by canonical atom scope.
 
-        Like :meth:`~repro.db.Database.plan_fingerprint_for` but
-        name-*insensitive*: isomorphic queries over different relations
+        Name-*insensitive*: isomorphic queries over different relations
         with equal epochs still share a cached plan (the binding check in
         :meth:`_obtain_plan` re-lowers when the atom→relation wiring
         differs), while a structural mutation of any touched relation
@@ -1545,11 +1426,11 @@ class QueryEngine:
         strategy: Strategy,
         query: ConjunctiveQuery,
         omega: float,
-    ) -> Tuple[OmegaQueryPlan, Optional[PlannedQuery], bool, float, Optional[Program]]:
+    ) -> Tuple[OmegaQueryPlan, Optional[PlannedQuery], bool, float, Program]:
         """Fetch a plan (and its lowered program) from the cache, or build both.
 
         Returns ``(plan, planned-or-None, cache_hit, plan_seconds,
-        program-or-None)``.  Cache entries hold the plan *and* the
+        program)``.  Cache entries hold the plan *and* the
         optimized IR in canonical variable space; a hit renames them into
         the query's variables.  If the hit's atom→relation binding differs
         (isomorphic query over different relations), the plan is reused and
@@ -1576,24 +1457,15 @@ class QueryEngine:
         cached = self._plan_cache.get(key)
         if cached is not None:
             inverse = {c: variable for variable, c in mapping.items()}
-            if isinstance(cached, CachedPlanEntry):
-                plan = cached.plan.rename(inverse)
-                program: Optional[Program] = None
-                relower_seconds = 0.0
-                if cached.program is not None and cached.binding == binding:
-                    assert isinstance(cached.program, Program)
-                    program = cached.program.rename(inverse)
-                if program is None:
-                    # Same shape, different atom wiring: the plan is reused
-                    # but the IR must be lowered afresh — report that work
-                    # as planning time rather than hiding it.
-                    relower_start = time.perf_counter()
-                    program = self._lower(strategy, query, omega, plan)
-                    relower_seconds = time.perf_counter() - relower_start
-                return plan, None, True, relower_seconds, program
-            # Back-compat: a bare plan stored directly in the cache.
-            assert isinstance(cached, OmegaQueryPlan)
-            return cached.rename(inverse), None, True, 0.0, None
+            plan = cached.plan.rename(inverse)
+            if cached.binding == binding:
+                return plan, None, True, 0.0, cached.program.rename(inverse)
+            # Same shape, different atom wiring: the plan is reused but the
+            # IR must be lowered afresh — report that work as planning time
+            # rather than hiding it.
+            relower_start = time.perf_counter()
+            program = self._lower(strategy, query, omega, plan)
+            return plan, None, True, time.perf_counter() - relower_start, program
         plan_start = time.perf_counter()
         planned = strategy.plan(query, self.database, omega)
         program = self._lower(strategy, query, omega, planned.plan)
@@ -1602,7 +1474,7 @@ class QueryEngine:
             key,
             CachedPlanEntry(
                 plan=planned.plan.rename(mapping),
-                program=program.rename(mapping) if program is not None else None,
+                program=program.rename(mapping),
                 binding=binding,
             ),
         )

@@ -105,35 +105,27 @@ class ResultSet:
         result = self._run()
         self._result = result
         stream = getattr(result, "stream", None)
-        if stream is not None and (
-            self.order == "stream" or stream.order == "ranked"
-        ):
+        if stream is not None:
             # Incremental delivery: discovery-order pulls, or a ranked
             # any-k cursor whose batches already arrive in the sorted
-            # contract's order (so no ordering work happens here).
+            # contract's order (so no ordering work happens here).  The
+            # engine streams a sorted select only through a ranked cursor.
             self._stream = stream
             return
-        if stream is not None:
-            # Defensive fallback: a sorted request answered with a
-            # discovery-order cursor (a custom strategy bypassing the
-            # dispatcher's ranked/materialize routing).  Drain it with a
-            # bounded candidate selection — never a full-output sort.
-            self._rows = self._sorted_from_stream(stream)
+        relation = result.relation
+        if self.order == "stream":
+            # Materialized run (e.g. a non-streaming strategy): any
+            # fixed order satisfies the stream contract.
+            rows = [] if relation is None else list(relation.rows)
+            self._rows = rows[: self.limit] if self.limit is not None else rows
+        elif relation is not None:
+            # Deterministic order straight off the storage layer: the
+            # columnar backend serves it from its cached vectorized
+            # sort (decoding only the limited prefix), the set
+            # backend from the keyed bounded selection.
+            self._rows = relation.ordered_rows(self.limit)
         else:
-            relation = result.relation
-            if self.order == "stream":
-                # Materialized run (e.g. a non-streaming strategy): any
-                # fixed order satisfies the stream contract.
-                rows = [] if relation is None else list(relation.rows)
-                self._rows = rows[: self.limit] if self.limit is not None else rows
-            elif relation is not None:
-                # Deterministic order straight off the storage layer: the
-                # columnar backend serves it from its cached vectorized
-                # sort (decoding only the limited prefix), the set
-                # backend from the keyed bounded selection.
-                self._rows = relation.ordered_rows(self.limit)
-            else:
-                self._rows = []
+            self._rows = []
         self._complete = True
 
     def _pull(self, stream: EnumerationStream) -> Optional[List[Row]]:
@@ -143,28 +135,6 @@ class ResultSet:
             if self._on_cancelled is not None:
                 self._on_cancelled(exc)  # expected to raise the API error
             raise
-
-    def _sorted_from_stream(self, stream: EnumerationStream) -> List[Row]:
-        """The deterministic (limited) order from a discovery-order cursor.
-
-        With a limit, at most ``max(4*limit, 4096)`` candidate rows are
-        held at once: each time the buffer overflows it is compressed to
-        the current ``limit``-smallest (``heapq.nsmallest``), which is
-        exactly the prefix a full sort would have kept.
-        """
-        limit = self.limit
-        if limit == 0:
-            return []
-        candidates: List[Row] = []
-        compress_at = None if limit is None else max(4 * limit, 4096)
-        while True:
-            batch = self._pull(stream)
-            if batch is None:
-                break
-            candidates.extend(batch)
-            if compress_at is not None and len(candidates) > compress_at:
-                candidates = _ordered_rows(candidates, limit)
-        return _ordered_rows(candidates, limit)
 
     def _fill(self, target: Optional[int]) -> None:
         """Pull stream batches until ``target`` buffered rows (or the end)."""

@@ -5,31 +5,32 @@ answering a Boolean conjunctive query is a :class:`Strategy` object looked
 up by name in a :class:`StrategyRegistry`.  The four shipped strategies —
 ``naive``, ``generic_join``, ``yannakakis`` and ``omega`` — are registered
 on import; users add their own with the :func:`register_strategy`
-decorator::
+decorator.  A strategy is a *lowering*: :meth:`Strategy.lower` turns a
+query into a physical-operator :class:`~repro.exec.ir.Program`, and the
+engine optimizes it and runs it on its one shared virtual machine::
 
     @register_strategy
-    class SamplingStrategy(Strategy):
-        name = "sampling"
+    class PairwiseStrategy(Strategy):
+        name = "pairwise"
+        verbs = VERBS
 
-        def execute(self, query, database, omega, plan=None):
-            return StrategyOutcome(answer=my_sampler(query, database))
+        def lower(self, query, database, omega, plan=None, verb="exists"):
+            return lower_naive(query, verb=verb)
 
 Strategies that plan (``uses_plans = True``) split the work in two: the
 engine obtains a plan — from its LRU plan cache whenever the query shape,
 ω and database statistics match a previous ask — and hands it to
-:meth:`Strategy.execute`, so repeated asks of the same shape skip planning
+:meth:`Strategy.lower`, so repeated asks of the same shape skip planning
 entirely.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Dict, Optional, Tuple, Union, overload
 
 from ..db.database import Database
 from ..db.joins import default_variable_order
 from ..db.query import ConjunctiveQuery
-from ..core.executor import ExecutionResult
 from ..core.plan import OmegaQueryPlan
 from ..core.planner import PlannedQuery, plan_query
 from ..exec.ir import Program
@@ -40,37 +41,21 @@ from ..exec.lower import (
     lower_plan,
     lower_yannakakis,
 )
-from ..exec.optimize import optimize_program
-from ..exec.vm import VirtualMachine
 from .errors import UnknownStrategyError, UnsupportedWorkload
-
-
-@dataclass
-class StrategyOutcome:
-    """What a strategy produced: the answer plus optional diagnostics."""
-
-    answer: bool
-    plan: Optional[OmegaQueryPlan] = None
-    planned: Optional[PlannedQuery] = None
-    execution: Optional[ExecutionResult] = None
 
 
 class Strategy:
     """One way of answering a conjunctive query.
 
     Subclasses set :attr:`name`, optionally restrict :meth:`supports`, and
-    implement :meth:`execute`.  Plan-based strategies additionally set
+    implement :meth:`lower`.  Plan-based strategies additionally set
     ``uses_plans = True`` and implement :meth:`plan`; the engine calls
     :meth:`plan` (through its cache) and passes the result to
-    :meth:`execute`.
+    :meth:`lower`.
 
-    :attr:`verbs` declares which query verbs the strategy serves.  The
-    default — ``("exists",)`` — keeps pre-verb custom strategies working
-    unchanged: the engine only ever passes a ``verb`` argument to
-    :meth:`supports`/:meth:`lower` for strategies that opted into that
-    verb, so old single-argument overrides are never called with it.
-    Strategies that can count/enumerate extend ``verbs`` and accept the
-    ``verb`` keyword in both methods.
+    :attr:`verbs` declares which query verbs the strategy serves; the
+    engine always passes the ``verb`` keyword to :meth:`supports` and
+    :meth:`lower`.  Strategies that can count/enumerate extend ``verbs``.
     """
 
     #: Registry key; subclasses must override.
@@ -83,9 +68,8 @@ class Strategy:
     #: Whether :meth:`lower` accepts the ``select_options`` keyword (a
     #: :class:`~repro.exec.lower.SelectOptions` pushing limit/order into
     #: the enumeration program).  The engine only forwards the keyword to
-    #: strategies that opt in — pre-existing overrides keep their old
-    #: signature — and stamps the options onto the optimized program's
-    #: root for everyone else.
+    #: strategies that opt in, and stamps the options onto the optimized
+    #: program's root for everyone else.
     supports_select_options: bool = False
 
     def supports(self, query: ConjunctiveQuery, verb: str = "exists") -> bool:
@@ -105,44 +89,14 @@ class Strategy:
         omega: float,
         plan: Optional[OmegaQueryPlan] = None,
         verb: str = "exists",
-    ) -> Optional[Program]:
-        """Lower the strategy to a physical-operator program, or ``None``.
+    ) -> Program:
+        """Lower the strategy to a physical-operator program.
 
-        Strategies that return a :class:`~repro.exec.ir.Program` execute on
-        the engine's shared virtual machine (one instrumented executor,
-        optimizer passes, cross-query result cache).  The default returns
-        ``None`` for ``exists`` — which makes the engine fall back to
-        :meth:`execute`, so custom strategies keep working unchanged — and
-        raises :class:`UnsupportedWorkload` for any other verb.
+        The engine optimizes the program and runs it on its shared virtual
+        machine (one instrumented executor, cross-query result cache).
+        Every strategy must override this.
         """
-        if verb != "exists":
-            raise UnsupportedWorkload(self.name, verb, query)
-        return None
-
-    def execute(
-        self,
-        query: ConjunctiveQuery,
-        database: Database,
-        omega: float,
-        plan: Optional[OmegaQueryPlan] = None,
-    ) -> StrategyOutcome:
-        """Answer the query directly (standalone use, without an engine).
-
-        The default implementation lowers (:meth:`lower`) and runs a
-        private VM; strategies that neither lower nor override this raise
-        ``NotImplementedError``.  (Engines run lowered programs on their
-        own shared VM instead of calling this.)
-        """
-        program = self.lower(query, database, omega, plan=plan)
-        if program is None:
-            raise NotImplementedError
-        program, _ = optimize_program(program)
-        result = VirtualMachine(database).run(program)
-        return StrategyOutcome(
-            answer=result.answer,
-            plan=plan,
-            execution=ExecutionResult.from_vm(result),
-        )
+        raise NotImplementedError(f"strategy {self.name!r} does not lower")
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<Strategy {self.name!r}>"

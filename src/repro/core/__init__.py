@@ -10,10 +10,6 @@ from .cycle import (
     FOUR_CYCLE_QUERY,
     FourCycleReport,
     four_cycle_adaptive,
-    four_cycle_combinatorial,
-    four_cycle_detect,
-    four_cycle_generic_join,
-    four_cycle_matrix_only,
 )
 from .executor import ExecutionResult
 from .plan import OmegaQueryPlan, PlanStep, StepMethod, all_for_loop_plan
@@ -27,11 +23,7 @@ from .planner import (
 from .triangle import (
     TRIANGLE_QUERY,
     TriangleReport,
-    triangle_detect,
     triangle_figure1,
-    triangle_generic_join,
-    triangle_matrix_only,
-    triangle_naive,
 )
 
 __all__ = [
@@ -52,15 +44,7 @@ __all__ = [
     "clique_detect_mm",
     "enumerate_cliques",
     "four_cycle_adaptive",
-    "four_cycle_combinatorial",
-    "four_cycle_detect",
-    "four_cycle_generic_join",
-    "four_cycle_matrix_only",
     "plan_for_order",
     "plan_query",
-    "triangle_detect",
     "triangle_figure1",
-    "triangle_generic_join",
-    "triangle_matrix_only",
-    "triangle_naive",
 ]

@@ -4,8 +4,12 @@ The 4-cycle query ``Q□() :- R(X,Y), S(Y,Z), T(Z,W), U(W,X)`` is the
 canonical example where neither a single tree decomposition nor a single
 matrix multiplication is optimal: the paper's framework partitions the data
 by the degree of the "middle" variables and chooses per part (Lemma C.9).
-This module implements that adaptive strategy together with purely
-combinatorial and purely MM-based baselines.
+This module implements that adaptive strategy.  Its baselines are engine
+calls: ``QueryEngine(db).exists(FOUR_CYCLE_QUERY, "generic_join")``, and
+``exists(FOUR_CYCLE_QUERY, "omega", plan=...)`` with either the
+combinatorial two-bag plan ``all_for_loop_plan(h, ["Y", "W", "X", "Z"])``
+or the purely MM-based plan that eliminates ``Y`` and ``W`` by one MM step
+each.
 """
 
 from __future__ import annotations
@@ -15,10 +19,7 @@ from typing import Optional, Tuple
 
 from ..constants import DEFAULT_OMEGA
 from ..db.database import Database
-from ..db.joins import generic_join_boolean
 from ..db.query import ConjunctiveQuery, parse_query
-from ..db.relation import Relation
-from ..matmul.boolean import boolean_multiply
 
 FOUR_CYCLE_QUERY: ConjunctiveQuery = parse_query(
     "Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)"
@@ -35,48 +36,6 @@ class FourCycleReport:
     heavy_matrix_shape: Tuple[int, int, int] = (0, 0, 0)
     found_in: str = "none"
     seconds: float = 0.0
-
-
-def _relations(database: Database) -> Tuple[Relation, Relation, Relation, Relation]:
-    instance = database.instance_for(FOUR_CYCLE_QUERY)
-    return instance["R"], instance["S"], instance["T"], instance["U"]
-
-
-def four_cycle_generic_join(database: Database) -> bool:
-    """Baseline: worst-case optimal join (``O(N^2)`` on the 4-cycle)."""
-    return generic_join_boolean(FOUR_CYCLE_QUERY, database)
-
-
-def four_cycle_combinatorial(database: Database) -> bool:
-    """Baseline: eliminate Y and W by joins and intersect the two X–Z relations.
-
-    This is the two-bag tree-decomposition strategy; its cost is dominated
-    by the sizes of the two intermediate X–Z relations (up to ``N^2``).
-    """
-    r, s, t, u = _relations(database)
-    through_y = r.join(s).project(["X", "Z"])
-    if through_y.is_empty():
-        return False
-    through_w = u.join(t).project(["X", "Z"])
-    return not through_y.intersect(through_w).is_empty()
-
-
-def four_cycle_matrix_only(database: Database) -> bool:
-    """Baseline: eliminate Y and W by Boolean MM on the full adjacency matrices."""
-    r, s, t, u = _relations(database)
-    if any(rel.is_empty() for rel in (r, s, t, u)):
-        return False
-    r_matrix, x_index, y_index = r.to_matrix(["X"], ["Y"])
-    s_matrix, _, z_index = s.to_matrix(["Y"], ["Z"], row_index=y_index)
-    through_y = boolean_multiply(r_matrix, s_matrix)
-    u_matrix, x_index_2, w_index = u.rename({}).project(["X", "W"]).to_matrix(
-        ["X"], ["W"], row_index=x_index
-    )
-    t_matrix, _, z_index_2 = t.project(["W", "Z"]).to_matrix(
-        ["W"], ["Z"], row_index=w_index, col_index=z_index
-    )
-    through_w = boolean_multiply(u_matrix, t_matrix)
-    return bool((through_y & through_w).any())
 
 
 def four_cycle_adaptive(
@@ -126,22 +85,3 @@ def four_cycle_adaptive(
     if report.answer:
         report.found_in = "intersection"
     return report
-
-
-def four_cycle_detect(
-    database: Database,
-    strategy: str = "adaptive",
-    omega: float = DEFAULT_OMEGA,
-) -> bool:
-    """Detect a 4-cycle with the chosen strategy."""
-    strategies = {
-        "adaptive": lambda: four_cycle_adaptive(database, omega).answer,
-        "combinatorial": lambda: four_cycle_combinatorial(database),
-        "matrix_only": lambda: four_cycle_matrix_only(database),
-        "generic_join": lambda: four_cycle_generic_join(database),
-    }
-    try:
-        return strategies[strategy]()
-    except KeyError:
-        known = ", ".join(sorted(strategies))
-        raise ValueError(f"unknown strategy {strategy!r}; known: {known}") from None

@@ -11,9 +11,11 @@ Boolean triangle query ``Q△() :- R(X,Y), S(Y,Z), T(X,Z)`` running in time
 3. find all-heavy triangles by a single Boolean matrix multiplication over
    the (at most ``N/Δ``) heavy values on each side.
 
-This module implements that algorithm literally, plus the baselines the
-benchmarks compare against (naive join, worst-case-optimal join, and a pure
-matrix-multiplication strategy without partitioning).
+This module implements that algorithm literally.  The baselines the
+benchmarks compare it against are engine calls on the same VM:
+``QueryEngine(db).exists(TRIANGLE_QUERY, "naive" | "generic_join")``, and
+the un-partitioned product is the explicit ω-plan that eliminates ``Y`` by
+one MM step (``MMTerm({X}, {Z}, {Y}, ∅)``) and ``X``, ``Z`` by for-loops.
 """
 
 from __future__ import annotations
@@ -23,10 +25,7 @@ from typing import Optional, Tuple
 
 from ..constants import DEFAULT_OMEGA
 from ..db.database import Database
-from ..db.joins import generic_join_boolean, naive_boolean
 from ..db.query import ConjunctiveQuery, parse_query
-from ..db.relation import Relation
-from ..matmul.boolean import boolean_multiply
 
 TRIANGLE_QUERY: ConjunctiveQuery = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 
@@ -41,42 +40,6 @@ class TriangleReport:
     heavy_matrix_shape: Tuple[int, int, int] = (0, 0, 0)
     found_in: str = "none"
     seconds: float = 0.0
-
-
-def _triangle_relations(database: Database) -> Tuple[Relation, Relation, Relation]:
-    instance = database.instance_for(TRIANGLE_QUERY)
-    return instance["R"], instance["S"], instance["T"]
-
-
-def triangle_naive(database: Database) -> bool:
-    """Baseline: fold the three relations with pairwise hash joins."""
-    return naive_boolean(TRIANGLE_QUERY, database)
-
-
-def triangle_generic_join(database: Database) -> bool:
-    """Baseline: the worst-case optimal join (``O(N^{3/2})``)."""
-    return generic_join_boolean(TRIANGLE_QUERY, database)
-
-
-def triangle_matrix_only(database: Database) -> bool:
-    """Baseline: one big Boolean matrix multiplication, no partitioning.
-
-    Multiplies the full ``R`` and ``S`` adjacency matrices and intersects
-    with ``T``; cost is cubic in the active domain (no output sensitivity),
-    which is exactly why the paper partitions by degree first.
-    """
-    r, s, t = _triangle_relations(database)
-    if r.is_empty() or s.is_empty() or t.is_empty():
-        return False
-    r_matrix, x_index, y_index = r.to_matrix(["X"], ["Y"])
-    s_matrix, _, z_index = s.to_matrix(["Y"], ["Z"], row_index=y_index)
-    product = boolean_multiply(r_matrix, s_matrix)
-    for x_value, z_value in t.project(["X", "Z"]).rows:
-        i = x_index.get((x_value,))
-        j = z_index.get((z_value,))
-        if i is not None and j is not None and product[i, j]:
-            return True
-    return False
 
 
 def triangle_figure1(
@@ -122,26 +85,3 @@ def triangle_figure1(
         )
         report.found_in = "light" if light_hit else "heavy"
     return report
-
-
-def triangle_detect(
-    database: Database,
-    strategy: str = "figure1",
-    omega: float = DEFAULT_OMEGA,
-) -> bool:
-    """Detect a triangle with the chosen strategy.
-
-    Strategies: ``"figure1"`` (the paper's algorithm), ``"naive"``,
-    ``"generic_join"``, ``"matrix_only"``.
-    """
-    strategies = {
-        "figure1": lambda: triangle_figure1(database, omega).answer,
-        "naive": lambda: triangle_naive(database),
-        "generic_join": lambda: triangle_generic_join(database),
-        "matrix_only": lambda: triangle_matrix_only(database),
-    }
-    try:
-        return strategies[strategy]()
-    except KeyError:
-        known = ", ".join(sorted(strategies))
-        raise ValueError(f"unknown strategy {strategy!r}; known: {known}") from None

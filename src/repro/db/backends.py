@@ -60,7 +60,6 @@ reference, not the fast path.
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -440,12 +439,6 @@ class RelationBackend:
         ``threshold`` (over ``given``), and the full rows of all the others."""
         raise NotImplementedError
 
-    def matrix_pairs(
-        self, row_positions: Sequence[int], col_positions: Sequence[int]
-    ) -> Iterable[Tuple[Row, Row]]:
-        """The distinct (row-key tuple, column-key tuple) pairs."""
-        raise NotImplementedError
-
     def matmul(
         self,
         other: "RelationBackend",
@@ -456,7 +449,6 @@ class RelationBackend:
         other_col_positions: Sequence[int],
         other_group_positions: Sequence[int],
         schema: Tuple[str, ...],
-        mm_kernel: Callable[[int, int, int], Optional[Callable]],
     ) -> Tuple["RelationBackend", Tuple[int, int, int], int]:
         """One Boolean product per shared group binding (Def. 4.5).
 
@@ -710,19 +702,13 @@ class SetBackend(RelationBackend):
         heavy_schema = tuple(self.schema[p] for p in given_positions)
         return SetBackend(heavy_schema, frozenset(heavy_rows)), self._keep(light_rows)
 
-    def matrix_pairs(self, row_positions, col_positions):
-        return {
-            (tuple(row[p] for p in row_positions), tuple(row[p] for p in col_positions))
-            for row in self._rows
-        }
-
-    def matmul(self, other, *positions_schema_and_kernel):
+    def matmul(self, other, *positions_and_schema):
         # The product is defined on dictionary codes: encode, multiply, decode.
         product, shape, group_count = ColumnarBackend.from_rows(
             self.schema, self._rows
         ).matmul(
             ColumnarBackend.from_rows(other.schema, other.iter_rows()),
-            *positions_schema_and_kernel,
+            *positions_and_schema,
         )
         return (
             SetBackend(product.schema, frozenset(product.iter_rows())),
@@ -1789,22 +1775,6 @@ class ColumnarBackend(RelationBackend):
         )
         return heavy, light
 
-    def matrix_pairs(
-        self, row_positions: Sequence[int], col_positions: Sequence[int]
-    ) -> List[Tuple[Row, Row]]:
-        """Distinct (row-tuple, column-tuple) pairs, deduplicated on codes."""
-        pair_positions = list(row_positions) + list(col_positions)
-        if self._n == 0:
-            return []
-        if pair_positions:
-            stacked = np.stack(self._codes(pair_positions), axis=1)
-            pairs = np.unique(stacked, axis=0)
-        else:
-            pairs = np.zeros((1, 0), dtype=np.int64)
-        row_part = self.decode_key_rows(row_positions, pairs[:, : len(row_positions)])
-        col_part = self.decode_key_rows(col_positions, pairs[:, len(row_positions):])
-        return list(zip(row_part, col_part))
-
     # -- grouped Boolean matrix product ---------------------------------
     def matmul(
         self,
@@ -1816,7 +1786,6 @@ class ColumnarBackend(RelationBackend):
         other_col_positions: Sequence[int],
         other_group_positions: Sequence[int],
         schema: Tuple[str, ...],
-        mm_kernel: Callable[[int, int, int], Optional[Callable]],
     ) -> Tuple["ColumnarBackend", Tuple[int, int, int], int]:
         """One Boolean matrix product per group key present on both sides.
 
@@ -1826,9 +1795,8 @@ class ColumnarBackend(RelationBackend):
         Everything happens on dictionary codes: the other side's inner and
         group codes are translated into this side's dictionaries, every key
         is ranked within its group in one sort per dimension, and the loop
-        over groups only fills two 0/1 matrices, multiplies them on the
-        kernel ``mm_kernel(rows, inner, cols)`` names (``None`` = BLAS) and
-        reads the nonzeros back.  A group's dimensions are its distinct row
+        over groups only fills two 0/1 matrices, multiplies them and reads
+        the nonzeros back.  A group's dimensions are its distinct row
         keys × its distinct inner keys *on this side* × its distinct column
         keys.  The output columns share the operands' dictionaries, and
         (row, column, group) triples are distinct by construction.
@@ -1904,9 +1872,7 @@ class ColumnarBackend(RelationBackend):
                 right_col_rank[right_start:right_end],
             ] = 1
             left_start, right_start = left_end, right_end
-            product = boolean_multiply(
-                left_matrix, right_matrix, kernel=mm_kernel(rows, inner, cols)
-            )
+            product = boolean_multiply(left_matrix, right_matrix)
             hit_rows, hit_cols = np.nonzero(product)
             out_rows.append(hit_rows + row_base)
             out_cols.append(hit_cols + col_base)

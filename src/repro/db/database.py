@@ -7,7 +7,7 @@ that relation — assignment, :meth:`Database.insert`, :meth:`Database.delete`
 — and is what result caches key on (:meth:`Database.fingerprint_for`).  The
 epoch bumps only on *structural* changes: wholesale replacement, deletion,
 backend conversion, or a delta stream crossing the fallback threshold.
-Plan caches key on epochs (:meth:`Database.plan_fingerprint_for`) because a
+Plan caches key on epochs (:meth:`Database.relation_epoch`) because a
 plan stays *correct* under small deltas — only its cost optimality can
 drift — so a thousand single-tuple inserts reuse one cached plan instead of
 re-planning a thousand times.
@@ -322,18 +322,6 @@ class Database:
             ),
         )
 
-    def plan_fingerprint_for(self, names: Iterable[str]) -> Hashable:
-        """Plan-cache fingerprint: epochs (not versions) of the named relations.
-
-        Plans stay correct under small deltas, so this only changes on
-        structural mutations — replacement, deletion, backend conversion,
-        or a threshold fallback.
-        """
-        return (
-            self._uid,
-            tuple((name, self._epochs.get(name, 0)) for name in sorted(set(names))),
-        )
-
     # ------------------------------------------------------------------
     # Bulk construction and backend management
     # ------------------------------------------------------------------
@@ -428,8 +416,8 @@ class Database:
 
         Kept for back-compat observability; the caches now key on the
         *per-relation* counters via :meth:`fingerprint_for` /
-        :meth:`plan_fingerprint_for`, so this global counter no longer
-        drives invalidation.
+        :meth:`relation_epoch`, so this global counter no longer drives
+        invalidation.
         """
         return self._version
 

@@ -6,7 +6,7 @@ A relation ``R(X, Y, ...)`` is a schema (tuple of variable names) plus a
 Definition E.9 — ``deg_R(Y | X)`` — and the heavy/light partitioning that
 the paper's algorithms (Figure 1, PANDA decomposition steps) are built on,
 plus the grouped Boolean matrix product of the matrix-multiplication
-eliminations and conversion to and from 0/1 matrices.
+eliminations.
 
 Backend protocol
 ----------------
@@ -55,9 +55,6 @@ from typing import (
     Union,
 )
 
-import numpy as np
-
-from ..matmul.boolean import matrix_from_pairs
 from .backends import (
     RelationBackend,
     RelationStats,
@@ -506,66 +503,8 @@ class Relation:
         )
 
     # ------------------------------------------------------------------
-    # Matrix conversion (for MM-based eliminations)
+    # Matrix multiplication (for MM-based eliminations)
     # ------------------------------------------------------------------
-    def to_matrix(
-        self,
-        row_variables: Sequence[str],
-        col_variables: Sequence[str],
-        row_index: Optional[Dict[Row, int]] = None,
-        col_index: Optional[Dict[Row, int]] = None,
-    ) -> Tuple[np.ndarray, Dict[Row, int], Dict[Row, int]]:
-        """Encode the relation as a 0/1 matrix over (row, column) value tuples.
-
-        Returns ``(matrix, row_index, col_index)``; indexes can be supplied
-        to align several relations on the same dimensions.  The columnar
-        backend deduplicates the (row, column) key pairs on its code arrays
-        before any Python-level work happens.
-        """
-        row_variables = list(row_variables)
-        col_variables = list(col_variables)
-        projected: Iterable[Tuple[Row, Row]] = self._backend.matrix_pairs(
-            self._positions(row_variables), self._positions(col_variables)
-        )
-        if row_index is None or col_index is None:
-            # Sorting fixes a deterministic index order; skipped when both
-            # indexes are caller-supplied (mixed-type keys need not be
-            # mutually comparable).
-            projected = sorted(projected)
-        if row_index is None:
-            row_index = {}
-            for key, _ in projected:
-                if key not in row_index:
-                    row_index[key] = len(row_index)
-        if col_index is None:
-            col_index = {}
-            for _, key in projected:
-                if key not in col_index:
-                    col_index[key] = len(col_index)
-        matrix = matrix_from_pairs(projected, row_index, col_index)
-        return matrix, row_index, col_index
-
-    @staticmethod
-    def from_matrix(
-        matrix: np.ndarray,
-        row_variables: Sequence[str],
-        col_variables: Sequence[str],
-        row_index: Dict[Row, int],
-        col_index: Dict[Row, int],
-        name: Optional[str] = None,
-        backend: Optional[str] = None,
-    ) -> "Relation":
-        """Decode a Boolean matrix back into a relation (inverse of ``to_matrix``)."""
-        inverse_rows = {position: key for key, position in row_index.items()}
-        inverse_cols = {position: key for key, position in col_index.items()}
-        rows = []
-        nonzero_rows, nonzero_cols = np.nonzero(matrix)
-        for i, j in zip(nonzero_rows.tolist(), nonzero_cols.tolist()):
-            rows.append(inverse_rows[i] + inverse_cols[j])
-        return Relation(
-            list(row_variables) + list(col_variables), rows, name, backend=backend
-        )
-
     def matmul(
         self,
         other: "Relation",
@@ -573,7 +512,6 @@ class Relation:
         inner_variables: Sequence[str],
         col_variables: Sequence[str],
         group_variables: Sequence[str],
-        mm_kernel: Callable[[int, int, int], Optional[Callable]],
     ) -> Tuple["Relation", Tuple[int, int, int], int]:
         """``MM(rows ; inner ; cols | group)``: a Boolean product per group binding.
 
@@ -584,8 +522,7 @@ class Relation:
         variables means one plain product.  The work happens on dictionary
         codes (:meth:`~repro.db.backends.ColumnarBackend.matmul`; the set
         backend encodes on the way in) and the product comes back in this
-        relation's backend kind.  ``mm_kernel(rows, inner, cols)`` picks
-        the multiplication kernel of one product (``None`` = BLAS).
+        relation's backend kind.
 
         Returns ``(product, largest product shape, groups matched)``.
         """
@@ -602,7 +539,6 @@ class Relation:
             other._positions(col_variables),
             other._positions(group_variables),
             schema,
-            mm_kernel,
         )
         return Relation._wrap(product), shape, group_count
 

@@ -30,11 +30,7 @@ from .ir import (
     Union,
     Wcoj,
 )
-from .dispatch import (
-    DEFAULT_MORSEL_SIZE,
-    DispatchStats,
-    KernelDispatcher,
-)
+from .dispatch import DEFAULT_MORSEL_SIZE, KernelDispatcher
 from .vm import (
     CancellationToken,
     OpTrace,
@@ -68,7 +64,6 @@ __all__ = [
     "CancellationToken",
     "Count",
     "DEFAULT_MORSEL_SIZE",
-    "DispatchStats",
     "Distinct",
     "Enumerate",
     "GroupedMatMul",

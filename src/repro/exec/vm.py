@@ -18,9 +18,8 @@ and that includes the paper's one non-combinatorial primitive:
 ``GroupedMatMul`` — the grouped Boolean product ``MM(X; Y; Z | G)`` of
 Definition 4.5, a plain product when ``G`` is empty — is one method here
 and one kernel on dictionary codes there
-(:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`), to
-which this module only lends the dispatcher's per-product BLAS/Strassen
-choice.  The single operator whose loop the VM owns is ``Wcoj``, the
+(:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`).  The
+single operator whose loop the VM owns is ``Wcoj``, the
 GenericJoin backtracking search, which is row-at-a-time by nature.
 
 One query, one thread
@@ -758,7 +757,7 @@ class VirtualMachine:
     result_cache:
         Optional cross-run intermediate-result cache.
     dispatcher:
-        The adaptive kernel dispatcher; defaults to the process-wide
+        The select-delivery dispatcher; defaults to the process-wide
         :data:`~repro.exec.dispatch.DEFAULT_DISPATCHER`.
     token:
         Optional :class:`CancellationToken`.  The interpreter checks it
@@ -1141,7 +1140,6 @@ class _RunState:
             node.inner_variables,
             node.col_variables,
             node.group_variables,
-            self.dispatcher.mm_kernel,
         )
         return product, rows_in, {"matrix_shape": shape, "group_count": group_count}
 

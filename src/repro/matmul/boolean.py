@@ -28,8 +28,7 @@ def matrix_from_pairs(
     deduplicated key pairs (straight off a columnar backend's code arrays)
     into a Boolean operand: the nonzero entries are set in one vectorized
     fancy-indexing assignment.  Pairs whose keys are missing from a
-    caller-supplied index are skipped, matching the alignment semantics of
-    ``Relation.to_matrix``.
+    caller-supplied index are skipped.
     """
     if shape is None:
         shape = (len(row_index), len(col_index))
@@ -79,25 +78,6 @@ def counting_multiply(
 def boolean_multiply_strassen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Boolean product computed through the Strassen kernel (for tests/benches)."""
     return boolean_multiply(a, b, kernel=strassen_multiply)
-
-
-#: Named multiplication kernels selectable by the adaptive dispatcher
-#: (``None`` means the BLAS-backed ``@`` default of ``counting_multiply``).
-MM_KERNELS: Dict[str, Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]] = {
-    "blas": None,
-    "strassen": strassen_multiply,
-}
-
-
-def resolve_mm_kernel(
-    name: str,
-) -> Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]]:
-    """Map a kernel name from :data:`MM_KERNELS` to its callable."""
-    try:
-        return MM_KERNELS[name]
-    except KeyError:
-        known = ", ".join(sorted(MM_KERNELS))
-        raise ValueError(f"unknown MM kernel {name!r}; known kernels: {known}") from None
 
 
 def has_any_product_entry(a: np.ndarray, b: np.ndarray) -> bool:

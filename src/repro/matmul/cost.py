@@ -46,61 +46,6 @@ def mm_exponent(a: float, b: float, c: float, omega: float = DEFAULT_OMEGA) -> f
     return omega_rectangular(a, b, c, omega)
 
 
-#: The exponent the *shipped* sub-cubic kernel actually achieves
-#: (Strassen, ``log2 7``).  Kernel choice must be costed against this, not
-#: against a configured theoretical ω the implementation cannot realize.
-STRASSEN_OMEGA = math.log2(7.0)
-
-#: Constant-factor handicap of the numpy-level Strassen recursion against
-#: the BLAS cubic product.  BLAS runs each scalar operation one to two
-#: orders of magnitude cheaper than the Python-orchestrated recursion, so
-#: the fast path must win by at least this modelled factor before the
-#: dispatcher picks it.  Calibrated conservatively; override per engine via
-#: ``KernelDispatcher(strassen_overhead=...)``.
-STRASSEN_OVERHEAD_FACTOR = 48.0
-
-
-def mm_kernel_advantage(
-    rows: int, inner: int, cols: int, omega: float = DEFAULT_OMEGA
-) -> float:
-    """Modelled op-count ratio cubic / square-blocked for one MM instance.
-
-    ``> 1`` means the sub-cubic path saves scalar operations on this
-    shape; how *much* larger it must be to beat BLAS in wall clock is the
-    overhead factor applied by :func:`preferred_mm_kernel`.  The exponent
-    used is ``max(ω, log2 7)``: a configured ω below Strassen's is a
-    planning-model assumption, not something the shipped kernel delivers,
-    so dispatch never credits the kernel with savings it cannot produce.
-    """
-    modelled = rectangular_cost(rows, inner, cols, max(omega, STRASSEN_OMEGA))
-    if modelled <= 0.0:
-        return 0.0
-    return float(rows) * inner * cols / modelled
-
-
-def preferred_mm_kernel(
-    rows: int,
-    inner: int,
-    cols: int,
-    omega: float = DEFAULT_OMEGA,
-    overhead_factor: float = STRASSEN_OVERHEAD_FACTOR,
-) -> str:
-    """``"strassen"`` or ``"blas"`` for one concrete product shape.
-
-    Replaces the old fixed size cutoff: the choice follows the cost model
-    (:class:`MatrixShape`) at the implemented kernel's exponent,
-    discounted by the measured constant-factor overhead of the recursion.
-    The matrix dimensions of a relational MM step are distinct-value
-    counts, so this is where the statistics reach the kernel choice.
-    With the default calibration BLAS wins at every realistic shape —
-    honest, given BLAS's per-operation advantage; the dispatch mechanism
-    (and a lowered ``overhead_factor``) is how a genuinely faster
-    sub-cubic kernel would be wired in.
-    """
-    advantage = mm_kernel_advantage(rows, inner, cols, omega)
-    return "strassen" if advantage >= overhead_factor else "blas"
-
-
 def triangle_threshold(n: int, omega: float = DEFAULT_OMEGA) -> int:
     """The heavy/light degree threshold ``Δ = N^{(ω-1)/(ω+1)}`` of Section 2.5."""
     gamma_of(omega)

@@ -10,7 +10,6 @@ from repro.api import (
     QueryEngine,
     Strategy,
     StrategyDisagreement,
-    StrategyOutcome,
     StrategyRegistry,
     UnknownStrategyError,
     available_strategies,
@@ -27,10 +26,21 @@ from repro.db import (
     random_database,
     triangle_instance,
 )
+from repro.exec import Antijoin, NonEmpty, Program, Scan
 
 OMEGA = OMEGA_BEST_KNOWN
 TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 FOUR_CYCLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)")
+
+
+def constant_lowering(answer: bool) -> Program:
+    """An exists program that ignores the query and reads only ``R``.
+
+    ``True`` lowers to "R is non-empty" (it is, on every instance here) and
+    ``False`` to the emptiness of ``R`` antijoined with itself.
+    """
+    scan = Scan("R", ("X", "Y"))
+    return Program(NonEmpty(scan if answer else Antijoin(scan, scan)), source="constant")
 
 
 def make_engine(num_edges=120, seed=1, **kwargs) -> QueryEngine:
@@ -60,8 +70,8 @@ class TestRegistry:
         class Dummy(Strategy):
             name = "dummy"
 
-            def execute(self, query, database, omega, plan=None):
-                return StrategyOutcome(answer=True)
+            def lower(self, query, database, omega, plan=None, verb="exists"):
+                return constant_lowering(True)
 
         register_strategy(Dummy, registry=registry)
         with pytest.raises(ValueError):
@@ -74,8 +84,8 @@ class TestRegistry:
         class ConstantTrue(Strategy):
             name = "constant_true"
 
-            def execute(self, query, database, omega, plan=None):
-                return StrategyOutcome(answer=True)
+            def lower(self, query, database, omega, plan=None, verb="exists"):
+                return constant_lowering(True)
 
         try:
             engine = make_engine()
@@ -94,13 +104,24 @@ class TestRegistry:
         class Local(Strategy):
             name = "local_only"
 
-            def execute(self, query, database, omega, plan=None):
-                return StrategyOutcome(answer=False)
+            def lower(self, query, database, omega, plan=None, verb="exists"):
+                return constant_lowering(False)
 
         register_strategy(Local, registry=registry)
         engine = make_engine(registry=registry)
         assert engine.ask(TRIANGLE, strategy="local_only").answer is False
         assert "local_only" not in DEFAULT_REGISTRY
+
+    def test_strategy_without_lowering_raises_naming_it(self):
+        registry = StrategyRegistry()
+
+        @register_strategy(registry=registry)
+        class NoLowering(Strategy):
+            name = "no_lowering"
+
+        engine = make_engine(registry=registry)
+        with pytest.raises(NotImplementedError, match="'no_lowering'"):
+            engine.ask(TRIANGLE, strategy="no_lowering")
 
 
 class TestPlanCache:
@@ -306,53 +327,6 @@ class TestAskMany:
         answers = {r.answer for r in results}
         assert answers == {naive_boolean(TRIANGLE, both)}
 
-    def test_batch_shares_plans_without_cache(self):
-        db = triangle_instance(100, domain_size=20, seed=8)
-        both = Database(
-            dict(list(db.items()) + [("A", db["R"]), ("B", db["S"]), ("C", db["T"])])
-        )
-        renamed = parse_query("Q() :- A(U, V), B(V, W), C(U, W)")
-        engine = QueryEngine(both, omega=OMEGA, plan_cache_size=0)
-        results = engine.ask_many([TRIANGLE, renamed], strategy="omega")
-        assert results[0].plan_source == "planner"
-        assert results[1].plan_source == "batch"
-        assert results[1].answer == naive_boolean(renamed, both)
-
-    def test_batch_keeps_custom_plan_based_strategy(self):
-        from repro.core import plan_query
-        from repro.exec import lower_plan, run_program
-
-        @register_strategy
-        class CustomOmega(Strategy):
-            name = "custom_omega"
-            uses_plans = True
-
-            def plan(self, query, database, omega):
-                return plan_query(query, database, omega)
-
-            def execute(self, query, database, omega, plan=None):
-                if plan is None:
-                    plan = self.plan(query, database, omega).plan
-                result = run_program(lower_plan(query, database, plan), database)
-                return StrategyOutcome(answer=result.answer)
-
-        try:
-            db = triangle_instance(80, domain_size=18, seed=4)
-            both = Database(
-                dict(
-                    list(db.items())
-                    + [("A", db["R"]), ("B", db["S"]), ("C", db["T"])]
-                )
-            )
-            renamed = parse_query("Q() :- A(U, V), B(V, W), C(U, W)")
-            engine = QueryEngine(both, omega=OMEGA, plan_cache_size=0)
-            results = engine.ask_many([TRIANGLE, renamed], strategy="custom_omega")
-            assert [r.strategy for r in results] == ["custom_omega", "custom_omega"]
-            assert results[1].plan_source == "batch"
-            assert {r.answer for r in results} == {naive_boolean(TRIANGLE, both)}
-        finally:
-            unregister_strategy("custom_omega")
-
     def test_batch_does_not_share_across_different_sizes(self):
         small = triangle_instance(30, domain_size=10, seed=1)
         big = triangle_instance(300, domain_size=30, seed=2)
@@ -413,8 +387,8 @@ class TestCompareAndDisagreement:
         class ConstantFalse(Strategy):
             name = "constant_false"
 
-            def execute(self, query, database, omega, plan=None):
-                return StrategyOutcome(answer=False)
+            def lower(self, query, database, omega, plan=None, verb="exists"):
+                return constant_lowering(False)
 
         try:
             engine = make_engine()  # plants a triangle: naive says True
@@ -460,8 +434,8 @@ class TestBackCompatWrappers:
         class ConstantFalse2(Strategy):
             name = "constant_false2"
 
-            def execute(self, query, database, omega, plan=None):
-                return StrategyOutcome(answer=False)
+            def lower(self, query, database, omega, plan=None, verb="exists"):
+                return constant_lowering(False)
 
         try:
             db = triangle_instance(50, domain_size=12, seed=0, plant_triangle=True)

@@ -138,15 +138,6 @@ def test_operator_algebra_matches_reference_backend(seed, composite_limit, monke
         reference_a.select({schema_a[0]: point}).rows
         == columnar_a.select({schema_a[0]: point}).rows
     )
-    if len(schema_a) >= 2:
-        matrix_ref, rows_ref, cols_ref = reference_a.to_matrix(
-            [schema_a[0]], [schema_a[1]]
-        )
-        matrix_col, rows_col, cols_col = columnar_a.to_matrix(
-            [schema_a[0]], [schema_a[1]]
-        )
-        assert (matrix_ref == matrix_col).all()
-        assert rows_ref == rows_col and cols_ref == cols_col
     assert reference_a == columnar_a
     assert hash(reference_a) == hash(columnar_a)
     assert reference_a.stats.fingerprint() == columnar_a.stats.fingerprint()

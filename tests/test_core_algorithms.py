@@ -1,27 +1,69 @@
-"""Tests for the per-query-class algorithms (triangle, clique, 4-cycle)."""
+"""Tests for the per-query-class algorithms (triangle, clique, 4-cycle).
+
+The baselines they are checked against are engine calls: the ``naive`` and
+``generic_join`` strategies, and explicit ω-plans — one un-partitioned MM
+step per eliminated middle variable (``matrix_only``), or for-loops only
+(the 4-cycle's combinatorial two-bag plan).
+"""
 
 from __future__ import annotations
 
 import pytest
 
+from repro.api import QueryEngine
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.core import (
+    FOUR_CYCLE_QUERY,
+    TRIANGLE_QUERY,
+    OmegaQueryPlan,
+    PlanStep,
+    StepMethod,
+    all_for_loop_plan,
     clique_detect_bruteforce,
     clique_detect_mm,
     enumerate_cliques,
     four_cycle_adaptive,
-    four_cycle_combinatorial,
-    four_cycle_detect,
-    four_cycle_matrix_only,
-    triangle_detect,
     triangle_figure1,
-    triangle_matrix_only,
-    triangle_naive,
 )
 from repro.db import clique_instance, four_cycle_instance, triangle_instance
 from repro.matmul import triangle_threshold
+from repro.width import MMTerm
 
 OMEGA = OMEGA_BEST_KNOWN
+
+
+def _product(first: str, second: str, middle: str) -> PlanStep:
+    """Eliminate ``middle`` by one un-partitioned product ``MM({first}; {second}; {middle} | ∅)``."""
+    term = MMTerm(frozenset({first}), frozenset({second}), frozenset({middle}), frozenset())
+    return PlanStep(frozenset({middle}), StepMethod.MATRIX_MULTIPLICATION, term)
+
+
+def _loops(variable: str) -> PlanStep:
+    return PlanStep(frozenset({variable}), StepMethod.FOR_LOOPS)
+
+
+TRIANGLE_MATRIX_ONLY = OmegaQueryPlan(
+    TRIANGLE_QUERY.hypergraph(), (_product("X", "Z", "Y"), _loops("X"), _loops("Z"))
+)
+FOUR_CYCLE_MATRIX_ONLY = OmegaQueryPlan(
+    FOUR_CYCLE_QUERY.hypergraph(),
+    (_product("X", "Z", "Y"), _product("X", "Z", "W"), _loops("X"), _loops("Z")),
+)
+FOUR_CYCLE_COMBINATORIAL = all_for_loop_plan(
+    FOUR_CYCLE_QUERY.hypergraph(), ["Y", "W", "X", "Z"]
+)
+
+
+def _exists(db, query, strategy, plan=None) -> bool:
+    return QueryEngine(db, omega=OMEGA).exists(query, strategy, plan=plan).answer
+
+
+def triangle_naive(db) -> bool:
+    return _exists(db, TRIANGLE_QUERY, "naive")
+
+
+def triangle_matrix_only(db) -> bool:
+    return _exists(db, TRIANGLE_QUERY, "omega", TRIANGLE_MATRIX_ONLY)
 
 
 class TestTriangleFigure1:
@@ -67,10 +109,12 @@ class TestTriangleFigure1:
 
     def test_strategy_dispatch(self):
         db = triangle_instance(50, seed=1, plant_triangle=True)
-        for strategy in ("figure1", "naive", "generic_join", "matrix_only"):
-            assert triangle_detect(db, strategy=strategy)
+        assert triangle_figure1(db, OMEGA).answer
+        for strategy in ("naive", "generic_join"):
+            assert _exists(db, TRIANGLE_QUERY, strategy)
+        assert triangle_matrix_only(db)
         with pytest.raises(ValueError):
-            triangle_detect(db, strategy="quantum")
+            _exists(db, TRIANGLE_QUERY, "quantum")
 
     def test_heavy_instance_exercises_mm_path(self):
         """On a hub-skewed instance the heavy matrix is non-trivial."""
@@ -90,10 +134,10 @@ class TestFourCycle:
             skew="heavy" if seed % 2 else "uniform",
             seed=seed,
         )
-        expected = four_cycle_combinatorial(db)
-        assert four_cycle_matrix_only(db) == expected
+        expected = _exists(db, FOUR_CYCLE_QUERY, "omega", FOUR_CYCLE_COMBINATORIAL)
+        assert _exists(db, FOUR_CYCLE_QUERY, "omega", FOUR_CYCLE_MATRIX_ONLY) == expected
         assert four_cycle_adaptive(db, OMEGA).answer == expected
-        assert four_cycle_detect(db, strategy="generic_join") == expected
+        assert _exists(db, FOUR_CYCLE_QUERY, "generic_join") == expected
 
     def test_adaptive_reports_threshold(self):
         db = four_cycle_instance(100, seed=0, plant_cycle=True)
@@ -104,7 +148,7 @@ class TestFourCycle:
     def test_strategy_dispatch_error(self):
         db = four_cycle_instance(20, seed=0)
         with pytest.raises(ValueError):
-            four_cycle_detect(db, strategy="unknown")
+            _exists(db, FOUR_CYCLE_QUERY, "unknown")
 
 
 class TestCliqueDetection:

@@ -313,6 +313,8 @@ class TestVM:
             lambda: KernelDispatcher(min_partition_rows=16),
             lambda: KernelDispatcher(max_morsel_output=16),
             lambda: KernelDispatcher(convert_threshold=1),
+            lambda: KernelDispatcher(strassen_overhead=1.0),
+            lambda: KernelDispatcher(omega=2.0),
         ):
             with pytest.raises(TypeError):
                 call()

@@ -363,6 +363,48 @@ class TestEnginePatching:
         assert info["patched"] >= 1
         assert info["size"] >= 1
 
+    @staticmethod
+    def _race_one_write(engine, monkeypatch, relation, row):
+        """Land ``row`` in ``relation`` inside the next patch evaluation."""
+        original = engine._patch_ask
+        pending = [row]
+
+        def racing(*args, **kwargs):
+            while pending:
+                engine.insert(relation, [pending.pop()])
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(engine, "_patch_ask", racing)
+
+    def test_count_patch_racing_a_write_is_not_stored(self, monkeypatch):
+        db = Database()
+        db["R"] = Relation.from_pairs(SCHEMA, [(1, 2), (2, 3)], "R")
+        db["S"] = Relation.from_pairs(SCHEMA, [(2, 5), (3, 6), (9, 9)], "S")
+        engine = QueryEngine(db)
+        assert engine.count(CHAIN_FULL).row_count == 2
+        engine.insert("R", [(7, 2)])
+        self._race_one_write(engine, monkeypatch, "R", (8, 3))
+        # The racing read may see either side of the write ...
+        assert engine.count(CHAIN_FULL).row_count in (3, 4)
+        # ... but the store must not record it as applied with its delta uncounted.
+        result = engine.count(CHAIN_FULL)
+        assert result.row_count == 4 == engine.count(CHAIN_FULL, "naive").row_count
+        assert result.plan_source == "incremental"
+
+    def test_exists_patch_racing_a_write_is_not_stored(self, monkeypatch):
+        db = Database()
+        db["R"] = Relation.from_pairs(SCHEMA, [(1, 2)], "R")
+        db["S"] = Relation.from_pairs(SCHEMA, [(9, 9)], "S")
+        engine = QueryEngine(db)
+        assert engine.exists(CHAIN_BOOL).answer is False
+        engine.insert("R", [(7, 8)])  # no witness
+        self._race_one_write(engine, monkeypatch, "R", (8, 9))  # joins S(9, 9)
+        engine.exists(CHAIN_BOOL)
+        result = engine.exists(CHAIN_BOOL)
+        assert result.answer is True
+        assert engine.exists(CHAIN_BOOL, "naive").answer is True
+        assert result.plan_source == "incremental"
+
     def test_incremental_disabled_still_correct(self):
         engine = QueryEngine(make_database(), incremental=False)
         assert engine.exists(CHAIN_BOOL).answer is True

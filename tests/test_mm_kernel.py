@@ -19,7 +19,6 @@ from hypothesis import given, settings, strategies as st
 from repro.api import QueryEngine
 from repro.db import Database, Relation, available_backends, backends, parse_query
 from repro.db.backends import ColumnarBackend
-from repro.exec.dispatch import KernelDispatcher
 from repro.exec.ir import GroupedMatMul, Program, Scan
 from repro.exec.vm import VirtualMachine
 
@@ -78,7 +77,7 @@ def oracle(left_schema, left_rows, right_schema, right_rows, rows, inner, cols, 
 
 
 def run_operator(left, right, rows, inner, cols, group, grouped=True):
-    """Evaluate one MM operator over two relations; ``(relation, trace, stats)``."""
+    """Evaluate one MM operator over two relations; ``(relation, trace)``."""
     database = Database()
     database["A"], database["B"] = left, right
     scans = Scan("A", left.schema), Scan("B", right.schema)
@@ -87,9 +86,8 @@ def run_operator(left, right, rows, inner, cols, group, grouped=True):
         if grouped
         else GroupedMatMul(*scans, tuple(rows), tuple(inner), tuple(cols))
     )
-    dispatcher = KernelDispatcher()
-    result = VirtualMachine(database, dispatcher=dispatcher).run(Program(node))
-    return result.relation, result.traces[-1], dispatcher.stats
+    result = VirtualMachine(database).run(Program(node))
+    return result.relation, result.traces[-1]
 
 
 def check_against_oracle(
@@ -98,7 +96,7 @@ def check_against_oracle(
 ):  # fmt: skip
     left = Relation(left_schema, left_rows, backend=left_kind)
     right = Relation(right_schema, right_rows, backend=right_kind)
-    relation, trace, stats = run_operator(left, right, rows, inner, cols, group, grouped)
+    relation, trace = run_operator(left, right, rows, inner, cols, group, grouped)
     expected, rows_in, shape, group_count = oracle(
         left_schema, left_rows, right_schema, right_rows, rows, inner, cols, group
     )
@@ -109,8 +107,6 @@ def check_against_oracle(
     assert trace.rows_in == rows_in
     assert trace.matrix_shape == shape
     assert trace.group_count == group_count
-    # The dispatcher chooses a kernel once per product, not once per operator.
-    assert stats.mm_blas + stats.mm_strassen == group_count
     return relation, trace
 
 
@@ -265,7 +261,7 @@ def test_tombstoned_operands_are_compacted_first():
     left, removed = left.delete_rows([(x, 3) for x in range(6)])
     assert len(removed) == 6
     right = Relation(("Y", "Z"), [(3, "gone"), (4, "kept")], backend="columnar")
-    relation, trace, _ = run_operator(left, right, ["X"], ["Y"], ["Z"], [])
+    relation, trace = run_operator(left, right, ["X"], ["Y"], ["Z"], [])
     assert relation.rows == {(x, "kept") for x in range(6)}
     assert trace.matrix_shape == (6, 5, 2)
 
@@ -278,7 +274,7 @@ def test_columnar_output_order_follows_codes_not_hashes():
     right_rows = {(rng.choice(names), rng.choice(names), rng.choice("bc")) for _ in range(60)}
     left = Relation(("X", "Y", "G"), left_rows, backend="columnar")
     right = Relation(("Y", "Z", "G"), right_rows, backend="columnar")
-    relation, _, _ = run_operator(left, right, ["X"], ["Y"], ["Z"], ["G"])
+    relation, _ = run_operator(left, right, ["X"], ["Y"], ["Z"], ["G"])
     # Homogeneous columns are coded in value order, and the kernel emits
     # group by group, row-major within each product.
     assert len(relation) > 20
@@ -288,14 +284,13 @@ def test_columnar_output_order_follows_codes_not_hashes():
 @pytest.mark.parametrize("kind", BACKENDS)
 def test_relation_matmul_is_total_on_empty_operands(kind):
     """The VM never calls the kernel with an empty side; a direct caller may."""
-    choose = KernelDispatcher().mm_kernel
     full = Relation(("X", "Y"), [(1, 2)], backend=kind)
     for left, right in (
         (full, Relation(("Y", "Z"), [], backend=kind)),
         (Relation(("W", "X"), [], backend=kind), full),
     ):
         rows, inner, cols = left.schema[:1], left.schema[1:], right.schema[1:]
-        product, shape, group_count = left.matmul(right, rows, inner, cols, [], choose)
+        product, shape, group_count = left.matmul(right, rows, inner, cols, [])
         assert product.schema == rows + cols and product.is_empty()
         assert product.backend_kind == kind
         assert (shape, group_count) == ((0, 0, 0), 0)
@@ -305,7 +300,7 @@ def test_relation_matmul_rejects_a_duplicate_output_variable():
     left = Relation(("X", "Y"), [(1, 2)])
     right = Relation(("Y", "X"), [(2, 1)])
     with pytest.raises(ValueError, match="duplicate variables"):
-        left.matmul(right, ["X"], ["Y"], ["X"], [], KernelDispatcher().mm_kernel)
+        left.matmul(right, ["X"], ["Y"], ["X"], [])
 
 
 # ----------------------------------------------------------------------
@@ -332,7 +327,7 @@ def test_columnar_product_materialises_no_row_tuples(monkeypatch):
         patch.setattr(ColumnarBackend, "iter_rows", forbidden)
         patch.setattr(ColumnarBackend, "row_set", forbidden)
         patch.setattr(ColumnarBackend, "from_rows", classmethod(forbidden))
-        relation, trace, _ = run_operator(left, right, ["Y"], ["X"], ["Z"], [])
+        relation, trace = run_operator(left, right, ["Y"], ["X"], ["Z"], [])
         produced = len(relation)
     expected, rows_in, shape, _ = oracle(
         left.schema, r_rows, right.schema, t_rows, ["Y"], ["X"], ["Z"], []

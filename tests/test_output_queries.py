@@ -326,27 +326,6 @@ class TestVerbResolution:
         with pytest.raises(UnsupportedWorkload, match="no registered strategy"):
             engine.count(parse_query("Q(X) :- R(X, Y)"))
 
-    def test_old_style_custom_strategy_stays_exists_only(self):
-        registry = StrategyRegistry()
-
-        @register_strategy(registry=registry)
-        class LegacyTrue(Strategy):
-            name = "legacy"
-
-            def supports(self, query):  # pre-verb single-argument override
-                return True
-
-            def execute(self, query, database, omega, plan=None):
-                from repro.api import StrategyOutcome
-
-                return StrategyOutcome(answer=True)
-
-        engine = QueryEngine(self._db(), registry=registry)
-        query = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
-        assert engine.exists(query, strategy="legacy").answer
-        with pytest.raises(UnsupportedWorkload):
-            engine.count(query, strategy="legacy")
-
     def test_explicit_plan_rejected_for_output_verbs(self):
         engine = QueryEngine(self._db(), omega=OMEGA_BEST_KNOWN)
         triangle = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")

@@ -140,33 +140,6 @@ class TestDegreesAndPartitioning:
         assert heavy.is_empty() and light == r
 
 
-class TestMatrixConversion:
-    def test_roundtrip(self):
-        r = Relation(("X", "Y"), [(1, 10), (2, 20), (1, 20)])
-        matrix, rows, cols = r.to_matrix(["X"], ["Y"])
-        assert matrix.sum() == 3
-        back = Relation.from_matrix(matrix, ["X"], ["Y"], rows, cols)
-        assert back == r
-
-    def test_shared_index_alignment(self):
-        r = Relation(("X", "Y"), [(1, 10), (2, 20)])
-        s = Relation(("Y", "Z"), [(10, 5), (30, 6)])
-        _, _, y_index = r.to_matrix(["X"], ["Y"])
-        s_matrix, _, _ = s.to_matrix(["Y"], ["Z"], row_index=y_index)
-        # The Y value 30 is unknown to the shared index and is dropped.
-        assert s_matrix.shape[0] == len(y_index)
-        assert s_matrix.sum() == 1
-
-    def test_boolean_product_equals_join_project(self):
-        r = Relation(("X", "Y"), [(0, 0), (0, 1), (1, 1)])
-        s = Relation(("Y", "Z"), [(0, 7), (1, 8)])
-        r_matrix, x_index, y_index = r.to_matrix(["X"], ["Y"])
-        s_matrix, _, z_index = s.to_matrix(["Y"], ["Z"], row_index=y_index)
-        product = (r_matrix.astype(int) @ s_matrix.astype(int)) > 0
-        via_matrix = Relation.from_matrix(product, ["X"], ["Z"], x_index, z_index)
-        assert via_matrix == r.join(s).project(["X", "Z"])
-
-
 class TestBackends:
     def test_backend_selection_and_kind(self):
         r = Relation(("X", "Y"), [(1, 2)])
@@ -284,13 +257,6 @@ class TestBackends:
         # columnar encoder must not collapse them via np.unique.
         assert len(reference) == len(columnar) == 3
         assert reference.stats.distinct("X") == columnar.stats.distinct("X") == 3
-
-    def test_to_matrix_mixed_types_with_supplied_indexes(self):
-        r = Relation(("X", "Y"), [(1, "a"), ("b", 2)], backend="columnar")
-        row_index = {(1,): 0, ("b",): 1}
-        col_index = {("a",): 0, (2,): 1}
-        matrix, _, _ = r.to_matrix(["X"], ["Y"], row_index=row_index, col_index=col_index)
-        assert matrix[0, 0] == 1 and matrix[1, 1] == 1 and matrix.sum() == 2
 
     def test_sorted_composite_keys_cached_and_shared_across_renames(self):
         backend = ColumnarBackend.from_columns(
