@@ -39,8 +39,8 @@ Typical use::
     print(result.answer, result.cache_hit, result.plan_seconds)
 """
 
-from ..exec.vm import ResultCache, ResultCacheStats
-from .cache import CachedPlanEntry, CacheStats, PlanCache
+from ..exec.cache import CacheStats, ResultCache
+from .cache import CachedPlanEntry, PlanCache
 from .engine import Explanation, QueryEngine, QueryResult
 from .errors import (
     EngineError,
@@ -71,7 +71,6 @@ __all__ = [
     "QueryParseError",
     "QueryResult",
     "ResultCache",
-    "ResultCacheStats",
     "ResultSet",
     "VERBS",
     "row_order_key",

@@ -27,6 +27,11 @@ answers: each entry remembers the answer plus the per-relation versions it
 was computed at, so the engine can replay the delta log forward instead of
 re-executing (see :meth:`~repro.api.QueryEngine.insert`).
 
+Both are thin subclasses of :class:`~repro.exec.cache.LRUCache`, the one
+locked LRU every engine cache shares (the VM's
+:class:`~repro.exec.cache.ResultCache` is the third): the plan cache adds
+nothing, the store adds its patch / reuse / fallback counters.
+
 Since the unified execution layer landed, the engine stores a
 :class:`CachedPlanEntry` — the plan *plus* its optimized physical-operator
 program (:class:`~repro.exec.ir.Program`) and the atom→relation binding the
@@ -38,12 +43,11 @@ linear in the plan size).
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Hashable, Optional, Tuple
+from typing import Hashable, Tuple
 
 from ..core.plan import OmegaQueryPlan
+from ..exec.cache import LRUCache
 from ..exec.ir import Program
 
 #: (strategy name, (shape signature, output signature, verb, atom sizes),
@@ -64,23 +68,7 @@ class CachedPlanEntry:
     binding: Hashable
 
 
-@dataclass(frozen=True)
-class CacheStats:
-    """A snapshot of plan-cache effectiveness counters."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class PlanCache:
+class PlanCache(LRUCache):
     """A bounded mapping from :data:`PlanCacheKey` to :class:`CachedPlanEntry`.
 
     ``maxsize <= 0`` disables caching entirely (every lookup misses and
@@ -88,62 +76,7 @@ class PlanCache:
     """
 
     def __init__(self, maxsize: int = 128) -> None:
-        self.maxsize = maxsize
-        # guarded-by: _lock; bounded-by: LRU eviction at maxsize
-        self._entries: "OrderedDict[PlanCacheKey, CachedPlanEntry]" = OrderedDict()
-        # The server's request threads share one engine; all cache
-        # operations are serialized on this lock so concurrent requests
-        # share one consistent LRU.
-        self._lock = threading.Lock()
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: PlanCacheKey) -> Optional[CachedPlanEntry]:
-        with self._lock:
-            if not self.enabled:
-                self._misses += 1
-                return None
-            value = self._entries.get(key)
-            if value is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return value
-
-    def put(self, key: PlanCacheKey, value: CachedPlanEntry) -> None:
-        with self._lock:
-            if not self.enabled:
-                return
-            self._entries[key] = value
-            self._entries.move_to_end(key)
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        """Drop all entries (counters are preserved)."""
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> CacheStats:
-        with self._lock:
-            return CacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-            )
+        super().__init__(maxsize)
 
 
 @dataclass
@@ -168,58 +101,34 @@ class IncrementalEntry:
 FALLBACK_REASONS = ("no_entry", "truncated_log", "multi_relation", "unpinned_head", "no_rule")
 
 
-class IncrementalResultStore:
+class IncrementalResultStore(LRUCache):
     """A bounded LRU of whole-query answers for delta patching.
 
     Keyed by the exact query identity — ``(sorted (relation, variables)
     atom bindings, output variables, verb)`` — unlike the plan/result
     caches this store is *name-sensitive*: a patched count is only sound
     for the very query it was computed for.  ``maxsize <= 0`` disables the
-    store (the engine then always re-executes).  Thread-safe for the same
-    reason as :class:`PlanCache`: the server's request threads share one
-    engine.
+    store (the engine then always re-executes).
     """
 
     def __init__(self, maxsize: int = 256) -> None:
-        self.maxsize = maxsize
-        # guarded-by: _lock; bounded-by: LRU eviction at maxsize
-        self._entries: "OrderedDict[Hashable, IncrementalEntry]" = OrderedDict()
-        self._lock = threading.Lock()
+        super().__init__(maxsize)
         self._patched = 0
         self._reused = 0
         self._stored = 0
         self._dropped = 0
-        self._fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[IncrementalEntry]:
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is not None:
-                self._entries.move_to_end(key)
-            return entry
+        self._fallbacks = dict.fromkeys(FALLBACK_REASONS, 0)  # guarded-by: _lock
 
     def put(self, key: Hashable, entry: IncrementalEntry) -> None:
-        with self._lock:
-            if not self.enabled:
-                return
-            self._entries[key] = entry
-            self._entries.move_to_end(key)
-            self._stored += 1
-            while len(self._entries) > self.maxsize:
-                self._entries.popitem(last=False)
+        super().put(key, entry)
+        if self.enabled:
+            with self._lock:
+                self._stored += 1
 
     def drop(self, key: Hashable) -> None:
         """Remove an entry whose delta replay turned out unavailable."""
-        with self._lock:
-            if self._entries.pop(key, None) is not None:
+        if self.pop(key) is not None:
+            with self._lock:
                 self._dropped += 1
 
     def record_patch(self) -> None:
@@ -236,11 +145,7 @@ class IncrementalResultStore:
         with self._lock:
             self._fallbacks[reason] += 1
 
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-
-    def stats(self) -> dict:
+    def stats(self) -> dict:  # type: ignore[override]
         """Counters for tests and observability (plain dict, JSON-safe)."""
         with self._lock:
             return {

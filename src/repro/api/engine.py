@@ -29,9 +29,9 @@ from ..constants import DEFAULT_OMEGA
 from ..db.database import Database
 from ..db.query import ConjunctiveQuery
 from ..db.relation import Relation
-from ..core.executor import ExecutionResult
 from ..core.plan import OmegaQueryPlan
 from ..core.planner import PlannedQuery
+from ..exec.cache import CacheStats, ResultCache
 from ..exec.dispatch import KernelDispatcher
 from ..exec.ir import Program
 from ..exec.lower import SelectOptions, apply_select_options, check_verb, describe_join_tree
@@ -39,14 +39,13 @@ from ..exec.optimize import optimize_program
 from ..exec.vm import (
     CancellationToken,
     EnumerationStream,
+    ExecutionResult,
+    OpTrace,
     QueryCancelled,
-    ResultCache,
-    ResultCacheStats,
     VirtualMachine,
 )
 from .cache import (
     CachedPlanEntry,
-    CacheStats,
     IncrementalEntry,
     IncrementalResultStore,
     PlanCache,
@@ -71,8 +70,10 @@ VERIFY_PLANS_ENV = "REPRO_VERIFY_PLANS"
 #: Version of the :meth:`QueryResult.to_dict` wire schema.  Bump on any
 #: incompatible change; :meth:`QueryResult.from_dict` refuses documents
 #: from a newer protocol and the server stamps it on every response, so
-#: clients and servers can evolve the payload compatibly.
-PROTOCOL_VERSION = 1
+#: clients and servers can evolve the payload compatibly.  Version 2
+#: dropped three keys no run ever set (a thread count and two per-trace
+#: scheduler fields); v1 documents still decode.
+PROTOCOL_VERSION = 2
 
 
 @dataclass
@@ -175,12 +176,10 @@ class QueryResult:
                     "kernel": str(op.kernel),
                     "seconds": float(op.seconds),
                     "cache_hit": bool(op.cache_hit),
-                    "morsel_count": int(op.morsel_count),
-                    "worker": op.worker if op.worker is None else str(op.worker),
                 }
                 if op.heap_pops or op.heap_peak:
                     # Sparse: only ranked Enumerate sinks carry frontier-heap
-                    # accounting, so plain documents keep the v1 golden shape.
+                    # accounting, so plain documents keep the golden shape.
                     entry["heap_peak"] = int(op.heap_peak)
                     entry["heap_pops"] = int(op.heap_pops)
                 trace.append(entry)
@@ -199,12 +198,11 @@ class QueryResult:
             "cache_hit": bool(self.cache_hit),
             "plan_source": str(self.plan_source),
             "timed_out": bool(self.timed_out),
-            "parallelism": int(execution.parallelism) if execution is not None else 1,
             "trace": trace,
         }
         if self.plan_search:
             # Sparse, like the heap counters: only freshly ω-planned asks
-            # carry it, so plain documents keep the v1 golden shape.
+            # carry it, so plain documents keep the golden shape.
             document["plan_search"] = {
                 str(name): int(count) for name, count in self.plan_search.items()
             }
@@ -217,18 +215,22 @@ class QueryResult:
         The inverse of :meth:`to_dict` for everything the wire carries:
         the query is re-parsed from its Datalog text, the per-operator
         trace summaries become :class:`~repro.exec.vm.OpTrace` records on
-        a reconstructed :class:`~repro.core.executor.ExecutionResult`, and
+        a reconstructed :class:`~repro.exec.vm.ExecutionResult`, and
         ``from_dict(r.to_dict()).to_dict() == r.to_dict()`` holds — the
         round trip the server/client protocol relies on.  Plan objects and
         relations never travel over the wire, so those fields stay
-        ``None``.  Documents stamped with a newer ``protocol_version``
-        are refused.
+        ``None``.  Documents stamped with a newer (or a non-integer)
+        ``protocol_version`` are refused.
         """
         from ..db.query import parse_query
-        from ..exec.vm import OpTrace
 
         version = document.get("protocol_version", PROTOCOL_VERSION)
-        if not isinstance(version, int) or version > PROTOCOL_VERSION:
+        # bool is an int subclass: ``true`` is not a version.
+        if (
+            isinstance(version, bool)
+            or not isinstance(version, int)
+            or version > PROTOCOL_VERSION
+        ):
             raise ValueError(
                 f"cannot decode protocol_version {version!r} documents "
                 f"(this build speaks <= {PROTOCOL_VERSION})"
@@ -236,7 +238,6 @@ class QueryResult:
         query = parse_query(str(document["query"]))
         operators = []
         for op in document.get("trace", []) or []:
-            worker = op.get("worker")
             operators.append(
                 OpTrace(
                     op_id=int(op.get("op_id", 0)),
@@ -248,8 +249,6 @@ class QueryResult:
                     kernel=str(op.get("kernel", "")),
                     seconds=float(op.get("seconds", 0.0)),
                     cache_hit=bool(op.get("cache_hit", False)),
-                    worker=None if worker is None else str(worker),
-                    morsel_count=int(op.get("morsel_count", 0)),
                     heap_peak=int(op.get("heap_peak", 0)),
                     heap_pops=int(op.get("heap_pops", 0)),
                 )
@@ -258,7 +257,6 @@ class QueryResult:
             answer=bool(document["answer"]),
             operators=operators,
             seconds=float(document.get("seconds", 0.0)),
-            parallelism=int(document.get("parallelism", 1)),
             timed_out=bool(document.get("timed_out", False)),
         )
         row_count = document.get("row_count")
@@ -734,7 +732,7 @@ class QueryEngine:
         :class:`QueryTimeout` (deadline expiry) or
         :class:`QueryCancelledError` (explicit cancel).
         """
-        execution = ExecutionResult.from_cancellation(exc)
+        execution = exc.execution
         partial = QueryResult(
             query=query,
             answer=False,
@@ -840,15 +838,15 @@ class QueryEngine:
             token=token,
         )
         try:
-            vm_result = vm.run(program)
+            execution = vm.run(program)
         except QueryCancelled as exc:
             self._raise_cancelled(exc, query, verb, strategy_key, start, timeout)
         if verb == "count":
-            row_count = vm_result.row_count
+            row_count = execution.row_count
         elif verb == "select":
-            stream = vm_result.stream
+            stream = execution.stream
             if stream is None:
-                relation = vm_result.relation
+                relation = execution.relation
                 if relation is None:  # pragma: no cover - defensive
                     raise RuntimeError(
                         "select program produced no relation payload"
@@ -868,14 +866,14 @@ class QueryEngine:
             if current == versions_before and (
                 verb == "exists" or row_count is not None
             ):
-                answer_value = vm_result.answer if verb == "exists" else row_count
+                answer_value = execution.answer if verb == "exists" else row_count
                 self._incremental_store.put(
                     incremental_key,
                     IncrementalEntry(answer_value, current, self.database.uid),
                 )
         return QueryResult(
             query=query,
-            answer=vm_result.answer,
+            answer=execution.answer,
             strategy=strategy_key,
             seconds=time.perf_counter() - start,
             verb=verb,
@@ -888,7 +886,7 @@ class QueryEngine:
             plan=plan,
             planned=planned,
             plan_search=dict(planned.search) if planned is not None else {},
-            execution=ExecutionResult.from_vm(vm_result),
+            execution=execution,
             program=program,
             relation=relation,
             stream=stream,
@@ -1075,7 +1073,7 @@ class QueryEngine:
     def clear_plan_cache(self) -> None:
         self._plan_cache.clear()
 
-    def result_cache_info(self) -> ResultCacheStats:
+    def result_cache_info(self) -> CacheStats:
         """Counters of the VM's cross-query intermediate-result cache."""
         return self._result_cache.stats()
 

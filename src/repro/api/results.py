@@ -39,15 +39,12 @@ from ..db.ordering import (  # noqa: F401  (re-exported contract)
     row_order_key,
     value_order_key,
 )
+from ..exec.dispatch import DEFAULT_MORSEL_SIZE
 from ..exec.ir import ENUMERATION_ORDERS
 from ..exec.vm import EnumerationStream, QueryCancelled
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .engine import QueryResult
-
-#: How many rows one streaming batch carries (mirrors the VM's default
-#: morsel granularity; overridable per result set).
-DEFAULT_BATCH_SIZE = 8192
 
 Row = Tuple[object, ...]
 
@@ -72,7 +69,7 @@ class ResultSet:
         columns: Tuple[str, ...],
         run: Callable[[], "QueryResult"],
         limit: Optional[int] = None,
-        batch_size: int = DEFAULT_BATCH_SIZE,
+        batch_size: int = DEFAULT_MORSEL_SIZE,
         order: str = "sorted",
         on_cancelled: Optional[Callable[[QueryCancelled], None]] = None,
     ) -> None:

@@ -26,10 +26,9 @@ entirely.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple, Union, overload
+from typing import Callable, Dict, List, Optional, Tuple, Union, overload
 
 from ..db.database import Database
-from ..db.joins import default_variable_order
 from ..db.query import ConjunctiveQuery
 from ..core.plan import OmegaQueryPlan
 from ..core.planner import PlannedQuery, plan_query
@@ -218,6 +217,28 @@ class NaiveStrategy(Strategy):
         return lower_naive(query, verb=verb)
 
 
+def default_variable_order(query: ConjunctiveQuery, database: Database) -> List[str]:
+    """A degree-driven heuristic order: most constrained variables first.
+
+    Reads the cached per-relation statistics (``V(A, r)``) straight off the
+    stored relations — no per-atom renamed relation objects, no domain
+    materialization — so ordering costs a handful of dictionary lookups
+    once the backends' stat caches are warm.  Ties break by variable name:
+    ``query.variables`` is a frozenset, and its iteration order follows
+    ``PYTHONHASHSEED``.
+    """
+    scores = {}
+    for variable in query.variables:
+        covering = [a for a in query.atoms if variable in a.variable_set]
+        domain_sizes = []
+        for atom in covering:
+            relation = database[atom.relation]
+            column = relation.schema[atom.variables.index(variable)]
+            domain_sizes.append(max(1, relation.stats.distinct(column)))
+        scores[variable] = (-len(covering), min(domain_sizes))
+    return sorted(query.variables, key=lambda v: (scores[v], v))
+
+
 @register_strategy
 class GenericJoinStrategy(Strategy):
     """Worst-case optimal join: early termination for ``exists``, the
@@ -228,9 +249,7 @@ class GenericJoinStrategy(Strategy):
 
     def lower(self, query, database, omega, plan=None, verb="exists"):
         order = default_variable_order(query, database)
-        return lower_generic_join(
-            query, order, find_all=False, boolean=True, verb=verb
-        )
+        return lower_generic_join(query, order, verb=verb)
 
 
 @register_strategy

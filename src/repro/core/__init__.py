@@ -1,4 +1,4 @@
-"""Core: ω-query plans, planner, executor and the per-class algorithms."""
+"""Core: ω-query plans, the planner and the per-class algorithms."""
 
 from .clique import (
     CliqueReport,
@@ -11,7 +11,6 @@ from .cycle import (
     FourCycleReport,
     four_cycle_adaptive,
 )
-from .executor import ExecutionResult
 from .plan import OmegaQueryPlan, PlanStep, StepMethod, all_for_loop_plan
 from .planner import (
     PlannedQuery,
@@ -28,7 +27,6 @@ from .triangle import (
 
 __all__ = [
     "CliqueReport",
-    "ExecutionResult",
     "FOUR_CYCLE_QUERY",
     "FourCycleReport",
     "OmegaQueryPlan",

@@ -1,9 +1,11 @@
-"""Relational database substrate: relations, queries, joins and generators.
+"""Relational database substrate: relations, databases, queries and generators.
 
 Relations store their tuples in pluggable backends (``"set"`` — the
 reference frozenset-of-tuples — and ``"columnar"`` — dictionary-encoded
 NumPy columns with lazy hash indexes); see :mod:`repro.db.backends` and the
-:class:`Relation` facade in :mod:`repro.db.relation`.
+:class:`Relation` facade in :mod:`repro.db.relation`.  Queries are
+answered by :class:`repro.api.QueryEngine`, whose strategies lower to the
+execution layer (:mod:`repro.exec`).
 """
 
 from .backends import (
@@ -30,14 +32,6 @@ from .loader import (
     load_table,
     sniff_delimiter,
 )
-from .joins import (
-    default_variable_order,
-    generic_join,
-    generic_join_boolean,
-    naive_boolean,
-    naive_join,
-    yannakakis_boolean,
-)
 from .query import (
     Atom,
     ConjunctiveQuery,
@@ -61,14 +55,9 @@ __all__ = [
     "available_backends",
     "bipartite_clique_pairs",
     "clique_instance",
-    "default_variable_order",
     "four_cycle_instance",
-    "generic_join",
-    "generic_join_boolean",
     "infer_column",
     "load_table",
-    "naive_boolean",
-    "naive_join",
     "parse_query",
     "pyramid_instance",
     "query_from_hypergraph",
@@ -77,5 +66,4 @@ __all__ = [
     "skewed_pairs",
     "sniff_delimiter",
     "triangle_instance",
-    "yannakakis_boolean",
 ]

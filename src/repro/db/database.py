@@ -97,7 +97,6 @@ class Database:
         delta_threshold_fraction: float = 0.05,
     ):
         self._relations: Dict[str, Relation] = {}  # guarded-by: _lock
-        self._version = 0
         self._uid = next(_DB_UIDS)
         # Per-relation counters survive delete + re-add (entries are never
         # removed), so a stale fingerprint can never collide with a fresh
@@ -127,7 +126,6 @@ class Database:
     def _bump_version(self, name: str) -> int:
         version = self._versions.get(name, 0) + 1
         self._versions[name] = version
-        self._version += 1
         return version
 
     def _bump_epoch(self, name: str) -> None:
@@ -333,15 +331,13 @@ class Database:
         """Load many relations at once (batch coercion to the database backend).
 
         Each value is either a :class:`Relation` or a ``(schema, rows)``
-        pair; everything is converted to the database backend.  Compared
-        to per-relation assignment the *global* mutation counter bumps
-        once per batch (each relation's own version/epoch still advances
-        individually).  Returns ``self`` for chaining.
+        pair; everything is converted to the database backend, and each
+        relation's version and epoch advance once.  Returns ``self`` for
+        chaining.
         """
         items = list(tables.items() if isinstance(tables, Mapping) else tables)
         items.extend(named.items())
         with self._lock:
-            version_before = self._version
             for name, spec in items:
                 if not isinstance(spec, Relation):
                     if isinstance(spec, (str, bytes)) or not isinstance(
@@ -356,8 +352,6 @@ class Database:
                     # intermediate row-store materialization).
                     spec = Relation(schema, rows, backend=self.backend)
                 self._replace(name, spec.with_backend(self.backend).with_name(name))
-            if items:
-                self._version = version_before + 1
         return self
 
     def load_csv(
@@ -410,17 +404,6 @@ class Database:
         """Total number of tuples across all relations (the paper's ``N``)."""
         return sum(len(relation) for relation in self._relations.values())
 
-    @property
-    def version(self) -> int:
-        """A counter bumped by every mutation (relation set, changed, deleted).
-
-        Kept for back-compat observability; the caches now key on the
-        *per-relation* counters via :meth:`fingerprint_for` /
-        :meth:`relation_epoch`, so this global counter no longer drives
-        invalidation.
-        """
-        return self._version
-
     def stats(self) -> Dict[str, RelationStats]:
         """Per-relation statistics objects (``n_r``, ``V(A, r)``, degrees).
 
@@ -429,22 +412,6 @@ class Database:
         candidate orders costs one scan per relation, not one per order.
         """
         return {name: relation.stats for name, relation in self.items()}
-
-    def statistics_fingerprint(self) -> Hashable:
-        """A hashable fingerprint of the entire database state.
-
-        Two calls on the same database return equal fingerprints iff no
-        mutation happened in between.  Per-relation statistics
-        fingerprints ride along for compatibility with callers that key
-        on data content; the hot paths use the cheaper
-        :meth:`fingerprint_for` instead.
-        """
-        return (
-            (self._uid, self._version),
-            tuple(
-                (name, relation.stats.fingerprint()) for name, relation in self.items()
-            ),
-        )
 
     def copy(self) -> "Database":
         return Database(

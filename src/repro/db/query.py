@@ -16,7 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..hypergraph.hypergraph import Hypergraph
 
@@ -116,11 +116,6 @@ class ConjunctiveQuery:
             if atom.relation == relation:
                 return atom
         raise KeyError(f"no atom over relation {relation!r}")
-
-    def atoms_covering(self, variables: Iterable[str]) -> List[Atom]:
-        """Atoms whose variable set intersects the given variables."""
-        wanted = frozenset(variables)
-        return [atom for atom in self.atoms if atom.variable_set & wanted]
 
     def hypergraph(self) -> Hypergraph:
         """The query hypergraph (vertices = variables, edges = atom scopes)."""

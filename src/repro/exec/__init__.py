@@ -5,8 +5,8 @@ triangle/4-cycle/clique specializations — lowers to one physical-operator
 DAG (:mod:`repro.exec.ir`), is rewritten by the optimizer
 (:mod:`repro.exec.optimize`: dead-operator pruning) and executes on one
 instrumented virtual machine (:mod:`repro.exec.vm`) with per-operator
-traces and a bounded
-intermediate-result cache shared across queries.
+traces and a bounded intermediate-result cache shared across queries
+(:mod:`repro.exec.cache`).
 """
 
 from .ir import (
@@ -30,16 +30,14 @@ from .ir import (
     Union,
     Wcoj,
 )
+from .cache import CacheStats, ResultCache
 from .dispatch import DEFAULT_MORSEL_SIZE, KernelDispatcher
 from .vm import (
     CancellationToken,
+    ExecutionResult,
     OpTrace,
     QueryCancelled,
-    ResultCache,
-    ResultCacheStats,
     VirtualMachine,
-    VMResult,
-    run_program,
 )
 from .optimize import (
     OptimizeStats,
@@ -51,7 +49,6 @@ from .lower import (
     lower_four_cycle,
     lower_generic_join,
     lower_naive,
-    lower_naive_join,
     lower_plan,
     lower_triangle,
     lower_yannakakis,
@@ -61,11 +58,13 @@ __all__ = [
     "All_",
     "Antijoin",
     "Any_",
+    "CacheStats",
     "CancellationToken",
     "Count",
     "DEFAULT_MORSEL_SIZE",
     "Distinct",
     "Enumerate",
+    "ExecutionResult",
     "GroupedMatMul",
     "HeavyPart",
     "Join",
@@ -79,23 +78,19 @@ __all__ = [
     "Project",
     "QueryCancelled",
     "ResultCache",
-    "ResultCacheStats",
     "Restrict",
     "Scan",
     "Semijoin",
     "Union",
-    "VMResult",
     "VirtualMachine",
     "Wcoj",
     "lower_clique",
     "lower_four_cycle",
     "lower_generic_join",
     "lower_naive",
-    "lower_naive_join",
     "lower_plan",
     "lower_triangle",
     "lower_yannakakis",
     "optimize_program",
     "prune_operators",
-    "run_program",
 ]

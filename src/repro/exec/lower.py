@@ -1,19 +1,22 @@
 """Lowering every strategy to the physical-operator IR.
 
 Each function turns one *logical* way of answering a conjunctive query
-into a :class:`~repro.exec.ir.Program`.  The verb-capable lowerings
-(naive, GenericJoin, Yannakakis) accept a ``verb`` — ``"exists"`` keeps
-the historical Boolean program byte-for-byte, while ``"count"``/
-``"select"`` finish with the :class:`~repro.exec.ir.Count` /
+into a :class:`~repro.exec.ir.Program`; the engine's strategies
+(:mod:`repro.api.strategies`) call them and run the result on its VM.
+The verb-capable lowerings (naive, GenericJoin, Yannakakis) take a
+``verb`` — ``"exists"`` ends in the Boolean :class:`~repro.exec.ir.NonEmpty`
+root, while ``"count"``/``"select"`` finish with the
+:class:`~repro.exec.ir.Count` /
 :class:`~repro.exec.ir.Distinct`+:class:`~repro.exec.ir.Enumerate` output
 sinks over the query's free variables:
 
-* :func:`lower_naive` / :func:`lower_naive_join` — fold the atoms with
-  binary joins (the classical baseline);
+* :func:`lower_naive` — fold the atoms with binary joins (the classical
+  baseline);
 * :func:`lower_generic_join` — a single :class:`~repro.exec.ir.Wcoj`
-  operator holding the worst-case-optimal search;
-* :func:`lower_yannakakis` — the GYO join tree becomes an upward semijoin
-  program, joined only where the head is;
+  operator holding the worst-case-optimal search (Ngo, Ré, Rudra) in a
+  given variable order;
+* :func:`lower_yannakakis` — the GYO join tree (:func:`_gyo_join_tree`)
+  becomes an upward semijoin program, joined only where the head is;
 * :func:`lower_plan` — an :class:`~repro.core.plan.OmegaQueryPlan`'s
   elimination steps become Join/Project or GroupedMatMul nodes, with the
   side-splitting and realizability checks done *statically* from the
@@ -38,7 +41,7 @@ calibrated semijoin state of untouched subtrees is reused as-is.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.plan import OmegaQueryPlan, PlanStep, StepMethod
 from ..db.database import Database
@@ -205,53 +208,65 @@ def lower_naive(query: ConjunctiveQuery, verb: str = "exists") -> Program:
     return Program(_output_sink(joined, query, verb), source="naive")
 
 
-def lower_naive_join(query: ConjunctiveQuery) -> Program:
-    """Full naive join: the fold projected onto the sorted query variables."""
-    scans = scan_atoms(query)
-    joined = scans[0]
-    for scan in scans[1:]:
-        joined = Join(joined, scan)
-    return Program(_project(joined, sorted(query.variables)), source="naive-join")
-
-
 # ----------------------------------------------------------------------
 # GenericJoin
 # ----------------------------------------------------------------------
 def lower_generic_join(
-    query: ConjunctiveQuery,
-    variable_order: Sequence[str],
-    find_all: bool = False,
-    boolean: bool = True,
-    verb: Optional[str] = None,
+    query: ConjunctiveQuery, variable_order: Sequence[str], verb: str = "exists"
 ) -> Program:
     """GenericJoin as a single Wcoj operator over the atom scans.
 
-    Without ``verb`` the historical knobs apply (``find_all``/``boolean``).
-    With a verb, ``exists`` keeps the early-terminating Boolean search,
-    while ``count``/``select`` run the search exhaustively and project the
-    full assignment relation onto the output variables under the sink.
+    ``exists`` — and a Boolean head, which only needs non-emptiness (the
+    nullary projection) — keeps the early-terminating search; any other
+    ``count``/``select`` runs it exhaustively and projects the full
+    assignment relation onto the output variables under the verb's sink.
+    ``variable_order`` must cover exactly the query variables.
     """
-    if verb is not None:
-        check_verb(verb)
-        if verb == "exists":
-            find_all, boolean = False, True
-        else:
-            # A Boolean head only needs non-emptiness (the nullary
-            # projection): keep the early-terminating search for it.
-            wcoj = Wcoj(
-                tuple(scan_atoms(query)),
-                tuple(variable_order),
-                not query.is_boolean,
-            )
-            return Program(_output_sink(wcoj, query, verb), source="generic-join")
+    check_verb(verb)
+    if sorted(variable_order) != sorted(query.variables):
+        raise ValueError("variable_order must cover exactly the query variables")
+    find_all = verb != "exists" and not query.is_boolean
     wcoj = Wcoj(tuple(scan_atoms(query)), tuple(variable_order), find_all)
-    root: Operator = NonEmpty(wcoj) if boolean else wcoj
-    return Program(root, source="generic-join")
+    return Program(_output_sink(wcoj, query, verb), source="generic-join")
 
 
 # ----------------------------------------------------------------------
 # Yannakakis
 # ----------------------------------------------------------------------
+def _gyo_join_tree(query: ConjunctiveQuery) -> List[Tuple[str, Optional[str]]]:
+    """A join tree as (atom, parent) pairs via GYO ear removal.
+
+    Raises ``ValueError`` when the query is cyclic.
+    """
+    remaining: Dict[str, FrozenSet[str]] = {
+        atom.relation: atom.variable_set for atom in query.atoms
+    }
+    exclusive_owner: List[Tuple[str, Optional[str]]] = []
+    while remaining:
+        progressed = False
+        names = list(remaining)
+        for name in names:
+            variables = remaining[name]
+            others = [v for other, v in remaining.items() if other != name]
+            shared = set()
+            for variable in variables:
+                if any(variable in other for other in others):
+                    shared.add(variable)
+            parent = None
+            for other, other_vars in remaining.items():
+                if other != name and shared <= other_vars:
+                    parent = other
+                    break
+            if parent is not None or len(remaining) == 1:
+                exclusive_owner.append((name, parent))
+                del remaining[name]
+                progressed = True
+                break
+        if not progressed:
+            raise ValueError("query is cyclic; Yannakakis requires an acyclic query")
+    return exclusive_owner
+
+
 def _connex_tree(
     query: ConjunctiveQuery, verb: str
 ) -> Tuple[List[Tuple[str, Optional[str]]], List[str]]:
@@ -267,8 +282,6 @@ def _connex_tree(
     the head — ties going to the atom GYO removed last, so a head that
     gains nothing keeps ``exists``' upward pass.
     """
-    from ..db.joins import _gyo_join_tree
-
     order = _gyo_join_tree(query)
     outputs = () if verb == "exists" else query.output_variables
     if not outputs:

@@ -36,8 +36,10 @@ engine — which is why :class:`ResultCache` serializes on a lock and a
 
 Cross-query sharing
 -------------------
-The VM consults an optional bounded :class:`ResultCache` keyed by
-``(operator structural key, per-relation fingerprint)``.  Because
+The VM consults an optional bounded
+:class:`~repro.exec.cache.ResultCache` (its own module, on the engine's
+one locked LRU) keyed by ``(operator structural key, per-relation
+fingerprint)``, and only when it is enabled.  Because
 structural keys are name-insensitive (see :mod:`repro.exec.ir`), isomorphic
 queries in an :meth:`~repro.api.QueryEngine.ask_many` batch share every
 common subplan: the cached relation is renamed — an O(1) schema swap — into
@@ -57,9 +59,7 @@ equal scan closures and the sharing stays sound.
 from __future__ import annotations
 
 import heapq
-import threading
 import time
-from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import (
     Dict,
@@ -75,6 +75,7 @@ from typing import (
 from ..db.database import Database
 from ..db.ordering import value_order_key
 from ..db.relation import Relation, Row
+from .cache import ResultCache
 from .dispatch import DEFAULT_DISPATCHER, KernelDispatcher
 from .ir import (
     All_,
@@ -171,10 +172,12 @@ class CancellationToken:
 class QueryCancelled(RuntimeError):
     """A VM run was cancelled (deadline expiry or explicit cancel).
 
-    The VM enriches the exception on its way out with the partial traces
-    of the operators that *did* complete and how many program operators
-    were abandoned (``cancelled_ops``), so callers (the engine, and
-    through it the server) can report a structured partial result.
+    ``execution`` is the partial :class:`ExecutionResult`: the VM fills
+    it on the way out with the traces of the operators that *did*
+    complete and how many were abandoned (``cancelled_ops``), so callers
+    (the engine, and through it the server) can report a structured
+    partial result.  A cancel raised from a streaming cursor, after the
+    run returned, carries an empty record.
     """
 
     def __init__(self, timed_out: bool = False) -> None:
@@ -182,11 +185,7 @@ class QueryCancelled(RuntimeError):
             "query execution timed out" if timed_out else "query execution cancelled"
         )
         self.timed_out = timed_out
-        #: Operators abandoned by the cancellation (never evaluated).
-        self.cancelled_ops = 0
-        #: Traces of the operators that completed before the token fired.
-        self.traces: List["OpTrace"] = []
-        self.seconds = 0.0
+        self.execution = ExecutionResult(False, timed_out=timed_out, cancelled=True)
 
 
 @dataclass
@@ -210,11 +209,6 @@ class OpTrace:
     cache_hit: bool = False
     matrix_shape: Optional[Tuple[int, int, int]] = None
     group_count: int = 0
-    #: Keys of the v1 wire document (``QueryResult.to_dict``/``from_dict``
-    #: carry them).  The interpreter never sets them: a live run reports
-    #: ``None``/``0``.
-    worker: Optional[str] = None
-    morsel_count: int = 0
     #: Inclusive span of the operator's evaluation (children included).
     wall_seconds: float = 0.0
     #: Ranked-enumeration frontier-heap accounting (0 unless the operator
@@ -602,146 +596,56 @@ class RankedEnumerationStream(EnumerationStream):
 
 
 @dataclass
-class VMResult:
-    """What one program run produced: the answer plus full instrumentation."""
+class ExecutionResult:
+    """The record of one program run: the answer plus per-operator traces.
+
+    :meth:`VirtualMachine.run` returns it and
+    :attr:`QueryResult.execution <repro.api.QueryResult.execution>` is the
+    same object; a cancelled run's partial record rides on
+    :class:`QueryCancelled` as ``exc.execution``.
+    """
 
     answer: bool
-    relation: Optional[Relation]
+    relation: Optional[Relation] = None
     #: The Count sink's scalar (``None`` unless the program root counts).
     row_count: Optional[int] = None
     #: The streaming Enumerate sink's pull cursor (``None`` unless the
     #: program root streams).  When set, ``relation`` is ``None`` — the
     #: output is never materialized inside the VM.
     stream: Optional[EnumerationStream] = None
-    traces: List[OpTrace] = field(default_factory=list)
+    operators: List[OpTrace] = field(default_factory=list)
     seconds: float = 0.0
     cache_hits: int = 0
     cache_misses: int = 0
+    #: Operators never evaluated because a :class:`CancellationToken`
+    #: fired mid-run.
+    cancelled_ops: int = 0
+    #: Whether the run was cut short by a deadline expiring.  The traces
+    #: then cover only the operators that completed before the cut.
+    timed_out: bool = False
+    #: Whether a cancellation token cut the run short (deadline expiry
+    #: or explicit cancel); ``answer`` is then vacuously ``False``.
+    cancelled: bool = False
 
     def trace_for(self, node: Operator, ids: Dict[Operator, int]) -> Optional[OpTrace]:
         """The trace of one operator (``None`` if it was short-circuited away)."""
         node_id = ids.get(node)
         if node_id is None:
             return None
-        for trace in self.traces:
+        for trace in self.operators:
             if trace.op_id == node_id:
                 return trace
         return None
 
     def describe(self) -> str:
+        """A per-operator execution trace."""
         lines = [f"answer: {self.answer}  ({self.seconds * 1000:.2f} ms)"]
-        lines.extend(f"  {trace.describe()}" for trace in self.traces)
+        if self.timed_out:
+            lines[0] += f"  [TIMED OUT; {self.cancelled_ops} operators abandoned]"
+        elif self.cancelled:
+            lines[0] += f"  [CANCELLED; {self.cancelled_ops} operators abandoned]"
+        lines.extend(f"  {trace.describe()}" for trace in self.operators)
         return "\n".join(lines)
-
-
-@dataclass(frozen=True)
-class ResultCacheStats:
-    """Effectiveness counters of the intermediate-result cache."""
-
-    hits: int
-    misses: int
-    evictions: int
-    size: int
-    maxsize: int
-
-    @property
-    def hit_rate(self) -> float:
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
-
-class ResultCache:
-    """A bounded LRU of operator results shared across VM runs.
-
-    Keys are ``(structural key, scan-closure fingerprint)`` — the
-    fingerprint covers only the relations the operator actually reads
-    (see :func:`_node_fingerprints`); values are the
-    operator's declared schema plus its payload (a relation or a Boolean).
-    ``maxsize <= 0`` disables the cache.  Memory is bounded two ways: a
-    relation wider than ``max_entry_rows`` is never stored (the entry
-    *count* alone would not bound a near-cross-product), and the LRU also
-    evicts until the *sum* of retained rows fits ``max_total_rows``.
-    All operations are serialized on an internal lock, so the server's
-    request threads (one VM run each, one shared engine) share one cache.
-    """
-
-    def __init__(
-        self,
-        maxsize: int = 32,
-        max_entry_rows: int = 1_000_000,
-        max_total_rows: int = 4_000_000,
-    ) -> None:
-        self.maxsize = maxsize
-        self.max_entry_rows = max_entry_rows
-        self.max_total_rows = max_total_rows
-        # guarded-by: _lock; bounded-by: LRU eviction at maxsize/max_total_rows
-        self._entries: "OrderedDict[Hashable, Tuple[Tuple[str, ...], Payload]]" = (
-            OrderedDict()
-        )
-        self._lock = threading.Lock()
-        self._total_rows = 0
-        self._hits = 0
-        self._misses = 0
-        self._evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
-
-    def __len__(self) -> int:
-        with self._lock:
-            return len(self._entries)
-
-    def get(self, key: Hashable) -> Optional[Tuple[Tuple[str, ...], Payload]]:
-        if not self.enabled:
-            return None
-        with self._lock:
-            entry = self._entries.get(key)
-            if entry is None:
-                self._misses += 1
-                return None
-            self._entries.move_to_end(key)
-            self._hits += 1
-            return entry
-
-    @staticmethod
-    def _payload_rows(payload: Payload) -> int:
-        return len(payload) if isinstance(payload, Relation) else 0
-
-    def put(self, key: Hashable, schema: Tuple[str, ...], payload: Payload) -> None:
-        if not self.enabled:
-            return
-        rows = self._payload_rows(payload)
-        if rows > self.max_entry_rows:
-            return
-        with self._lock:
-            if key in self._entries:
-                self._total_rows -= self._payload_rows(self._entries[key][1])
-            self._entries[key] = (schema, payload)
-            self._entries.move_to_end(key)
-            self._total_rows += rows
-            while self._entries and (
-                len(self._entries) > self.maxsize
-                or self._total_rows > self.max_total_rows
-            ):
-                _, (_, evicted) = self._entries.popitem(last=False)
-                self._total_rows -= self._payload_rows(evicted)
-                self._evictions += 1
-
-    def clear(self) -> None:
-        with self._lock:
-            self._entries.clear()
-            self._total_rows = 0
-
-    def stats(self) -> ResultCacheStats:
-        with self._lock:
-            return ResultCacheStats(
-                hits=self._hits,
-                misses=self._misses,
-                evictions=self._evictions,
-                size=len(self._entries),
-                maxsize=self.maxsize,
-            )
 
 
 # ----------------------------------------------------------------------
@@ -782,24 +686,29 @@ class VirtualMachine:
         self.dispatcher = dispatcher if dispatcher is not None else DEFAULT_DISPATCHER
         self.token = token
 
-    def run(self, program: Program) -> VMResult:
+    def run(self, program: Program) -> ExecutionResult:
         start = time.perf_counter()
         ids = program.node_ids()
         state = _RunState(self, ids, _node_fingerprints(program, self.database))
         try:
             payload = state.eval(program.root)
         except QueryCancelled as exc:
-            exc.cancelled_ops = len(ids) - len(state.traces)
-            exc.traces = list(state.traces)
-            exc.seconds = time.perf_counter() - start
+            exc.execution = ExecutionResult(
+                False,
+                operators=list(state.traces),
+                seconds=time.perf_counter() - start,
+                cancelled_ops=len(ids) - len(state.traces),
+                timed_out=exc.timed_out,
+                cancelled=True,
+            )
             raise
         answer, relation, row_count, stream = _interpret_root(payload)
-        return VMResult(
+        return ExecutionResult(
             answer=answer,
             relation=relation,
             row_count=row_count,
             stream=stream,
-            traces=state.traces,
+            operators=state.traces,
             seconds=time.perf_counter() - start,
             cache_hits=state.cache_hits,
             cache_misses=state.cache_misses,
@@ -1192,16 +1101,3 @@ def _wcoj_search(
     extend({}, 0)
     return results
 
-
-def run_program(
-    program: Program,
-    database: Database,
-    result_cache: Optional[ResultCache] = None,
-    *,
-    dispatcher: Optional[KernelDispatcher] = None,
-    token: Optional[CancellationToken] = None,
-) -> VMResult:
-    """Convenience wrapper: execute one program on one database."""
-    return VirtualMachine(
-        database, result_cache=result_cache, dispatcher=dispatcher, token=token
-    ).run(program)

@@ -15,6 +15,7 @@ from hypothesis import HealthCheck, settings
 # arguments in individual tests still win over this default.
 os.environ.setdefault("REPRO_VERIFY_PLANS", "optimized")
 
+from ledger.oracle import Table, evaluate
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.polymatroid import SetFunction, entropy_from_distribution
 
@@ -32,6 +33,25 @@ settings.load_profile("repro")
 def omega() -> float:
     """The ω value used by most numeric tests (the best known bound)."""
     return OMEGA_BEST_KNOWN
+
+
+def oracle_outputs(query, database) -> set:
+    """The distinct output tuples of ``query`` over ``database``.
+
+    Reference answers come from the ledger's oracle (``ledger/oracle.py``),
+    which joins plain tuple sets and shares no code with the engine.  A
+    Boolean head yields ``{()}`` when the body is satisfiable, so
+    ``bool(...)`` is the ``exists`` answer for any head.
+    """
+    tables = {atom.relation: Table(database[atom.relation]) for atom in query.atoms}
+    atoms = [(atom.relation, tuple(atom.variables)) for atom in query.atoms]
+    return evaluate(tables, atoms, query.output_variables)
+
+
+@pytest.fixture
+def oracle():
+    """:func:`oracle_outputs`, the suite's one reference evaluator."""
+    return oracle_outputs
 
 
 def random_entropic_polymatroid(

@@ -1,4 +1,4 @@
-"""Tests for conjunctive queries, databases, join algorithms and generators."""
+"""Tests for conjunctive queries, databases, join strategies and generators."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from pathlib import Path
 
 import pytest
 
+from repro.api import QueryEngine
 from repro.db import (
     Atom,
     ConjunctiveQuery,
@@ -16,25 +17,21 @@ from repro.db import (
     Relation,
     clique_instance,
     four_cycle_instance,
-    generic_join,
-    generic_join_boolean,
-    naive_boolean,
-    naive_join,
     parse_query,
     pyramid_instance,
     query_from_hypergraph,
     random_database,
     skewed_pairs,
     triangle_instance,
-    yannakakis_boolean,
 )
+from repro.exec import VirtualMachine, lower_generic_join, lower_yannakakis
 from repro.hypergraph import four_cycle, triangle
 
 
 _ORDER_SCRIPT = """
 from repro.api import QueryEngine
 from repro.db import Database, Relation, parse_query
-from repro.db.joins import default_variable_order
+from repro.api.strategies import default_variable_order
 
 pairs = [(i, (i + 1) % 8) for i in range(8)]
 database = Database(
@@ -129,30 +126,47 @@ class TestDatabase:
         assert renamed.schema == ("X", "Y")
 
 
+def check_against_oracle(query, database, oracle, strategies):
+    """Every strategy on both backends answers the three verbs as the oracle.
+
+    ``exists`` runs on ``query``; ``count`` and ``select`` on its body with
+    every variable in the head (the full join), for each strategy that
+    serves them.
+    """
+    full = query.with_outputs(sorted(query.variables))
+    expected = oracle(full, database)
+    for backend in ("set", "columnar"):
+        engine = QueryEngine(Database(dict(database.items()), backend=backend))
+        for strategy in strategies:
+            assert engine.exists(query, strategy).answer is bool(expected)
+            if strategy != "omega":
+                assert engine.count(full, strategy).row_count == len(expected)
+                assert engine.select(full, strategy).to_rows() == sorted(expected)
+
+
 class TestJoinAlgorithms:
+    """The combinatorial baselines, run as engine strategies, against the oracle."""
+
     @pytest.mark.parametrize("seed", range(6))
-    def test_generic_join_matches_naive_on_triangles(self, seed):
+    def test_generic_join_matches_naive_on_triangles(self, seed, oracle):
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
         db = triangle_instance(
             60, domain_size=14, seed=seed, plant_triangle=(seed % 2 == 0)
         )
-        full = naive_join(q, db)
-        wcoj = generic_join(q, db).project(sorted(q.variables))
-        assert full == wcoj
-        assert naive_boolean(q, db) == generic_join_boolean(q, db)
+        check_against_oracle(q, db, oracle, ("naive", "generic_join", "omega"))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_generic_join_matches_naive_on_cycles(self, seed):
+    def test_generic_join_matches_naive_on_cycles(self, seed, oracle):
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)")
         db = four_cycle_instance(50, domain_size=12, seed=seed, plant_cycle=(seed == 1))
-        assert naive_boolean(q, db) == generic_join_boolean(q, db)
+        check_against_oracle(q, db, oracle, ("naive", "generic_join", "omega"))
 
     def test_generic_join_custom_order_validation(self):
         q = parse_query("Q() :- R(X, Y)")
         db = Database({"R": Relation(("X", "Y"), [(1, 2)])})
-        assert not generic_join(q, db, variable_order=["Y", "X"]).is_empty()
+        assert VirtualMachine(db).run(lower_generic_join(q, ["Y", "X"])).answer
         with pytest.raises(ValueError):
-            generic_join(q, db, variable_order=["X"])
+            lower_generic_join(q, ["X"])
 
     def test_generic_join_order_does_not_follow_the_hash_seed(self):
         # Equal-size relations tie every variable's score, so the order is
@@ -170,52 +184,57 @@ class TestJoinAlgorithms:
         assert outputs.pop().count("Wcoj[") == 3
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_yannakakis_matches_naive_on_acyclic(self, seed):
+    def test_yannakakis_matches_naive_on_acyclic(self, seed, oracle):
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(Z, W)")
         db = random_database(q, 40, domain_size=10, seed=seed, plant_witness=(seed == 0))
-        assert yannakakis_boolean(q, db) == naive_boolean(q, db)
+        check_against_oracle(
+            q, db, oracle, ("naive", "generic_join", "yannakakis", "omega")
+        )
 
     def test_yannakakis_rejects_cyclic(self):
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
         db = triangle_instance(10, seed=0)
         with pytest.raises(ValueError):
-            yannakakis_boolean(q, db)
+            lower_yannakakis(q)
+        with pytest.raises(ValueError):
+            QueryEngine(db).exists(q, "yannakakis")
 
-    def test_empty_relation_short_circuits(self):
+    def test_empty_relation_short_circuits(self, oracle):
         q = parse_query("Q() :- R(X, Y), S(Y, Z)")
         db = Database(
             {"R": Relation(("X", "Y"), [(1, 2)]), "S": Relation(("Y", "Z"), [])}
         )
-        assert not naive_boolean(q, db)
-        assert not generic_join_boolean(q, db)
-        assert not yannakakis_boolean(q, db)
+        assert not oracle(q, db)
+        check_against_oracle(
+            q, db, oracle, ("naive", "generic_join", "yannakakis", "omega")
+        )
 
 
 class TestGenerators:
-    def test_triangle_instance_planting(self):
+    def test_triangle_instance_planting(self, oracle):
         db = triangle_instance(30, plant_triangle=True, seed=5)
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
-        assert naive_boolean(q, db)
+        assert oracle(q, db)
 
-    def test_four_cycle_instance_planting(self):
+    def test_four_cycle_instance_planting(self, oracle):
         db = four_cycle_instance(30, plant_cycle=True, seed=5)
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)")
-        assert naive_boolean(q, db)
+        assert oracle(q, db)
 
-    def test_clique_instance_planting(self):
+    def test_clique_instance_planting(self, oracle):
         query, db = clique_instance(4, 30, plant_clique=True, seed=2)
-        assert naive_boolean(query, db)
+        assert oracle(query, db)
 
-    def test_pyramid_instance_shapes(self):
+    def test_pyramid_instance_shapes(self, oracle):
         query, db = pyramid_instance(3, 25, seed=3, plant=True)
-        assert naive_boolean(query, db)
+        assert oracle(query, db)
         wide = [a for a in query.atoms if len(a.variables) == 3]
         assert wide and len(db[wide[0].relation].schema) == 3
 
-    def test_random_database_plants_witness(self):
+    def test_random_database_plants_witness(self, oracle):
         q = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
         db = random_database(q, 20, seed=9, plant_witness=True)
-        assert naive_boolean(q, db)
+        assert oracle(q, db)
 
     def test_skewed_pairs_have_hubs(self):
         pairs = skewed_pairs(300, domain_size=100, num_hubs=4, seed=1)

@@ -12,7 +12,6 @@ from repro.constants import OMEGA_BEST_KNOWN
 from repro.db import (
     Database,
     Relation,
-    naive_boolean,
     parse_query,
     random_database,
     triangle_instance,
@@ -31,7 +30,6 @@ from repro.exec import (
     lower_yannakakis,
     optimize_program,
     prune_operators,
-    run_program,
 )
 from repro.exec import ir
 from repro.exec.ir import Program
@@ -212,14 +210,14 @@ class TestLoweringEquivalence:
             assert result.execution is not None
             assert result.execution.operators, strategy
 
-    def test_lowered_plan_matches_legacy_answer(self):
+    def test_lowered_plan_matches_legacy_answer(self, oracle):
         from repro.core import plan_query
 
         db = triangle_instance(60, domain_size=14, seed=3, plant_triangle=True)
         plan = plan_query(TRIANGLE, db, OMEGA).plan
         program = lower_plan(TRIANGLE, db, plan)
-        result = run_program(program, db)
-        assert result.answer == naive_boolean(TRIANGLE, db)
+        result = VirtualMachine(db).run(program)
+        assert result.answer == bool(oracle(TRIANGLE, db))
         assert program.source == "omega-plan"
 
 
@@ -232,7 +230,8 @@ class TestOptimizer:
             )
             raw = lower_yannakakis(flower)
             optimized, stats = optimize_program(raw)
-            assert run_program(raw, db).answer == run_program(optimized, db).answer
+            vm = VirtualMachine(db)
+            assert vm.run(raw).answer == vm.run(optimized).answer
             assert stats.nodes_after <= stats.nodes_before
 
     def test_cse_merges_duplicate_subtrees(self):
@@ -244,9 +243,9 @@ class TestOptimizer:
         db = Database(
             {"R": Relation(("X", "Y"), [(1, 2), (3, 4)]), "S": Relation(("Y",), [(2,)])}
         )
-        result = run_program(Program(Join(first, second)), db)
+        result = VirtualMachine(db).run(Program(Join(first, second)))
         assert result.relation.rows == {(1, 2)}
-        assert [t.kind for t in result.traces].count("semijoin") == 1
+        assert [t.kind for t in result.operators].count("semijoin") == 1
 
     def test_prune_drops_identity_projection(self):
         r = Scan("R", ("X", "Y"))
@@ -257,21 +256,21 @@ class TestOptimizer:
 
 
 class TestVM:
-    def test_operator_traces_cover_rows_and_kernel(self):
+    def test_operator_traces_cover_rows_and_kernel(self, oracle):
         db = chain_database()
-        result = run_program(lower_naive(CHAIN), db)
-        assert result.answer == naive_boolean(CHAIN, db)
-        assert result.traces
-        kinds = {trace.kind for trace in result.traces}
+        result = VirtualMachine(db).run(lower_naive(CHAIN))
+        assert result.answer == bool(oracle(CHAIN, db))
+        assert result.operators
+        kinds = {trace.kind for trace in result.operators}
         assert "scan" in kinds and "join" in kinds and "nonempty" in kinds
-        for trace in result.traces:
+        for trace in result.operators:
             assert trace.rows_out >= 0
             assert trace.kernel in ("set", "columnar", "bool")
 
     def test_trace_seconds_sum_to_total(self):
         db = chain_database()
-        result = run_program(lower_naive(CHAIN), db)
-        assert 0.0 < sum(t.seconds for t in result.traces) <= result.seconds
+        result = VirtualMachine(db).run(lower_naive(CHAIN))
+        assert 0.0 < sum(t.seconds for t in result.operators) <= result.seconds
 
     def test_empty_scan_short_circuits_join(self):
         db = Database(
@@ -281,9 +280,9 @@ class TestVM:
                 "T": Relation(("X", "Z"), [(1, 2)]),
             }
         )
-        result = run_program(lower_naive(TRIANGLE), db)
+        result = VirtualMachine(db).run(lower_naive(TRIANGLE))
         assert not result.answer
-        evaluated = {trace.label for trace in result.traces}
+        evaluated = {trace.label for trace in result.operators}
         assert "Scan S(Y, Z)" not in evaluated  # right side never touched
 
     def test_lazily_skipped_subtree_is_never_evaluated(self):
@@ -293,23 +292,21 @@ class TestVM:
         program = Program(
             NonEmpty(Join(Scan("R", ("X", "Y")), Scan("Missing", ("Y", "Z"))))
         )
-        result = run_program(program, db)
+        result = VirtualMachine(db).run(program)
         assert result.answer is False
-        assert "Scan Missing(Y, Z)" not in {trace.label for trace in result.traces}
+        assert "Scan Missing(Y, Z)" not in {trace.label for trace in result.operators}
         db["R"] = Relation(("X", "Y"), [(1, 2)])
         with pytest.raises(KeyError):
-            run_program(program, db)
+            VirtualMachine(db).run(program)
 
     def test_thread_pool_keywords_are_gone(self):
         # One interpreter, no switch: the removed options are ordinary
         # TypeErrors, not deprecated no-ops.
         db = chain_database()
-        program = lower_naive(CHAIN)
         for call in (
             lambda: QueryEngine(db, parallelism=2),
             lambda: VirtualMachine(db, parallelism=2),
             lambda: VirtualMachine(db, dag_scheduling=False),
-            lambda: run_program(program, db, parallelism=2),
             lambda: KernelDispatcher(min_partition_rows=16),
             lambda: KernelDispatcher(max_morsel_output=16),
             lambda: KernelDispatcher(convert_threshold=1),
@@ -401,7 +398,7 @@ class TestExplainRendersDag:
         assert result.cache_hit and result.plan_source == "cache"
         assert result.program is not None
 
-    def test_shape_signature_collision_does_not_share_programs(self):
+    def test_shape_signature_collision_does_not_share_programs(self, oracle):
         # These two queries share a shape signature (scopes are sorted
         # within atoms) and bind the same relations, but wire F's and G's
         # columns differently — the cached IR of one must not answer the
@@ -419,8 +416,8 @@ class TestExplainRendersDag:
         engine = QueryEngine(db, omega=OMEGA)
         first = engine.ask(q1, strategy="omega")
         second = engine.ask(q2, strategy="omega")
-        assert first.answer == naive_boolean(q1, db)
-        assert second.answer == naive_boolean(q2, db)
+        assert first.answer == bool(oracle(q1, db))
+        assert second.answer == bool(oracle(q2, db))
         assert second.answer is True and first.answer is False
 
     def test_isomorphic_query_over_other_relations_relowers(self):

@@ -129,9 +129,9 @@ class TestDatabaseLoadCsv:
     def test_load_bumps_version(self, tmp_path):
         path = write(tmp_path, "edges.csv", "src,dst\n1,2\n")
         db = Database()
-        before = db.version
+        before = db.relation_version("edges")
         db.load_csv(path)
-        assert db.version > before
+        assert db.relation_version("edges") > before
 
     def test_load_converts_to_database_backend(self, tmp_path):
         path = write(tmp_path, "edges.csv", "src,dst\n1,2\n")

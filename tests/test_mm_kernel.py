@@ -87,7 +87,7 @@ def run_operator(left, right, rows, inner, cols, group, grouped=True):
         else GroupedMatMul(*scans, tuple(rows), tuple(inner), tuple(cols))
     )
     result = VirtualMachine(database).run(Program(node))
-    return result.relation, result.traces[-1]
+    return result.relation, result.operators[-1]
 
 
 def check_against_oracle(

@@ -555,9 +555,9 @@ class TestCacheInvalidation:
         engine = QueryEngine(database, omega=OMEGA_BEST_KNOWN)
         assert self._warm(engine) is True
         result_hits_before = engine.result_cache_info().hits
-        fingerprint_before = database.statistics_fingerprint()
+        fingerprint_before = database.fingerprint_for(database)
         database.bulk_load({"R": (("X", "Y"), [])})  # drop every R edge
-        assert database.statistics_fingerprint() != fingerprint_before
+        assert database.fingerprint_for(database) != fingerprint_before
         refreshed = engine.ask(self.TRIANGLE, strategy="omega")
         assert refreshed.answer is False
         assert not refreshed.cache_hit  # the plan cache saw the new fingerprint
@@ -570,9 +570,9 @@ class TestCacheInvalidation:
         engine = QueryEngine(database, omega=OMEGA_BEST_KNOWN)
         answer = self._warm(engine)
         result_hits_before = engine.result_cache_info().hits
-        fingerprint_before = database.statistics_fingerprint()
+        fingerprint_before = database.fingerprint_for(database)
         database.convert_backend("columnar")
-        assert database.statistics_fingerprint() != fingerprint_before
+        assert database.fingerprint_for(database) != fingerprint_before
         refreshed = engine.ask(self.TRIANGLE, strategy="omega")
         assert refreshed.answer == answer  # same data, new representation
         assert not refreshed.cache_hit

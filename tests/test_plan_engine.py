@@ -19,7 +19,6 @@ from repro.db import (
     Database,
     Relation,
     four_cycle_instance,
-    naive_boolean,
     parse_query,
     random_database,
     triangle_instance,
@@ -93,15 +92,15 @@ class TestPlanConstruction:
 
 class TestExecutor:
     @pytest.mark.parametrize("seed", range(6))
-    def test_for_loop_plan_matches_naive(self, seed):
+    def test_for_loop_plan_matches_naive(self, seed, oracle):
         db = triangle_instance(70, domain_size=16, seed=seed, plant_triangle=(seed % 2 == 0))
         plan = all_for_loop_plan(triangle(), ["Y", "X", "Z"])
         result = run_plan(TRIANGLE, db, plan)
-        assert result.answer == naive_boolean(TRIANGLE, db)
+        assert result.answer == bool(oracle(TRIANGLE, db))
         assert result.execution.operators  # a trace was recorded
 
     @pytest.mark.parametrize("seed", range(6))
-    def test_mm_plan_matches_naive(self, seed):
+    def test_mm_plan_matches_naive(self, seed, oracle):
         db = triangle_instance(70, domain_size=16, seed=seed, plant_triangle=(seed % 3 == 0))
         steps = (
             mm_step(triangle(), "Y"),
@@ -111,13 +110,13 @@ class TestExecutor:
         plan = OmegaQueryPlan(hypergraph=triangle(), steps=steps)
         plan.validate()
         result = run_plan(TRIANGLE, db, plan)
-        assert result.answer == naive_boolean(TRIANGLE, db)
+        assert result.answer == bool(oracle(TRIANGLE, db))
         mm_traces = [t for t in result.execution.operators if t.kind == "groupedmatmul"]
         assert mm_traces and mm_traces[0].matrix_shape is not None
         assert mm_traces[0].group_count >= 0
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_block_elimination_with_group_by(self, seed):
+    def test_block_elimination_with_group_by(self, seed, oracle):
         """Eliminate the middle of the 4-cycle by MM with a group-by variable."""
         db = four_cycle_instance(60, domain_size=14, seed=seed, plant_cycle=(seed == 0))
         hypergraph = FOUR_CYCLE.hypergraph()
@@ -135,7 +134,7 @@ class TestExecutor:
         )
         plan = OmegaQueryPlan(hypergraph=hypergraph, steps=steps)
         result = run_plan(FOUR_CYCLE, db, plan)
-        assert result.answer == naive_boolean(FOUR_CYCLE, db)
+        assert result.answer == bool(oracle(FOUR_CYCLE, db))
 
     def test_empty_relation_gives_false(self):
         db = Database(

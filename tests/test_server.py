@@ -553,10 +553,12 @@ class TestUpdates:
                 await server.shutdown(drain_timeout=1.0)
             # Same envelope and payload keys as the pinned v1 document —
             # extending the protocol with new result kinds must not
-            # change the existing shapes.
+            # change the existing shapes (protocol 2 changed only the
+            # query document).
             assert set(live) == set(golden)
             assert live["type"] == golden["type"]
-            assert live["protocol_version"] == golden["protocol_version"] == 1
+            assert golden["protocol_version"] == 1
+            assert live["protocol_version"] == PROTOCOL_VERSION == 2
             assert set(live["payload"]) == set(golden["payload"])
             assert live["kind"] == golden["kind"] == "inserted"
 

@@ -9,7 +9,8 @@ from repro.api.engine import PROTOCOL_VERSION, QueryResult
 from repro.api import QueryEngine
 from repro.db import Database, Relation, parse_query
 
-GOLDEN = Path(__file__).parent / "golden" / "query_result_v1.json"
+GOLDEN = Path(__file__).parent / "golden" / "query_result_v2.json"
+GOLDEN_V1 = Path(__file__).parent / "golden" / "query_result_v1.json"
 
 
 def engine():
@@ -21,7 +22,7 @@ def engine():
 
 
 class TestGoldenDocument:
-    """The v1 document is pinned: decoding and re-encoding is the identity.
+    """The v2 document is pinned: decoding and re-encoding is the identity.
 
     If a to_dict change breaks this test, the wire format changed — bump
     PROTOCOL_VERSION and add a new golden file instead of editing this
@@ -30,7 +31,7 @@ class TestGoldenDocument:
 
     def test_golden_round_trips_exactly(self):
         document = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        assert document["protocol_version"] == 1
+        assert document["protocol_version"] == 2
         rebuilt = QueryResult.from_dict(document)
         assert rebuilt.to_dict() == document
 
@@ -40,8 +41,16 @@ class TestGoldenDocument:
         assert result.row_count == 7
         assert result.output_variables == ("X", "Z")
         assert result.query.relation_names == ("R", "S")
-        assert result.execution.parallelism == 2
         assert [op.op_id for op in result.execution.operators] == [1, 2, 3, 4]
+
+    def test_v1_golden_still_decodes(self):
+        # The same run at protocol 1: its three dropped keys are ignored,
+        # everything else decodes to the v2 document.
+        v1 = json.loads(GOLDEN_V1.read_text(encoding="utf-8"))
+        assert v1["protocol_version"] == 1
+        assert "parallelism" in v1 and "worker" in v1["trace"][0]
+        golden = json.loads(GOLDEN.read_text(encoding="utf-8"))
+        assert QueryResult.from_dict(v1).to_dict() == golden
 
     def test_live_schema_matches_golden_keys(self):
         # New to_dict keys require a golden update (and usually a
@@ -103,15 +112,20 @@ class TestVersioning:
         with pytest.raises(ValueError, match="protocol_version"):
             QueryResult.from_dict(document)
 
-    def test_non_integer_version_refused(self):
-        document = json.loads(GOLDEN.read_text(encoding="utf-8"))
-        document["protocol_version"] = "2"
+    @pytest.mark.parametrize("version", [True, "2", 1.0])
+    def test_non_integer_version_refused(self, version):
+        # True is an int to isinstance (bool subclasses int), yet no version.
+        document = engine().exists(parse_query("R(X, Y)")).to_dict()
+        document["protocol_version"] = version
         with pytest.raises(ValueError, match="protocol_version"):
             QueryResult.from_dict(document)
 
 
 class TestUpdateWireDocument:
-    """The v1 update result envelope is pinned alongside the query one."""
+    """The update result envelope is pinned alongside the query one.
+
+    Protocol 2 left it unchanged, so its golden file stays the v1 one.
+    """
 
     UPDATE_GOLDEN = Path(__file__).parent / "golden" / "update_result_v1.json"
 
