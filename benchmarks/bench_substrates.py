@@ -2,9 +2,8 @@
 
 Not tied to a specific table, these benchmarks document the raw performance
 of the substrates the paper's algorithms are assembled from: square matrix
-multiplication (naive vs. Strassen vs. BLAS), Boolean rectangular products,
-and the join strategies (hash join vs. worst-case optimal join), run as
-engine calls.
+multiplication (BLAS), the Boolean product, and the join strategies (hash
+join vs. worst-case optimal join), run as engine calls.
 """
 
 from __future__ import annotations
@@ -13,12 +12,7 @@ import numpy as np
 
 from repro.api import QueryEngine
 from repro.db import parse_query, triangle_instance
-from repro.matmul import (
-    blocked_multiply,
-    boolean_multiply,
-    naive_multiply,
-    strassen_multiply,
-)
+from repro.matmul import boolean_multiply
 
 TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 
@@ -34,32 +28,10 @@ def _square_matrices(n: int, seed: int = 0):
 
 
 class TestMatrixKernels:
-    def test_naive_multiply(self, benchmark):
-        a, b = _square_matrices(128)
-        result = benchmark.pedantic(lambda: naive_multiply(a, b), rounds=3, iterations=1)
-        assert np.allclose(result, a @ b)
-
-    def test_strassen_multiply(self, benchmark):
-        a, b = _square_matrices(128)
-        result = benchmark.pedantic(
-            lambda: strassen_multiply(a, b, cutoff=32), rounds=3, iterations=1
-        )
-        assert np.allclose(result, a @ b)
-
     def test_blas_multiply(self, benchmark):
         a, b = _square_matrices(128)
         result = benchmark.pedantic(lambda: a @ b, rounds=3, iterations=1)
         assert result.shape == (128, 128)
-
-    def test_blocked_rectangular(self, benchmark):
-        rng = np.random.default_rng(1)
-        a = rng.integers(0, 2, size=(512, 32)).astype(float)
-        b = rng.integers(0, 2, size=(32, 512)).astype(float)
-        product, stats = benchmark.pedantic(
-            lambda: blocked_multiply(a, b, omega=2.371552), rounds=3, iterations=1
-        )
-        assert stats.block_products == 16 * 16
-        assert np.allclose(product, a @ b)
 
     def test_boolean_product(self, benchmark):
         rng = np.random.default_rng(2)

@@ -5,7 +5,7 @@ The package is organised by subsystem:
 * :mod:`repro.hypergraph` — query hypergraphs, tree decompositions, (G)VEOs;
 * :mod:`repro.polymatroid` — set functions, polymatroids, Shannon machinery;
 * :mod:`repro.width` — ρ*, fhtw, submodular width, ω-submodular width;
-* :mod:`repro.matmul` — Strassen, rectangular/boolean MM, cost model;
+* :mod:`repro.matmul` — Boolean/counting MM, the rectangular cost model;
 * :mod:`repro.db` — relations, conjunctive queries, join algorithms, generators;
 * :mod:`repro.core` — ω-query plans, planner, per-class algorithms;
 * :mod:`repro.exec` — the unified physical execution layer: operator IR,

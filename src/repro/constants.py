@@ -12,8 +12,8 @@ from __future__ import annotations
 #: (Vassilevska Williams, Xu, Xu, Zhou, SODA 2024), quoted in the paper.
 OMEGA_BEST_KNOWN = 2.371552
 
-#: Strassen's exponent, log2(7).  This is the exponent of the genuinely
-#: sub-cubic multiplication algorithm shipped in :mod:`repro.matmul`.
+#: Strassen's exponent, log2(7): the first sub-cubic multiplication
+#: algorithm.  The engine multiplies with BLAS, which is cubic.
 OMEGA_STRASSEN = 2.8073549220576042
 
 #: The exponent of the classical cubic algorithm.  With ``omega = 3`` the

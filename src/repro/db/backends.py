@@ -122,6 +122,14 @@ def _put_bounded(cache: dict, key: tuple, value: object, limit: int) -> None:
 
 _INT64_MAX = (1 << 63) - 1  #: the largest count a ``count_tree`` returns
 
+#: How many (group, key) cells per ranked row a presence table may span
+#: before :func:`_ranks_within_groups` sorts instead.
+_PRESENCE_CELLS_PER_ROW = 8
+
+#: No rows: an operand the product does not have (its mask, when unmasked).
+#: Only ever indexed, never written.
+_NO_ROWS = np.empty(0, dtype=np.int64)
+
 
 def _checked_count(total: int) -> int:
     if total > _INT64_MAX:
@@ -449,11 +457,14 @@ class RelationBackend:
         other_col_positions: Sequence[int],
         other_group_positions: Sequence[int],
         schema: Tuple[str, ...],
+        mask: Optional["RelationBackend"] = None,
+        mask_positions: Sequence[int] = (),
     ) -> Tuple["RelationBackend", Tuple[int, int, int], int]:
         """One Boolean product per shared group binding (Def. 4.5).
 
         Returns ``(product over schema, the shape with the most cells,
-        groups matched)``.
+        groups matched)``; with a ``mask`` (whose ``mask_positions`` hold
+        ``schema``) the first is the mask's rows that hit a nonzero entry.
         """
         raise NotImplementedError
 
@@ -702,13 +713,16 @@ class SetBackend(RelationBackend):
         heavy_schema = tuple(self.schema[p] for p in given_positions)
         return SetBackend(heavy_schema, frozenset(heavy_rows)), self._keep(light_rows)
 
-    def matmul(self, other, *positions_and_schema):
+    def matmul(self, other, *positions_and_schema, mask=None, mask_positions=()):
         # The product is defined on dictionary codes: encode, multiply, decode.
-        product, shape, group_count = ColumnarBackend.from_rows(
-            self.schema, self._rows
-        ).matmul(
-            ColumnarBackend.from_rows(other.schema, other.iter_rows()),
+        def encoded(backend):
+            return ColumnarBackend.from_rows(backend.schema, backend.iter_rows())
+
+        product, shape, group_count = encoded(self).matmul(
+            encoded(other),
             *positions_and_schema,
+            mask=None if mask is None else encoded(mask),
+            mask_positions=mask_positions,
         )
         return (
             SetBackend(product.schema, frozenset(product.iter_rows())),
@@ -899,7 +913,7 @@ class _Column:
     input dictionaries without re-encoding.
     """
 
-    __slots__ = ("codes", "dictionary", "_distinct_codes")
+    __slots__ = ("codes", "dictionary", "_distinct_codes", "_ranks")
 
     def __init__(
         self,
@@ -912,6 +926,7 @@ class _Column:
             dictionary = _Dictionary(dictionary, index)
         self.dictionary = dictionary
         self._distinct_codes: Optional[np.ndarray] = None
+        self._ranks: Optional[Tuple[np.ndarray, ...]] = None
 
     @property
     def values(self) -> np.ndarray:
@@ -926,6 +941,21 @@ class _Column:
         if self._distinct_codes is None:
             self._distinct_codes = np.unique(self.codes)
         return self._distinct_codes
+
+    @property
+    def ranks(self) -> Tuple[np.ndarray, ...]:
+        """The codes ranked as one group, cached: ``(rank per row, rank per
+        code, distinct codes, first row per distinct code)``.
+
+        The per-code table ranks a code absent here, and the ``-1`` of an
+        unknown value (its last entry), ``-1``: a lookup is one gather.
+        """
+        if self._ranks is None:
+            rank, count, heads = _ranks_within_groups(None, self.codes, 1, len(self.codes))
+            table = np.full(len(self.values) + 1, -1, dtype=np.int64)
+            table[self.codes] = rank
+            self._ranks = (rank, table, count, heads)
+        return self._ranks
 
     def take(self, row_indices: np.ndarray) -> "_Column":
         return _Column(self.codes[row_indices], self.dictionary)
@@ -1374,7 +1404,8 @@ class ColumnarBackend(RelationBackend):
         positions: Sequence[int],
         other: "ColumnarBackend",
         other_positions: Sequence[int],
-    ) -> Tuple[np.ndarray, np.ndarray]:
+        *more: Tuple["ColumnarBackend", Sequence[int]],
+    ) -> Tuple[np.ndarray, ...]:
         """Both sides' rows keyed over ``positions`` in this side's code space.
 
         The two-relation form of :meth:`_row_keys`, at any key width: the
@@ -1382,21 +1413,35 @@ class ColumnarBackend(RelationBackend):
         both sides' rows are keyed (and, past the composite limit, ranked)
         as one array, so ``own == theirs`` exactly where the rows agree.  A
         row of ``other`` carrying a value this side's dictionaries do not
-        know matches nothing here and gets the key ``-1``.
+        know matches nothing here and gets the key ``-1``.  Each further
+        ``(backend, positions)`` pair in ``more`` is keyed the same way, in
+        the same call, and gets one more array.
         """
+        sides = ((other, other_positions),) + more
+        if len(positions) == 1:
+            # One column: the codes are the keys (read-only: they may be the
+            # columns' own arrays), and an unknown value translates to -1.
+            return (self._columns[positions[0]].codes,) + tuple(
+                self.translate_codes(positions[0], side, side_positions[0])
+                for side, side_positions in sides
+            )
         translated = [
-            self.translate_codes(p, other, op)
-            for p, op in zip(positions, other_positions)
+            [self.translate_codes(p, side, sp) for p, sp in zip(positions, side_positions)]
+            for side, side_positions in sides
         ]
         joint = [
-            np.concatenate((self._columns[p].codes, codes))
-            for p, codes in zip(positions, translated)
+            np.concatenate([self._columns[p].codes] + [codes[i] for codes in translated])
+            for i, p in enumerate(positions)
         ]
-        keys = self._row_keys(joint, positions, self._n + other._n)
-        own, theirs = keys[: self._n], keys[self._n:]
-        for codes in translated:
-            theirs[codes < 0] = -1
-        return own, theirs
+        ends = np.cumsum([self._n] + [side._n for side, _ in sides]).tolist()
+        keys = self._row_keys(joint, positions, ends[-1])
+        parts = [keys[: self._n]]
+        for start, end, codes in zip(ends, ends[1:], translated):
+            theirs = keys[start:end]
+            for side_codes in codes:
+                theirs[side_codes < 0] = -1
+            parts.append(theirs)
+        return tuple(parts)
 
     def sorted_composite_keys(
         self, positions: Tuple[int, ...]
@@ -1786,6 +1831,8 @@ class ColumnarBackend(RelationBackend):
         other_col_positions: Sequence[int],
         other_group_positions: Sequence[int],
         schema: Tuple[str, ...],
+        mask: Optional["ColumnarBackend"] = None,
+        mask_positions: Sequence[int] = (),
     ) -> Tuple["ColumnarBackend", Tuple[int, int, int], int]:
         """One Boolean matrix product per group key present on both sides.
 
@@ -1794,88 +1841,139 @@ class ColumnarBackend(RelationBackend):
         entries decode to rows over ``schema`` = rows + cols + group.
         Everything happens on dictionary codes: the other side's inner and
         group codes are translated into this side's dictionaries, every key
-        is ranked within its group in one sort per dimension, and the loop
-        over groups only fills two 0/1 matrices, multiplies them and reads
-        the nonzeros back.  A group's dimensions are its distinct row
-        keys × its distinct inner keys *on this side* × its distinct column
-        keys.  The output columns share the operands' dictionaries, and
-        (row, column, group) triples are distinct by construction.
+        is ranked within its group (:func:`_ranks_within_groups`, a
+        presence table over the codes; a product without groups ranks a
+        one-column key once per column, :attr:`_Column.ranks`), and the
+        loop over groups only fills two float32 0/1 matrices, multiplies
+        them and reads the nonzeros back.  A group's dimensions are its distinct row keys × its
+        distinct inner keys *on this side* × its distinct column keys.  The
+        output columns share the operands' dictionaries, and (row, column,
+        group) triples are distinct by construction.
+
+        With a ``mask`` (``mask_positions`` are its columns holding
+        ``schema``) the products are gathered instead of listed: the mask's
+        row, column and group codes are ranked in the same calls as the
+        operands' keys, each group's product is read at its mask rows' cells,
+        and the output is the mask rows that hit, in the mask's order.
 
         Returns ``(product, the shape with the most cells, groups matched)``.
         """
-        left_group, right_group = self._shared_keys(
-            group_positions, other, other_group_positions
-        )
-        # Group ids index the sorted distinct group keys of this side; rows
-        # whose group the opposite side lacks take no part.
-        group_keys, left_gid = np.unique(left_group, return_inverse=True)
-        n_groups = len(group_keys)
-        right_gid = np.searchsorted(group_keys, right_group)
-        right_rows = np.nonzero(right_gid < n_groups)[0]
-        right_rows = right_rows[
-            group_keys[right_gid[right_rows]] == right_group[right_rows]
-        ]
-        matched = np.zeros(n_groups, dtype=bool)
-        matched[right_gid[right_rows]] = True
-        left_rows = np.nonzero(matched[left_gid])[0]
-        # Group-contiguous row order, so a group is one slice of every array.
-        left_rows = left_rows[np.argsort(left_gid[left_rows], kind="stable")]
-        right_rows = right_rows[np.argsort(right_gid[right_rows], kind="stable")]
-        left_gid, right_gid = left_gid[left_rows], right_gid[right_rows]
+        n_mask = 0 if mask is None else mask._n
+        cut, group_cut = len(row_positions), len(schema) - len(group_positions)
+        mask_rows, mask_cols = mask_positions[:cut], mask_positions[cut:group_cut]
+        masks = () if mask is None else ((mask, mask_positions[group_cut:]),)
+        if group_positions:
+            left_group, right_group, *mask_group = self._shared_keys(
+                group_positions, other, other_group_positions, *masks
+            )
+            # Group ids index the sorted distinct group keys of this side;
+            # rows whose group the opposite side lacks take no part.
+            group_keys, left_gid = np.unique(left_group, return_inverse=True)
+            right_gid = _find(group_keys, right_group)
+            right_rows = np.nonzero(right_gid >= 0)[0]
+            matched = np.zeros(len(group_keys), dtype=bool)
+            matched[right_gid[right_rows]] = True
+            left_rows = np.nonzero(matched[left_gid])[0]
+            mask_gid = _find(group_keys, mask_group[0]) if mask_group else _NO_ROWS
+            mask_at = np.nonzero(np.append(matched, False)[mask_gid])[0]
+            # Group-contiguous row order, so a group is one slice of every array.
+            left_rows = left_rows[np.argsort(left_gid[left_rows], kind="stable")]
+            right_rows = right_rows[np.argsort(right_gid[right_rows], kind="stable")]
+            mask_at = mask_at[np.argsort(mask_gid[mask_at], kind="stable")]
+            left_gid, right_gid = left_gid[left_rows], right_gid[right_rows]
+            mask_gid = mask_gid[mask_at]
+        else:
+            # One plain product, if both sides have rows: one group, no ids.
+            matched = np.array([self._n > 0 and other._n > 0])
+            left_rows, right_rows, mask_at = (
+                np.arange(n if matched[0] else 0) for n in (self._n, other._n, n_mask)
+            )
+            left_gid = right_gid = mask_gid = None
+        n_groups = len(matched)
 
         left_inner, right_inner = self._shared_keys(
             inner_positions, other, other_inner_positions
         )
-        row_keys = self._row_keys(self._codes(row_positions), row_positions, self._n)
-        col_keys = other._row_keys(
-            other._codes(other_col_positions), other_col_positions, other._n
-        )
-        row_rank, row_count, row_heads = _ranks_within_groups(
-            left_gid, row_keys[left_rows], n_groups, len(left_rows)
-        )
-        col_rank, col_count, col_heads = _ranks_within_groups(
-            right_gid, col_keys[right_rows], n_groups, len(right_rows)
-        )
-        inner_rank, inner_count, _ = _ranks_within_groups(
-            np.concatenate((left_gid, right_gid)),
-            np.concatenate((left_inner[left_rows], right_inner[right_rows])),
-            n_groups,
-            len(left_rows),
-        )
-        left_inner_rank = inner_rank[: len(left_rows)]
-        # An inner key this side's group lacks selects an all-zero matrix
-        # row: it counts towards no dimension and is left out of the fill.
-        fill = np.nonzero(inner_rank[len(left_rows):] >= 0)[0]
-        right_inner_rank = inner_rank[len(left_rows):][fill]
-        right_col_rank, right_fill_gid = col_rank[fill], right_gid[fill]
+        if mask is None:
+            row_keys = self._row_keys(self._codes(row_positions), row_positions, self._n)
+            col_keys = other._row_keys(
+                other._codes(other_col_positions), other_col_positions, other._n
+            )
+            mask_row_keys = mask_col_keys = _NO_ROWS
+        else:
+            row_keys, mask_row_keys = self._shared_keys(row_positions, mask, mask_rows)
+            col_keys, mask_col_keys = other._shared_keys(other_col_positions, mask, mask_cols)
+        # The mask's rows rank their row and column keys after the operands'
+        # rows, in the same calls: a key its group lacks ranks -1.
+        def ranks(owner, positions, rows, gid, keys, lookup_gid, lookup_keys, with_heads):
+            if gid is None and len(positions) == 1 and len(rows) == owner._n:
+                # One group of every row, keyed by one column: its cached ranks.
+                own, table, count, heads = owner._columns[positions[0]].ranks
+                return own, table[lookup_keys], count, heads
+            rank, count, heads = _ranks_within_groups(
+                None if gid is None else np.concatenate((gid, lookup_gid)),
+                np.concatenate((keys[rows], lookup_keys)),
+                n_groups,
+                len(rows),
+                with_heads,
+            )
+            return rank[: len(rows)], rank[len(rows):], count, heads
+
+        row_rank, mask_row_rank, row_count, row_heads = ranks(
+            self, row_positions, left_rows, left_gid, row_keys,
+            mask_gid, mask_row_keys[mask_at], mask is None,
+        )  # fmt: skip
+        col_rank, mask_col_rank, col_count, col_heads = ranks(
+            other, other_col_positions, right_rows, right_gid, col_keys,
+            mask_gid, mask_col_keys[mask_at], mask is None,
+        )  # fmt: skip
+        left_inner_rank, right_inner_rank, inner_count, _ = ranks(
+            self, inner_positions, left_rows, left_gid, left_inner,
+            right_gid, right_inner[right_rows], False,
+        )  # fmt: skip
 
         groups = np.nonzero(matched)[0]
-        left_ends = np.searchsorted(left_gid, groups, side="right").tolist()
-        right_ends = np.searchsorted(right_fill_gid, groups, side="right").tolist()
+        left_ends, right_ends, mask_ends = (
+            [len(rows)] if gid is None else np.searchsorted(gid, groups, side="right").tolist()
+            for gid, rows in ((left_gid, left_rows), (right_gid, right_rows), (mask_gid, mask_at))
+        )
         row_bases = (np.cumsum(row_count) - row_count)[groups].tolist()
         col_bases = (np.cumsum(col_count) - col_count)[groups].tolist()
-        shapes = np.stack((row_count, inner_count, col_count), axis=1)[groups].tolist()
+        shapes = list(
+            zip(row_count[groups].tolist(), inner_count[groups].tolist(), col_count[groups].tolist())
+        )
         # Seeded with an empty array so that no matched group is no special case.
         out_rows = [np.empty(0, dtype=np.int64)]
         out_cols = [np.empty(0, dtype=np.int64)]
-        left_start = right_start = 0
-        for (rows, inner, cols), left_end, right_end, row_base, col_base in zip(
-            shapes, left_ends, right_ends, row_bases, col_bases
+        hits = np.zeros(n_mask, dtype=bool)
+        left_start = right_start = mask_start = 0
+        for (rows, inner, cols), left_end, right_end, mask_end, row_base, col_base in zip(
+            shapes, left_ends, right_ends, mask_ends, row_bases, col_bases
         ):
-            left_matrix = np.zeros((rows, inner), dtype=np.uint8)
-            left_matrix[
-                row_rank[left_start:left_end], left_inner_rank[left_start:left_end]
-            ] = 1
-            right_matrix = np.zeros((inner, cols), dtype=np.uint8)
-            right_matrix[
-                right_inner_rank[right_start:right_end],
-                right_col_rank[right_start:right_end],
-            ] = 1
-            left_start, right_start = left_end, right_end
-            product = boolean_multiply(left_matrix, right_matrix)
-            hit_rows, hit_cols = np.nonzero(product)
-            out_rows.append(hit_rows + row_base)
-            out_cols.append(hit_cols + col_base)
+            # One spare row and column that stay zero: a rank of -1 (a key
+            # the group lacks) writes (an inner key) or reads (a mask key)
+            # there, through flat indices, which wrap around to the end.
+            left_matrix = np.zeros((rows + 1, inner), dtype=np.float32)
+            left = slice(left_start, left_end)
+            left_matrix.ravel()[row_rank[left] * inner + left_inner_rank[left]] = 1
+            right_matrix = np.zeros((inner + 1, cols + 1), dtype=np.float32)
+            right = slice(right_start, right_end)
+            right_matrix.ravel()[right_inner_rank[right] * (cols + 1) + col_rank[right]] = 1
+            product = boolean_multiply(left_matrix, right_matrix[:inner])
+            if mask is None:
+                hit_rows, hit_cols = np.nonzero(product)
+                out_rows.append(hit_rows + row_base)
+                out_cols.append(hit_cols + col_base)
+            else:
+                at = slice(mask_start, mask_end)
+                cells = mask_row_rank[at] * (cols + 1) + mask_col_rank[at]
+                hits[mask_at[at]] = product.ravel()[cells]
+            left_start, right_start, mask_start = left_end, right_end, mask_end
+        # Most cells first; equal cell counts fall to the larger shape, so the
+        # reported shape does not depend on the order groups are met in.
+        largest = max(shapes, key=lambda s: (s[0] * s[1] * s[2], s), default=(0, 0, 0))
+        if mask is not None:
+            return mask.take(np.nonzero(hits)[0]), tuple(largest), len(groups)
         # One source row per output entry: the first row of the operand that
         # carries the entry's row (column) key within its group.
         left_source = left_rows[row_heads[np.concatenate(out_rows)]]
@@ -1883,14 +1981,21 @@ class ColumnarBackend(RelationBackend):
         columns = [self._columns[p].take(left_source) for p in row_positions]
         columns += [other._columns[p].take(right_source) for p in other_col_positions]
         columns += [self._columns[p].take(left_source) for p in group_positions]
-        # Most cells first; equal cell counts fall to the larger shape, so the
-        # reported shape does not depend on the order groups are met in.
-        largest = max(shapes, key=lambda s: (s[0] * s[1] * s[2], s), default=(0, 0, 0))
         return (
             ColumnarBackend(schema, columns, len(left_source)),
             tuple(largest),
             len(groups),
         )
+
+
+def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:
+    """Each key's index in ``sorted_keys``, or ``-1`` where it is missing."""
+    found = np.searchsorted(sorted_keys, keys)
+    known = np.nonzero(found < len(sorted_keys))[0]
+    known = known[sorted_keys[found[known]] == keys[known]]
+    index = np.full(len(keys), -1, dtype=np.int64)
+    index[known] = found[known]
+    return index
 
 
 def _largest(weights: np.ndarray) -> int:
@@ -1915,16 +2020,49 @@ def _edge_weights(above, below, order, starts, ends) -> np.ndarray:
 
 
 def _ranks_within_groups(
-    groups: np.ndarray, keys: np.ndarray, n_groups: int, n_ranked: int
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Rank every row's key among the distinct keys of its group, in one sort.
+    groups: Optional[np.ndarray],
+    keys: np.ndarray,
+    n_groups: int,
+    n_ranked: int,
+    with_heads: bool = True,
+) -> Tuple[np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Rank every row's key among the distinct keys of its group.
 
-    Only the first ``n_ranked`` rows say which keys a group has; the rows
-    after them look their key up and get ``-1`` when the group lacks it
-    (the right operand's inner keys against the left operand's).  Returns
+    ``groups`` ``None`` is one group.  Only the first ``n_ranked`` rows say
+    which keys a group has; the rows after them look their key up and get
+    ``-1`` when the group lacks it (the right operand's inner keys against
+    the left operand's, a mask's keys against an operand's).  Returns
     ``(rank per row, distinct keys per group, the first row carrying each
-    distinct (group, key), in (group, rank) order)``.
+    distinct (group, key), in (group, rank) order)``; the last is ``None``
+    unless ``with_heads``.
+
+    Keys are codes, so while the table of (group, key) cells has at most
+    ``_PRESENCE_CELLS_PER_ROW`` cells per row the ranks come from which
+    cells the ranked rows occupy: one scatter, one ``cumsum``, one gather
+    and no sort.  Wider keys take one ``lexsort``; both give the same
+    three arrays.
     """
+    if len(keys):
+        low = int(keys.min())
+        span = int(keys.max()) - low + 1
+        if n_groups * span <= _PRESENCE_CELLS_PER_ROW * len(keys):
+            cells = keys - low
+            if groups is not None:
+                cells += groups * span
+            present = np.zeros((n_groups, span), dtype=bool)
+            present.ravel()[cells[:n_ranked]] = True
+            # Per group, a present cell's rank is the present cells before it.
+            table = np.cumsum(present, axis=1) - 1
+            counts = table[:, -1] + 1
+            table[~present] = -1
+            heads = None
+            if with_heads:
+                first = np.full(present.size, n_ranked, dtype=np.int64)
+                np.minimum.at(first, cells[:n_ranked], np.arange(n_ranked))
+                heads = first[present.ravel()]
+            return table.ravel()[cells], counts, heads
+    if groups is None:
+        groups = np.zeros(len(keys), dtype=np.int64)
     order = np.lexsort((keys, groups))  # stable: the lowest row leads its run
     sorted_groups, sorted_keys = groups[order], keys[order]
     run_start = np.ones(len(order), dtype=bool)
@@ -1939,7 +2077,7 @@ def _ranks_within_groups(
     run_ranks[~ranked] = -1
     ranks = np.empty(len(order), dtype=np.int64)
     ranks[order] = run_ranks[np.cumsum(run_start) - 1]
-    return ranks, counts, heads[ranked]
+    return ranks, counts, heads[ranked] if with_heads else None
 
 
 #: Registered storage backends by name.

@@ -512,6 +512,7 @@ class Relation:
         inner_variables: Sequence[str],
         col_variables: Sequence[str],
         group_variables: Sequence[str],
+        mask: Optional["Relation"] = None,
     ) -> Tuple["Relation", Tuple[int, int, int], int]:
         """``MM(rows ; inner ; cols | group)``: a Boolean product per group binding.
 
@@ -524,21 +525,30 @@ class Relation:
         backend encodes on the way in) and the product comes back in this
         relation's backend kind.
 
+        With a ``mask`` holding every row, col and group variable the
+        product is gathered at the mask's rows instead: the output is the
+        mask's rows (its schema, its order, its backend kind — a join with
+        the product, which adds no column) whose projection is a nonzero
+        entry.
+
         Returns ``(product, largest product shape, groups matched)``.
         """
         schema = tuple(row_variables) + tuple(col_variables) + tuple(group_variables)
         if len(set(schema)) != len(schema):
             raise ValueError(f"duplicate variables in schema {schema}")
-        other = self._aligned(other)
-        product, shape, group_count = self._backend.matmul(
+        anchor = self if mask is None else mask
+        left, other = anchor._aligned(self), anchor._aligned(other)
+        product, shape, group_count = left._backend.matmul(
             other._backend,
-            self._positions(row_variables),
-            self._positions(inner_variables),
-            self._positions(group_variables),
+            left._positions(row_variables),
+            left._positions(inner_variables),
+            left._positions(group_variables),
             other._positions(inner_variables),
             other._positions(col_variables),
             other._positions(group_variables),
             schema,
+            mask=None if mask is None else mask._backend,
+            mask_positions=() if mask is None else mask._positions(schema),
         )
         return Relation._wrap(product), shape, group_count
 

@@ -29,8 +29,9 @@ computed once in ``__post_init__``.
 Each operator is declared once, by its dataclass fields.
 :meth:`Operator.rebuild` and :meth:`Operator.rename` read the fields'
 declared types: an ``Operator`` or ``Tuple[Operator, ...]`` field is an
-input, a ``Variable``, ``Schema`` or ``Optional[Schema]`` field names
-variables, and every other field is kept as is.  A new operator class
+input (so is an ``Optional[Operator]`` field that is set), a
+``Variable``, ``Schema`` or ``Optional[Schema]`` field names variables,
+and every other field is kept as is.  A new operator class
 needs nothing in the optimizer or the renaming code.
 """
 
@@ -48,6 +49,7 @@ StructuralKey = Tuple
 #: (the source text of the annotation under postponed evaluation).
 _FIELD_ROLES = {
     "Operator": "input",
+    "Optional[Operator]": "input",
     "Tuple[Operator, ...]": "inputs",
     "Variable": "variable",
     "Schema": "variables",
@@ -199,7 +201,7 @@ class Operator:
         same = True
         for name, role in _field_roles(type(self)):
             value = getattr(self, name)
-            if role == "input":
+            if role == "input" and value is not None:
                 new = transform(value)
                 same = same and new is value
             elif role == "inputs":
@@ -494,6 +496,13 @@ class GroupedMatMul(Operator):
     outer dimensions (they are baked into row/col variables by lowering).
     With no group variables (the default) it is one plain product, the
     form the triangle, 4-cycle and clique lowerings emit.
+
+    With a ``mask`` — an input whose variables include every row, column
+    and group variable — the product is only looked up, not listed: the
+    output is the mask's rows (over the mask's schema, in its row order)
+    whose (row, col, group) projection is a nonzero entry, which as a set
+    is ``Join(mask, product)``.  That is Figure 1's last step, the closing
+    relation's pairs checked against ``M = R·S``.
     """
 
     left: Operator
@@ -502,6 +511,7 @@ class GroupedMatMul(Operator):
     inner_variables: Schema
     col_variables: Schema
     group_variables: Schema = ()
+    mask: Optional[Operator] = None
 
     def __post_init__(self) -> None:
         _require_relational(self.left, "GroupedMatMul")
@@ -512,25 +522,27 @@ class GroupedMatMul(Operator):
         col_positions = _positions(self.right.schema, self.col_variables, "GroupedMatMul cols")
         group_left = _positions(self.left.schema, self.group_variables, "GroupedMatMul group")
         group_right = _positions(self.right.schema, self.group_variables, "GroupedMatMul group")
-        self._derive(
-            schema=(
-                tuple(self.row_variables)
-                + tuple(self.col_variables)
-                + tuple(self.group_variables)
-            ),
-            children=(self.left, self.right),
-            skey=(
-                "grouped_matmul",
-                self.left.skey,
-                self.right.skey,
-                row_positions,
-                inner_left,
-                inner_right,
-                col_positions,
-                group_left,
-                group_right,
-            ),
+        schema = (
+            tuple(self.row_variables) + tuple(self.col_variables) + tuple(self.group_variables)
         )
+        skey = (
+            "grouped_matmul",
+            self.left.skey,
+            self.right.skey,
+            row_positions,
+            inner_left,
+            inner_right,
+            col_positions,
+            group_left,
+            group_right,
+        )
+        children = (self.left, self.right)
+        if self.mask is not None:
+            _require_relational(self.mask, "GroupedMatMul mask")
+            skey += (self.mask.skey, _positions(self.mask.schema, schema, "GroupedMatMul mask"))
+            # The VM reads the mask first: an empty one skips the product.
+            schema, children = self.mask.schema, (self.mask,) + children
+        self._derive(schema=schema, children=children, skey=skey)
 
     def label(self) -> str:
         group = ",".join(self.group_variables)
@@ -538,6 +550,7 @@ class GroupedMatMul(Operator):
             f"GroupedMatMul[{','.join(self.row_variables)} ; "
             f"{','.join(self.inner_variables)} ; {','.join(self.col_variables)}"
             + (f" | {group}]" if group else "]")
+            + (" at mask" if self.mask is not None else "")
         )
 
 

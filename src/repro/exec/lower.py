@@ -18,9 +18,10 @@ sinks over the query's free variables:
 * :func:`lower_yannakakis` — the GYO join tree (:func:`_gyo_join_tree`)
   becomes an upward semijoin program, joined only where the head is;
 * :func:`lower_plan` — an :class:`~repro.core.plan.OmegaQueryPlan`'s
-  elimination steps become Join/Project or GroupedMatMul nodes, with the
-  side-splitting and realizability checks done *statically* from the
-  operator schemas;
+  elimination steps become Join/Project or GroupedMatMul nodes (a product
+  whose variables the other operands cover is masked by them, not joined
+  with them), with the side-splitting and realizability checks done
+  *statically* from the operator schemas;
 * :func:`lower_triangle` / :func:`lower_four_cycle` / :func:`lower_clique`
   — the per-query-class algorithms (Figure 1 degree partitioning, the
   adaptive 4-cycle split, Nešetřil–Poljak clique detection) expressed as
@@ -40,7 +41,7 @@ calibrated semijoin state of untouched subtrees is reused as-is.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from ..core.plan import OmegaQueryPlan, PlanStep, StepMethod
@@ -180,10 +181,24 @@ def _static_size(node: Operator, database: Database) -> float:
 
 
 def _fold_joins(nodes: Sequence[Operator], database: Optional[Database]) -> Operator:
-    """Left-fold Join nodes, smallest estimated input first when stats exist."""
+    """Left-fold Join nodes, smallest estimated input first when stats exist.
+
+    A product whose variables the other operands cover is looked up, not
+    joined: it comes back masked by their fold (Figure 1's last step), so
+    the product's entries are never listed.
+    """
     ordered = list(nodes)
     if database is not None:
         ordered.sort(key=lambda n: _static_size(n, database))
+    for index, node in enumerate(ordered):
+        others = ordered[:index] + ordered[index + 1:]
+        if (
+            isinstance(node, GroupedMatMul)
+            and node.mask is None
+            and others
+            and node.variables <= frozenset().union(*(n.variables for n in others))
+        ):
+            return replace(node, mask=_fold_joins(others, None))  # already ordered
     result = ordered[0]
     for node in ordered[1:]:
         result = Join(result, node)

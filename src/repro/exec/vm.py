@@ -9,7 +9,8 @@ exclusive and inclusive seconds, cache provenance) that feeds
 :meth:`repro.api.QueryEngine.explain` and the performance ledger.
 
 Evaluation is lazy where emptiness already decides the result: a join whose
-left side is empty never evaluates its right side, ``Any``/``All``
+left side is empty never evaluates its right side, a masked product with
+an empty mask never evaluates its operands, ``Any``/``All``
 short-circuit, and a ``NonEmpty`` root stops as soon as the answer is
 known.  Laziness is nothing more than not recursing into a child.
 
@@ -1034,23 +1035,31 @@ class _RunState:
 
     # -- matrix multiplication -----------------------------------------
     def _matmul(self, node: GroupedMatMul) -> Tuple[Payload, int, dict]:
-        left = self._relation(node.left)
-        right = None if left.is_empty() else self._relation(node.right)
-        rows_in = 0 if right is None else len(left) + len(right)
-        if right is None or right.is_empty():
-            return (
-                Relation(node.schema, (), backend=left.backend_kind),
-                rows_in,
-                {"matrix_shape": (0, 0, 0)},
-            )
+        # Children come mask first: an empty mask decides the answer, as an
+        # empty left side decides a Join's, so the product is never built.
+        inputs: List[Relation] = []
+        for child in node.children:
+            inputs.append(self._relation(child))
+            if inputs[-1].is_empty():
+                return (
+                    Relation(node.schema, (), backend=inputs[0].backend_kind),
+                    sum(len(r) for r in inputs),
+                    {"matrix_shape": (0, 0, 0)},
+                )
+        mask, left, right = inputs if node.mask is not None else (None, *inputs)
         product, shape, group_count = left.matmul(
             right,
             node.row_variables,
             node.inner_variables,
             node.col_variables,
             node.group_variables,
+            mask=mask,
         )
-        return product, rows_in, {"matrix_shape": shape, "group_count": group_count}
+        return (
+            product,
+            sum(len(r) for r in inputs),
+            {"matrix_shape": shape, "group_count": group_count},
+        )
 
 
 # ----------------------------------------------------------------------

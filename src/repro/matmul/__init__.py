@@ -1,49 +1,16 @@
-"""Fast matrix multiplication substrate: Strassen, rectangular blocking, costs."""
+"""Matrix-multiplication substrate: Boolean/counting products and the cost model."""
 
-from .boolean import (
-    boolean_multiply,
-    boolean_multiply_strassen,
-    counting_multiply,
-    has_any_product_entry,
-    matrix_from_pairs,
-)
-from .cost import (
-    MatrixShape,
-    heavy_vertex_bound,
-    mm_exponent,
-    predicted_triangle_exponent,
-    triangle_threshold,
-)
-from .rectangular import (
-    BlockedProductStats,
-    blocked_multiply,
-    omega_rectangular,
-    rectangular_cost,
-)
-from .strassen import (
-    DEFAULT_CUTOFF,
-    naive_multiply,
-    strassen_multiply,
-    strassen_operation_count,
-)
+from .boolean import boolean_multiply, counting_multiply, matrix_from_pairs
+from .cost import mm_exponent, predicted_triangle_exponent, triangle_threshold
+from .rectangular import omega_rectangular, rectangular_cost
 
 __all__ = [
-    "BlockedProductStats",
-    "DEFAULT_CUTOFF",
-    "MatrixShape",
-    "blocked_multiply",
     "boolean_multiply",
-    "boolean_multiply_strassen",
     "counting_multiply",
-    "has_any_product_entry",
-    "heavy_vertex_bound",
     "matrix_from_pairs",
     "mm_exponent",
-    "naive_multiply",
     "omega_rectangular",
     "predicted_triangle_exponent",
     "rectangular_cost",
-    "strassen_multiply",
-    "strassen_operation_count",
     "triangle_threshold",
 ]

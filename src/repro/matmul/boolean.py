@@ -3,17 +3,15 @@
 Boolean conjunctive query evaluation only needs to know *whether* a pair is
 connected through the eliminated variables, i.e. the Boolean product
 ``C[i, j] = ∨_k (A[i, k] ∧ B[k, j])``.  The standard reduction computes the
-integer product and thresholds it; counting variants keep the integer
-result (used by the examples that count homomorphic images).
+product of the 0/1 matrices and thresholds it; the counting variant keeps
+the integer result (path counts through the eliminated variables).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Iterable, Optional, Tuple
+from typing import Dict, Iterable, Optional, Tuple
 
 import numpy as np
-
-from .strassen import strassen_multiply
 
 
 def matrix_from_pairs(
@@ -46,47 +44,30 @@ def matrix_from_pairs(
     return matrix
 
 
-def boolean_multiply(
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """The Boolean product of two 0/1 matrices (result is a ``bool`` array)."""
-    counts = counting_multiply(a, b, kernel=kernel)
-    return counts > 0.5
+def boolean_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The Boolean product of two 0/1 matrices (a ``bool`` array).
+
+    The operands are multiplied in float32, converted only when they come
+    in another dtype.  Every term is non-negative, so a cell's sum is
+    positive exactly when one of its terms is: ``> 0`` is exact at any
+    inner size and needs no rounding.
+    """
+    a, b = _operands(a, b)
+    return (a.astype(np.float32, copy=False) @ b.astype(np.float32, copy=False)) > 0
 
 
-def counting_multiply(
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> np.ndarray:
-    """The integer product of two 0/1 matrices (path counts through the middle)."""
+def counting_multiply(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The integer product of two 0/1 matrices (path counts through the middle).
+
+    Multiplied in float64, which is exact while every count is below 2**53.
+    """
+    a, b = _operands(a, b)
+    return np.rint(a.astype(float) @ b.astype(float))
+
+
+def _operands(a: np.ndarray, b: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     a = np.asarray(a)
     b = np.asarray(b)
     if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
         raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    a_num = a.astype(float)
-    b_num = b.astype(float)
-    if kernel is None:
-        product = a_num @ b_num
-    else:
-        product = kernel(a_num, b_num)
-    return np.rint(product)
-
-
-def boolean_multiply_strassen(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean product computed through the Strassen kernel (for tests/benches)."""
-    return boolean_multiply(a, b, kernel=strassen_multiply)
-
-
-def has_any_product_entry(a: np.ndarray, b: np.ndarray) -> bool:
-    """Whether the Boolean product has at least one ``True`` entry.
-
-    This is the primitive the Boolean-query engine needs after the final
-    matrix multiplication step (e.g. ``M(X,Z) ⋈ T(X,Z)`` in Figure 1 is a
-    masked version of this check).
-    """
-    if a.size == 0 or b.size == 0:
-        return False
-    return bool(np.any(boolean_multiply(a, b)))
+    return a, b

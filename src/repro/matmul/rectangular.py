@@ -7,21 +7,15 @@ The paper reduces rectangular matrix multiplication (``n^a × n^b`` times
 ``ω□(a, b, c) = a + b + c - (3 - ω)·min(a, b, c)
              = max{a + b + γc, a + γb + c, γa + b + c}``.
 
-This module implements exactly that blocking on concrete numpy matrices —
-the number of block products it performs matches the analysis — together
-with the exponent computation used by the planner's cost model.
+This module holds the exponent and the blocked operation count, which
+the planner's cost model uses.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
-
-import numpy as np
 
 from ..constants import gamma as gamma_of
-from .strassen import strassen_multiply
 
 
 def omega_rectangular(a: float, b: float, c: float, omega: float) -> float:
@@ -45,75 +39,3 @@ def rectangular_cost(
     d = min(rows, inner, cols)
     blocks = math.ceil(rows / d) * math.ceil(inner / d) * math.ceil(cols / d)
     return blocks * float(d) ** omega
-
-
-@dataclass
-class BlockedProductStats:
-    """Bookkeeping returned by :func:`blocked_multiply`."""
-
-    block_side: int
-    block_products: int
-    modelled_cost: float
-
-
-def blocked_multiply(
-    a: np.ndarray,
-    b: np.ndarray,
-    omega: float,
-    square_kernel: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None,
-) -> Tuple[np.ndarray, BlockedProductStats]:
-    """Multiply rectangular matrices by partitioning into square blocks.
-
-    Parameters
-    ----------
-    a, b:
-        The factors (``rows × inner`` and ``inner × cols``).
-    omega:
-        Exponent used only for the *modelled* cost in the returned stats.
-    square_kernel:
-        The square multiplication routine applied to each block pair.  The
-        default uses Strassen for large blocks and BLAS otherwise.
-
-    Returns the product and statistics describing how many block products
-    were performed (``⌈rows/d⌉·⌈inner/d⌉·⌈cols/d⌉`` with
-    ``d = min(rows, inner, cols)``).
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ValueError(f"incompatible shapes {a.shape} and {b.shape}")
-    rows, inner = a.shape
-    cols = b.shape[1]
-    if min(rows, inner, cols) == 0:
-        return np.zeros((rows, cols), dtype=np.result_type(a.dtype, b.dtype)), (
-            BlockedProductStats(block_side=0, block_products=0, modelled_cost=0.0)
-        )
-    if square_kernel is None:
-        def square_kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            if min(x.shape + y.shape) >= 256:
-                return strassen_multiply(x, y)
-            return x @ y
-
-    d = min(rows, inner, cols)
-    out = np.zeros((rows, cols), dtype=np.result_type(a.dtype, b.dtype, float))
-    products = 0
-    for row_start in range(0, rows, d):
-        row_end = min(row_start + d, rows)
-        for col_start in range(0, cols, d):
-            col_end = min(col_start + d, cols)
-            accumulator = np.zeros((row_end - row_start, col_end - col_start))
-            for k_start in range(0, inner, d):
-                k_end = min(k_start + d, inner)
-                block_a = a[row_start:row_end, k_start:k_end]
-                block_b = b[k_start:k_end, col_start:col_end]
-                accumulator += square_kernel(
-                    np.asarray(block_a, dtype=float), np.asarray(block_b, dtype=float)
-                )
-                products += 1
-            out[row_start:row_end, col_start:col_end] = accumulator
-    stats = BlockedProductStats(
-        block_side=d,
-        block_products=products,
-        modelled_cost=rectangular_cost(rows, inner, cols, omega),
-    )
-    return out, stats

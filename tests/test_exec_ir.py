@@ -140,6 +140,10 @@ def _operator_fixtures():
                 Scan("RG", ("X", "Y", "G")), Scan("SG", ("Y", "Z", "G")),
                 ("X",), ("Y",), ("Z",), ("G",),
             ),  # fmt: skip
+            ir.GroupedMatMul(
+                Scan("RG", ("X", "Y", "G")), Scan("SG", ("Y", "Z", "G")),
+                ("X",), ("Y",), ("Z",), ("G",), mask=Scan("M", ("Z", "W", "G", "X")),
+            ),  # fmt: skip
         ],
         ir.Wcoj: [Wcoj((r, s, t), ("X", "Y", "Z"), True)],
         ir.Count: [

@@ -1,11 +1,13 @@
 """The matrix operators, looked at directly.
 
-``GroupedMatMul``, grouped or a plain product, evaluates through one kernel
-on dictionary codes (:meth:`repro.db.backends.ColumnarBackend.matmul`).
-These tests run both forms through the :class:`VirtualMachine` against an oracle made
-of set comprehensions over plain tuples and pin everything the trace
-reports about a product — ``rows_in``, ``matrix_shape``, ``group_count`` —
-next to the row set, the schema and the output backend kind.
+``GroupedMatMul``, grouped or a plain product, listed or gathered at a
+mask's rows, evaluates through one kernel on dictionary codes
+(:meth:`repro.db.backends.ColumnarBackend.matmul`).  These tests run every
+form through the :class:`VirtualMachine` against an oracle made of set
+comprehensions over plain tuples and pin everything the trace reports about
+a product — ``rows_in``, ``matrix_shape``, ``group_count`` — next to the
+row set, the schema and the output backend kind.  The kernel's ranks come
+from a presence table or, past its bound, one sort; both must agree.
 """
 
 from __future__ import annotations
@@ -13,13 +15,14 @@ from __future__ import annotations
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import QueryEngine
 from repro.db import Database, Relation, available_backends, backends, parse_query
-from repro.db.backends import ColumnarBackend
-from repro.exec.ir import GroupedMatMul, Program, Scan
+from repro.db.backends import ColumnarBackend, _ranks_within_groups
+from repro.exec.ir import GroupedMatMul, Join, Program, Restrict, Scan
 from repro.exec.vm import VirtualMachine
 
 BACKENDS = available_backends()
@@ -146,6 +149,136 @@ def mm_cases(draw):
 @given(mm_cases())
 def test_mm_operators_match_the_tuple_oracle(case):
     check_against_oracle(*case)
+
+
+# ----------------------------------------------------------------------
+# The masked product: Join(mask, product) without listing the product
+# ----------------------------------------------------------------------
+def masked_oracle(left, right, mask, rows, inner, cols, group):
+    """``(output rows, rows_in, matrix_shape, group_count)`` of a masked product.
+
+    The mask is read first and an empty one decides the answer, as an
+    empty left side decides a join's: nothing else is evaluated.
+    """
+    mask_schema, mask_rows = mask
+    if not mask_rows:
+        return set(), 0, (0, 0, 0), 0
+    product, rows_in, shape, group_count = oracle(*left, *right, rows, inner, cols, group)
+    out = tuple(rows) + tuple(cols) + tuple(group)
+    kept = {m for m in mask_rows if _pick(m, mask_schema, out) in product}
+    return kept, len(set(mask_rows)) + rows_in, shape, group_count
+
+
+#: Values only a mask holds: lookups the operands' dictionaries miss.
+MASK_VALUES = st.one_of(VALUES, st.sampled_from(["m0", 9, (3, 4)]))
+
+
+@st.composite
+def masked_cases(draw):
+    counts = [draw(st.integers(0, 2)) for _ in range(4)]
+    rows, inner, cols, group = (
+        [f"{prefix}{i}" for i in range(count)] for prefix, count in zip("RKCG", counts)
+    )
+    extras = [f"W{i}" for i in range(draw(st.integers(0, 1)))]
+    schemas = [
+        tuple(draw(st.permutations(names)))
+        for names in (rows + inner + group, inner + cols + group, rows + cols + group + extras)
+    ]
+
+    def table(schema, values=VALUES):
+        if not schema:
+            return draw(st.sampled_from([[], [()]]))
+        return draw(st.lists(st.tuples(*[values for _ in schema]), max_size=14))
+
+    tables = [table(schemas[0]), table(schemas[1]), table(schemas[2], MASK_VALUES)]
+    kinds = draw(st.tuples(*[st.sampled_from(BACKENDS)] * 3))
+    # A Restrict keeps the left operand's dictionaries, now larger than its rows.
+    restrict = bool(rows + inner) and draw(st.booleans())
+    narrow, sort = draw(st.booleans()), draw(st.booleans())
+    return schemas, tables, kinds, (rows, inner, cols, group), restrict, narrow, sort
+
+
+@settings(max_examples=400, deadline=None)
+@given(masked_cases())
+def test_masked_product_is_the_join_with_its_mask(case):
+    schemas, tables, kinds, dims, restrict, narrow, sort = case
+    database = Database()
+    for name, schema, rows, kind in zip("ABM", schemas, tables, kinds):
+        database[name] = Relation(schema, rows, backend=kind)
+    left = Scan("A", schemas[0])
+    left_rows = set(tables[0])
+    if restrict:
+        variable = schemas[0][0]
+        kept = {row[0] for row in tables[0][::2]}
+        database["F"] = Relation((variable,), [(v,) for v in kept], backend=kinds[0])
+        left = Restrict(left, variable, Scan("F", (variable,)), variable)
+        left_rows = {row for row in left_rows if row[0] in kept}
+    node = GroupedMatMul(left, Scan("B", schemas[1]), *map(tuple, dims), mask=Scan("M", schemas[2]))
+    with pytest.MonkeyPatch.context() as patch:
+        if narrow:  # wide keys: ranked on their code rows before any table
+            patch.setattr(backends, "_COMPOSITE_LIMIT", 4)
+        if sort:
+            patch.setattr(backends, "_PRESENCE_CELLS_PER_ROW", 0)
+        result = VirtualMachine(database).run(Program(node))
+    relation, trace = result.relation, result.operators[-1]
+    expected, rows_in, shape, group_count = masked_oracle(
+        (schemas[0], left_rows), (schemas[1], tables[1]), (schemas[2], tables[2]), *dims
+    )
+    assert node.schema == relation.schema == schemas[2]
+    assert relation.rows == expected
+    assert relation.backend_kind == kinds[2] == trace.kernel
+    assert (trace.rows_in, trace.matrix_shape) == (rows_in, shape)
+    assert (trace.group_count or 0) == group_count
+
+
+@pytest.mark.parametrize("group", [(), ("G",)])
+@pytest.mark.parametrize("kind", BACKENDS)
+def test_masked_output_follows_the_mask_rows_and_matches_the_join(kind, group):
+    """Bit for bit what ``Join(mask, product)`` returns, row order included."""
+    rng = random.Random(4)
+    tables = {
+        "R": (("X", "Y", "G"), {tuple(rng.randrange(8) for _ in "XYG") for _ in range(40)}),
+        "S": (("Y", "Z", "G"), {tuple(rng.randrange(8) for _ in "YZG") for _ in range(40)}),
+        "T": (("Z", "W", "G", "X"), {tuple(rng.randrange(8) for _ in "ZWGX") for _ in range(80)}),
+    }
+    database = Database()
+    for name, (schema, rows) in tables.items():
+        database[name] = Relation(schema, rows, backend=kind)
+    r, s, t = (Scan(name, schema) for name, (schema, _) in tables.items())
+    product = GroupedMatMul(r, s, ("X",), ("Y",), ("Z",), group)
+    masked = GroupedMatMul(r, s, ("X",), ("Y",), ("Z",), group, mask=t)
+    joined = VirtualMachine(database).run(Program(Join(t, product))).relation
+    gathered = VirtualMachine(database).run(Program(masked)).relation
+    assert gathered.schema == joined.schema and list(gathered) == list(joined)
+    assert 0 < len(gathered) < len(tables["T"][1])
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(1, 4).flatmap(
+        lambda n_groups: st.tuples(
+            st.just(n_groups),
+            st.lists(st.tuples(st.integers(0, n_groups - 1), st.integers(-1, 12)), max_size=40),
+            st.integers(0, 40),
+        )
+    )
+)
+def test_presence_ranks_equal_sorted_ranks(case):
+    """The presence table and the sort return the same three arrays."""
+    n_groups, pairs, n_ranked = case
+    groups = np.array([g for g, _ in pairs], dtype=np.int64)
+    keys = np.array([k for _, k in pairs], dtype=np.int64)
+    n_ranked = min(n_ranked, len(pairs))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(backends, "_PRESENCE_CELLS_PER_ROW", 1 << 40)
+        presence = _ranks_within_groups(groups, keys, n_groups, n_ranked)
+        patch.setattr(backends, "_PRESENCE_CELLS_PER_ROW", 0)
+        sort = _ranks_within_groups(groups, keys, n_groups, n_ranked)
+    for got, want in zip(presence, sort):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+    if n_groups == 1:  # one group needs no group ids
+        one = _ranks_within_groups(None, keys, 1, n_ranked)
+        assert all(np.array_equal(a, b) for a, b in zip(one, sort))
 
 
 # ----------------------------------------------------------------------

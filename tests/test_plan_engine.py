@@ -23,6 +23,7 @@ from repro.db import (
     random_database,
     triangle_instance,
 )
+from repro.exec.ir import GroupedMatMul, Join, Scan
 from repro.hypergraph import triangle
 from repro.width import enumerate_mm_terms
 
@@ -114,6 +115,21 @@ class TestExecutor:
         mm_traces = [t for t in result.execution.operators if t.kind == "groupedmatmul"]
         assert mm_traces and mm_traces[0].matrix_shape is not None
         assert mm_traces[0].group_count >= 0
+
+    def test_triangle_product_is_masked_by_the_closing_scan(self):
+        """Figure 1's last step: T's pairs are looked up in R·S, not joined with it."""
+        db = triangle_instance(70, domain_size=16, seed=1)
+        steps = (
+            mm_step(triangle(), "Y"),
+            PlanStep(block=frozenset("X"), method=StepMethod.FOR_LOOPS),
+            PlanStep(block=frozenset("Z"), method=StepMethod.FOR_LOOPS),
+        )
+        result = run_plan(TRIANGLE, db, OmegaQueryPlan(hypergraph=triangle(), steps=steps))
+        nodes = result.program.nodes()
+        assert not any(isinstance(node, Join) for node in nodes)
+        (product,) = [node for node in nodes if isinstance(node, GroupedMatMul)]
+        assert product.mask == Scan("T", ("X", "Z"))
+        assert {product.left.relation, product.right.relation} == {"R", "S"}
 
     @pytest.mark.parametrize("seed", range(4))
     def test_block_elimination_with_group_by(self, seed, oracle):

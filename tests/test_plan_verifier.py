@@ -20,6 +20,8 @@ which is exactly what the ``enumerate`` pass rejects.
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from repro.analysis.verify import (
@@ -32,7 +34,7 @@ from repro.analysis.verify import (
 )
 from repro.api import QueryEngine
 from repro.db import Database, parse_query, random_database
-from repro.exec.ir import Count, Enumerate, Join, Program, Project, Scan
+from repro.exec.ir import Count, Enumerate, GroupedMatMul, Join, Program, Project, Scan
 from repro.exec.lower import SelectOptions, lower_naive, lower_yannakakis
 from repro.exec.optimize import optimize_program
 from repro.lang.parser import parse_statement
@@ -100,6 +102,22 @@ def test_corrupted_schema_is_flagged():
     object.__setattr__(node, "schema", ("zzz",))
     violations = verify_program(Program(node, source="test"))
     assert "schema" in rules(violations)
+
+
+def test_masked_product_must_keep_its_mask_contract():
+    product = GroupedMatMul(
+        Scan("R", ("X", "Y")), Scan("S", ("Y", "Z")), ("X",), ("Y",), ("Z",),
+        mask=Scan("T", ("Z", "X")),
+    )  # fmt: skip
+    assert verify_program(Program(product)) == []
+    # A mask without the product's column variable: nothing to look up.
+    blind = dataclasses.replace(product)
+    object.__setattr__(blind, "mask", Scan("T", ("X", "W")))
+    assert "schema" in rules(verify_program(Program(blind)))
+    # A schema other than the mask's: consumers would read the wrong columns.
+    reordered = dataclasses.replace(product)
+    object.__setattr__(reordered, "schema", ("X", "Z"))
+    assert "schema" in rules(verify_program(Program(reordered)))
 
 
 def test_scan_checked_against_database():
