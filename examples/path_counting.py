@@ -28,7 +28,7 @@ def main() -> None:
     database = triangle_instance(
         num_edges=3_000, domain_size=120, skew="heavy", plant_triangle=True, seed=7
     )
-    engine = QueryEngine(database, backend="columnar")
+    engine = QueryEngine(database)
     print(f"database size N = {database.size} tuples (columnar backend)")
     print()
 

@@ -14,11 +14,7 @@ invariants *specific to this engine* that no off-the-shelf linter knows:
   annotation;
 * ``swallowed-cancel`` — a catch-all ``except`` must not silently drop
   :class:`~repro.exec.vm.QueryCancelled` (cooperative cancellation dies
-  if a handler eats the control-flow exception);
-* ``backend-kind`` — ``isinstance`` on a storage-backend class, or a
-  ``.backend_kind`` / ``.kind`` compared with a backend-name literal,
-  outside ``db/backends.py``: every backend implements the whole
-  operator protocol, so nothing else dispatches on the representation.
+  if a handler eats the control-flow exception).
 
 Run as ``repro lint`` (exit 1 on any non-baselined finding) or through
 :func:`lint_paths`.  Findings already accepted live in

@@ -12,7 +12,6 @@ import ast
 import re
 from typing import Iterator, List, Optional, Tuple
 
-from ...db.backends import BACKENDS
 from .framework import LintFinding, LintModule, register_rule
 
 #: Constructors whose presence marks a class as lock-owning.
@@ -271,55 +270,3 @@ def swallowed_cancel(module: LintModule) -> Iterator[LintFinding]:
                     ),
                 )
 
-
-@register_rule("backend-kind")
-def backend_kind(module: LintModule) -> Iterator[LintFinding]:
-    """Only ``db/backends.py`` may ask which storage backend holds the tuples.
-
-    Every backend implements the whole operator protocol, so code outside
-    the storage layer has no reason to branch on the representation:
-    ``isinstance(x, ColumnarBackend)`` / ``SetBackend`` and comparing a
-    ``.backend_kind`` / ``.kind`` against a backend-name literal are how
-    second code paths (and the fallbacks between them) creep back in.
-    Passing a kind along (``Relation(..., backend=left.backend_kind)``) is
-    fine — that is naming a representation, not dispatching on it.
-    """
-    if module.path.endswith("db/backends.py"):
-        return
-    classes = {cls.__name__ for cls in BACKENDS.values()}
-    for scope, _cls, node in _walk_scopes(module.tree):
-        symbol = None
-        if (
-            isinstance(node, ast.Call)
-            and getattr(node.func, "id", "") == "isinstance"
-            and len(node.args) == 2
-        ):
-            hits = classes.intersection(_names_in(node.args[1]))
-            symbol = f"isinstance:{sorted(hits)[0]}" if hits else None
-        elif isinstance(node, ast.Compare):
-            sides = [node.left, *node.comparators]
-            reads_kind = any(
-                isinstance(side, ast.Attribute) and side.attr in {"backend_kind", "kind"}
-                for side in sides
-            )
-            literals = [
-                name
-                for side in sides
-                if not isinstance(side, ast.Attribute)
-                for name in _names_in(side)
-                if name in BACKENDS
-            ]
-            symbol = f"kind:{literals[0]}" if reads_kind and literals else None
-        if symbol is not None:
-            yield LintFinding(
-                rule="backend-kind",
-                path=module.path,
-                line=node.lineno,
-                scope=scope,
-                symbol=symbol,
-                message=(
-                    "storage-backend dispatch outside db/backends.py; call the "
-                    "RelationBackend protocol method instead of branching on "
-                    "the representation"
-                ),
-            )

@@ -13,9 +13,8 @@ Boolean and output-producing.  The moving parts:
     and width measures without executing, ``engine.ask_many(queries)``
     runs a batch in input order (isomorphic members share one cached
     plan), and ``engine.compare(query, verb=...)`` cross-validates strategies
-    (raising :class:`StrategyDisagreement` on mismatch).  ``QueryEngine(db,
-    backend="columnar")`` converts the database to a storage backend (see
-    :mod:`repro.db.backends`) so every strategy runs on its kernels.
+    (raising :class:`StrategyDisagreement` on mismatch).  Every strategy
+    runs on the columnar store's kernels (:mod:`repro.db.backends`).
 
 Strategy registry (:mod:`repro.api.strategies`)
     Every execution method is a :class:`Strategy` registered by name —

@@ -366,11 +366,6 @@ class QueryEngine:
         fingerprint, this is what lets :meth:`ask_many` batches of
         isomorphic queries share identical subplans — the same encoded
         relation semijoined the same way is computed once.
-    backend:
-        Optional storage backend name (``"set"``, ``"columnar"``); when
-        given, the database's relations are converted in place via
-        :meth:`Database.convert_backend` so every strategy runs on that
-        representation.  ``None`` leaves the database untouched.
     dispatcher:
         Optional :class:`~repro.exec.dispatch.KernelDispatcher` overriding
         the select-delivery policy (stream chunk size, ranked-enumeration
@@ -403,13 +398,10 @@ class QueryEngine:
         registry: Optional[StrategyRegistry] = None,
         plan_cache_size: int = 128,
         result_cache_size: int = 32,
-        backend: Optional[str] = None,
         dispatcher: Optional[KernelDispatcher] = None,
         incremental: bool = True,
         verify_plans: Optional[str] = None,
     ) -> None:
-        if backend is not None:
-            database.convert_backend(backend)
         if verify_plans is None:
             verify_plans = os.environ.get(VERIFY_PLANS_ENV, "off")
         if verify_plans not in VERIFY_STAGES:
@@ -612,8 +604,8 @@ class QueryEngine:
         query's output variables over all satisfying assignments; for a
         Boolean-head query it is ``1``/``0`` (satisfiable or not).  The
         counting sink never materializes the projected output relation —
-        the columnar backend counts unique code rows with one
-        ``np.unique``.  ``timeout``/``token`` behave as in :meth:`exists`.
+        unique code rows are counted with one ``np.unique``.
+        ``timeout``/``token`` behave as in :meth:`exists`.
         """
         return self._ask(
             query, strategy, omega=omega, verb="count", timeout=timeout, token=token
@@ -638,8 +630,8 @@ class QueryEngine:
         contract:
 
         * ``"sorted"`` — the deterministic total order, identical across
-          strategies and storage backends.  With a small
-          ``limit`` the engine serves it by *ranked (any-k) enumeration*:
+          strategies and storage orders.  With a small ``limit`` the
+          engine serves it by *ranked (any-k) enumeration*:
           a frontier heap pops the globally next tuple straight out of the
           calibrated join, so the first ``k`` tuples cost roughly an
           ``exists`` plus O(k log n) — never a full-output scan.  Past the
@@ -650,7 +642,7 @@ class QueryEngine:
           a ``limit=k`` select costs roughly the full-reducer passes (an
           ``exists``) plus O(k) enumeration work, and the first batch is
           available after O(batch) work.  The tuple set equals the sorted
-          order's; the sequence may differ across backends/strategies.
+          order's; the sequence may differ across strategies.
 
         ``order=None`` (the default) resolves to ``"stream"`` when a
         ``limit`` is given and ``"sorted"`` otherwise.  ``batch_size``
@@ -1278,13 +1270,7 @@ class QueryEngine:
         patch_db = engine.database
         for name in {atom.relation for atom in query.atoms}:
             if name == delta_name:
-                # In the stored relation's kind: a binary operator answers in
-                # its left operand's kind, and a delta on the left must not
-                # pull a large stored relation over to another one.
-                stored = self.database[name]
-                relation = Relation(
-                    stored.schema, rows, backend=stored.backend_kind
-                )
+                relation = Relation(self.database[name].schema, rows)
             else:
                 relation = self.database[name]
                 if patch_db._relations.get(name) is relation:

@@ -8,19 +8,20 @@ virtual machine the first time rows are pulled (iteration, :meth:`fetch`,
 * ``order="sorted"`` — the historical deterministic contract: distinct
   output tuples in a total order that depends only on the tuples
   themselves (natural tuple order when the values support it, a
-  type-aware keyed order otherwise), identical across storage backends
+  type-aware keyed order otherwise), identical across storage orders
   and strategies.  With a small ``limit`` the engine serves this through
   the VM's *ranked* any-k cursor
   (:class:`~repro.exec.vm.RankedEnumerationStream`) — rows arrive
   incrementally, already in the deterministic order, after ~``exists`` +
-  O(k log n) work; otherwise the run materializes once and this layer
-  orders it (bounded ``heapq.nsmallest`` when a limit exists).
+  O(k log n) work; otherwise the run materializes once and the storage
+  layer orders it (:meth:`~repro.db.relation.Relation.ordered_rows`,
+  decoding only a limited prefix).
 * ``order="stream"`` (the default when a ``limit`` is given) — tuples in
   *discovery order*, pulled incrementally from the VM's
   :class:`~repro.exec.vm.EnumerationStream` cursor with constant delay:
   the first rows cost O(first rows), not O(full output).  The tuple *set*
   (and its cardinality) is identical to the sorted order's; only the
-  sequence differs and may vary across backends/strategies.
+  sequence differs and may vary across storage orders and strategies.
 
 The ordering contract itself (:func:`~repro.db.ordering.row_order_key`
 and friends) lives in :mod:`repro.db.ordering` so the storage layer and
@@ -116,10 +117,8 @@ class ResultSet:
             rows = [] if relation is None else list(relation.rows)
             self._rows = rows[: self.limit] if self.limit is not None else rows
         elif relation is not None:
-            # Deterministic order straight off the storage layer: the
-            # columnar backend serves it from its cached vectorized
-            # sort (decoding only the limited prefix), the set
-            # backend from the keyed bounded selection.
+            # Deterministic order straight off the storage layer: its
+            # cached vectorized sort, decoding only the limited prefix.
             self._rows = relation.ordered_rows(self.limit)
         else:
             self._rows = []

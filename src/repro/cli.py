@@ -116,7 +116,7 @@ def _cmd_repl(args: argparse.Namespace) -> int:
     from .lang.repl import run_repl
     from .lang.session import Session
 
-    database = Database(backend="columnar")
+    database = Database()
     _load_files(database, args.files)
     engine = QueryEngine(database)
     run_repl(Session(engine=engine), timeout=args.timeout)
@@ -128,7 +128,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
     from .db.database import Database
     from .server.server import QueryServer
 
-    database = Database(backend="columnar")
+    database = Database()
     _load_files(database, args.files)
     engine = QueryEngine(database)
     server = QueryServer(
@@ -204,7 +204,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     from .lang.parser import parse_query_text
 
     query = parse_query_text(args.query)
-    database = Database(backend="columnar")
+    database = Database()
     _load_files(database, args.load)
     # Missing relations become empty ones of the right arity: static
     # verification needs schemas and arities, not rows.  Column names are

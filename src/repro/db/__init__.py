@@ -1,21 +1,13 @@
 """Relational database substrate: relations, databases, queries and generators.
 
-Relations store their tuples in pluggable backends (``"set"`` — the
-reference frozenset-of-tuples — and ``"columnar"`` — dictionary-encoded
-NumPy columns with lazy hash indexes); see :mod:`repro.db.backends` and the
-:class:`Relation` facade in :mod:`repro.db.relation`.  Queries are
+Relations store their tuples as dictionary-encoded NumPy columns with lazy
+hash indexes (:class:`ColumnarBackend` in :mod:`repro.db.backends`) behind
+the :class:`Relation` facade in :mod:`repro.db.relation`.  Queries are
 answered by :class:`repro.api.QueryEngine`, whose strategies lower to the
 execution layer (:mod:`repro.exec`).
 """
 
-from .backends import (
-    BACKENDS,
-    ColumnarBackend,
-    RelationBackend,
-    RelationStats,
-    SetBackend,
-    available_backends,
-)
+from .backends import ColumnarBackend, RelationStats
 from .database import Database
 from .generators import (
     bipartite_clique_pairs,
@@ -43,16 +35,12 @@ from .relation import Relation
 
 __all__ = [
     "Atom",
-    "BACKENDS",
     "ColumnarBackend",
     "ConjunctiveQuery",
     "Database",
     "QueryParseError",
     "Relation",
-    "RelationBackend",
     "RelationStats",
-    "SetBackend",
-    "available_backends",
     "bipartite_clique_pairs",
     "clique_instance",
     "four_cycle_instance",

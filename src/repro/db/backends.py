@@ -1,42 +1,33 @@
-"""Pluggable relation storage backends and per-relation statistics.
+"""Relation storage: dictionary-encoded NumPy columns, plus statistics.
 
 A :class:`~repro.db.relation.Relation` is a thin facade; the tuples *and the
-operators over them* live in a :class:`RelationBackend`, one positional
-protocol that each implementation covers in full.  This module is the only
-place that knows which representation holds the tuples.  Two
-implementations ship:
+operators over them* live in a :class:`ColumnarBackend`, and this module is
+the only place that knows how they are stored.  Each column stores an
+``int64`` code array plus a small dictionary (code → value); hash indexes
+(value → code, distinct-code sets, grouped row indexes) are built lazily
+and cached.  Semijoins become vectorized membership probes on composite
+keys, natural joins become sort + ``searchsorted`` gathers on code arrays,
+projections deduplicate via ``np.unique`` and the grouped Boolean matrix
+product (:meth:`ColumnarBackend.matmul`) goes from code arrays to code
+arrays.  Operator outputs share the input dictionaries, so chains of
+operators never re-encode values.  Every kernel is total: where the
+dictionaries of a key multiply past one int64 the code rows are re-ranked
+instead (:meth:`ColumnarBackend._row_keys`), never handed to a row loop.
+Reference answers for tests come from ``ledger.oracle``, which joins plain
+tuple sets and shares no code with this module.
 
-:class:`SetBackend`
-    The reference implementation — a ``frozenset`` of value tuples, exactly
-    the seed's representation.  Every operator is a Python loop; semantics
-    are the ground truth the other backends are differential-tested against.
-
-:class:`ColumnarBackend`
-    Dictionary-encoded NumPy columns.  Each column stores an ``int64`` code
-    array plus a small dictionary (code → value); hash indexes (value →
-    code, distinct-code sets, grouped row indexes) are built lazily and
-    cached.  Semijoins become vectorized membership probes on composite
-    keys, natural joins become sort + ``searchsorted`` gathers on code
-    arrays, projections deduplicate via ``np.unique`` and the grouped
-    Boolean matrix product (:meth:`ColumnarBackend.matmul`) goes from code
-    arrays to code arrays.  Operator outputs share the input dictionaries,
-    so chains of operators never re-encode values.  Every kernel is total:
-    where the dictionaries of a key multiply past one int64 the code rows
-    are re-ranked instead (:meth:`ColumnarBackend._row_keys`), never handed
-    to a row loop.
-
-Both backends expose a :class:`RelationStats` view — the textbook
+The backend exposes a :class:`RelationStats` view — the textbook
 ``n_r`` / ``V(A, r)`` / ``deg(Y | X)`` statistics — with all computations
 cached on the backend (and shared across renames, which reuse the
 underlying storage), so the planner reads real statistics instead of
 re-scanning relations on every candidate order.
 
-**Mutation kernels.**  Both backends support :meth:`append_rows` and
-:meth:`delete_rows` — the primitives behind the database's delta-based
-``insert``/``delete`` path.  A columnar write costs O(|Δ|) interpreter
-work plus a constant number of memcpy-speed NumPy passes over the code
-arrays, under three rules.  *Handover:* set semantics are decided on a
-private set of code tuples (:meth:`ColumnarBackend._take_write_index`)
+**Mutation kernels.**  :meth:`ColumnarBackend.append_rows` and
+:meth:`ColumnarBackend.delete_rows` are the primitives behind the
+database's delta-based ``insert``/``delete`` path.  A write costs O(|Δ|)
+interpreter work plus a constant number of memcpy-speed NumPy passes over
+the code arrays, under three rules.  *Handover:* set semantics are decided
+on a private set of code tuples (:meth:`ColumnarBackend._take_write_index`)
 that a write pops from its predecessor, updates per row and gives to its
 successor — never copied, never shared.  *Fork:* a version written a
 second time (somebody kept a stale snapshot) finds no index and rebuilds
@@ -53,8 +44,7 @@ distinct codes (exact under appends) and the max-degree entries (sound
 upper bounds, ``old + |Δ|``).  Never seeded: the public ``row_set`` and
 ``distinct`` value sets (frozensets: a copy per write) and the caches
 whose values feed *answers* (``ndistinct``, order/probe/sjprobe
-structures) — they rebuild on first use.  The set backend copies its frozenset per write: it is the
-reference, not the fast path.
+structures) — they rebuild on first use.
 """
 
 from __future__ import annotations
@@ -74,12 +64,7 @@ from typing import (
 import numpy as np
 
 from ..matmul.boolean import boolean_multiply
-from .ordering import (
-    _ordered_rows,
-    _uniform_natural_order,
-    row_order_key,
-    value_order_key,
-)
+from .ordering import _uniform_natural_order, value_order_key
 
 Value = object
 Row = Tuple[Value, ...]
@@ -157,7 +142,7 @@ class RelationStats:
 
     __slots__ = ("_backend",)
 
-    def __init__(self, backend: "RelationBackend") -> None:
+    def __init__(self, backend: "ColumnarBackend") -> None:
         self._backend = backend
 
     @property
@@ -194,541 +179,6 @@ class RelationStats:
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"RelationStats(n={self.n_rows}, V={self.distinct_counts})"
-
-
-# ----------------------------------------------------------------------
-# The backend protocol
-# ----------------------------------------------------------------------
-class RelationBackend:
-    """Storage + operators for one relation: the positional protocol.
-
-    Every backend implements *all* of it — constructors, accessors,
-    mutation kernels, statistics and the operators below — so the
-    :class:`~repro.db.relation.Relation` facade only translates variable
-    names to column positions, hands binary operators a right operand of
-    the left operand's kind, calls the method and wraps what comes back.
-    An operator is total (no "cannot do this one" return value) and its
-    result is a backend of the receiver's kind.  All backends use set
-    semantics (no duplicate rows).
-    """
-
-    kind: str = ""
-    schema: Tuple[str, ...] = ()
-
-    # -- constructors ---------------------------------------------------
-    @classmethod
-    def from_rows(
-        cls, schema: Tuple[str, ...], rows: Iterable[Sequence[Value]]
-    ) -> "RelationBackend":
-        """Build from an iterable of rows (validates widths, deduplicates)."""
-        raise NotImplementedError
-
-    @classmethod
-    def from_columns(
-        cls, schema: Tuple[str, ...], columns: Sequence[Sequence[Value]]
-    ) -> "RelationBackend":
-        """Build from per-column value sequences (bulk fast path)."""
-        raise NotImplementedError
-
-    @staticmethod
-    def _validate_columns(
-        schema: Tuple[str, ...], columns: Sequence[Sequence[Value]]
-    ) -> Tuple[List[Sequence[Value]], int]:
-        """Shared ``from_columns`` validation: widths and equal lengths.
-
-        Returns the materialized columns and the common row count.
-        """
-        columns = [
-            column if hasattr(column, "__len__") else list(column)
-            for column in columns
-        ]
-        if len(columns) != len(schema):
-            raise ValueError(
-                f"{len(columns)} columns do not match schema of width {len(schema)}"
-            )
-        lengths = {len(column) for column in columns}
-        if len(lengths) > 1:
-            raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
-        return columns, (lengths.pop() if lengths else 0)
-
-    # -- core accessors -------------------------------------------------
-    def __len__(self) -> int:
-        raise NotImplementedError
-
-    def iter_rows(self) -> Iterator[Row]:
-        raise NotImplementedError
-
-    def row_set(self) -> FrozenSet[Row]:
-        """The rows as a frozenset (materialized lazily, then cached)."""
-        raise NotImplementedError
-
-    def rename(self, schema: Tuple[str, ...]) -> "RelationBackend":
-        """Same data under new column names (shares storage and caches)."""
-        raise NotImplementedError
-
-    # -- mutation kernels -------------------------------------------------
-    def append_rows(
-        self, rows: Iterable[Sequence[Value]]
-    ) -> Tuple["RelationBackend", Tuple[Row, ...]]:
-        """A new backend with ``rows`` appended (set semantics).
-
-        Returns ``(backend, added)`` where ``added`` are the rows that were
-        genuinely new — already-present rows are dropped, so the returned
-        delta is exact (the database's delta log depends on this).  When
-        nothing is new the receiver itself is returned unchanged.
-        """
-        raise NotImplementedError
-
-    def delete_rows(
-        self, rows: Iterable[Sequence[Value]]
-    ) -> Tuple["RelationBackend", Tuple[Row, ...]]:
-        """A new backend with ``rows`` removed.
-
-        Returns ``(backend, removed)`` where ``removed`` are the rows that
-        were actually present (absent rows are ignored); the receiver is
-        returned unchanged when nothing matched.
-        """
-        raise NotImplementedError
-
-    def with_fresh_statistics(self) -> "RelationBackend":
-        """The same rows behind a fresh statistics cache.
-
-        The delta-threshold fallback: past the configured delta budget the
-        database swaps in this backend, so every statistic (including the
-        upper-bound degree entries seeded by :meth:`append_rows`) is
-        recomputed exactly on next read — worst-case behavior identical to
-        a from-scratch rebuild, without re-encoding the storage.
-        """
-        raise NotImplementedError
-
-    def position(self, variable: str) -> int:
-        try:
-            return self.schema.index(variable)
-        except ValueError:
-            raise KeyError(
-                f"variable {variable!r} not in schema {self.schema}"
-            ) from None
-
-    # -- statistics -----------------------------------------------------
-    def stats(self) -> RelationStats:
-        return RelationStats(self)
-
-    def distinct_count(self, position: int) -> int:
-        raise NotImplementedError
-
-    def count_distinct(self, positions: Sequence[int]) -> int:
-        """The number of distinct projections onto ``positions``.
-
-        The counting kernel behind the engine's ``count`` verb: the result
-        is computed without materializing the projected relation.  An empty
-        ``positions`` counts the nullary projection — ``1`` when the
-        relation is nonempty, else ``0``.  The generic implementation
-        hashes projected tuples; :class:`ColumnarBackend` overrides it with
-        one ``np.unique`` over the stacked code arrays.
-        """
-        if not positions:
-            return 1 if len(self) else 0
-        if len(positions) == 1:
-            return self.distinct_count(positions[0])
-        return len(
-            {tuple(row[p] for p in positions) for row in self.iter_rows()}
-        )
-
-    def count_tree(
-        self, edges: Sequence[Tuple[int, Sequence[int], "RelationBackend", Sequence[int]]]
-    ) -> int:
-        """The number of tuples of the join of a tree rooted here, joining nothing.
-
-        ``edges[i] = (parent, parent positions, child, child positions)``:
-        node ``i + 1`` of ``[self, *children]`` joins node ``parent`` on
-        those positions.  Bottom-up, each row's multiplicity (1 at leaves)
-        is multiplied by the summed multiplicities of the child rows on its
-        key (0 when it dangles); the count is the root's sum, exact, and
-        raises :class:`OverflowError` past int64.  Summed in dicts here;
-        :class:`ColumnarBackend` overrides it on codes."""
-        rows = [list(node.iter_rows()) for node in [self] + [edge[2] for edge in edges]]
-        weights = [[1] * len(node_rows) for node_rows in rows]
-        for node in range(len(edges), 0, -1):  # children before their parents
-            parent, parent_positions, _, positions = edges[node - 1]
-            sums: Dict[Row, int] = {}
-            for row, weight in zip(rows[node], weights[node]):
-                key = tuple(row[p] for p in positions)
-                sums[key] = sums.get(key, 0) + weight
-            weights[parent] = [
-                weight * sums.get(tuple(row[p] for p in parent_positions), 0)
-                for row, weight in zip(rows[parent], weights[parent])
-            ]
-        return _checked_count(sum(weights[0]))
-
-    def distinct_values(self, position: int) -> FrozenSet[Value]:
-        """The active domain of one column (the distinct-value index)."""
-        raise NotImplementedError
-
-    def max_degree(
-        self, target_positions: Tuple[int, ...], given_positions: Tuple[int, ...]
-    ) -> int:
-        raise NotImplementedError
-
-    def stats_fingerprint(self) -> Tuple[int, Tuple[int, ...]]:
-        raise NotImplementedError
-
-    # -- operators ------------------------------------------------------
-    # ``other`` is always a backend of the receiver's own class.
-    def project(
-        self, positions: Sequence[int], schema: Tuple[str, ...]
-    ) -> "RelationBackend":
-        """The distinct rows over ``positions``, named by ``schema``."""
-        raise NotImplementedError
-
-    def select_equals(self, items: Sequence[Tuple[int, Value]]) -> "RelationBackend":
-        """The rows holding ``value`` at ``position`` for every item."""
-        raise NotImplementedError
-
-    def restrict(self, position: int, values: Iterable[Value]) -> "RelationBackend":
-        """The rows whose ``position`` value lies in ``values``."""
-        raise NotImplementedError
-
-    def join(
-        self,
-        self_positions: Sequence[int],
-        other: "RelationBackend",
-        other_positions: Sequence[int],
-        other_extra_positions: Sequence[int],
-        schema: Tuple[str, ...],
-    ) -> "RelationBackend":
-        """Equi-join on the paired positions: own columns + the other's extras."""
-        raise NotImplementedError
-
-    def semijoin(
-        self,
-        self_positions: Sequence[int],
-        other: "RelationBackend",
-        other_positions: Sequence[int],
-        negate: bool = False,
-    ) -> "RelationBackend":
-        """The rows whose key appears in ``other`` (``negate``: does not appear)."""
-        raise NotImplementedError
-
-    def union(
-        self, other: "RelationBackend", other_positions: Sequence[int]
-    ) -> "RelationBackend":
-        """Set union, the other's columns aligned by ``other_positions``."""
-        raise NotImplementedError
-
-    def slice_rows(self, start: int, stop: int) -> "RelationBackend":
-        """The rows at storage positions ``[start, stop)`` (stable per backend)."""
-        raise NotImplementedError
-
-    def value_sorted_order(self, positions: Tuple[int, ...]) -> Sequence[int]:
-        """Storage positions ordering the rows by value over ``positions``."""
-        raise NotImplementedError
-
-    def ordered_rows(self, limit: Optional[int]) -> List[Row]:
-        """The first ``limit`` rows (all for ``None``) in deterministic value order."""
-        raise NotImplementedError
-
-    def ordered_values(self, position: int) -> List[Value]:
-        """One column's distinct values in deterministic value order."""
-        raise NotImplementedError
-
-    def degree_map(
-        self, target_positions: Sequence[int], given_positions: Sequence[int]
-    ) -> Dict[Row, int]:
-        """Per ``given`` binding, its number of distinct ``target`` bindings."""
-        raise NotImplementedError
-
-    def degree_split(
-        self,
-        target_positions: Sequence[int],
-        given_positions: Sequence[int],
-        threshold: int,
-    ) -> Tuple["RelationBackend", "RelationBackend"]:
-        """``(heavy, light)``: the ``given`` bindings of degree above
-        ``threshold`` (over ``given``), and the full rows of all the others."""
-        raise NotImplementedError
-
-    def matmul(
-        self,
-        other: "RelationBackend",
-        row_positions: Sequence[int],
-        inner_positions: Sequence[int],
-        group_positions: Sequence[int],
-        other_inner_positions: Sequence[int],
-        other_col_positions: Sequence[int],
-        other_group_positions: Sequence[int],
-        schema: Tuple[str, ...],
-        mask: Optional["RelationBackend"] = None,
-        mask_positions: Sequence[int] = (),
-    ) -> Tuple["RelationBackend", Tuple[int, int, int], int]:
-        """One Boolean product per shared group binding (Def. 4.5).
-
-        Returns ``(product over schema, the shape with the most cells,
-        groups matched)``; with a ``mask`` (whose ``mask_positions`` hold
-        ``schema``) the first is the mask's rows that hit a nonzero entry.
-        """
-        raise NotImplementedError
-
-
-# ----------------------------------------------------------------------
-# SetBackend: the reference row-store
-# ----------------------------------------------------------------------
-class SetBackend(RelationBackend):
-    """Rows as a ``frozenset`` of tuples — the seed's representation."""
-
-    kind = "set"
-    __slots__ = ("schema", "_rows", "_cache")
-
-    def __init__(
-        self,
-        schema: Tuple[str, ...],
-        rows: FrozenSet[Row],
-        cache: Optional[dict] = None,
-    ) -> None:
-        self.schema = schema
-        self._rows = rows
-        # Shared across renames: statistics are positional, and renaming
-        # neither reorders columns nor changes the rows.
-        self._cache: dict = cache if cache is not None else {}
-
-    @classmethod
-    def from_rows(cls, schema, rows):
-        width = len(schema)
-        normalized = set()
-        for row in rows:
-            row_tuple = tuple(row)
-            if len(row_tuple) != width:
-                raise ValueError(
-                    f"row {row_tuple} does not match schema of width {width}"
-                )
-            normalized.add(row_tuple)
-        return cls(schema, frozenset(normalized))
-
-    @classmethod
-    def from_columns(cls, schema, columns):
-        columns, count = cls._validate_columns(schema, columns)
-        if not schema:
-            return cls(schema, frozenset([()] if count else []))
-        return cls(schema, frozenset(zip(*columns)))
-
-    def __len__(self) -> int:
-        return len(self._rows)
-
-    def iter_rows(self) -> Iterator[Row]:
-        return iter(self._rows)
-
-    def row_set(self) -> FrozenSet[Row]:
-        return self._rows
-
-    def rename(self, schema: Tuple[str, ...]) -> "SetBackend":
-        return SetBackend(schema, self._rows, self._cache)
-
-    # -- mutation kernels -------------------------------------------------
-    def append_rows(self, rows):
-        width = len(self.schema)
-        added: List[Row] = []
-        seen = set()
-        for row in rows:
-            row_tuple = tuple(row)
-            if len(row_tuple) != width:
-                raise ValueError(
-                    f"row {row_tuple} does not match schema of width {width}"
-                )
-            if row_tuple in self._rows or row_tuple in seen:
-                continue
-            seen.add(row_tuple)
-            added.append(row_tuple)
-        if not added:
-            return self, ()
-        out = SetBackend(self.schema, self._rows | seen)
-        # Incremental statistics: appends only ever *add* values, so the
-        # distinct indexes stay exact under a union; cached max-degree
-        # entries become sound upper bounds (a key gains at most |added|).
-        for key, value in self._cache.items():
-            if isinstance(key, tuple) and key and key[0] == "distinct":
-                out._cache[key] = value | frozenset(r[key[1]] for r in added)
-            elif isinstance(key, tuple) and key and key[0] == "degree":
-                out._cache[key] = value + len(added)
-        return out, tuple(added)
-
-    def delete_rows(self, rows):
-        width = len(self.schema)
-        removed: List[Row] = []
-        seen = set()
-        for row in rows:
-            row_tuple = tuple(row)
-            if len(row_tuple) != width:
-                raise ValueError(
-                    f"row {row_tuple} does not match schema of width {width}"
-                )
-            if row_tuple in self._rows and row_tuple not in seen:
-                seen.add(row_tuple)
-                removed.append(row_tuple)
-        if not removed:
-            return self, ()
-        out = SetBackend(self.schema, self._rows - seen)
-        # Deletions can shrink distinct sets and degrees in ways a delta
-        # can't witness without multiplicities, so only the (still sound)
-        # degree upper bounds carry over; everything else rebuilds lazily.
-        for key, value in self._cache.items():
-            if isinstance(key, tuple) and key and key[0] == "degree":
-                out._cache[key] = value
-        return out, tuple(removed)
-
-    def with_fresh_statistics(self) -> "SetBackend":
-        return SetBackend(self.schema, self._rows)
-
-    # -- statistics -----------------------------------------------------
-    def distinct_values(self, position: int) -> FrozenSet[Value]:
-        key = ("distinct", position)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = frozenset(row[position] for row in self._rows)
-            self._cache[key] = cached
-        return cached
-
-    def distinct_count(self, position: int) -> int:
-        return len(self.distinct_values(position))
-
-    def max_degree(self, target_positions, given_positions) -> int:
-        key = ("degree", target_positions, given_positions)
-        cached = self._cache.get(key)
-        if cached is None:
-            seen: Dict[Row, set] = {}
-            for row in self._rows:
-                group = tuple(row[p] for p in given_positions)
-                seen.setdefault(group, set()).add(
-                    tuple(row[p] for p in target_positions)
-                )
-            cached = max((len(values) for values in seen.values()), default=0)
-            self._cache[key] = cached
-        return cached
-
-    def stats_fingerprint(self):
-        cached = self._cache.get("fingerprint")
-        if cached is None:
-            cached = (
-                len(self._rows),
-                tuple(self.distinct_count(p) for p in range(len(self.schema))),
-            )
-            self._cache["fingerprint"] = cached
-        return cached
-
-    # -- operators: the reference semantics, one row at a time ------------
-    def _keep(self, rows: Iterable[Row]) -> "SetBackend":
-        return SetBackend(self.schema, frozenset(rows))
-
-    def project(self, positions, schema):
-        return SetBackend(
-            schema, frozenset(tuple(row[p] for p in positions) for row in self._rows)
-        )
-
-    def select_equals(self, items):
-        return self._keep(
-            row for row in self._rows if all(row[p] == value for p, value in items)
-        )
-
-    def restrict(self, position, values):
-        wanted = set(values)
-        return self._keep(row for row in self._rows if row[position] in wanted)
-
-    def join(self, self_positions, other, other_positions, other_extra_positions, schema):
-        index: Dict[Row, List[Row]] = {}
-        for row in other.iter_rows():
-            key = tuple(row[p] for p in other_positions)
-            index.setdefault(key, []).append(
-                tuple(row[p] for p in other_extra_positions)
-            )
-        out_rows: List[Row] = []
-        for row in self._rows:
-            key = tuple(row[p] for p in self_positions)
-            for extra in index.get(key, ()):
-                out_rows.append(row + extra)
-        return SetBackend(schema, frozenset(out_rows))
-
-    def semijoin(self, self_positions, other, other_positions, negate=False):
-        right_keys = {
-            tuple(row[p] for p in other_positions) for row in other.iter_rows()
-        }
-        return self._keep(
-            row
-            for row in self._rows
-            if (tuple(row[p] for p in self_positions) in right_keys) != negate
-        )
-
-    def union(self, other, other_positions):
-        aligned = (tuple(row[p] for p in other_positions) for row in other.iter_rows())
-        return self._keep(self._rows.union(aligned))
-
-    def _row_list(self) -> List[Row]:
-        """The iteration order, snapshotted once so storage positions are stable."""
-        snapshot = self._cache.get("rowlist")
-        if snapshot is None:
-            snapshot = self._cache["rowlist"] = list(self._rows)
-        return snapshot
-
-    def slice_rows(self, start, stop):
-        return self._keep(self._row_list()[start:stop])
-
-    def value_sorted_order(self, positions):
-        key = ("valsort", tuple(positions))
-        cached = self._cache.get(key)
-        if cached is None:
-            snapshot = self._row_list()
-            cached = sorted(
-                range(len(snapshot)),
-                key=lambda i: row_order_key([snapshot[i][p] for p in positions]),
-            )
-            _put_bounded(self._cache, key, cached, 8)
-        return cached
-
-    def ordered_rows(self, limit):
-        return _ordered_rows(self._rows, limit)
-
-    def ordered_values(self, position):
-        key = ("ordvals", position)
-        cached = self._cache.get(key)
-        if cached is None:
-            cached = sorted(self.distinct_values(position), key=value_order_key)
-            _put_bounded(self._cache, key, cached, 8)
-        return cached
-
-    def degree_map(self, target_positions, given_positions):
-        seen: Dict[Row, set] = {}
-        for row in self._rows:
-            key = tuple(row[p] for p in given_positions)
-            seen.setdefault(key, set()).add(tuple(row[p] for p in target_positions))
-        return {key: len(values) for key, values in seen.items()}
-
-    def degree_split(self, target_positions, given_positions, threshold):
-        degrees = self.degree_map(target_positions, given_positions)
-        heavy_keys = {key for key, degree in degrees.items() if degree > threshold}
-        heavy_rows = set()
-        light_rows = []
-        for row in self._rows:
-            key = tuple(row[p] for p in given_positions)
-            if key in heavy_keys:
-                heavy_rows.add(key)
-            else:
-                light_rows.append(row)
-        heavy_schema = tuple(self.schema[p] for p in given_positions)
-        return SetBackend(heavy_schema, frozenset(heavy_rows)), self._keep(light_rows)
-
-    def matmul(self, other, *positions_and_schema, mask=None, mask_positions=()):
-        # The product is defined on dictionary codes: encode, multiply, decode.
-        def encoded(backend):
-            return ColumnarBackend.from_rows(backend.schema, backend.iter_rows())
-
-        product, shape, group_count = encoded(self).matmul(
-            encoded(other),
-            *positions_and_schema,
-            mask=None if mask is None else encoded(mask),
-            mask_positions=mask_positions,
-        )
-        return (
-            SetBackend(product.schema, frozenset(product.iter_rows())),
-            shape,
-            group_count,
-        )
 
 
 # ----------------------------------------------------------------------
@@ -982,10 +432,9 @@ class _Column:
                 if candidate.ndim == 1 and candidate.dtype.kind in _FAST_KINDS:
                     arr = candidate
         if arr is not None and arr.dtype.kind == "f" and np.isnan(arr).any():
-            # np.unique collapses NaNs; the reference backend (Python set
-            # semantics) keeps distinct NaN objects apart, so NaN columns
-            # take the dict-encoding path below (over the original values)
-            # to stay interchangeable.
+            # np.unique collapses NaNs; Python set semantics keep distinct
+            # NaN objects apart, so NaN columns take the dict-encoding path
+            # below (over the original values) to answer like a tuple set.
             arr = None
         if arr is not None:
             uniques, inverse = np.unique(arr, return_inverse=True)
@@ -1006,17 +455,17 @@ class _Column:
         return cls(codes, values, index)
 
 
-class ColumnarBackend(RelationBackend):
-    """Dictionary-encoded columns with lazily-built hash indexes.
+class ColumnarBackend:
+    """Storage + operators for one relation: dictionary-encoded columns.
 
-    Wins whenever an operator touches many rows of few columns — semijoin
-    reductions, projections, heavy/light splits, matrix construction — by
-    replacing per-row Python loops with NumPy kernels over code arrays.
-    Loses on tiny relations (kernel launch overhead) and on operators that
-    must look at arbitrary Python predicates row by row.
+    The positional half of a :class:`~repro.db.relation.Relation`, which
+    only translates variable names to column positions, calls a method
+    here and wraps what comes back.  Every operator is total and returns
+    a new backend; rows follow set semantics (no duplicates).  Per-row
+    Python loops are replaced by NumPy kernels over code arrays, and hash
+    indexes are built lazily and cached.
     """
 
-    kind = "columnar"
     __slots__ = ("schema", "_cols", "_n", "_cache", "_tombstones")
 
     def __init__(
@@ -1073,6 +522,27 @@ class ColumnarBackend(RelationBackend):
             else [[] for _ in schema]
         )
         return cls._from_encoded(schema, [_Column.from_values(c) for c in columns])
+
+    @staticmethod
+    def _validate_columns(
+        schema: Tuple[str, ...], columns: Sequence[Sequence[Value]]
+    ) -> Tuple[List[Sequence[Value]], int]:
+        """Shared ``from_columns`` validation: widths and equal lengths.
+
+        Returns the materialized columns and the common row count.
+        """
+        columns = [
+            column if hasattr(column, "__len__") else list(column)
+            for column in columns
+        ]
+        if len(columns) != len(schema):
+            raise ValueError(
+                f"{len(columns)} columns do not match schema of width {len(schema)}"
+            )
+        lengths = {len(column) for column in columns}
+        if len(lengths) > 1:
+            raise ValueError(f"columns have unequal lengths {sorted(lengths)}")
+        return columns, (lengths.pop() if lengths else 0)
 
     @classmethod
     def from_columns(cls, schema, columns):
@@ -1281,7 +751,18 @@ class ColumnarBackend(RelationBackend):
             out._cache["write_index"] = stored
         return out
 
+    def position(self, variable: str) -> int:
+        try:
+            return self.schema.index(variable)
+        except ValueError:
+            raise KeyError(
+                f"variable {variable!r} not in schema {self.schema}"
+            ) from None
+
     # -- statistics -----------------------------------------------------
+    def stats(self) -> RelationStats:
+        return RelationStats(self)
+
     def distinct_count(self, position: int) -> int:
         return len(self._columns[position].distinct_codes)
 
@@ -2079,28 +1560,3 @@ def _ranks_within_groups(
     ranks[order] = run_ranks[np.cumsum(run_start) - 1]
     return ranks, counts, heads[ranked] if with_heads else None
 
-
-#: Registered storage backends by name.
-BACKENDS: Dict[str, type] = {
-    SetBackend.kind: SetBackend,
-    ColumnarBackend.kind: ColumnarBackend,
-}
-
-#: The process-wide default backend for relations built without an explicit
-#: choice (kept at the reference implementation for bit-for-bit seed parity).
-DEFAULT_BACKEND = SetBackend.kind
-
-
-def resolve_backend(kind: Optional[str]) -> type:
-    """Map a backend name (or ``None`` for the default) to its class."""
-    key = kind or DEFAULT_BACKEND
-    try:
-        return BACKENDS[key]
-    except KeyError:
-        known = ", ".join(sorted(BACKENDS))
-        raise ValueError(f"unknown backend {key!r}; known backends: {known}") from None
-
-
-def available_backends() -> Tuple[str, ...]:
-    """The registered backend names (sorted)."""
-    return tuple(sorted(BACKENDS))

@@ -6,14 +6,14 @@
 that relation — assignment, :meth:`Database.insert`, :meth:`Database.delete`
 — and is what result caches key on (:meth:`Database.fingerprint_for`).  The
 epoch bumps only on *structural* changes: wholesale replacement, deletion,
-backend conversion, or a delta stream crossing the fallback threshold.
+or a delta stream crossing the fallback threshold.
 Plan caches key on epochs (:meth:`Database.relation_epoch`) because a
 plan stays *correct* under small deltas — only its cost optimality can
 drift — so a thousand single-tuple inserts reuse one cached plan instead of
 re-planning a thousand times.
 
 **Delta log.**  :meth:`insert` / :meth:`delete` route through the storage
-backends' append/tombstone kernels (columnar: O(|Δ|) Python work plus a few
+backend's append/tombstone kernels (O(|Δ|) Python work plus a few
 memcpy-speed passes over the code arrays, no re-encode) and
 append the *exact* delta — only the rows that genuinely changed under set
 semantics — to a bounded per-relation log.  Consumers that cached a result
@@ -43,7 +43,7 @@ from typing import (
     Union,
 )
 
-from .backends import RelationStats, Row, Value, resolve_backend
+from .backends import RelationStats, Row, Value
 from .query import ConjunctiveQuery
 from .relation import Relation
 
@@ -72,10 +72,8 @@ class Database:
     relations:
         Initial relations (mapping or (name, relation) pairs).
     backend:
-        When set (``"set"`` or ``"columnar"``), every relation stored in
-        the database — at construction and through later assignments — is
-        converted to that storage backend; ``None`` keeps whatever backend
-        each relation already uses.
+        ``"columnar"`` or ``None``; both mean the one columnar store, and
+        any other value raises :class:`ValueError`.
     delta_log_limit:
         Maximum number of delta batches retained per relation; older
         entries are dropped and :meth:`deltas_since` reports truncation.
@@ -113,9 +111,8 @@ class Database:
         self.delta_log_limit = int(delta_log_limit)
         self.delta_threshold_rows = int(delta_threshold_rows)
         self.delta_threshold_fraction = float(delta_threshold_fraction)
-        if backend is not None:
-            resolve_backend(backend)  # validate the name up front
-        self.backend = backend
+        if backend not in (None, "columnar"):
+            raise ValueError(f"unknown backend {backend!r}; the only backend is 'columnar'")
         items = relations.items() if isinstance(relations, Mapping) else relations
         for name, relation in items:
             self[name] = relation
@@ -148,7 +145,7 @@ class Database:
         if not isinstance(relation, Relation):
             raise TypeError("databases store Relation objects")
         with self._lock:
-            self._replace(name, relation.with_backend(self.backend).with_name(name))
+            self._replace(name, relation.with_name(name))
 
     def __delitem__(self, name: str) -> None:
         with self._lock:
@@ -185,8 +182,8 @@ class Database:
     def insert(self, name: str, rows: Iterable[Sequence[Value]]) -> int:
         """Insert ``rows`` into relation ``name``; returns how many were new.
 
-        Routes through the backend's ``append_rows`` kernel — on the
-        columnar backend O(|rows|) interpreter work plus a constant number
+        Routes through the backend's ``append_rows`` kernel — O(|rows|)
+        interpreter work plus a constant number
         of memcpy-speed passes over the code arrays: membership on a
         handed-over index, dictionaries extended rather than copied, no
         re-encode — logs the exact delta, and bumps only this relation's
@@ -206,7 +203,7 @@ class Database:
     def delete(self, name: str, rows: Iterable[Sequence[Value]]) -> int:
         """Delete ``rows`` from relation ``name``; returns how many existed.
 
-        Costs what an insert costs: the columnar backend finds the victims
+        Costs what an insert costs: the backend finds the victims
         in the same handed-over index, tombstones them with one vectorized
         pass and compacts lazily; only the rows actually present are
         logged as the delta.  Deleting absent rows is a no-op.  Raises
@@ -255,13 +252,12 @@ class Database:
         """
         if not isinstance(relation, Relation):
             raise TypeError("databases store Relation objects")
-        converted = relation.with_backend(self.backend)
-        if converted.name != name:
-            converted = converted.with_name(name)
+        if relation.name != name:
+            relation = relation.with_name(name)
         # Identity-preserving on purpose: the engine's patch evaluator skips
         # the swap when the very same relation object is already stored, so
         # unchanged relations keep their version (and their cached subplans).
-        self._relations[name] = converted
+        self._relations[name] = relation
         self._bump_version(name)
         self._clear_deltas(name)
 
@@ -321,19 +317,18 @@ class Database:
         )
 
     # ------------------------------------------------------------------
-    # Bulk construction and backend management
+    # Bulk construction
     # ------------------------------------------------------------------
     def bulk_load(
         self,
         tables: Union[Mapping[str, RelationSpec], Iterable[Tuple[str, RelationSpec]]] = (),
         **named: RelationSpec,
     ) -> "Database":
-        """Load many relations at once (batch coercion to the database backend).
+        """Load many relations at once.
 
         Each value is either a :class:`Relation` or a ``(schema, rows)``
-        pair; everything is converted to the database backend, and each
-        relation's version and epoch advance once.  Returns ``self`` for
-        chaining.
+        pair, and each relation's version and epoch advance once.  Returns
+        ``self`` for chaining.
         """
         items = list(tables.items() if isinstance(tables, Mapping) else tables)
         items.extend(named.items())
@@ -348,10 +343,8 @@ class Database:
                             f"(schema, rows) pairs; got {spec!r} for {name!r}"
                         )
                     schema, rows = spec
-                    # Build directly in the target backend (one encode, no
-                    # intermediate row-store materialization).
-                    spec = Relation(schema, rows, backend=self.backend)
-                self._replace(name, spec.with_backend(self.backend).with_name(name))
+                    spec = Relation(schema, rows)
+                self._replace(name, spec.with_name(name))
         return self
 
     def load_csv(
@@ -366,37 +359,15 @@ class Database:
 
         A thin wrapper over :func:`repro.db.loader.load_table` (delimiter
         sniffing, header auto-detection, per-column int/str inference)
-        that stores the result in the database — converting to the
-        database backend and bumping the version so cached plans
-        re-validate.  ``name`` defaults to the file's stem.  Returns the
-        stored relation.
+        that stores the result in the database, bumping the version so
+        cached plans re-validate.  ``name`` defaults to the file's stem.
+        Returns the stored relation.
         """
         from .loader import load_table
 
-        relation = load_table(
-            path, name=name, delimiter=delimiter, header=header, backend=self.backend
-        )
+        relation = load_table(path, name=name, delimiter=delimiter, header=header)
         self[relation.name] = relation
         return self[relation.name]
-
-    def convert_backend(self, backend: Optional[str]) -> "Database":
-        """Convert every stored relation to ``backend`` and adopt it as default.
-
-        A no-op (no version bump) when every relation already uses the
-        requested backend.  Returns ``self`` for chaining.
-        """
-        if backend is not None:
-            resolve_backend(backend)  # validate before adopting the name
-        with self._lock:
-            self.backend = backend
-            converted = {
-                name: relation.with_backend(backend)
-                for name, relation in self._relations.items()
-            }
-            for name in converted:
-                if converted[name] is not self._relations[name]:
-                    self._replace(name, converted[name])
-        return self
 
     # ------------------------------------------------------------------
     @property
@@ -407,7 +378,7 @@ class Database:
     def stats(self) -> Dict[str, RelationStats]:
         """Per-relation statistics objects (``n_r``, ``V(A, r)``, degrees).
 
-        Computed and cached by each relation's storage backend; the caches
+        Computed and cached by each relation's backend; the caches
         survive renames, so the planner reading these repeatedly across
         candidate orders costs one scan per relation, not one per order.
         """
@@ -416,7 +387,6 @@ class Database:
     def copy(self) -> "Database":
         return Database(
             dict(self._relations),
-            backend=self.backend,
             delta_log_limit=self.delta_log_limit,
             delta_threshold_rows=self.delta_threshold_rows,
             delta_threshold_fraction=self.delta_threshold_fraction,

@@ -6,10 +6,9 @@ combinatorial or MM-based strategies win), instances with planted patterns
 (so that Boolean answers are known), and generic random databases for an
 arbitrary query hypergraph.
 
-Every generator takes a ``backend`` argument selecting the storage backend
-of the produced relations and loads the database through the bulk fast
-paths (:meth:`Database.bulk_load`, :meth:`Relation.from_columns`) instead
-of per-row inserts, so building a 10^5-row instance costs a handful of
+Every generator loads the database through the bulk fast paths
+(:meth:`Database.bulk_load`, :meth:`Relation.from_columns`) instead of
+per-row inserts, so building a 10^5-row instance costs a handful of
 vectorized encodes rather than a Python loop per tuple.
 """
 
@@ -30,7 +29,6 @@ def _rng(seed: Optional[int]) -> random.Random:
 def _relation_from_rows(
     schema: Sequence[str],
     rows: Iterable[Tuple],
-    backend: Optional[str] = None,
     name: Optional[str] = None,
 ) -> Relation:
     """Build a relation through the columnar bulk path (rows → columns).
@@ -41,7 +39,7 @@ def _relation_from_rows(
     rows = sorted(rows)
     width = len(tuple(schema))
     columns = list(zip(*rows)) if rows else [()] * width
-    return Relation.from_columns(schema, columns, name, backend=backend)
+    return Relation.from_columns(schema, columns, name)
 
 
 # ----------------------------------------------------------------------
@@ -104,7 +102,6 @@ def triangle_instance(
     skew: str = "uniform",
     plant_triangle: bool = False,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Database:
     """A database for the triangle query ``R(X,Y), S(Y,Z), T(X,Z)``.
 
@@ -122,11 +119,11 @@ def triangle_instance(
         r_pairs.add((0, 1))
         s_pairs.add((1, 2))
         t_pairs.add((0, 2))
-    return Database(backend=backend).bulk_load(
+    return Database().bulk_load(
         {
-            "R": _relation_from_rows(("X", "Y"), r_pairs, backend),
-            "S": _relation_from_rows(("Y", "Z"), s_pairs, backend),
-            "T": _relation_from_rows(("X", "Z"), t_pairs, backend),
+            "R": _relation_from_rows(("X", "Y"), r_pairs),
+            "S": _relation_from_rows(("Y", "Z"), s_pairs),
+            "T": _relation_from_rows(("X", "Z"), t_pairs),
         }
     )
 
@@ -137,7 +134,6 @@ def four_cycle_instance(
     plant_cycle: bool = False,
     skew: str = "uniform",
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Database:
     """A database for the 4-cycle query ``R(X,Y), S(Y,Z), T(Z,W), U(W,X)``."""
     domain_size = domain_size or max(4, int(num_edges ** 0.5) * 2)
@@ -151,8 +147,8 @@ def four_cycle_instance(
         pairs = set(generator(num_edges, domain_size, seed=base_seed + position))
         if plant_cycle:
             pairs.add(planted[position])
-        relations[name] = _relation_from_rows(schema, pairs, backend)
-    return Database(backend=backend).bulk_load(relations)
+        relations[name] = _relation_from_rows(schema, pairs)
+    return Database().bulk_load(relations)
 
 
 def clique_instance(
@@ -161,7 +157,6 @@ def clique_instance(
     domain_size: Optional[int] = None,
     plant_clique: bool = False,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[ConjunctiveQuery, Database]:
     """A query + database pair for the k-clique query on a single random graph.
 
@@ -188,8 +183,8 @@ def clique_instance(
             for j in range(i + 1, k):
                 edges.add((planted[i], planted[j]))
     symmetric = edges | {(b, a) for a, b in edges}
-    base = _relation_from_rows(("__a__", "__b__"), symmetric, backend)
-    return query, Database(backend=backend).bulk_load(
+    base = _relation_from_rows(("__a__", "__b__"), symmetric)
+    return query, Database().bulk_load(
         {
             atom.relation: base.rename(
                 dict(zip(("__a__", "__b__"), atom.variables))
@@ -205,7 +200,6 @@ def pyramid_instance(
     domain_size: Optional[int] = None,
     plant: bool = False,
     seed: Optional[int] = None,
-    backend: Optional[str] = None,
 ) -> Tuple[ConjunctiveQuery, Database]:
     """A query + database pair for the k-pyramid query (Eq. (31))."""
     from ..hypergraph.queries import pyramid as pyramid_hypergraph
@@ -220,19 +214,15 @@ def pyramid_instance(
             pairs = set(random_pairs(num_edges, domain_size, seed=rng.randrange(1 << 30)))
             if plant:
                 pairs.add((0,) * 2)
-            relations[atom.relation] = _relation_from_rows(
-                atom.variables, pairs, backend
-            )
+            relations[atom.relation] = _relation_from_rows(atom.variables, pairs)
         else:
             rows = set()
             while len(rows) < num_edges:
                 rows.add(tuple(rng.randrange(domain_size) for _ in atom.variables))
             if plant:
                 rows.add((0,) * len(atom.variables))
-            relations[atom.relation] = _relation_from_rows(
-                atom.variables, rows, backend
-            )
-    return query, Database(backend=backend).bulk_load(relations)
+            relations[atom.relation] = _relation_from_rows(atom.variables, rows)
+    return query, Database().bulk_load(relations)
 
 
 def random_database(
@@ -241,7 +231,6 @@ def random_database(
     domain_size: Optional[int] = None,
     seed: Optional[int] = None,
     plant_witness: bool = False,
-    backend: Optional[str] = None,
 ) -> Database:
     """A random database for an arbitrary query (independent random relations).
 
@@ -259,5 +248,5 @@ def random_database(
             attempts += 1
         if plant_witness:
             rows.add((0,) * len(atom.variables))
-        relations[atom.relation] = _relation_from_rows(atom.variables, rows, backend)
-    return Database(backend=backend).bulk_load(relations)
+        relations[atom.relation] = _relation_from_rows(atom.variables, rows)
+    return Database().bulk_load(relations)

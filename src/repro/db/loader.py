@@ -75,7 +75,6 @@ def load_table(
     name: Optional[str] = None,
     delimiter: Optional[str] = None,
     header: Union[bool, str] = "auto",
-    backend: Optional[str] = None,
 ) -> Relation:
     """Read a delimited text file into a :class:`Relation`.
 
@@ -96,8 +95,6 @@ def load_table(
         columns are named ``c0, c1, ...``), or ``"auto"`` (default): the
         first row is a header iff every cell is an identifier and at
         least one is non-numeric.
-    backend:
-        Storage backend passed through to :meth:`Relation.from_columns`.
 
     Raises
     ------
@@ -138,4 +135,4 @@ def load_table(
     ]
     if name is None:
         name = os.path.splitext(os.path.basename(os.fspath(path)))[0]
-    return Relation.from_columns(schema, columns, name, backend=backend)
+    return Relation.from_columns(schema, columns, name)

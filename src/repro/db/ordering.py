@@ -2,11 +2,11 @@
 
 ``select(order="sorted")`` promises distinct output tuples in a total
 order that depends only on the tuples themselves — identical across
-storage backends and strategies.  That contract is used in three places,
+storage orders and strategies.  That contract is used in three places,
 so it lives here at the bottom of the dependency graph:
 
-* :mod:`repro.api.results` sorts materialized outputs with
-  :func:`_ordered_rows` (which re-exports from here);
+* :mod:`repro.api.results` re-exports it as the public ordering contract
+  (:func:`row_order_key`, :func:`_ordered_rows` for a plain tuple set);
 * :class:`~repro.db.backends.ColumnarBackend` caches *value ranks* on
   each shared dictionary (codes re-ranked by :func:`value_order_key`),
   so relations can hand out value-sorted row orders without decoding;
@@ -105,7 +105,7 @@ def _uniform_natural_order(rows) -> bool:
     comparison), so the cheap natural sort may be used.  The decision is a
     function of the value types alone — never of iteration order or of
     which pairs a particular sort happens to compare — keeping the chosen
-    order deterministic across backends, strategies and limits.
+    order deterministic across storage orders, strategies and limits.
     """
     kinds: Optional[List[type]] = None
     for row in rows:

@@ -1,48 +1,28 @@
-"""Relations: a named-schema facade over pluggable storage backends.
+"""Relations: a named-schema facade over the columnar store.
 
 A relation ``R(X, Y, ...)`` is a schema (tuple of variable names) plus a
-*backend* holding the tuples.  Besides the classical operators
+:class:`~repro.db.backends.ColumnarBackend` holding the tuples as
+dictionary-encoded NumPy code columns.  Besides the classical operators
 (select/project/join/semijoin), relations expose the *degree* statistics of
 Definition E.9 — ``deg_R(Y | X)`` — and the heavy/light partitioning that
 the paper's algorithms (Figure 1, PANDA decomposition steps) are built on,
 plus the grouped Boolean matrix product of the matrix-multiplication
 eliminations.
 
-Backend protocol
-----------------
-Storage *and operators* live behind
-:class:`~repro.db.backends.RelationBackend`, one positional protocol that
-every backend implements in full.  This facade does not know which backend
-it wraps: an operator translates variable names into column positions,
-converts the right operand of a binary operator to the left operand's kind
-(:meth:`Relation.with_backend` — so the result has the left operand's
-kind), calls the backend method and wraps the result.  Two backends ship:
-
-* ``"set"`` (:class:`~repro.db.backends.SetBackend`) — a frozenset of
-  tuples, the reference implementation and the default.  Best for tiny
-  relations and for operators driven by arbitrary Python predicates.
-* ``"columnar"`` (:class:`~repro.db.backends.ColumnarBackend`) —
-  dictionary-encoded NumPy code columns with lazily-built hash indexes.
-  Semijoins become vectorized key-membership probes, joins become sort +
-  ``searchsorted`` gathers, and the grouped Boolean matrix product
-  (:meth:`Relation.matmul`) goes from code arrays to code arrays without
-  building a row tuple; it wins by an order of magnitude on semijoin-heavy
-  workloads (e.g. Yannakakis on ≥10^5-row chains) and whenever an
-  operator streams many rows through few columns.
-
-Pick a backend per relation (``Relation(..., backend="columnar")``), per
-database (``Database(backend=...)`` / ``Database.convert_backend``) or per
-engine (``QueryEngine(db, backend=...)``); both backends pass the same
-differential test suite and are interchangeable semantically.  Statistics
-(:attr:`Relation.stats`) — row counts, per-column distinct counts
-``V(A, r)``, max degrees ``deg(Y | X)`` — are computed by the backend,
-cached, and consumed by the cost-based planner.
+This facade maps variable names to column positions, calls the backend's
+positional operator and wraps the result; the storage and every kernel
+live in :mod:`repro.db.backends`.  Semijoins are vectorized key-membership
+probes, joins are sort + ``searchsorted`` gathers, and the grouped Boolean
+matrix product (:meth:`Relation.matmul`) goes from code arrays to code
+arrays without building a row tuple.  Statistics (:attr:`Relation.stats`)
+— row counts, per-column distinct counts ``V(A, r)``, max degrees
+``deg(Y | X)`` — are computed by the backend, cached, and consumed by the
+cost-based planner.
 """
 
 from __future__ import annotations
 
 from typing import (
-    Callable,
     Dict,
     FrozenSet,
     Iterable,
@@ -52,24 +32,15 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union,
 )
 
-from .backends import (
-    RelationBackend,
-    RelationStats,
-    Row,
-    Value,
-    available_backends,
-    resolve_backend,
-)
+from .backends import ColumnarBackend, RelationStats, Row, Value
 
 __all__ = [
     "Relation",
     "RelationStats",
     "Row",
     "Value",
-    "available_backends",
 ]
 
 
@@ -84,10 +55,6 @@ class Relation:
         The tuples; duplicates are collapsed (set semantics).
     name:
         Optional name used in query plans and debugging output.
-    backend:
-        Storage backend: a name from :func:`available_backends` (``"set"``,
-        ``"columnar"``), an existing :class:`RelationBackend` to adopt, or
-        ``None`` for the process default (``"set"``).
     """
 
     __slots__ = ("_backend", "name")
@@ -97,36 +64,15 @@ class Relation:
         schema: Sequence[str],
         rows: Iterable[Sequence[Value]] = (),
         name: Optional[str] = None,
-        *,
-        backend: Union[str, RelationBackend, None] = None,
     ) -> None:
         schema_tuple = tuple(schema)
         if len(set(schema_tuple)) != len(schema_tuple):
             raise ValueError(f"duplicate variables in schema {schema_tuple}")
-        if isinstance(backend, RelationBackend):
-            try:
-                has_rows = len(rows) > 0  # type: ignore[arg-type]
-            except TypeError:
-                has_rows = True  # non-sized iterable: treat as provided
-            if has_rows:
-                raise ValueError(
-                    "cannot pass both rows and a RelationBackend instance; "
-                    "the backend already holds the tuples"
-                )
-            if len(backend.schema) != len(schema_tuple):
-                raise ValueError(
-                    f"backend of width {len(backend.schema)} does not match "
-                    f"schema {schema_tuple}"
-                )
-            if backend.schema != schema_tuple:
-                backend = backend.rename(schema_tuple)
-            self._backend = backend
-        else:
-            self._backend = resolve_backend(backend).from_rows(schema_tuple, rows)
+        self._backend = ColumnarBackend.from_rows(schema_tuple, rows)
         self.name = name
 
     @classmethod
-    def _wrap(cls, backend: RelationBackend, name: Optional[str] = None) -> "Relation":
+    def _wrap(cls, backend: ColumnarBackend, name: Optional[str] = None) -> "Relation":
         """Adopt a backend without re-validating (internal fast constructor)."""
         relation = object.__new__(cls)
         relation._backend = backend
@@ -149,23 +95,9 @@ class Relation:
         return self._backend.row_set()
 
     @property
-    def backend_kind(self) -> str:
-        """The storage backend's registry name (``"set"``, ``"columnar"``)."""
-        return self._backend.kind
-
-    @property
     def stats(self) -> RelationStats:
         """Cached relation statistics: ``n_r``, ``V(A, r)``, ``deg(Y | X)``."""
         return self._backend.stats()
-
-    def with_backend(self, kind: Optional[str]) -> "Relation":
-        """This relation converted to another backend (no-op if same/None)."""
-        if kind is None or self._backend.kind == kind:
-            return self
-        converted = resolve_backend(kind).from_rows(
-            self.schema, self._backend.iter_rows()
-        )
-        return Relation._wrap(converted, self.name)
 
     def __len__(self) -> int:
         return len(self._backend)
@@ -212,7 +144,7 @@ class Relation:
         logs for incremental maintenance.  The backend appends in place of
         re-encoding: dictionaries grow by extension and statistics are
         seeded incrementally (see
-        :meth:`~repro.db.backends.RelationBackend.append_rows`).  When no
+        :meth:`~repro.db.backends.ColumnarBackend.append_rows`).  When no
         row is new, ``self`` is returned unchanged.
         """
         backend, added = self._backend.append_rows(rows)
@@ -226,8 +158,8 @@ class Relation:
         """A new relation with ``rows`` removed, plus the exact delta.
 
         Returns ``(relation, removed)`` where ``removed`` holds only the
-        rows that were actually present.  Columnar backends tombstone the
-        victims and compact lazily on first kernel access.  When nothing
+        rows that were actually present.  The backend tombstones the
+        victims and compacts lazily on first kernel access.  When nothing
         matched, ``self`` is returned unchanged.
         """
         backend, removed = self._backend.delete_rows(rows)
@@ -245,15 +177,11 @@ class Relation:
     def _positions(self, variables: Sequence[str]) -> List[int]:
         return [self._backend.position(variable) for variable in variables]
 
-    def _aligned(self, other: "Relation") -> "Relation":
-        """``other`` in this relation's backend kind (binary-operator rule)."""
-        return other.with_backend(self.backend_kind)
-
     def _shared(self, other: "Relation") -> List[str]:
         return [v for v in self.schema if v in other.variables]
 
     def _empty(self) -> "Relation":
-        return Relation(self.schema, (), self.name, backend=self.backend_kind)
+        return Relation(self.schema, (), self.name)
 
     def column_values(self, variable: str) -> FrozenSet[Value]:
         """The active domain of one column (cached distinct-value index)."""
@@ -273,9 +201,8 @@ class Relation:
         :func:`~repro.db.ordering.row_order_key`, ties broken stably by
         storage position) is the ``select(order="sorted")`` contract; the
         indices address the same storage positions :meth:`row_slice`
-        reads.  Computed once per (relation, column-set) and cached on the
-        backend: from per-column value ranks on the columnar backend, by a
-        keyed Python sort of the row snapshot on the set backend.
+        reads.  Computed once per (relation, column-set) from per-column
+        value ranks and cached on the backend.
         """
         return self._backend.value_sorted_order(tuple(self._positions(variables)))
 
@@ -284,9 +211,8 @@ class Relation:
 
         The materialized arm of ``select(order="sorted")``: the first
         ``limit`` rows (all of them when ``limit`` is ``None``) under the
-        same total order :meth:`sorted_order` indexes.  The columnar
-        backend decodes only the requested prefix of its cached vectorized
-        sort; the set backend runs a keyed bounded selection.
+        same total order :meth:`sorted_order` indexes; only the requested
+        prefix of the cached vectorized sort is decoded.
         """
         return self._backend.ordered_rows(limit)
 
@@ -318,8 +244,7 @@ class Relation:
 
         Equivalent to ``len(self.project(variables))`` but computed by the
         backend's counting kernel without materializing the projected
-        relation (the columnar backend counts unique code rows with one
-        ``np.unique`` over the stacked code arrays).  An empty variable
+        relation (one ``np.unique`` over the stacked code arrays).  An empty variable
         list counts the nullary projection: ``1`` when the relation is
         nonempty, else ``0``.
         """
@@ -333,28 +258,17 @@ class Relation:
 
         ``parents[i]`` indexes frontier ``i``'s parent in ``[self,
         *frontiers]``; each frontier joins its parent on their shared
-        variables (:meth:`~repro.db.backends.RelationBackend.count_tree`).
+        variables (:meth:`~repro.db.backends.ColumnarBackend.count_tree`).
         """
-        nodes = [self] + [self._aligned(frontier) for frontier in frontiers]
+        nodes = [self, *frontiers]
         edges = []
         for child, parent in zip(nodes[1:], parents):
             keys = nodes[parent]._shared(child)
             edges.append((parent, nodes[parent]._positions(keys), child._backend, child._positions(keys)))
         return self._backend.count_tree(edges)
 
-    def select(
-        self,
-        condition: Union[Mapping[str, Value], Callable[[Dict[str, Value]], bool]],
-    ) -> "Relation":
-        """Select rows matching an equality mapping or an arbitrary predicate."""
-        if callable(condition):
-            schema = self.schema
-            keep = [
-                row
-                for row in self._backend.iter_rows()
-                if condition(dict(zip(schema, row)))
-            ]
-            return Relation(schema, keep, self.name, backend=self.backend_kind)
+    def select(self, condition: Mapping[str, Value]) -> "Relation":
+        """Select the rows holding every ``variable: value`` of an equality mapping."""
         positions = self._positions(list(condition.keys()))
         return Relation._wrap(
             self._backend.select_equals(list(zip(positions, condition.values()))),
@@ -364,8 +278,8 @@ class Relation:
     def restrict(self, variable: str, values: Iterable[Value]) -> "Relation":
         """Select the rows whose ``variable`` value lies in ``values``.
 
-        The set-membership analogue of an equality select; the columnar
-        backend answers it with one vectorized index probe.
+        The set-membership analogue of an equality select, answered with
+        one vectorized index probe.
         """
         position = self._backend.position(variable)
         return Relation._wrap(self._backend.restrict(position, values), self.name)
@@ -381,7 +295,6 @@ class Relation:
         """Natural (hash) join on the shared variables."""
         shared = self._shared(other)
         other_only = [v for v in other.schema if v not in self.variables]
-        other = self._aligned(other)
         return Relation._wrap(
             self._backend.join(
                 self._positions(shared),
@@ -409,7 +322,6 @@ class Relation:
     def _semijoin(
         self, other: "Relation", shared: List[str], negate: bool
     ) -> "Relation":
-        other = self._aligned(other)
         reduced = self._backend.semijoin(
             self._positions(shared), other._backend, other._positions(shared), negate
         )
@@ -419,19 +331,15 @@ class Relation:
         """The rows at storage positions ``[start, stop)`` as a relation.
 
         For callers that pull chunks on demand (the VM's streaming
-        enumeration cursor).  Columnar backends slice their code arrays
-        (zero-copy views sharing the parent's dictionaries and caches);
-        the set backend snapshots its iteration order once — cached on
-        the backend so repeated slices stay O(slice) — and slices the
-        snapshot.  The position order is arbitrary but stable for the
-        lifetime of the relation.
+        enumeration cursor): zero-copy views of the code arrays, sharing
+        the parent's dictionaries and caches.  The position order is
+        arbitrary but stable for the lifetime of the relation.
         """
         return Relation._wrap(self._backend.slice_rows(start, stop), self.name)
 
     def union(self, other: "Relation") -> "Relation":
         if set(self.schema) != set(other.schema):
             raise ValueError("union requires identical variable sets")
-        other = self._aligned(other)
         return Relation._wrap(
             self._backend.union(other._backend, other._positions(self.schema)),
             self.name,
@@ -441,7 +349,7 @@ class Relation:
         if set(self.schema) != set(other.schema):
             raise ValueError("intersection requires identical variable sets")
         # Over identical variable sets, intersection is a semijoin on the
-        # full schema — which the columnar backend answers with one probe.
+        # full schema, answered with one probe.
         return self._semijoin(other, list(self.schema), negate=False)
 
     def cross(self, other: "Relation") -> "Relation":
@@ -521,28 +429,23 @@ class Relation:
         ``other`` over ``inner_variables × col_variables``; the nonzero
         entries are the output rows over rows + cols + group.  No group
         variables means one plain product.  The work happens on dictionary
-        codes (:meth:`~repro.db.backends.ColumnarBackend.matmul`; the set
-        backend encodes on the way in) and the product comes back in this
-        relation's backend kind.
+        codes (:meth:`~repro.db.backends.ColumnarBackend.matmul`).
 
         With a ``mask`` holding every row, col and group variable the
         product is gathered at the mask's rows instead: the output is the
-        mask's rows (its schema, its order, its backend kind — a join with
-        the product, which adds no column) whose projection is a nonzero
-        entry.
+        mask's rows (its schema, its order — a join with the product, which
+        adds no column) whose projection is a nonzero entry.
 
         Returns ``(product, largest product shape, groups matched)``.
         """
         schema = tuple(row_variables) + tuple(col_variables) + tuple(group_variables)
         if len(set(schema)) != len(schema):
             raise ValueError(f"duplicate variables in schema {schema}")
-        anchor = self if mask is None else mask
-        left, other = anchor._aligned(self), anchor._aligned(other)
-        product, shape, group_count = left._backend.matmul(
+        product, shape, group_count = self._backend.matmul(
             other._backend,
-            left._positions(row_variables),
-            left._positions(inner_variables),
-            left._positions(group_variables),
+            self._positions(row_variables),
+            self._positions(inner_variables),
+            self._positions(group_variables),
             other._positions(inner_variables),
             other._positions(col_variables),
             other._positions(group_variables),
@@ -561,19 +464,17 @@ class Relation:
         schema: Sequence[str],
         columns: Sequence[Sequence[Value]],
         name: Optional[str] = None,
-        *,
-        backend: Optional[str] = None,
     ) -> "Relation":
         """Bulk constructor from per-column value sequences.
 
-        The columnar backend dictionary-encodes each column vectorized when
-        the values are homogeneous (ints, floats, strings, NumPy arrays),
-        skipping per-row Python tuple handling entirely.
+        Each column is dictionary-encoded vectorized when its values are
+        homogeneous (ints, floats, strings, NumPy arrays), skipping per-row
+        Python tuple handling entirely.
         """
         schema_tuple = tuple(schema)
         if len(set(schema_tuple)) != len(schema_tuple):
             raise ValueError(f"duplicate variables in schema {schema_tuple}")
-        built = resolve_backend(backend).from_columns(schema_tuple, columns)
+        built = ColumnarBackend.from_columns(schema_tuple, columns)
         return cls._wrap(built, name)
 
     @classmethod
@@ -582,20 +483,12 @@ class Relation:
         schema: Sequence[str],
         pairs: Iterable[Tuple[Value, Value]],
         name: Optional[str] = None,
-        *,
-        backend: Optional[str] = None,
     ) -> "Relation":
         """Convenience constructor for binary relations."""
         if len(tuple(schema)) != 2:
             raise ValueError("from_pairs requires a binary schema")
-        return cls(schema, pairs, name, backend=backend)
+        return cls(schema, pairs, name)
 
     @classmethod
-    def empty(
-        cls,
-        schema: Sequence[str],
-        name: Optional[str] = None,
-        *,
-        backend: Optional[str] = None,
-    ) -> "Relation":
-        return cls(schema, (), name, backend=backend)
+    def empty(cls, schema: Sequence[str], name: Optional[str] = None) -> "Relation":
+        return cls(schema, (), name)

@@ -1,10 +1,9 @@
 """Delivery choices for the virtual machine.
 
 The interpreter (:mod:`repro.exec.vm`) calls relational operators on
-:class:`~repro.db.relation.Relation`; which representation runs them is
-the storage layer's business alone (:mod:`repro.db.backends` — a binary
-operator runs in its left operand's backend kind), and every matrix
-product runs on BLAS.  What is left to choose, :class:`KernelDispatcher`
+:class:`~repro.db.relation.Relation`, whose kernels live in the
+columnar store (:mod:`repro.db.backends`), and every matrix product runs
+on BLAS.  What is left to choose, :class:`KernelDispatcher`
 chooses from configuration: a select's ``limit``/``order`` pick its
 delivery (stream, ranked any-k, or materialize + bounded sort), and
 ``morsel_size`` is the chunk size of the streaming cursors and the
@@ -12,7 +11,7 @@ default ``ResultSet`` batch size.
 
 The dispatcher is deliberately deterministic: decisions depend only on
 configuration, never on timing, so runs stay reproducible and
-differential-testable across backends.
+differential-testable against the reference oracle.
 """
 
 from __future__ import annotations

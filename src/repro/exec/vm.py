@@ -3,7 +3,7 @@
 One sequential interpreter for every strategy: the VM walks a lowered
 :class:`~repro.exec.ir.Program` depth-first from its root on the calling
 thread, evaluates each operator against the database through the
-pluggable :class:`~repro.db.relation.Relation` kernels, and records a
+:class:`~repro.db.relation.Relation` kernels, and records a
 per-operator trace (rows in/out, the storage-backend kernel used,
 exclusive and inclusive seconds, cache provenance) that feeds
 :meth:`repro.api.QueryEngine.explain` and the performance ledger.
@@ -199,9 +199,9 @@ class OpTrace:
     schema: Tuple[str, ...]
     rows_in: int
     rows_out: int
-    #: Which kernel family served the operator: a storage-backend name
-    #: ("set", "columnar") for relational operators, "bool" for the
-    #: Boolean combinators.
+    #: Which kernel family served the operator: "columnar" (the storage
+    #: kernels) for relational operators, "bool" for the Boolean
+    #: combinators.
     kernel: str
     #: Exclusive compute seconds — the operator's own kernel time with the
     #: children's time subtracted out (the sum over all traces therefore
@@ -286,7 +286,7 @@ class EnumerationStream:
         #: ``stream`` order truncates inside the join; ``sorted`` scans
         #: every distinct tuple so the caller can pick the smallest k.
         self._stop = self.limit if self.order == "stream" else None
-        self.kernel = root.backend_kind
+        self.kernel = "columnar"
         self.rows_in = len(root) + sum(len(f) for f in self._frontiers)
         self.emitted = 0
         self.chunks_scanned = 0
@@ -855,12 +855,12 @@ class _RunState:
             kernel = kernel or payload.kernel
         elif isinstance(payload, int):
             # A Count sink: rows_out records the count; the kernel override
-            # (set by _eval_op) names the backend that served the counting.
+            # (set by _eval_op) names the kernels that served the counting.
             rows_out = int(payload)
             kernel = kernel or "scalar"
         else:
             rows_out = len(payload)
-            kernel = kernel or payload.backend_kind
+            kernel = kernel or "columnar"
         trace = OpTrace(
             op_id=self.ids.get(node, 0),
             kind=node.kind(),
@@ -942,7 +942,7 @@ class _RunState:
         if isinstance(node, Join):
             left = self._relation(node.left)
             if left.is_empty():
-                return Relation(node.schema, (), backend=left.backend_kind), 0, extra
+                return Relation(node.schema, ()), 0, extra
             right = self._relation(node.right)
             return left.join(right), len(left) + len(right), extra
 
@@ -975,12 +975,11 @@ class _RunState:
             rows = _wcoj_search(
                 inputs, node.variable_order, node.find_all, token=self.vm.token
             )
-            backend = inputs[0].backend_kind if inputs else None
-            return Relation(node.variable_order, rows, backend=backend), rows_in, extra
+            return Relation(node.variable_order, rows), rows_in, extra
 
         if isinstance(node, Count):
             child = self._relation(node.child)
-            extra["kernel"] = child.backend_kind
+            extra["kernel"] = "columnar"
             if not node.frontiers:
                 return child.count_distinct(list(node.variables_out)), len(child), extra
             frontiers = [self._relation(f) for f in node.frontiers]
@@ -1042,7 +1041,7 @@ class _RunState:
             inputs.append(self._relation(child))
             if inputs[-1].is_empty():
                 return (
-                    Relation(node.schema, (), backend=inputs[0].backend_kind),
+                    Relation(node.schema, ()),
                     sum(len(r) for r in inputs),
                     {"matrix_shape": (0, 0, 0)},
                 )

@@ -144,9 +144,7 @@ class Session:
         base_dir: Optional[str] = None,
     ) -> None:
         if engine is None:
-            engine = QueryEngine(
-                database if database is not None else Database(backend="columnar")
-            )
+            engine = QueryEngine(database if database is not None else Database())
         self.engine = engine
         self.strategy = strategy
         self.base_dir = base_dir
@@ -272,7 +270,7 @@ class Session:
         loaded raises the database's ``KeyError`` (with its
         known-relations hint) rather than silently creating one — a
         typo'd name should not fork the data.  Row arity is validated by
-        the storage backend against the relation's schema.
+        the storage layer against the relation's schema.
         """
         if statement.relation not in self.database:
             # Surface as a parse-level diagnostic with the statement text

@@ -102,9 +102,7 @@ class QueryServer:
         if max_queue_depth < 0:
             raise ValueError("max_queue_depth must be non-negative")
         if engine is None:
-            engine = QueryEngine(
-                database if database is not None else Database(backend="columnar")
-            )
+            engine = QueryEngine(database if database is not None else Database())
         self.engine = engine
         self.host = host
         self.port = port

@@ -16,7 +16,9 @@ from hypothesis import HealthCheck, settings
 os.environ.setdefault("REPRO_VERIFY_PLANS", "optimized")
 
 from ledger.oracle import Table, evaluate
+from repro.api import row_order_key
 from repro.constants import OMEGA_BEST_KNOWN
+from repro.db import Database, Relation
 from repro.polymatroid import SetFunction, entropy_from_distribution
 
 # Keep hypothesis example counts modest: several properties run LPs or joins.
@@ -52,6 +54,37 @@ def oracle_outputs(query, database) -> set:
 def oracle():
     """:func:`oracle_outputs`, the suite's one reference evaluator."""
     return oracle_outputs
+
+
+#: The two input forms rows reach the columnar store in, as test ids: a
+#: Python ``set`` of row tuples (``Relation(schema, rows)``, stored in the
+#: set's hash order, dictionaries coded in that order) and per-column
+#: sequences (``Relation.from_columns``, stored in sorted row order).
+#: Answers must depend on neither the storage order nor the codes, so
+#: tests that touch either run once per form.
+LOAD_FORMS = ("columnar", "set")
+
+
+def load_relation(form, schema, rows, name=None) -> Relation:
+    """``rows`` as a relation built through the ``form`` input path."""
+    rows = {tuple(row) for row in rows}
+    if form == "set" or not tuple(schema):
+        return Relation(schema, rows, name)
+    ordered = sorted(rows, key=row_order_key)
+    columns = [list(column) for column in zip(*ordered)] or [[] for _ in schema]
+    return Relation.from_columns(schema, columns, name)
+
+
+def load_database(form, tables, **options) -> Database:
+    """A database of ``name -> Relation | (schema, rows)`` built through ``form``.
+
+    ``options`` are :class:`Database` keyword arguments.
+    """
+    database = Database(**options)
+    for name, spec in dict(tables).items():
+        schema, rows = (spec.schema, spec.rows) if isinstance(spec, Relation) else spec
+        database[name] = load_relation(form, schema, rows, name)
+    return database
 
 
 def random_entropic_polymatroid(

@@ -25,7 +25,9 @@ from repro.db import (
     random_database,
     triangle_instance,
 )
+from repro.db.backends import ColumnarBackend
 from repro.exec import Antijoin, NonEmpty, Program, Scan
+from tests.conftest import LOAD_FORMS, load_database
 
 OMEGA = OMEGA_BEST_KNOWN
 TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
@@ -507,30 +509,22 @@ class TestStrictParsing:
 
 
 class TestStorageBackends:
-    def test_engine_backend_converts_database_in_place(self):
-        db = triangle_instance(60, domain_size=16, seed=3, plant_triangle=True)
-        assert db["R"].backend_kind == "set"
-        engine = QueryEngine(db, backend="columnar")
-        assert engine.database is db
-        assert db.backend == "columnar"
-        assert all(db[name].backend_kind == "columnar" for name in db)
-        assert engine.ask(TRIANGLE).answer
-
     def test_plan_cache_behaviour_is_backend_independent(self):
-        for backend in (None, "columnar"):
-            db = triangle_instance(80, domain_size=20, seed=5)
-            engine = QueryEngine(db, omega=OMEGA, backend=backend)
+        for form in LOAD_FORMS:
+            db = load_database(form, triangle_instance(80, domain_size=20, seed=5).items())
+            engine = QueryEngine(db, omega=OMEGA)
             first = engine.ask(TRIANGLE, strategy="omega")
             second = engine.ask(TRIANGLE, strategy="omega")
             assert not first.cache_hit and second.cache_hit
             assert first.answer == second.answer
 
     def test_database_backend_coerces_assignments(self):
+        # The one backend name still accepted stores relations as usual.
         db = Database(backend="columnar")
         db["R"] = Relation(("X", "Y"), [(1, 2)])
-        assert db["R"].backend_kind == "columnar"
+        assert type(db["R"]._backend) is ColumnarBackend
         copied = db.copy()
-        assert copied.backend == "columnar"
+        assert copied["R"].rows == {(1, 2)} and copied["R"].name == "R"
 
     def test_bulk_load_single_version_bump(self, oracle):
         db = Database()
@@ -545,14 +539,6 @@ class TestStorageBackends:
         assert set(db) == {"R", "S", "T"}
         assert oracle(TRIANGLE, db)
 
-    def test_convert_backend_noop_keeps_fingerprint(self):
-        db = triangle_instance(20, domain_size=8, seed=0)
-        fingerprint = db.fingerprint_for(db)
-        db.convert_backend(None)  # nothing stored changes representation
-        assert db.fingerprint_for(db) == fingerprint
-        db.convert_backend("columnar")
-        assert db.fingerprint_for(db) != fingerprint  # conversion is a mutation
-
     def test_fingerprint_carries_relation_statistics(self):
         db = Database()
         db["R"] = Relation(("X", "Y"), [(1, 2), (1, 3)])
@@ -565,13 +551,15 @@ class TestStorageBackends:
         assert stats["R"].n_rows == len(db["R"])
 
     def test_invalid_backend_name_rejected_up_front(self):
-        with pytest.raises(ValueError):
-            Database(backend="nope")
-        db = Database()
-        with pytest.raises(ValueError):
-            db.convert_backend("nope")
-        assert db.backend is None  # failed conversion must not poison the db
-        db["R"] = Relation(("X",), [(1,)])  # still usable
+        # "columnar" (what the ledger passes) and None name the one store;
+        # any other name raises.
+        for accepted in ("columnar", None):
+            db = Database(backend=accepted)
+            db["R"] = Relation(("X",), [(1,)])
+            assert db["R"].rows == {(1,)}
+        for rejected in ("set", "nope"):
+            with pytest.raises(ValueError):
+                Database(backend=rejected)
 
     def test_bulk_load_rejects_malformed_specs(self):
         db = Database()

@@ -1,26 +1,26 @@
-"""Randomized differential tests across storage backends and strategies.
+"""Randomized differential tests of the columnar store against plain sets.
 
-Every registered strategy must return the same Boolean answer on the same
-instance regardless of whether the relations live in the reference
-``SetBackend`` or the vectorized ``ColumnarBackend``.  ~100 seeded random
-cases sweep query shapes (cyclic, acyclic, disconnected), sizes, domains
-and planted witnesses; each case cross-checks all (strategy × backend)
-combinations, so a kernel bug in either backend — or a planner/executor
-path that silently depends on the representation — shows up as a
-disagreement with a reproducible seed.
+Every registered strategy must return the Boolean answer of the reference
+oracle (``ledger.oracle``, joins over plain tuple sets that share no code
+with the engine).  ~100 seeded random cases sweep query shapes (cyclic,
+acyclic, disconnected), sizes, domains and planted witnesses, so a kernel
+bug — or a planner/executor path that answers wrongly on some shape —
+shows up as a disagreement with a reproducible seed.  The single
+operators are checked against plain-set expressions written out below,
+at int64 composite keys, at ranked keys (a patched composite limit) and at
+the real 2⁶² limit.
 """
 
 from __future__ import annotations
 
 import random
 
+import numpy as np
 import pytest
 
 from repro.api import QueryEngine
-from repro.db import Relation, available_backends, backends, parse_query, random_database
+from repro.db import Relation, backends, parse_query, random_database
 from repro.db.backends import ColumnarBackend
-
-BACKENDS = available_backends()
 
 SHAPES = {
     "path2": "Q() :- R(X, Y), S(Y, Z)",
@@ -50,27 +50,58 @@ def _case_parameters(shape: str, seed: int):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("shape", sorted(SHAPES))
-def test_all_strategies_agree_across_backends(shape, seed):
+def test_all_strategies_agree_across_backends(shape, seed, oracle):
     query = parse_query(SHAPES[shape])
     tuples, domain, plant = _case_parameters(shape, seed)
-    answers = {}
-    for backend in BACKENDS:
-        database = random_database(
-            query, tuples, domain_size=domain, seed=seed, plant_witness=plant,
-            backend=backend,
-        )
-        engine = QueryEngine(database)
-        strategies = ["naive", "generic_join", "omega"]
-        if query.is_acyclic():
-            strategies.append("yannakakis")
-        for strategy in strategies:
-            answers[(backend, strategy)] = engine.ask(query, strategy=strategy).answer
-    assert len(set(answers.values())) == 1, (
-        f"strategy/backend disagreement on {shape} seed={seed} "
-        f"(tuples={tuples}, domain={domain}, plant={plant}): {answers}"
+    database = random_database(
+        query, tuples, domain_size=domain, seed=seed, plant_witness=plant
+    )
+    expected = bool(oracle(query, database))
+    engine = QueryEngine(database)
+    strategies = ["naive", "generic_join", "omega"]
+    if query.is_acyclic():
+        strategies.append("yannakakis")
+    answers = {
+        strategy: engine.ask(query, strategy=strategy).answer for strategy in strategies
+    }
+    assert set(answers.values()) == {expected}, (
+        f"strategy disagrees with the oracle on {shape} seed={seed} "
+        f"(tuples={tuples}, domain={domain}, plant={plant}): "
+        f"{answers} vs {expected}"
     )
     if plant:
-        assert all(answers.values())
+        assert expected
+
+
+# ----------------------------------------------------------------------
+# Plain-set reference operators
+# ----------------------------------------------------------------------
+def _key(row, schema, variables):
+    return tuple(row[schema.index(v)] for v in variables)
+
+
+def _join(schema_a, rows_a, schema_b, rows_b):
+    shared = [v for v in schema_a if v in schema_b]
+    extra = [v for v in schema_b if v not in schema_a]
+    index = {}
+    for row in rows_b:
+        index.setdefault(_key(row, schema_b, shared), []).append(_key(row, schema_b, extra))
+    return {
+        row + tail for row in rows_a for tail in index.get(_key(row, schema_a, shared), ())
+    }
+
+
+def _semijoin(schema_a, rows_a, schema_b, rows_b, negate=False):
+    shared = [v for v in schema_a if v in schema_b]
+    keys = {_key(row, schema_b, shared) for row in rows_b}
+    return {row for row in rows_a if (_key(row, schema_a, shared) in keys) != negate}
+
+
+def _degree_map(schema, rows, target, given):
+    targets = {}
+    for row in rows:
+        targets.setdefault(_key(row, schema, given), set()).add(_key(row, schema, target))
+    return {key: len(values) for key, values in targets.items()}
 
 
 #: Every seed twice: as is, and with the composite-key limit so low that
@@ -83,7 +114,7 @@ ALGEBRA_CASES = [pytest.param(seed, None, id=str(seed)) for seed in range(40)] +
 
 @pytest.mark.parametrize("seed, composite_limit", ALGEBRA_CASES)
 def test_operator_algebra_matches_reference_backend(seed, composite_limit, monkeypatch):
-    """Relation operators agree with SetBackend on random inputs."""
+    """Relation operators agree with plain-set expressions on random inputs."""
     if composite_limit is not None:
         monkeypatch.setattr(backends, "_COMPOSITE_LIMIT", composite_limit)
     rng = random.Random(seed)
@@ -98,68 +129,68 @@ def test_operator_algebra_matches_reference_backend(seed, composite_limit, monke
         tuple(rng.randint(0, 4) for _ in schema_b)
         for _ in range(rng.randint(0, 25))
     ]
-    reference_a = Relation(schema_a, rows_a, backend="set")
-    reference_b = Relation(schema_b, rows_b, backend="set")
-    columnar_a = Relation(schema_a, rows_a, backend="columnar")
-    columnar_b = Relation(schema_b, rows_b, backend="columnar")
+    set_a, set_b = set(rows_a), set(rows_b)
+    a = Relation(schema_a, rows_a)
+    b = Relation(schema_b, rows_b)
 
-    assert reference_a.rows == columnar_a.rows
-    assert reference_a.join(reference_b).rows == columnar_a.join(columnar_b).rows
-    assert reference_a.join(reference_b).schema == columnar_a.join(columnar_b).schema
-    assert (
-        reference_a.semijoin(reference_b).rows == columnar_a.semijoin(columnar_b).rows
-    )
-    assert (
-        reference_a.antijoin(reference_b).rows == columnar_a.antijoin(columnar_b).rows
-    )
+    assert a.rows == set_a
+    joined = a.join(b)
+    assert joined.rows == _join(schema_a, set_a, schema_b, set_b)
+    assert joined.schema == schema_a + tuple(v for v in schema_b if v not in schema_a)
+    assert a.semijoin(b).rows == _semijoin(schema_a, set_a, schema_b, set_b)
+    assert a.antijoin(b).rows == _semijoin(schema_a, set_a, schema_b, set_b, negate=True)
     kept = list(schema_a[: rng.randint(1, len(schema_a))])
-    assert reference_a.project(kept).rows == columnar_a.project(kept).rows
+    assert a.project(kept).rows == {_key(row, schema_a, kept) for row in set_a}
     if set(schema_a) == set(schema_b):
-        assert reference_a.union(reference_b).rows == columnar_a.union(columnar_b).rows
-        assert (
-            reference_a.intersect(reference_b).rows
-            == columnar_a.intersect(columnar_b).rows
-        )
+        aligned_b = {_key(row, schema_b, schema_a) for row in set_b}
+        assert a.union(b).rows == set_a | aligned_b
+        assert a.intersect(b).rows == set_a & aligned_b
     given, target = [schema_a[0]], list(schema_a[1:])
-    assert reference_a.degree_map(target, given) == columnar_a.degree_map(target, given)
-    assert reference_a.degree(target, given) == columnar_a.degree(target, given)
+    degrees = _degree_map(schema_a, set_a, target, given)
+    assert a.degree_map(target, given) == degrees
+    assert a.degree(target, given) == max(degrees.values(), default=0)
     threshold = rng.randint(0, 3)
-    heavy_ref, light_ref = reference_a.heavy_light_split(given, threshold)
-    heavy_col, light_col = columnar_a.heavy_light_split(given, threshold)
-    assert heavy_ref.rows == heavy_col.rows
-    assert light_ref.rows == light_col.rows
+    heavy, light = a.heavy_light_split(given, threshold)
+    heavy_keys = {key for key, degree in degrees.items() if degree > threshold}
+    assert heavy.rows == heavy_keys
+    assert light.rows == {row for row in set_a if _key(row, schema_a, given) not in heavy_keys}
     wanted = {rng.randint(0, 4), rng.randint(0, 4)}
-    assert (
-        reference_a.restrict(schema_a[0], wanted).rows
-        == columnar_a.restrict(schema_a[0], wanted).rows
-    )
+    assert a.restrict(schema_a[0], wanted).rows == {row for row in set_a if row[0] in wanted}
     point = rng.randint(0, 5)
-    assert (
-        reference_a.select({schema_a[0]: point}).rows
-        == columnar_a.select({schema_a[0]: point}).rows
+    assert a.select({schema_a[0]: point}).rows == {row for row in set_a if row[0] == point}
+    twin = Relation.from_columns(
+        schema_a, [list(column) for column in zip(*sorted(set_a))] or [[] for _ in schema_a]
     )
-    assert reference_a == columnar_a
-    assert hash(reference_a) == hash(columnar_a)
-    assert reference_a.stats.fingerprint() == columnar_a.stats.fingerprint()
+    assert a == twin
+    assert hash(a) == hash(twin)
+    assert a.stats.fingerprint() == (
+        len(set_a),
+        tuple(len({row[p] for row in set_a}) for p in range(len(schema_a))),
+    )
 
     victims = rows_a[::2] + [tuple(9 for _ in schema_a)]
-    deleted_ref, removed_ref = reference_a.delete_rows(victims)
-    deleted_col, removed_col = columnar_a.delete_rows(victims)
-    assert deleted_ref.rows == deleted_col.rows
-    assert set(removed_ref) == set(removed_col) == set(rows_a[::2])
-    assert deleted_ref.semijoin(reference_b).rows == deleted_col.semijoin(columnar_b).rows
+    deleted, removed = a.delete_rows(victims)
+    assert deleted.rows == set_a - set(victims)
+    assert set(removed) == set(rows_a[::2])
+    assert deleted.semijoin(b).rows == _semijoin(schema_a, deleted.rows, schema_b, set_b)
 
-    # Mixed-kind pairs, both orders: the right operand is converted, so the
-    # answer is the reference's and the kind is the left operand's.
-    binary = ["join", "semijoin", "antijoin"]
-    if set(schema_a) == set(schema_b):
-        binary += ["union", "intersect"]
-    for left, right in ((reference_a, columnar_b), (columnar_a, reference_b)):
-        for operator in binary:
-            mixed = getattr(left, operator)(right)
-            expected = getattr(reference_a, operator)(reference_b)
-            assert mixed.rows == expected.rows, operator
-            assert mixed.backend_kind == left.backend_kind, operator
+
+def _reference_results(a, b, c, victims):
+    """The operators of the wide-key tests, as plain-set expressions."""
+    schema = a.schema
+    degrees = _degree_map(schema, a.rows, ["Z"], ["X", "Y"])
+    heavy = {key for key, degree in degrees.items() if degree > 1}
+    return {
+        "join": _join(schema, a.rows, b.schema, b.rows),
+        "semijoin": _semijoin(schema, a.rows, b.schema, b.rows),
+        "antijoin": _semijoin(schema, a.rows, b.schema, b.rows, negate=True),
+        "intersect": a.rows & c.rows,
+        "union": a.rows | c.rows,
+        "project": {row[:2] for row in a.rows},
+        "heavy": heavy,
+        "light": {row for row in a.rows if row[:2] not in heavy},
+        "delete_rows": a.rows - set(victims),
+    }
 
 
 def test_wide_keys_never_leave_the_code_domain(monkeypatch):
@@ -169,9 +200,9 @@ def test_wide_keys_never_leave_the_code_domain(monkeypatch):
     rows_a = {tuple(rng.randrange(30) for _ in "XYZ") for _ in range(400)}
     rows_b = {tuple(rng.randrange(30) for _ in "YZW") for _ in range(400)}
     rows_c = {tuple(rng.randrange(30) for _ in "XYZ") for _ in range(400)}
-    a = Relation(("X", "Y", "Z"), rows_a, backend="columnar")
-    b = Relation(("Y", "Z", "W"), rows_b, backend="columnar")
-    c = Relation(("X", "Y", "Z"), rows_c, backend="columnar")
+    a = Relation(("X", "Y", "Z"), rows_a)
+    b = Relation(("Y", "Z", "W"), rows_b)
+    c = Relation(("X", "Y", "Z"), rows_c)
     victims = sorted(rows_a)[::3]
 
     def forbidden(*args, **kwargs):
@@ -193,22 +224,50 @@ def test_wide_keys_never_leave_the_code_domain(monkeypatch):
             "delete_rows": a.delete_rows(victims)[0],
         }
         sorted_positions = list(a.sorted_order(["Y", "Z"]))
-    ref_a, ref_b, ref_c = (r.with_backend("set") for r in (a, b, c))
-    expected = {
-        "join": ref_a.join(ref_b),
-        "semijoin": ref_a.semijoin(ref_b),
-        "antijoin": ref_a.antijoin(ref_b),
-        "intersect": ref_a.intersect(ref_c),
-        "union": ref_a.union(ref_c),
-        "project": ref_a.project(["X", "Y"]),
-        "heavy": ref_a.heavy_light_split(["X", "Y"], 1)[0],
-        "light": ref_a.heavy_light_split(["X", "Y"], 1)[1],
-        "delete_rows": ref_a.delete_rows(victims)[0],
-    }
+    expected = _reference_results(a, b, c, victims)
     for operator, relation in results.items():
-        assert relation.backend_kind == "columnar", operator
-        assert relation.rows == expected[operator].rows, operator
+        assert relation.rows == expected[operator], operator
     assert len(results["join"]) and len(results["heavy"]) and len(results["light"])
     stored = list(a)
     keys = [(stored[i][1], stored[i][2]) for i in sorted_positions]
     assert keys == sorted(keys)
+
+
+def test_composite_keys_at_the_real_int64_limit():
+    """Seven 512-value columns span 512⁷ = 2⁶³ keys: past the unpatched limit.
+
+    Every operator over all seven columns must take the re-rank branch of
+    ``ColumnarBackend._row_keys`` and still answer like plain sets.
+    """
+    assert backends._COMPOSITE_LIMIT == 1 << 62
+    schema = tuple(f"C{j}" for j in range(7))
+    n, half = 512, 256
+    rng = np.random.default_rng(7)
+    # Every column of ``a`` is a random permutation of [0, 512).  ``b``
+    # shares a's first half and shuffles each column of the second half
+    # on its own, so every column still holds 512 distinct values.
+    a_columns = [rng.permutation(n) for _ in schema]
+    b_columns = [
+        np.concatenate((column[:half], rng.permutation(column[half:])))
+        for column in a_columns
+    ]
+    a = Relation.from_columns(schema, a_columns)
+    b = Relation.from_columns(schema, b_columns)
+    assert not a._backend._fits(range(7)) and not b._backend._fits(range(7))
+    rows_a = set(zip(*(column.tolist() for column in a_columns)))
+    rows_b = set(zip(*(column.tolist() for column in b_columns)))
+    assert len(rows_a) == len(rows_b) == n and len(rows_a & rows_b) == half
+
+    assert a.semijoin(b).rows == rows_a & rows_b
+    assert a.antijoin(b).rows == rows_a - rows_b
+    assert a.join(b).rows == rows_a & rows_b
+    assert a.intersect(b).rows == rows_a & rows_b
+    reordered = list(reversed(schema))
+    assert a.project(reordered).rows == {row[::-1] for row in rows_a}
+    assert a.count_distinct(list(schema)) == n
+    assert a.join(b).count_distinct(list(schema)) == half
+    victims = sorted(rows_a)[::3] + [tuple(n + j for j in range(7))]
+    deleted, removed = a.delete_rows(victims)
+    assert set(removed) == set(sorted(rows_a)[::3])
+    assert deleted.rows == rows_a - set(victims)
+    assert deleted.semijoin(b).rows == (rows_a - set(victims)) & rows_b

@@ -5,9 +5,9 @@ the head is smallest and calibrates / joins only that subtree; atoms
 outside it are reducers.  Pinned here:
 
 * differential — ``count`` and every ``select`` delivery (stream + limit,
-  sorted + limit, sorted unlimited) agree with the ``naive`` strategy on
-  the reference ``SetBackend`` for chains, stars, a caterpillar and a
-  cross product × every head of at most three variables × both backends,
+  sorted + limit, sorted unlimited) agree with the ``naive`` strategy and
+  the reference oracle for chains, stars, a caterpillar and a cross
+  product × every head of at most three variables × both input forms,
   plus Hypothesis-drawn acyclic queries, empty reducers and NaN /
   mixed-type columns (the keyed-sort branch of ``_Dictionary.order_ranks``);
 * work counts that carry no timing noise — operator counts of the lowered
@@ -27,15 +27,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.analysis.verify import verify_program
-from repro.api import QueryEngine
-from repro.db import Database, available_backends, parse_query
+from repro.api import QueryEngine, row_order_key
+from repro.db import parse_query
 from repro.db import backends as backends_module
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.exec.ir import Enumerate, Program
 from repro.exec.lower import SelectOptions, describe_join_tree, lower_yannakakis
+from tests.conftest import LOAD_FORMS, load_database, oracle_outputs
 
-BACKENDS = available_backends()
-NAN = float("nan")  # one object: both backends match it by identity
+NAN = float("nan")  # one object: every relation matches it by identity
 MIXED_VALUES = (0, 1, 2, "a", "b", 2.5, NAN)
 
 
@@ -97,20 +97,17 @@ def _tables(atoms, rng, rows=12, values=tuple(range(5))):
     }
 
 
-def _database(tables, backend):
-    return Database(backend=backend).bulk_load(tables)
-
-
 def assert_matches_naive(atoms, heads, tables):
-    """count + the three select deliveries, both backends, against ``naive``."""
-    oracle = QueryEngine(_database(tables, "set"))
-    engines = [QueryEngine(_database(tables, backend)) for backend in BACKENDS]
+    """count + the three select deliveries, both input forms, against the
+    oracle and the ``naive`` strategy."""
+    engines = {form: QueryEngine(load_database(form, tables)) for form in LOAD_FORMS}
     for head in heads:
         query = ConjunctiveQuery(tuple(atoms), output_variables=head)
-        expected = oracle.select(query, "naive", order="sorted").to_rows()
-        assert oracle.count(query, "naive").row_count == len(expected)
-        for engine in engines:
-            label = f"{query} on {engine.database.backend}"
+        reference = oracle_outputs(query, engines["columnar"].database)
+        expected = sorted(reference, key=row_order_key)
+        for form, engine in engines.items():
+            label = f"{query} on the {form} form"
+            assert engine.select(query, "naive", order="sorted").to_rows() == expected, label
             assert engine.count(query, "yannakakis").row_count == len(expected), label
             full = engine.select(query, "yannakakis", order="sorted").to_rows()
             assert full == expected, label
@@ -147,7 +144,7 @@ def test_an_empty_reducer_empties_every_head(emptied):
     tables[emptied] = (tables[emptied][0], [])
     heads = [("V0",), ("V3", "V1"), ("D",), ("V0", "E")]
     assert_matches_naive(atoms, heads, tables)
-    engine = QueryEngine(_database(tables, BACKENDS[-1]))
+    engine = QueryEngine(load_database("columnar", tables))
     for head in heads:
         query = ConjunctiveQuery(tuple(atoms), output_variables=head)
         assert engine.count(query, "yannakakis").row_count == 0
@@ -295,11 +292,11 @@ def test_exists_and_boolean_heads_keep_the_gyo_program():
     )
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ledger_count_shapes_trace_no_join_rows(backend):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_ledger_count_shapes_trace_no_join_rows(form):
     rng = random.Random(8)
     atoms = _chain(3, rng)
-    engine = QueryEngine(_database(_tables(atoms, rng, rows=60, values=range(12)), backend))
+    engine = QueryEngine(load_database(form, _tables(atoms, rng, rows=60, values=range(12))))
     for head in ("V0", "V1"):
         query = ConjunctiveQuery(tuple(atoms), output_variables=(head,))
         result = engine.count(query)
@@ -322,7 +319,7 @@ def test_second_sorted_select_never_ranks_a_dictionary_again(monkeypatch):
     monkeypatch.setattr(backends_module, "value_order_key", counting)
     atoms = _chain(3, random.Random(5))
     tables = _tables(atoms, random.Random(6), rows=14, values=MIXED_VALUES)
-    engine = QueryEngine(_database(tables, "columnar"))
+    engine = QueryEngine(load_database("columnar", tables))
     first = ConjunctiveQuery(tuple(atoms), output_variables=("V0", "V2"))
     rows = engine.select(first, order="sorted", limit=16).to_rows()
     assert rows and calls  # mixed types: the dictionaries took the keyed sort
@@ -360,7 +357,7 @@ def test_a_count_sink_that_lost_its_output_is_a_violation():
 def test_explain_states_the_orientation():
     query = parse_query("Q(Y) :- C1(X, Y), C2(Y, Z), C3(Z, W)")
     rng = random.Random(1)
-    engine = QueryEngine(_database(_tables(query.atoms, rng), BACKENDS[-1]))
+    engine = QueryEngine(load_database("columnar", _tables(query.atoms, rng)))
     text = engine.explain(query, verb="count").describe()
     assert "join tree: root C2(Y, Z); joined {C2}; reducers only {C3, C1}" in text
     assert "join tree: root C3(Z, W); joined {C3}; reducers only {C2, C1}" in (

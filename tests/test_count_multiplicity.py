@@ -2,13 +2,13 @@
 
 A ``count`` whose head holds every variable of its connex subtree lowers to
 a tree-form :class:`~repro.exec.ir.Count`: the VM sums per-edge
-multiplicities bottom-up (``RelationBackend.count_tree``) instead of
+multiplicities bottom-up (``ColumnarBackend.count_tree``) instead of
 calibrating and joining.  Pinned here:
 
 * differential — Hypothesis-drawn acyclic full-head counts (chains, stars,
   two-variable join keys, one relation bound to two atoms, empty
   relations, head order unlike atom order) against a plain tuple-set
-  brute force, on both backends, with and without a composite-key limit
+  brute force, for both input forms, with and without a composite-key limit
   so low that every key is ranked jointly;
 * exactness — a count past 2⁵³ is exact, one past 2⁶³ raises;
 * plans — a head that misses a subtree variable lowers to the same
@@ -32,14 +32,13 @@ from hypothesis import given, settings, strategies as st
 from repro.api import QueryEngine
 from repro.api.cache import FALLBACK_REASONS
 from repro.api.engine import _net_delta
-from repro.db import Database, Relation, available_backends, parse_query
+from repro.db import Database, Relation, parse_query
 from repro.db import backends as backends_module
 from repro.db.backends import _FAMILY_CACHE_LIMIT, _Dictionary
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.exec.ir import Count
 from repro.exec.lower import describe_join_tree, lower_yannakakis
-
-BACKENDS = available_backends()
+from tests.conftest import LOAD_FORMS, load_database, load_relation
 
 
 # ----------------------------------------------------------------------
@@ -88,11 +87,11 @@ def full_head_cases(draw):
     return atoms, tuple(head), tables
 
 
-def _database(tables, backend):
-    db = Database(backend=backend)
+def _database(tables, form):
+    db = Database()
     for name, (schema, rows) in tables.items():
         twin = next((n for n, _ in db.items() if tables[n] is tables[name]), None)
-        db[name] = db[twin] if twin else Relation(schema, rows, name, backend=backend)
+        db[name] = db[twin] if twin else load_relation(form, schema, rows, name)
     return db
 
 
@@ -103,10 +102,10 @@ def assert_counts_match(case):
     program = lower_yannakakis(query, "count")
     assert program.root.kind() == "count"
     assert not any(node.kind() == "join" for node in program.nodes()), program.describe()
-    for backend in BACKENDS:
-        engine = QueryEngine(_database(tables, backend))
+    for form in LOAD_FORMS:
+        engine = QueryEngine(_database(tables, form))
         for strategy in ("yannakakis", "auto"):
-            assert engine.count(query, strategy).row_count == expected, (query, backend)
+            assert engine.count(query, strategy).row_count == expected, (query, form)
 
 
 @given(full_head_cases())
@@ -147,40 +146,39 @@ def test_fixed_shapes_match_brute_force(text):
 # ----------------------------------------------------------------------
 # Exactness
 # ----------------------------------------------------------------------
-def _star(leaves, width, backend):
+def _star(leaves, width, form):
     """``leaves`` relations S_i(HUB, L_i) of ``width`` rows on one hub value:
     the full-head count is ``width ** leaves``."""
     atoms = ", ".join(f"S{i}(HUB, L{i})" for i in range(leaves))
     head = ", ".join(["HUB"] + [f"L{i}" for i in range(leaves)])
-    db = Database(backend=backend)
-    for i in range(leaves):
-        db[f"S{i}"] = Relation(("h", "l"), [(0, j) for j in range(width)], backend=backend)
+    rows = [(0, j) for j in range(width)]
+    db = load_database(form, {f"S{i}": (("h", "l"), rows) for i in range(leaves)})
     return QueryEngine(db), parse_query(f"Q({head}) :- {atoms}")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_count_past_two_to_the_53_is_exact(backend):
-    engine, query = _star(5, 1999, backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_a_count_past_two_to_the_53_is_exact(form):
+    engine, query = _star(5, 1999, form)
     expected = 1999**5
     assert expected > 2**53 and float(expected) != expected
     assert engine.count(query, "yannakakis").row_count == expected
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_count_past_int64_raises(backend):
-    engine, query = _star(6, 1999, backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_a_count_past_int64_raises(form):
+    engine, query = _star(6, 1999, form)
     assert 1999**6 > 2**63
     with pytest.raises(OverflowError):
         engine.count(query, "yannakakis")
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_one_row_carrying_the_whole_product_never_wraps(backend):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_one_row_carrying_the_whole_product_never_wraps(form):
     # A one-row root: its multiplicity is the count itself, so a weight
     # past int64 must be caught per row, not only in the final sum.
-    hub = Relation(("HUB",), [(0,)], backend=backend)
+    hub = load_relation(form, ("HUB",), [(0,)])
     leaves = [
-        Relation(("HUB", f"L{i}"), [(0, j) for j in range(1999)], backend=backend)
+        load_relation(form, ("HUB", f"L{i}"), [(0, j) for j in range(1999)])
         for i in range(6)
     ]
     assert hub.count_join_tree(leaves[:5], (0,) * 5) == 1999**5
@@ -248,7 +246,7 @@ def test_a_full_head_counts_by_multiplicities():
 
 
 def test_explain_names_the_multiplicity_sink():
-    db = Database(backend=BACKENDS[-1])
+    db = Database()
     db["R"] = Relation(("a", "b"), [(1, 2), (2, 3)])
     db["S"] = Relation(("a", "b"), [(2, 5), (3, 6)])
     text = QueryEngine(db).explain(FULL, "yannakakis", verb="count").describe()
@@ -262,15 +260,16 @@ FULL = parse_query("Q(X, Y, Z) :- R(X, Y), S(Y, Z)")
 PROJECTED = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
 
 
-def _chain_engine(backend="set", **kwargs):
-    db = Database(backend=backend)
-    db["R"] = Relation(("a", "b"), [(1, 2), (2, 3), (3, 1)], backend=backend)
-    db["S"] = Relation(("a", "b"), [(2, 5), (3, 6), (1, 7), (2, 8)], backend=backend)
-    return QueryEngine(db, **kwargs)
+def _chain_engine(form="columnar", **kwargs):
+    tables = {
+        "R": (("a", "b"), [(1, 2), (2, 3), (3, 1)]),
+        "S": (("a", "b"), [(2, 5), (3, 6), (1, 7), (2, 8)]),
+    }
+    return QueryEngine(load_database(form, tables), **kwargs)
 
 
 def _fresh_count(engine, query):
-    db = Database(backend=engine.database.backend)
+    db = Database()
     for name, relation in engine.database.items():
         db[name] = relation
     return QueryEngine(db, incremental=False).count(query).row_count
@@ -302,9 +301,9 @@ def test_net_delta_folds_chronological_batches():
     assert _net_delta(replay) == ([(1, 1), (2, 2)], [(5, 5)])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_insert_then_delete_cancels(backend, monkeypatch):
-    engine = _chain_engine(backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_insert_then_delete_cancels(form, monkeypatch):
+    engine = _chain_engine(form)
     base = engine.count(FULL).row_count
     calls = _spy_patch_asks(engine, monkeypatch)
     engine.insert("R", [(9, 2)])
@@ -313,9 +312,9 @@ def test_insert_then_delete_cancels(backend, monkeypatch):
     assert (result.row_count, result.plan_source, calls) == (base, "incremental", [])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_delete_then_reinsert_cancels(backend, monkeypatch):
-    engine = _chain_engine(backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_delete_then_reinsert_cancels(form, monkeypatch):
+    engine = _chain_engine(form)
     base = engine.count(FULL).row_count
     calls = _spy_patch_asks(engine, monkeypatch)
     engine.delete("S", [(2, 5)])
@@ -324,9 +323,9 @@ def test_delete_then_reinsert_cancels(backend, monkeypatch):
     assert (result.row_count, result.plan_source, calls) == (base, "incremental", [])
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_many_batches_patch_with_at_most_two_evaluations(backend, monkeypatch):
-    engine = _chain_engine(backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_many_batches_patch_with_at_most_two_evaluations(form, monkeypatch):
+    engine = _chain_engine(form)
     engine.count(FULL)
     calls = _spy_patch_asks(engine, monkeypatch)
     for value in range(10, 24):  # 29 batches: within the log's limit
@@ -339,9 +338,9 @@ def test_many_batches_patch_with_at_most_two_evaluations(backend, monkeypatch):
     assert [(verb, len(rows)) for verb, _, rows in calls] == [("count", 14), ("count", 2)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_a_log_past_its_limit_falls_back_correctly(backend):
-    engine = _chain_engine(backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_a_log_past_its_limit_falls_back_correctly(form):
+    engine = _chain_engine(form)
     engine.count(FULL)
     for value in range(engine.database.delta_log_limit + 1):
         engine.insert("S", [(1, 100 + value)])
@@ -352,10 +351,10 @@ def test_a_log_past_its_limit_falls_back_correctly(backend):
 
 
 @pytest.mark.parametrize("seed", range(6))
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_random_traces_match_a_fresh_engine(backend, seed, monkeypatch):
-    rng = random.Random(f"{backend}:{seed}")
-    engine = _chain_engine(backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_random_traces_match_a_fresh_engine(form, seed, monkeypatch):
+    rng = random.Random(f"{form}:{seed}")
+    engine = _chain_engine(form)
     calls = _spy_patch_asks(engine, monkeypatch)
     for _ in range(30):
         name = rng.choice(["R", "R", "S"])

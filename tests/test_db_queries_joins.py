@@ -26,6 +26,7 @@ from repro.db import (
 )
 from repro.exec import VirtualMachine, lower_generic_join, lower_yannakakis
 from repro.hypergraph import four_cycle, triangle
+from tests.conftest import LOAD_FORMS, load_database
 
 
 _ORDER_SCRIPT = """
@@ -127,7 +128,7 @@ class TestDatabase:
 
 
 def check_against_oracle(query, database, oracle, strategies):
-    """Every strategy on both backends answers the three verbs as the oracle.
+    """Every strategy, for both input forms, answers the three verbs as the oracle.
 
     ``exists`` runs on ``query``; ``count`` and ``select`` on its body with
     every variable in the head (the full join), for each strategy that
@@ -135,8 +136,8 @@ def check_against_oracle(query, database, oracle, strategies):
     """
     full = query.with_outputs(sorted(query.variables))
     expected = oracle(full, database)
-    for backend in ("set", "columnar"):
-        engine = QueryEngine(Database(dict(database.items()), backend=backend))
+    for form in LOAD_FORMS:
+        engine = QueryEngine(load_database(form, database.items()))
         for strategy in strategies:
             assert engine.exists(query, strategy).answer is bool(expected)
             if strategy != "omega":

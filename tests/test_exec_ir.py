@@ -33,6 +33,7 @@ from repro.exec import (
 )
 from repro.exec import ir
 from repro.exec.ir import Program
+from tests.conftest import LOAD_FORMS, load_database
 
 OMEGA = OMEGA_BEST_KNOWN
 TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
@@ -192,13 +193,12 @@ def test_every_operator_class_renames_and_rebuilds(cls):
 
 class TestLoweringEquivalence:
     @pytest.mark.parametrize("seed", range(5))
-    @pytest.mark.parametrize("backend", ["set", "columnar"])
-    def test_all_strategies_agree_on_ir_path(self, seed, backend):
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_all_strategies_agree_on_ir_path(self, seed, form):
         db = random_database(
-            TRIANGLE, 30, domain_size=8, seed=seed, plant_witness=(seed % 2 == 0),
-            backend=backend,
+            TRIANGLE, 30, domain_size=8, seed=seed, plant_witness=(seed % 2 == 0)
         )
-        engine = QueryEngine(db, omega=OMEGA)
+        engine = QueryEngine(load_database(form, db.items()), omega=OMEGA)
         answers = {
             strategy: engine.ask(TRIANGLE, strategy=strategy).answer
             for strategy in ("naive", "generic_join", "omega")

@@ -2,8 +2,9 @@
 
 Four layers, from storage up:
 
-* backend kernels — ``append_rows``/``delete_rows`` return exact deltas
-  and never mutate the source relation, on both backends;
+* write kernels — ``append_rows``/``delete_rows`` return exact deltas
+  and never mutate the source relation, for both input forms
+  (``tests.conftest.LOAD_FORMS``);
 * the database delta ledger — per-relation versions and epochs, the
   bounded delta log, threshold fallback to fresh statistics;
 * engine patching — cached ``exists``/``count`` answers adjusted under
@@ -11,7 +12,7 @@ Four layers, from storage up:
   guards (several mutated relations, unbound atom variables) falling back
   to full execution;
 * differential replay — seeded interleaved insert/delete/query traces
-  across backends × strategies, cross-checked step by
+  across input forms × strategies, cross-checked step by
   step against a from-scratch engine built on the current data.  The
   incremental engine may *never* disagree: a stale cache shows up as a
   wrong answer with a reproducible seed.
@@ -26,9 +27,8 @@ import threading
 import pytest
 
 from repro.api import QueryEngine
-from repro.db import Database, Relation, available_backends, parse_query
-
-BACKENDS = available_backends()
+from repro.db import Database, Relation, parse_query
+from tests.conftest import LOAD_FORMS, load_database, load_relation
 
 SCHEMA = ("a", "b")
 CHAIN = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
@@ -37,75 +37,68 @@ CHAIN_BOOL = parse_query("Q() :- R(X, Y), S(Y, Z)")
 TRIANGLE_BOOL = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 
 
-def make_database(backend=None, **kwargs):
-    db = Database(backend=backend, **kwargs) if backend else Database(**kwargs)
-    db["R"] = Relation.from_pairs(SCHEMA, [(1, 2), (2, 3), (3, 1)], "R")
-    db["S"] = Relation.from_pairs(SCHEMA, [(2, 5), (3, 6), (1, 7)], "S")
-    db["T"] = Relation.from_pairs(SCHEMA, [(1, 5), (9, 9)], "T")
-    return db
+def make_database(form="columnar", **kwargs):
+    tables = {
+        "R": (SCHEMA, [(1, 2), (2, 3), (3, 1)]),
+        "S": (SCHEMA, [(2, 5), (3, 6), (1, 7)]),
+        "T": (SCHEMA, [(1, 5), (9, 9)]),
+    }
+    return load_database(form, tables, **kwargs)
 
 
 # ----------------------------------------------------------------------
-# Backend kernels
+# Write kernels
 # ----------------------------------------------------------------------
 class TestRelationKernels:
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_insert_rows_returns_exact_delta(self, backend):
-        relation = Relation.from_pairs(
-            SCHEMA, [(1, 2), (2, 3)], "R"
-        ).with_backend(backend)
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_insert_rows_returns_exact_delta(self, form):
+        relation = load_relation(form, SCHEMA, [(1, 2), (2, 3)], "R")
         updated, added = relation.insert_rows([(1, 2), (4, 5), (4, 5)])
         assert set(added) == {(4, 5)}
         assert len(updated) == 3
         assert len(relation) == 2  # source untouched
         assert set(updated) == {(1, 2), (2, 3), (4, 5)}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delete_rows_returns_exact_delta(self, backend):
-        relation = Relation.from_pairs(
-            SCHEMA, [(1, 2), (2, 3), (3, 4)], "R"
-        ).with_backend(backend)
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_delete_rows_returns_exact_delta(self, form):
+        relation = load_relation(form, SCHEMA, [(1, 2), (2, 3), (3, 4)], "R")
         updated, removed = relation.delete_rows([(2, 3), (9, 9)])
         assert set(removed) == {(2, 3)}
         assert set(updated) == {(1, 2), (3, 4)}
         assert len(relation) == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_noop_updates_return_same_relation(self, backend):
-        relation = Relation.from_pairs(SCHEMA, [(1, 2)], "R").with_backend(backend)
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_noop_updates_return_same_relation(self, form):
+        relation = load_relation(form, SCHEMA, [(1, 2)], "R")
         same, added = relation.insert_rows([(1, 2)])
         assert added == () and same is relation
         same, removed = relation.delete_rows([(7, 7)])
         assert removed == () and same is relation
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_delete_everything_then_reinsert(self, backend):
-        relation = Relation.from_pairs(SCHEMA, [(1, 2), (2, 3)], "R").with_backend(
-            backend
-        )
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_delete_everything_then_reinsert(self, form):
+        relation = load_relation(form, SCHEMA, [(1, 2), (2, 3)], "R")
         empty, removed = relation.delete_rows([(1, 2), (2, 3)])
         assert len(empty) == 0 and len(removed) == 2
         refilled, added = empty.insert_rows([(5, 6)])
         assert set(refilled) == {(5, 6)} and set(added) == {(5, 6)}
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fresh_statistics_match_rebuild(self, backend):
-        relation = Relation.from_pairs(
-            SCHEMA, [(1, 2), (1, 3), (2, 3)], "R"
-        ).with_backend(backend)
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_fresh_statistics_match_rebuild(self, form):
+        relation = load_relation(form, SCHEMA, [(1, 2), (1, 3), (2, 3)], "R")
         grown, _ = relation.insert_rows([(1, 4), (3, 4)])
         fresh = grown.with_fresh_statistics()
-        rebuilt = Relation.from_pairs(SCHEMA, sorted(grown), "R").with_backend(backend)
+        rebuilt = load_relation(form, SCHEMA, grown, "R")
         assert fresh.stats.n_rows == rebuilt.stats.n_rows
         for var in SCHEMA:
             assert fresh.stats.distinct(var) == rebuilt.stats.distinct(var)
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_dictionary_growth_new_values(self, backend):
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_dictionary_growth_new_values(self, form):
         # Values never seen at build time must encode cleanly (the
-        # columnar backend grows its dictionary without mutating the
-        # one shared with the pre-insert relation).
-        relation = Relation.from_pairs(SCHEMA, [("x", "y")], "R").with_backend(backend)
+        # backend grows its dictionary without mutating the one shared
+        # with the pre-insert relation).
+        relation = load_relation(form, SCHEMA, [("x", "y")], "R")
         grown, added = relation.insert_rows([("p", "q"), ("x", "q")])
         assert set(added) == {("p", "q"), ("x", "q")}
         assert set(grown) == {("x", "y"), ("p", "q"), ("x", "q")}
@@ -180,23 +173,27 @@ class TestDatabaseDeltas:
         with pytest.raises(KeyError):
             db.insert("Zed", [(1, 2)])
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_fingerprints_track_touched_relations_only(self, backend):
-        db = make_database(backend=backend)
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_fingerprints_track_touched_relations_only(self, form):
+        db = make_database(form)
         fp_rs = db.fingerprint_for(["R", "S"])
         db.insert("T", [(4, 4)])
         assert db.fingerprint_for(["R", "S"]) == fp_rs  # untouched pair
         db.insert("R", [(7, 8)])
         assert db.fingerprint_for(["R", "S"]) != fp_rs
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_concurrent_writers_lose_no_update(self, backend):
+    @pytest.mark.parametrize("form", LOAD_FORMS)
+    def test_concurrent_writers_lose_no_update(self, form):
         # insert is a read-modify-write of the stored relation: four server
         # threads writing one relation must serialise on the database lock,
         # while readers (who take no lock) probe whatever version is current.
         threads, per_thread, stored = 4, 200, 5000
-        db = Database(backend=backend, delta_log_limit=10**4, delta_threshold_rows=10**6)
-        db["R"] = Relation(SCHEMA, [(i, i + 1) for i in range(stored)], "R")
+        db = load_database(
+            form,
+            {"R": (SCHEMA, [(i, i + 1) for i in range(stored)])},
+            delta_log_limit=10**4,
+            delta_threshold_rows=10**6,
+        )
         # Every written row brings a new value in both columns; the partner
         # holds exactly the written b-values, so a consistent snapshot of n
         # rows semijoins to n - stored of them.
@@ -204,8 +201,8 @@ class TestDatabaseDeltas:
             [(-(t * per_thread + i) - 1, stored + 1 + t * per_thread + i) for i in range(per_thread)]
             for t in range(threads)
         ]
-        partner = Relation(
-            ("b", "c"), [(row[1], 0) for rows in written for row in rows], backend=backend
+        partner = load_relation(
+            form, ("b", "c"), [(row[1], 0) for rows in written for row in rows]
         )
         engine = QueryEngine(db)
         base = db.relation_version("R")
@@ -302,16 +299,6 @@ class TestEnginePatching:
         result = engine.count(CHAIN_FULL)
         assert result.row_count == base
         assert result.plan_source == "incremental"
-
-    def test_patch_delta_is_built_in_the_stored_kind(self):
-        # A binary operator answers in its left operand's kind: a set-backed
-        # delta on the left would convert every stored relation it meets.
-        for backend in BACKENDS:
-            engine = QueryEngine(make_database(backend))
-            engine.count(CHAIN_FULL)
-            engine.insert("S", [(2, 99)])
-            assert engine.count(CHAIN_FULL).plan_source == "incremental"
-            assert engine._patch_engine.database["S"].backend_kind == backend
 
     def test_count_bails_when_atom_variable_unbound(self):
         engine = QueryEngine(make_database())
@@ -451,11 +438,9 @@ def _trace(rng, steps):
     return operations
 
 
-def _reference_answers(rows_by_name, verb_key, backend, strategy):
+def _reference_answers(rows_by_name, verb_key, form, strategy):
     """From-scratch ground truth on the current data (no caches)."""
-    db = Database(backend=backend) if backend else Database()
-    for name, rows in rows_by_name.items():
-        db[name] = Relation.from_pairs(SCHEMA, sorted(rows), name)
+    db = load_database(form, {name: (SCHEMA, rows) for name, rows in rows_by_name.items()})
     engine = QueryEngine(db, incremental=False)
     query = TRACE_QUERIES[verb_key]
     if verb_key.startswith("exists"):
@@ -465,11 +450,11 @@ def _reference_answers(rows_by_name, verb_key, backend, strategy):
     return engine.select(query, strategy).to_rows()
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
+@pytest.mark.parametrize("form", LOAD_FORMS)
 @pytest.mark.parametrize("seed", range(4))
-def test_interleaved_trace_matches_from_scratch(backend, seed):
-    rng = random.Random(f"incremental:{backend}:{seed}")
-    db = make_database(backend=backend)
+def test_interleaved_trace_matches_from_scratch(form, seed):
+    rng = random.Random(f"incremental:{form}:{seed}")
+    db = make_database(form)
     engine = QueryEngine(db)
     shadow = {name: set(db[name]) for name in ("R", "S", "T")}
 
@@ -486,7 +471,7 @@ def test_interleaved_trace_matches_from_scratch(backend, seed):
             assert changed == before - len(shadow[target]), (seed, step)
         else:
             verb_key = target
-            expected = _reference_answers(shadow, verb_key, backend, "auto")
+            expected = _reference_answers(shadow, verb_key, form, "auto")
             query = TRACE_QUERIES[verb_key]
             if verb_key.startswith("exists"):
                 got = engine.exists(query).answer
@@ -515,7 +500,7 @@ def test_trace_per_strategy(strategy):
             engine.delete(target, payload)
             shadow[target] -= set(payload)
         else:
-            expected = _reference_answers(shadow, target, None, strategy)
+            expected = _reference_answers(shadow, target, "columnar", strategy)
             query = TRACE_QUERIES[target]
             if target.startswith("exists"):
                 got = engine.exists(query, strategy).answer
@@ -526,9 +511,9 @@ def test_trace_per_strategy(strategy):
             assert got == expected, (strategy, step, target)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sorted_select_prefixes_after_updates(backend):
-    engine = QueryEngine(make_database(backend=backend))
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_sorted_select_prefixes_after_updates(form):
+    engine = QueryEngine(make_database(form))
     full = engine.select(CHAIN, order="sorted").to_rows()
     assert engine.select(CHAIN, limit=2, order="sorted").to_rows() == full[:2]
     engine.insert("R", [(0, 2)])  # sorts before everything: new first row

@@ -9,6 +9,7 @@ import pytest
 
 from repro.api.errors import QueryTimeout
 from repro.db import Database, Relation
+from repro.db.backends import ColumnarBackend
 from repro.db.query import QueryParseError, parse_query
 from repro.lang import (
     LoadStatement,
@@ -299,7 +300,7 @@ class TestSession:
         assert outcome.payload["rows"] == 2
         assert session.execute("EXISTS R(X, Y)").payload["answer"] is True
         # The front door stores what every measured workload stores.
-        assert session.engine.database["R"].backend_kind == "columnar"
+        assert type(session.engine.database["R"]._backend) is ColumnarBackend
 
     def test_explain_does_not_execute(self):
         session = Session(triangle_db())

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.db import Database, Relation
+from repro.db.backends import ColumnarBackend
 from repro.db.loader import infer_column, load_table, sniff_delimiter
 
 
@@ -137,7 +138,8 @@ class TestDatabaseLoadCsv:
         path = write(tmp_path, "edges.csv", "src,dst\n1,2\n")
         db = Database(backend="columnar")
         relation = db.load_csv(path)
-        assert relation.backend_kind == "columnar"
+        assert type(relation._backend) is ColumnarBackend
+        assert relation.rows == {(1, 2)}
 
     def test_loaded_relation_joins_with_builtins(self, tmp_path):
         path = write(tmp_path, "R.csv", "a,b\n1,2\n2,3\n")

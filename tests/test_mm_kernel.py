@@ -5,8 +5,9 @@ mask's rows, evaluates through one kernel on dictionary codes
 (:meth:`repro.db.backends.ColumnarBackend.matmul`).  These tests run every
 form through the :class:`VirtualMachine` against an oracle made of set
 comprehensions over plain tuples and pin everything the trace reports about
-a product — ``rows_in``, ``matrix_shape``, ``group_count`` — next to the
-row set, the schema and the output backend kind.  The kernel's ranks come
+a product — ``rows_in``, ``matrix_shape``, ``group_count``, its kernel —
+next to the row set and the schema, with each operand built through either
+input form (``tests.conftest.LOAD_FORMS``).  The kernel's ranks come
 from a presence table or, past its bound, one sort; both must agree.
 """
 
@@ -20,12 +21,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.api import QueryEngine
-from repro.db import Database, Relation, available_backends, backends, parse_query
+from repro.db import Database, Relation, backends, parse_query
 from repro.db.backends import ColumnarBackend, _ranks_within_groups
 from repro.exec.ir import GroupedMatMul, Join, Program, Restrict, Scan
 from repro.exec.vm import VirtualMachine
-
-BACKENDS = available_backends()
+from tests.conftest import LOAD_FORMS, load_database, load_relation
 
 #: One NaN *object*: equal to itself by identity only, like any value a
 #: relation stores twice.
@@ -94,11 +94,11 @@ def run_operator(left, right, rows, inner, cols, group, grouped=True):
 
 
 def check_against_oracle(
-    left_schema, left_rows, left_kind, right_schema, right_rows, right_kind,
+    left_schema, left_rows, left_form, right_schema, right_rows, right_form,
     rows, inner, cols, group, grouped=True,
 ):  # fmt: skip
-    left = Relation(left_schema, left_rows, backend=left_kind)
-    right = Relation(right_schema, right_rows, backend=right_kind)
+    left = load_relation(left_form, left_schema, left_rows)
+    right = load_relation(right_form, right_schema, right_rows)
     relation, trace = run_operator(left, right, rows, inner, cols, group, grouped)
     expected, rows_in, shape, group_count = oracle(
         left_schema, left_rows, right_schema, right_rows, rows, inner, cols, group
@@ -106,7 +106,7 @@ def check_against_oracle(
     assert relation.schema == tuple(rows) + tuple(cols) + tuple(group)
     assert relation.rows == expected
     assert len(relation) == len(expected)  # distinct by construction
-    assert relation.backend_kind == left_kind == trace.kernel
+    assert trace.kernel == "columnar"
     assert trace.rows_in == rows_in
     assert trace.matrix_shape == shape
     assert trace.group_count == group_count
@@ -137,10 +137,10 @@ def mm_cases(draw):
         return draw(st.lists(row, max_size=14))
 
     grouped = bool(group) or draw(st.booleans())
-    kinds = draw(st.tuples(st.sampled_from(BACKENDS), st.sampled_from(BACKENDS)))
+    forms = draw(st.tuples(st.sampled_from(LOAD_FORMS), st.sampled_from(LOAD_FORMS)))
     return (
-        tuple(left_schema), table(left_schema), kinds[0],
-        tuple(right_schema), table(right_schema), kinds[1],
+        tuple(left_schema), table(left_schema), forms[0],
+        tuple(right_schema), table(right_schema), forms[1],
         rows, inner, cols, group, grouped,
     )  # fmt: skip
 
@@ -191,26 +191,26 @@ def masked_cases(draw):
         return draw(st.lists(st.tuples(*[values for _ in schema]), max_size=14))
 
     tables = [table(schemas[0]), table(schemas[1]), table(schemas[2], MASK_VALUES)]
-    kinds = draw(st.tuples(*[st.sampled_from(BACKENDS)] * 3))
+    forms = draw(st.tuples(*[st.sampled_from(LOAD_FORMS)] * 3))
     # A Restrict keeps the left operand's dictionaries, now larger than its rows.
     restrict = bool(rows + inner) and draw(st.booleans())
     narrow, sort = draw(st.booleans()), draw(st.booleans())
-    return schemas, tables, kinds, (rows, inner, cols, group), restrict, narrow, sort
+    return schemas, tables, forms, (rows, inner, cols, group), restrict, narrow, sort
 
 
 @settings(max_examples=400, deadline=None)
 @given(masked_cases())
 def test_masked_product_is_the_join_with_its_mask(case):
-    schemas, tables, kinds, dims, restrict, narrow, sort = case
+    schemas, tables, forms, dims, restrict, narrow, sort = case
     database = Database()
-    for name, schema, rows, kind in zip("ABM", schemas, tables, kinds):
-        database[name] = Relation(schema, rows, backend=kind)
+    for name, schema, rows, form in zip("ABM", schemas, tables, forms):
+        database[name] = load_relation(form, schema, rows)
     left = Scan("A", schemas[0])
     left_rows = set(tables[0])
     if restrict:
         variable = schemas[0][0]
         kept = {row[0] for row in tables[0][::2]}
-        database["F"] = Relation((variable,), [(v,) for v in kept], backend=kinds[0])
+        database["F"] = load_relation(forms[0], (variable,), [(v,) for v in kept])
         left = Restrict(left, variable, Scan("F", (variable,)), variable)
         left_rows = {row for row in left_rows if row[0] in kept}
     node = GroupedMatMul(left, Scan("B", schemas[1]), *map(tuple, dims), mask=Scan("M", schemas[2]))
@@ -226,14 +226,14 @@ def test_masked_product_is_the_join_with_its_mask(case):
     )
     assert node.schema == relation.schema == schemas[2]
     assert relation.rows == expected
-    assert relation.backend_kind == kinds[2] == trace.kernel
+    assert trace.kernel == "columnar"
     assert (trace.rows_in, trace.matrix_shape) == (rows_in, shape)
     assert (trace.group_count or 0) == group_count
 
 
 @pytest.mark.parametrize("group", [(), ("G",)])
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_masked_output_follows_the_mask_rows_and_matches_the_join(kind, group):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_masked_output_follows_the_mask_rows_and_matches_the_join(form, group):
     """Bit for bit what ``Join(mask, product)`` returns, row order included."""
     rng = random.Random(4)
     tables = {
@@ -241,9 +241,7 @@ def test_masked_output_follows_the_mask_rows_and_matches_the_join(kind, group):
         "S": (("Y", "Z", "G"), {tuple(rng.randrange(8) for _ in "YZG") for _ in range(40)}),
         "T": (("Z", "W", "G", "X"), {tuple(rng.randrange(8) for _ in "ZWGX") for _ in range(80)}),
     }
-    database = Database()
-    for name, (schema, rows) in tables.items():
-        database[name] = Relation(schema, rows, backend=kind)
+    database = load_database(form, tables)
     r, s, t = (Scan(name, schema) for name, (schema, _) in tables.items())
     product = GroupedMatMul(r, s, ("X",), ("Y",), ("Z",), group)
     masked = GroupedMatMul(r, s, ("X",), ("Y",), ("Z",), group, mask=t)
@@ -284,92 +282,92 @@ def test_presence_ranks_equal_sorted_ranks(case):
 # ----------------------------------------------------------------------
 # The named corners, one example each
 # ----------------------------------------------------------------------
-@pytest.mark.parametrize("right_kind", BACKENDS)
-@pytest.mark.parametrize("left_kind", BACKENDS)
+@pytest.mark.parametrize("right_form", LOAD_FORMS)
+@pytest.mark.parametrize("left_form", LOAD_FORMS)
 class TestCorners:
-    def check(self, left_kind, right_kind, left, right, rows, inner, cols, group, **kw):
+    def check(self, left_form, right_form, left, right, rows, inner, cols, group, **kw):
         return check_against_oracle(
-            left[0], left[1], left_kind, right[0], right[1], right_kind,
+            left[0], left[1], left_form, right[0], right[1], right_form,
             rows, inner, cols, group, **kw,
         )  # fmt: skip
 
-    def test_plain_product_is_one_group(self, left_kind, right_kind):
+    def test_plain_product_is_one_group(self, left_form, right_form):
         left = (("X", "Y"), [(1, 10), (1, 11), (2, 11)])
         right = (("Y", "Z"), [(10, 5), (11, 6), (12, 7)])
         for grouped in (True, False):
             _, trace = self.check(
-                left_kind, right_kind, left, right, ["X"], ["Y"], ["Z"], [], grouped=grouped
+                left_form, right_form, left, right, ["X"], ["Y"], ["Z"], [], grouped=grouped
             )
             # Z = 7 hangs off an inner value the left side lacks: it still
             # counts as a column, as it always has.
             assert trace.matrix_shape == (2, 2, 3) and trace.group_count == 1
 
-    def test_empty_sides(self, left_kind, right_kind):
+    def test_empty_sides(self, left_form, right_form):
         full = (("X", "Y"), [(1, 2)])
         empty = (("Y", "Z"), [])
-        _, trace = self.check(left_kind, right_kind, full, empty, ["X"], ["Y"], ["Z"], [])
+        _, trace = self.check(left_form, right_form, full, empty, ["X"], ["Y"], ["Z"], [])
         assert trace.rows_in == 1 and trace.matrix_shape == (0, 0, 0)
         _, trace = self.check(
-            left_kind, right_kind, (("X", "Y"), []), (("Y", "Z"), [(2, 3)]),
+            left_form, right_form, (("X", "Y"), []), (("Y", "Z"), [(2, 3)]),
             ["X"], ["Y"], ["Z"], [],
         )  # fmt: skip
         assert trace.rows_in == 0 and trace.group_count == 0
 
-    def test_disjoint_group_sets(self, left_kind, right_kind):
+    def test_disjoint_group_sets(self, left_form, right_form):
         left = (("X", "Y", "G"), [(1, 2, "a"), (3, 2, "b")])
         right = (("Y", "Z", "G"), [(2, 5, "c"), (2, 6, "d")])
         relation, trace = self.check(
-            left_kind, right_kind, left, right, ["X"], ["Y"], ["Z"], ["G"]
+            left_form, right_form, left, right, ["X"], ["Y"], ["Z"], ["G"]
         )
         assert relation.is_empty() and trace.matrix_shape == (0, 0, 0)
         assert trace.rows_in == 4 and trace.group_count == 0
 
-    def test_inner_values_on_one_side_only(self, left_kind, right_kind):
+    def test_inner_values_on_one_side_only(self, left_form, right_form):
         left = (("X", "Y", "G"), [(1, 2, 0), (1, 3, 0), (4, 9, 1)])
         right = (("Y", "Z", "G"), [(2, 5, 0), (8, 6, 0), (7, 6, 1)])
         relation, trace = self.check(
-            left_kind, right_kind, left, right, ["X"], ["Y"], ["Z"], ["G"]
+            left_form, right_form, left, right, ["X"], ["Y"], ["Z"], ["G"]
         )
         assert relation.rows == {(1, 5, 0)}
         assert trace.matrix_shape == (1, 2, 2) and trace.group_count == 2
 
-    def test_duplicate_projections(self, left_kind, right_kind):
+    def test_duplicate_projections(self, left_form, right_form):
         # W rides along on neither dimension: rows that differ only there
         # fill the same matrix cell.
         left = (("X", "Y", "W"), [(1, 2, w) for w in range(5)])
         right = (("Y", "Z", "W2"), [(2, 3, w) for w in range(4)])
         relation, trace = self.check(
-            left_kind, right_kind, left, right, ["X"], ["Y"], ["Z"], []
+            left_form, right_form, left, right, ["X"], ["Y"], ["Z"], []
         )
         assert relation.rows == {(1, 3)} and trace.matrix_shape == (1, 1, 1)
 
-    def test_nan_and_mixed_type_values(self, left_kind, right_kind):
+    def test_nan_and_mixed_type_values(self, left_form, right_form):
         left = (("X", "Y", "G"), [(1, NAN, "g"), ("one", 2, "g"), (None, NAN, 7)])
         right = (("Y", "Z", "G"), [(NAN, "z", "g"), (2, 3.5, "g"), (float("nan"), 0, 7)])
         relation, _ = self.check(
-            left_kind, right_kind, left, right, ["X"], ["Y"], ["Z"], ["G"]
+            left_form, right_form, left, right, ["X"], ["Y"], ["Z"], ["G"]
         )
         # The shared NaN object joins with itself; a different NaN does not.
         assert relation.rows == {(1, "z", "g"), ("one", 3.5, "g")}
 
-    def test_two_variables_per_dimension(self, left_kind, right_kind):
+    def test_two_variables_per_dimension(self, left_form, right_form):
         rng = random.Random(5)
         left_schema = ("G1", "X1", "K1", "X2", "K2", "G2")
         right_schema = ("K2", "Z1", "G2", "K1", "Z2", "G1")
         left = (left_schema, [tuple(rng.randrange(3) for _ in left_schema) for _ in range(120)])
         right = (right_schema, [tuple(rng.randrange(3) for _ in right_schema) for _ in range(120)])
         self.check(
-            left_kind, right_kind, left, right,
+            left_form, right_form, left, right,
             ["X1", "X2"], ["K1", "K2"], ["Z1", "Z2"], ["G1", "G2"],
         )  # fmt: skip
 
-    def test_nullary_dimensions(self, left_kind, right_kind):
+    def test_nullary_dimensions(self, left_form, right_form):
         # No row and no column variables: the product is the 1 × K × 1
         # question "do the sides share an inner value".
         left = (("Y",), [(1,), (2,)])
         for right_rows, expected in ([(2,), (3,)], {()}), ([(4,)], set()):
             relation, trace = self.check(
-                left_kind, right_kind, left, (("Y",), right_rows), [], ["Y"], [], []
+                left_form, right_form, left, (("Y",), right_rows), [], ["Y"], [], []
             )
             assert relation.rows == expected and trace.matrix_shape == (1, 2, 1)
 
@@ -390,10 +388,10 @@ def test_past_the_composite_limit_keys_are_still_codes(monkeypatch):
 
 
 def test_tombstoned_operands_are_compacted_first():
-    left = Relation(("X", "Y"), [(x, y) for x in range(6) for y in range(6)], backend="columnar")
+    left = Relation(("X", "Y"), [(x, y) for x in range(6) for y in range(6)])
     left, removed = left.delete_rows([(x, 3) for x in range(6)])
     assert len(removed) == 6
-    right = Relation(("Y", "Z"), [(3, "gone"), (4, "kept")], backend="columnar")
+    right = Relation(("Y", "Z"), [(3, "gone"), (4, "kept")])
     relation, trace = run_operator(left, right, ["X"], ["Y"], ["Z"], [])
     assert relation.rows == {(x, "kept") for x in range(6)}
     assert trace.matrix_shape == (6, 5, 2)
@@ -405,8 +403,8 @@ def test_columnar_output_order_follows_codes_not_hashes():
     rng = random.Random(2)
     left_rows = {(rng.choice(names), rng.choice(names), rng.choice("ab")) for _ in range(60)}
     right_rows = {(rng.choice(names), rng.choice(names), rng.choice("bc")) for _ in range(60)}
-    left = Relation(("X", "Y", "G"), left_rows, backend="columnar")
-    right = Relation(("Y", "Z", "G"), right_rows, backend="columnar")
+    left = Relation(("X", "Y", "G"), left_rows)
+    right = Relation(("Y", "Z", "G"), right_rows)
     relation, _ = run_operator(left, right, ["X"], ["Y"], ["Z"], ["G"])
     # Homogeneous columns are coded in value order, and the kernel emits
     # group by group, row-major within each product.
@@ -414,18 +412,17 @@ def test_columnar_output_order_follows_codes_not_hashes():
     assert list(relation) == sorted(relation.rows, key=lambda row: (row[2], row[0], row[1]))
 
 
-@pytest.mark.parametrize("kind", BACKENDS)
-def test_relation_matmul_is_total_on_empty_operands(kind):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_relation_matmul_is_total_on_empty_operands(form):
     """The VM never calls the kernel with an empty side; a direct caller may."""
-    full = Relation(("X", "Y"), [(1, 2)], backend=kind)
+    full = load_relation(form, ("X", "Y"), [(1, 2)])
     for left, right in (
-        (full, Relation(("Y", "Z"), [], backend=kind)),
-        (Relation(("W", "X"), [], backend=kind), full),
+        (full, load_relation(form, ("Y", "Z"), [])),
+        (load_relation(form, ("W", "X"), []), full),
     ):
         rows, inner, cols = left.schema[:1], left.schema[1:], right.schema[1:]
         product, shape, group_count = left.matmul(right, rows, inner, cols, [])
         assert product.schema == rows + cols and product.is_empty()
-        assert product.backend_kind == kind
         assert (shape, group_count) == ((0, 0, 0), 0)
 
 
@@ -450,8 +447,8 @@ def test_columnar_product_materialises_no_row_tuples(monkeypatch):
     domain = 40
     r_rows = {(rng.randrange(domain), rng.randrange(domain)) for _ in range(600)}
     t_rows = {(rng.randrange(domain), rng.randrange(domain)) for _ in range(600)}
-    left = Relation(("X", "Y"), r_rows, backend="columnar")
-    right = Relation(("X", "Z"), t_rows, backend="columnar")
+    left = Relation(("X", "Y"), r_rows)
+    right = Relation(("X", "Z"), t_rows)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the MM kernel materialised row tuples")
@@ -466,7 +463,7 @@ def test_columnar_product_materialises_no_row_tuples(monkeypatch):
         left.schema, r_rows, right.schema, t_rows, ["Y"], ["X"], ["Z"], []
     )
     assert produced == len(expected) and relation.rows == expected
-    assert relation.backend_kind == "columnar"
+    assert trace.kernel == "columnar"
     assert (trace.rows_in, trace.matrix_shape, trace.group_count) == (rows_in, shape, 1)
 
 
@@ -492,8 +489,8 @@ def _parity_triangle(rows, domain, seed):
     return {"R": pairs(True), "S": pairs(True), "T": pairs(False)}
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_omega_strategy_on_mixed_type_columns(backend):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_omega_strategy_on_mixed_type_columns(form):
     """Every seventh value is a string: a kernel on codes never compares values."""
     query = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
     schemas = {"R": ("X", "Y"), "S": ("Y", "Z"), "T": ("X", "Z")}
@@ -507,11 +504,13 @@ def test_omega_strategy_on_mixed_type_columns(backend):
         return f"s{value}" if value % 7 == 0 else value
 
     for tables, answer in ((witness_free, False), (planted, True)):
-        database = Database(backend=backend)
-        for name, rows in tables.items():
-            database[name] = Relation(
-                schemas[name], [(mixed(a), mixed(b)) for a, b in rows], backend=backend
-            )
+        database = load_database(
+            form,
+            {
+                name: (schemas[name], [(mixed(a), mixed(b)) for a, b in rows])
+                for name, rows in tables.items()
+            },
+        )
         engine = QueryEngine(database)
         result = engine.exists(query, "omega")
         assert result.answer is answer

@@ -1,14 +1,14 @@
 """The output-aware query API: exists / count / select across the stack.
 
 The differential core mirrors ``tests/test_backends_differential.py``: for
-every (strategy × backend × shape) case on seeded random instances,
+every (strategy × input form × shape) case on seeded random instances,
 ``count`` must equal the brute-force distinct-output count, ``select`` must
 enumerate exactly the brute-force tuple set in its deterministic order,
 and ``exists`` must answer exactly like the pre-verb ``ask``.  Around that sit the API-surface
 tests: ResultSet laziness/limit/fetch semantics, UnsupportedWorkload on the
 exists-only ω strategy with registry fallback, QueryParseError spans,
 ``QueryResult.to_dict`` round-tripping, and plan/result-cache invalidation
-through ``bulk_load`` and ``convert_backend``.
+through ``bulk_load``.
 """
 
 from __future__ import annotations
@@ -33,14 +33,12 @@ from repro.constants import OMEGA_BEST_KNOWN
 from repro.db import (
     Database,
     Relation,
-    available_backends,
     parse_query,
     random_database,
     triangle_instance,
 )
 from repro.exec.lower import lower_naive, lower_yannakakis
-
-BACKENDS = available_backends()
+from tests.conftest import LOAD_FORMS, load_database
 
 #: Output-producing variants of the differential shapes.
 SHAPES = {
@@ -101,16 +99,16 @@ def _strategies(query):
 def test_count_and_select_match_brute_force(shape, seed):
     query = parse_query(SHAPES[shape])
     tuples, domain, plant = _case_parameters(shape, seed)
-    for backend in BACKENDS:
-        database = random_database(
-            query, tuples, domain_size=domain, seed=seed, plant_witness=plant,
-            backend=backend,
-        )
+    generated = random_database(
+        query, tuples, domain_size=domain, seed=seed, plant_witness=plant
+    )
+    for form in LOAD_FORMS:
+        database = load_database(form, generated.items())
         expected = brute_force_outputs(query, database)
         expected_rows = sorted(expected)
         engine = QueryEngine(database)
         for strategy in _strategies(query):
-            label = f"{shape} seed={seed} backend={backend} strategy={strategy}"
+            label = f"{shape} seed={seed} form={form} strategy={strategy}"
             counted = engine.count(query, strategy=strategy)
             assert counted.row_count == len(expected), label
             assert counted.verb == "count"
@@ -128,9 +126,7 @@ def test_count_and_select_match_brute_force(shape, seed):
 @pytest.mark.parametrize("shape", ["path2", "triangle", "chain3"])
 def test_select_limits_are_prefixes_of_the_full_order(shape):
     query = parse_query(SHAPES[shape])
-    database = random_database(
-        query, 25, domain_size=6, seed=7, plant_witness=True, backend="columnar"
-    )
+    database = random_database(query, 25, domain_size=6, seed=7, plant_witness=True)
     engine = QueryEngine(database)
     full = engine.select(query).to_rows()
     total = len(full)
@@ -439,15 +435,11 @@ class TestCountKernel:
             tuple(rng.randint(0, 4) for _ in schema)
             for _ in range(rng.randint(0, 30))
         ]
-        reference = Relation(schema, rows, backend="set")
-        columnar = Relation(schema, rows, backend="columnar")
+        relation = Relation(schema, rows)
         for width in range(len(schema) + 1):
             kept = list(schema[:width])
-            expected = len(reference.project(kept)) if kept else (
-                1 if len(reference) else 0
-            )
-            assert reference.count_distinct(kept) == expected
-            assert columnar.count_distinct(kept) == expected
+            expected = len({row[:width] for row in rows})  # {()} when rows exist
+            assert relation.count_distinct(kept) == expected
 
     def test_duplicate_projection_variables_rejected(self):
         relation = Relation(("X", "Y"), [(1, 2)])
@@ -540,7 +532,7 @@ class TestToDict:
 
 
 class TestCacheInvalidation:
-    """bulk_load and convert_backend must invalidate both engine caches."""
+    """bulk_load must invalidate both engine caches."""
 
     TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 
@@ -564,23 +556,6 @@ class TestCacheInvalidation:
         assert refreshed.plan_source == "planner"
         # The result cache is keyed by fingerprint too: nothing may hit.
         assert engine.result_cache_info().hits == result_hits_before
-
-    def test_convert_backend_invalidates_plan_and_result_caches(self):
-        database = triangle_instance(40, domain_size=10, seed=6, plant_triangle=True)
-        engine = QueryEngine(database, omega=OMEGA_BEST_KNOWN)
-        answer = self._warm(engine)
-        result_hits_before = engine.result_cache_info().hits
-        fingerprint_before = database.fingerprint_for(database)
-        database.convert_backend("columnar")
-        assert database.fingerprint_for(database) != fingerprint_before
-        refreshed = engine.ask(self.TRIANGLE, strategy="omega")
-        assert refreshed.answer == answer  # same data, new representation
-        assert not refreshed.cache_hit
-        assert engine.result_cache_info().hits == result_hits_before
-        # Output verbs observe the conversion too.
-        outputs = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z), T(X, Z)")
-        counted = engine.count(outputs)
-        assert counted.row_count == len(brute_force_outputs(outputs, database))
 
 
 class TestLoweringShapes:

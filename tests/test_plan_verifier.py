@@ -48,9 +48,8 @@ def rules(violations):
     return {violation.rule for violation in violations}
 
 
-def chain_database(backend=None):
-    return random_database(CHAIN_SELECT, 30, domain_size=5, seed=11,
-                           plant_witness=True, backend=backend)
+def chain_database():
+    return random_database(CHAIN_SELECT, 30, domain_size=5, seed=11, plant_witness=True)
 
 
 # ----------------------------------------------------------------------

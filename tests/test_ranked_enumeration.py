@@ -3,7 +3,7 @@
 Pins the ranked select pipeline end to end:
 
 * differential — a sorted ``limit=k`` select equals the brute-force
-  sorted output's first ``k`` rows across strategies × storage backends
+  sorted output's first ``k`` rows across strategies × input forms
   × limit boundaries (0, 1, mid, |output|, > |output|);
 * the heap invariant — ranked batches arrive globally nondecreasing
   under :func:`~repro.db.ordering.row_order_key`, the cursor emits
@@ -16,7 +16,7 @@ Pins the ranked select pipeline end to end:
   the result cache (their traces show ``cache_hit``);
 * the storage-layer order primitives (``sorted_order``,
   ``ordered_distinct_values``, ``ordered_rows``) agree with the keyed
-  reference order on both backends, including mixed-type and NaN
+  reference order for both input forms, including mixed-type and NaN
   columns;
 * the dispatcher's ranked-vs-materialize routing decision.
 """
@@ -29,15 +29,14 @@ import pytest
 
 from repro.api import QueryEngine
 from repro.api.errors import QueryCancelledError
-from repro.db import Relation, available_backends, parse_query, random_database
+from repro.db import parse_query, random_database
 from repro.db.ordering import row_order_key, value_order_key
 from repro.exec.dispatch import KernelDispatcher
 from repro.exec.vm import CancellationToken
 
 from test_output_queries import brute_force_outputs
 from test_streaming_enumeration import CHAIN, SHAPES, _chain_database, _strategies
-
-BACKENDS = available_backends()
+from tests.conftest import LOAD_FORMS, load_database, load_relation
 
 
 def _norm(row):
@@ -54,17 +53,15 @@ def _norm(row):
 @pytest.mark.parametrize("seed", range(2))
 def test_sorted_limits_equal_brute_force_prefix_everywhere(shape, seed):
     query = parse_query(SHAPES[shape])
-    for backend in BACKENDS:
-        database = random_database(
-            query, 22, domain_size=5, seed=seed, plant_witness=True,
-            backend=backend,
-        )
+    generated = random_database(query, 22, domain_size=5, seed=seed, plant_witness=True)
+    for form in LOAD_FORMS:
+        database = load_database(form, generated.items())
         expected = sorted(brute_force_outputs(query, database), key=row_order_key)
         total = len(expected)
         engine = QueryEngine(database)
         for strategy in _strategies(query):
             for k in (0, 1, min(3, total), total, total + 7):
-                label = f"{shape}/{backend}/{strategy}/k={k}"
+                label = f"{shape}/{form}/{strategy}/k={k}"
                 rows = engine.select(
                     query, strategy=strategy, limit=k, order="sorted"
                 ).to_rows()
@@ -176,9 +173,9 @@ MIXED_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_sorted_order_matches_keyed_reference(backend):
-    relation = Relation(("A", "B"), MIXED_ROWS, backend=backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_sorted_order_matches_keyed_reference(form):
+    relation = load_relation(form, ("A", "B"), MIXED_ROWS)
     ordered = relation.ordered_rows()
     reference = sorted(relation.rows, key=row_order_key)
     assert [_norm(r) for r in ordered] == [_norm(r) for r in reference]
@@ -191,9 +188,9 @@ def test_sorted_order_matches_keyed_reference(backend):
     assert [_norm(r) for r in via_indices] == [_norm(r) for r in reference]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ordered_rows_limit_is_a_prefix(backend):
-    relation = Relation(("A", "B"), MIXED_ROWS, backend=backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_ordered_rows_limit_is_a_prefix(form):
+    relation = load_relation(form, ("A", "B"), MIXED_ROWS)
     full = relation.ordered_rows()
     for k in (0, 1, 3, len(full), len(full) + 2):
         assert [_norm(r) for r in relation.ordered_rows(k)] == [
@@ -201,9 +198,9 @@ def test_ordered_rows_limit_is_a_prefix(backend):
         ]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_ordered_distinct_values_mixed_types_and_nan(backend):
-    relation = Relation(("A", "B"), MIXED_ROWS, backend=backend)
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_ordered_distinct_values_mixed_types_and_nan(form):
+    relation = load_relation(form, ("A", "B"), MIXED_ROWS)
     values = relation.ordered_distinct_values("A")
     reference = sorted(
         {row[0] for row in relation.rows}, key=value_order_key
@@ -218,17 +215,10 @@ def test_ordered_distinct_values_mixed_types_and_nan(backend):
 
 def test_order_primitives_agree_across_backends():
     rows = [(i % 7, (i * 3) % 11) for i in range(40)]
-    by_backend = {
-        backend: Relation(("A", "B"), rows, backend=backend)
-        for backend in BACKENDS
-    }
-    orderings = {b: r.ordered_rows() for b, r in by_backend.items()}
-    distinct = {b: r.ordered_distinct_values("B") for b, r in by_backend.items()}
-    reference_rows = next(iter(orderings.values()))
-    reference_vals = next(iter(distinct.values()))
-    for backend in BACKENDS:
-        assert list(orderings[backend]) == list(reference_rows), backend
-        assert list(distinct[backend]) == list(reference_vals), backend
+    for form in LOAD_FORMS:
+        relation = load_relation(form, ("A", "B"), rows)
+        assert list(relation.ordered_rows()) == sorted(set(rows)), form
+        assert list(relation.ordered_distinct_values("B")) == sorted({b for _, b in rows}), form
 
 
 # ----------------------------------------------------------------------

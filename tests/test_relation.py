@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.db import Relation, available_backends
+from repro.db import Relation
 from repro.db.backends import ColumnarBackend
 
 
@@ -29,12 +29,11 @@ class TestBasics:
         assert (1, 2) in r
 
     def test_equality_is_schema_order_insensitive(self):
-        for backend in available_backends():
-            a = Relation(("X", "Y"), [(1, 2)], backend=backend)
-            b = Relation(("Y", "X"), [(2, 1)], backend=backend)
-            assert a == b
-            # Equal objects hash equal: a set keeps one of them.
-            assert hash(a) == hash(b) and len({a, b}) == 1
+        a = Relation(("X", "Y"), [(1, 2)])
+        b = Relation(("Y", "X"), [(2, 1)])
+        assert a == b
+        # Equal objects hash equal: a set keeps one of them.
+        assert hash(a) == hash(b) and len({a, b}) == 1
 
     def test_column_values_and_domain(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 2)])
@@ -53,7 +52,8 @@ class TestOperators:
     def test_select_by_mapping_and_predicate(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 4)])
         assert r.select({"X": 1}).rows == {(1, 2)}
-        assert r.select(lambda row: row["Y"] > 2).rows == {(3, 4)}
+        assert r.select({"X": 3, "Y": 4}).rows == {(3, 4)}
+        assert r.select({"X": 1, "Y": 4}).is_empty()
 
     def test_rename(self):
         r = Relation(("X", "Y"), [(1, 2)])
@@ -142,31 +142,24 @@ class TestDegreesAndPartitioning:
 
 class TestBackends:
     def test_backend_selection_and_kind(self):
-        r = Relation(("X", "Y"), [(1, 2)])
-        assert r.backend_kind == "set"
-        c = Relation(("X", "Y"), [(1, 2)], backend="columnar")
-        assert c.backend_kind == "columnar"
-        assert r == c
-        with pytest.raises(ValueError):
-            Relation(("X",), [(1,)], backend="nope")
-
-    def test_with_backend_round_trip(self):
-        r = Relation(("X", "Y"), [(1, 2), (3, 4)], name="R")
-        c = r.with_backend("columnar")
-        assert c.backend_kind == "columnar" and c.name == "R"
-        assert c.with_backend("set").rows == r.rows
-        assert r.with_backend("set") is r
-        assert r.with_backend(None) is r
+        # One store: every constructor builds a columnar backend, and there
+        # is no backend to choose.
+        for built in (
+            Relation(("X", "Y"), [(1, 2)]),
+            Relation.from_columns(("X", "Y"), ([1], [2])),
+            Relation.from_pairs(("X", "Y"), [(1, 2)]),
+            Relation.empty(("X", "Y")),
+        ):
+            assert type(built._backend) is ColumnarBackend
+        with pytest.raises(TypeError):
+            Relation(("X",), [(1,)], backend="columnar")
 
     def test_from_columns(self):
         r = Relation.from_columns(("X", "Y"), ([1, 2, 2], [5, 6, 6]))
         assert r.rows == {(1, 5), (2, 6)}  # duplicates collapse
-        c = Relation.from_columns(
-            ("X", "Y"), ([1, 2, 2], [5, 6, 6]), backend="columnar"
-        )
-        assert c.rows == r.rows
+        assert r.rows == Relation(("X", "Y"), [(1, 5), (2, 6)]).rows
         arr = np.array([3, 3, 4])
-        via_numpy = Relation.from_columns(("X",), (arr,), backend="columnar")
+        via_numpy = Relation.from_columns(("X",), (arr,))
         assert via_numpy.rows == {(3,), (4,)}
         assert all(type(value) is int for (value,) in via_numpy.rows)
         with pytest.raises(ValueError):
@@ -175,88 +168,63 @@ class TestBackends:
             Relation.from_columns(("X",), ([1], [2]))
 
     def test_validation_matches_reference(self):
-        for backend in ("set", "columnar"):
-            with pytest.raises(ValueError):
-                Relation(("X", "X"), [], backend=backend)
-            with pytest.raises(ValueError):
-                Relation(("X", "Y"), [(1,)], backend=backend)
-            with pytest.raises(KeyError):
-                Relation(("X",), [(1,)], backend=backend).column_values("Z")
+        with pytest.raises(ValueError):
+            Relation(("X", "X"), [])
+        with pytest.raises(ValueError):
+            Relation(("X", "Y"), [(1,)])
+        with pytest.raises(KeyError):
+            Relation(("X",), [(1,)]).column_values("Z")
 
     def test_columnar_rename_shares_storage(self):
-        c = Relation(("X", "Y"), [(1, 2), (3, 4)], backend="columnar")
+        c = Relation(("X", "Y"), [(1, 2), (3, 4)])
         renamed = c.rename({"X": "A"})
         assert renamed._backend._columns is c._backend._columns
         assert renamed.rows == {(1, 2), (3, 4)}
 
     def test_stats_views(self):
-        r = Relation(("X", "Y"), [(1, 2), (1, 3), (2, 3)])
-        for backend in ("set", "columnar"):
-            stats = r.with_backend(backend).stats
-            assert stats.n_rows == 3
-            assert stats.distinct("X") == 2 and stats.distinct("Y") == 2
-            assert stats.distinct_counts == {"X": 2, "Y": 2}
-            assert stats.max_degree(["Y"], ["X"]) == 2
-            assert stats.max_degree(["X"]) == 2  # unconditional: V(X, r)
-            assert stats.fingerprint() == (3, (2, 2))
+        stats = Relation(("X", "Y"), [(1, 2), (1, 3), (2, 3)]).stats
+        assert stats.n_rows == 3
+        assert stats.distinct("X") == 2 and stats.distinct("Y") == 2
+        assert stats.distinct_counts == {"X": 2, "Y": 2}
+        assert stats.max_degree(["Y"], ["X"]) == 2
+        assert stats.max_degree(["X"]) == 2  # unconditional: V(X, r)
+        assert stats.fingerprint() == (3, (2, 2))
 
     def test_restrict(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 4), (5, 6)], name="R")
-        for backend in ("set", "columnar"):
-            converted = r.with_backend(backend)
-            kept = converted.restrict("X", {1, 5, 99})
-            assert kept.rows == {(1, 2), (5, 6)}
-            assert kept.name == "R"
-            assert converted.restrict("X", set()).is_empty()
+        kept = r.restrict("X", {1, 5, 99})
+        assert kept.rows == {(1, 2), (5, 6)}
+        assert kept.name == "R"
+        assert r.restrict("X", set()).is_empty()
 
     def test_nullary_and_empty_edge_cases(self):
-        for backend in ("set", "columnar"):
-            empty_nullary = Relation((), [], backend=backend)
-            unit = Relation((), [(), ()], backend=backend)
-            assert len(empty_nullary) == 0 and len(unit) == 1
-            assert list(unit) == [()]
-            assert unit.intersect(unit).rows == {()}
-            assert unit.intersect(empty_nullary).is_empty()
-            empty = Relation(("X", "Y"), [], backend=backend)
-            assert empty.project(["X"]).is_empty()
-            assert empty.join(empty).is_empty()
-            assert empty.degree(["Y"], ["X"]) == 0
-            assert empty.stats.fingerprint() == (0, (0, 0))
-
-    def test_mixed_backend_operations_fall_back(self):
-        left = Relation(("X", "Y"), [(1, 2), (3, 4)], backend="columnar")
-        right = Relation(("Y", "Z"), [(2, 7), (4, 8)])  # set backend
-        joined = left.join(right)
-        assert joined.rows == {(1, 2, 7), (3, 4, 8)}
-        assert left.semijoin(right).rows == {(1, 2), (3, 4)}
+        empty_nullary = Relation((), [])
+        unit = Relation((), [(), ()])
+        assert len(empty_nullary) == 0 and len(unit) == 1
+        assert list(unit) == [()]
+        assert unit.intersect(unit).rows == {()}
+        assert unit.intersect(empty_nullary).is_empty()
+        empty = Relation(("X", "Y"), [])
+        assert empty.project(["X"]).is_empty()
+        assert empty.join(empty).is_empty()
+        assert empty.degree(["Y"], ["X"]) == 0
+        assert empty.stats.fingerprint() == (0, (0, 0))
 
     def test_columnar_string_and_mixed_values(self):
         rows = [("a", 1), ("b", 2), ("a", 2)]
-        c = Relation(("X", "Y"), rows, backend="columnar")
+        c = Relation(("X", "Y"), rows)
         assert c.rows == set(rows)
-        mixed = Relation(("X",), [(1,), ("one",)], backend="columnar")
+        mixed = Relation(("X",), [(1,), ("one",)])
         assert mixed.rows == {(1,), ("one",)}
         assert mixed.restrict("X", {"one"}).rows == {("one",)}
 
-    def test_backend_instance_adoption_guards(self):
-        from repro.db.backends import SetBackend
-
-        built = SetBackend.from_rows(("X", "Y"), [(1, 2)])
-        adopted = Relation(("A", "B"), backend=built)
-        assert adopted.rows == {(1, 2)} and adopted.schema == ("A", "B")
-        with pytest.raises(ValueError):
-            Relation(("A", "B"), [(3, 4)], backend=built)  # rows would be dropped
-        with pytest.raises(ValueError):
-            Relation(("A", "B", "C"), backend=built)  # width mismatch
-
     def test_nan_parity_with_reference_backend(self):
         rows = [(float("nan"),), (float("nan"),), (1.0,)]
-        reference = Relation(("X",), rows, backend="set")
-        columnar = Relation(("X",), rows, backend="columnar")
+        columnar = Relation(("X",), rows)
         # Distinct NaN objects stay distinct under set semantics; the
         # columnar encoder must not collapse them via np.unique.
-        assert len(reference) == len(columnar) == 3
-        assert reference.stats.distinct("X") == columnar.stats.distinct("X") == 3
+        assert len(set(rows)) == len(columnar) == 3
+        assert len({row[0] for row in rows}) == columnar.stats.distinct("X") == 3
 
     def test_sorted_composite_keys_cached_and_shared_across_renames(self):
         backend = ColumnarBackend.from_columns(

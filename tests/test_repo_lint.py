@@ -33,8 +33,7 @@ def findings(source, path="<string>", rules=None):
 
 def test_rule_registry():
     assert registered_rules() == (
-        "backend-kind", "guarded-state", "swallowed-cancel", "unbounded-cache",
-        "wall-clock",
+        "guarded-state", "swallowed-cancel", "unbounded-cache", "wall-clock",
     )
 
 
@@ -128,43 +127,6 @@ def test_unbounded_cache_accepts_bound_annotation():
                 self.result_cache = {}  # bounded-by: LRU eviction at maxsize
     """
     assert findings(source, rules=["unbounded-cache"]) == []
-
-
-# ----------------------------------------------------------------------
-# backend-kind
-# ----------------------------------------------------------------------
-def test_backend_kind_fires_on_dispatch_outside_the_storage_layer():
-    source = """
-        def join(left, right):
-            if isinstance(left._backend, ColumnarBackend):
-                return fast(left, right)
-            if isinstance(right._backend, (backends.SetBackend, Other)):
-                return slow(left, right)
-            if left.backend_kind == "columnar" or "set" != right._backend.kind:
-                return convert(left, right)
-            if right.backend_kind in ("set", "columnar"):
-                return generic(left, right)
-    """
-    found = findings(source, path="src/repro/db/relation.py", rules=["backend-kind"])
-    assert [f.symbol for f in found] == [
-        "isinstance:ColumnarBackend", "isinstance:SetBackend",
-        "kind:columnar", "kind:set", "kind:set",
-    ]
-    assert findings(source, path="src/repro/db/backends.py", rules=["backend-kind"]) == []
-
-
-def test_backend_kind_allows_naming_a_kind_without_branching_on_it():
-    source = """
-        def empty_like(left, trace, backend):
-            if isinstance(backend, RelationBackend) or trace.kind == "scan":
-                return left
-            if left.backend_kind == backend:
-                return left
-            return Relation(left.schema, (), backend=left.backend_kind)
-
-        db = Database(backend="columnar")
-    """
-    assert findings(source, path="src/repro/exec/vm.py", rules=["backend-kind"]) == []
 
 
 # ----------------------------------------------------------------------

@@ -3,7 +3,7 @@
 Pins the PR's select pipeline end to end:
 
 * differential — ``order="stream"`` and ``order="sorted"`` produce the
-  same tuple *set* across strategies × storage backends;
+  same tuple *set* across strategies × input forms;
 * limit boundaries (0, 1, |output|, > |output|) under both orders;
 * sorted determinism under streaming limits (bounded-heap selection
   equals the full sort's prefix);
@@ -26,13 +26,7 @@ import pytest
 
 from repro.api import QueryEngine
 from repro.api.errors import QueryCancelledError, QueryTimeout
-from repro.db import (
-    Database,
-    Relation,
-    available_backends,
-    parse_query,
-    random_database,
-)
+from repro.db import Database, Relation, parse_query, random_database
 from repro.exec.ir import Enumerate
 from repro.exec.lower import SelectOptions, apply_select_options, lower_yannakakis
 from repro.exec.vm import CancellationToken
@@ -41,8 +35,7 @@ from repro.lang.session import Session
 from repro.server import QueryClient, QueryServer
 
 from test_output_queries import brute_force_outputs
-
-BACKENDS = available_backends()
+from tests.conftest import LOAD_FORMS, load_database
 
 SHAPES = {
     "path2": "Q(X, Z) :- R(X, Y), S(Y, Z)",
@@ -59,21 +52,19 @@ def _strategies(query):
     return names
 
 
-def _chain_database(edges: int, backend: str = "columnar") -> Database:
+def _chain_database(edges: int) -> Database:
     """A 3-chain whose output is much larger than any input relation."""
     fan = max(2, edges // 50)
     r = [(i, i % fan) for i in range(edges)]
     s = [(i % fan, i % fan) for i in range(fan)]
     t = [(i % fan, i) for i in range(edges)]
-    database = Database(
+    return Database(
         {
             "R": Relation(("X", "Y"), r),
             "S": Relation(("Y", "Z"), s),
             "T": Relation(("Z", "W"), t),
         }
     )
-    database.convert_backend(backend)
-    return database
 
 
 CHAIN = parse_query("Q(X, W) :- R(X, Y), S(Y, Z), T(Z, W)")
@@ -86,15 +77,13 @@ CHAIN = parse_query("Q(X, W) :- R(X, Y), S(Y, Z), T(Z, W)")
 @pytest.mark.parametrize("seed", range(3))
 def test_stream_and_sorted_agree_everywhere(shape, seed):
     query = parse_query(SHAPES[shape])
-    for backend in BACKENDS:
-        database = random_database(
-            query, 22, domain_size=5, seed=seed, plant_witness=True,
-            backend=backend,
-        )
+    generated = random_database(query, 22, domain_size=5, seed=seed, plant_witness=True)
+    for form in LOAD_FORMS:
+        database = load_database(form, generated.items())
         expected = brute_force_outputs(query, database)
         engine = QueryEngine(database)
         for strategy in _strategies(query):
-            label = f"{shape}/{backend}/{strategy}"
+            label = f"{shape}/{form}/{strategy}"
             sorted_rows = engine.select(
                 query, strategy=strategy, order="sorted"
             ).to_rows()
@@ -126,9 +115,7 @@ def test_limit_boundaries(order):
 
 def test_sorted_limits_are_deterministic_across_runs():
     query = parse_query(SHAPES["triangle"])
-    database = random_database(
-        query, 30, domain_size=6, seed=3, plant_witness=True, backend="columnar"
-    )
+    database = random_database(query, 30, domain_size=6, seed=3, plant_witness=True)
     reference = None
     for _ in range(3):
         rows = QueryEngine(database).select(query, limit=5, order="sorted").to_rows()

@@ -1,13 +1,14 @@
 """The write path of one relation: state machine, stale snapshots, cost guards.
 
-Three layers, all against the set backend (the reference) and a plain
-Python ``set`` (the model):
+Three layers, all against the reference oracle's ``Table`` (a plain set of
+rows with ``insert``/``delete``, from ``ledger.oracle``, which shares no
+code with the engine):
 
-* a Hypothesis state machine driving a columnar and a set relation in
+* a Hypothesis state machine driving a relation and a ``Table`` in
   lock-step through inserts, deletes, forks from earlier versions,
-  statistics refreshes and backend round-trips — after every rule the rows
-  equal the model, the returned delta is exactly the model's delta in
-  input order, and every earlier version still reads as it did;
+  statistics refreshes and re-encodes — after every rule the rows equal
+  the table's, the returned delta is exactly the table's delta in input
+  order, and every earlier version still reads as it did;
 * stale snapshots — a relation somebody still holds after a write must
   not see the write (not through ``in``, not through a probe whose partner
   carries the new value), and writing it again (a fork) must be correct;
@@ -26,11 +27,12 @@ import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.db import Relation, available_backends
+from ledger.oracle import Table, evaluate
+from repro.db import Relation
 from repro.db import backends
 from repro.db.backends import ColumnarBackend, _Dictionary
+from tests.conftest import LOAD_FORMS, load_relation
 
-BACKENDS = available_backends()
 SCHEMA = ("A", "B")
 
 #: Stored values are drawn from VALUES; deletes and probes also use values
@@ -55,38 +57,43 @@ def _delta(rows, keep):
     return tuple(out)
 
 
+def _oracle(stored, partner, outputs):
+    """``Q(outputs) :- R(A, B), P(B, C)`` over two oracle tables."""
+    atoms = [("R", SCHEMA), ("P", ("B", "C"))]
+    return evaluate({"R": stored, "P": partner}, atoms, outputs)
+
+
 class WritePathMachine(RuleBasedStateMachine):
-    """A columnar and a set relation against a Python ``set``."""
+    """A relation against the oracle's ``Table``."""
 
     def __init__(self):
         super().__init__()
         start = [(0, 1), (1, 2), (2, 0)]
-        self.model = set(start)
-        self.columnar = Relation(SCHEMA, start, backend="columnar")
-        self.reference = Relation(SCHEMA, start, backend="set")
-        self.partner = Relation(("B", "C"), PARTNER_ROWS, backend="columnar")
-        #: Every version ever current: (columnar, set, rows it must keep).
+        self.reference = Table(start)
+        self.relation = Relation(SCHEMA, start)
+        self.partner = Relation(("B", "C"), PARTNER_ROWS)
+        #: Every version ever current: (relation, rows it must keep).
         self.history = []
         self._remember()
 
     def _remember(self):
-        self.history.append((self.columnar, self.reference, frozenset(self.model)))
+        self.history.append((self.relation, frozenset(self.reference.rows)))
 
     # -- writes -----------------------------------------------------------
     def _insert(self, rows):
-        expected = _delta(rows, lambda row: row not in self.model)
-        self.columnar, added = self.columnar.insert_rows(rows)
-        self.reference, added_reference = self.reference.insert_rows(rows)
-        assert added == added_reference == expected
-        self.model |= set(expected)
+        expected = _delta(rows, lambda row: row not in self.reference.rows)
+        self.relation, added = self.relation.insert_rows(rows)
+        assert added == expected
+        for row in rows:
+            self.reference.insert(row)
         self._remember()
 
     def _delete(self, rows):
-        expected = _delta(rows, lambda row: row in self.model)
-        self.columnar, removed = self.columnar.delete_rows(rows)
-        self.reference, removed_reference = self.reference.delete_rows(rows)
-        assert removed == removed_reference == expected
-        self.model -= set(expected)
+        expected = _delta(rows, lambda row: row in self.reference.rows)
+        self.relation, removed = self.relation.delete_rows(rows)
+        assert removed == expected
+        for row in rows:
+            self.reference.delete(row)
         self._remember()
 
     @rule(row=rows_st)
@@ -96,7 +103,7 @@ class WritePathMachine(RuleBasedStateMachine):
     @rule(rows=st.lists(rows_st, max_size=6), again=st.integers(0, 3))
     def insert_many(self, rows, again):
         # Duplicates within the batch and rows that are already stored.
-        self._insert(rows + rows[:again] + sorted(self.model, key=repr)[:again])
+        self._insert(rows + rows[:again] + sorted(self.reference.rows, key=repr)[:again])
 
     @rule(row=probe_rows_st)
     def delete_one(self, row):
@@ -104,66 +111,62 @@ class WritePathMachine(RuleBasedStateMachine):
 
     @rule(rows=st.lists(probe_rows_st, max_size=6), stored=st.integers(0, 3))
     def delete_many(self, rows, stored):
-        present = sorted(self.model, key=repr)[:stored]
+        present = sorted(self.reference.rows, key=repr)[:stored]
         self._delete(rows + present + present[:1])
 
     @rule(data=st.data())
     def fork(self, data):
         """Make an earlier version current again: the next write forks it."""
         index = data.draw(st.integers(0, len(self.history) - 1))
-        self.columnar, self.reference, rows = self.history[index]
-        self.model = set(rows)
+        self.relation, rows = self.history[index]
+        self.reference = Table(rows)
 
     @rule()
     def fresh_statistics(self):
-        self.columnar = self.columnar.with_fresh_statistics()
-        self.reference = self.reference.with_fresh_statistics()
+        self.relation = self.relation.with_fresh_statistics()
         self._remember()
 
     @rule()
-    def convert_and_back(self):
-        self.columnar = self.columnar.with_backend("set").with_backend("columnar")
-        self.reference = self.reference.with_backend("columnar").with_backend("set")
+    def reencode(self):
+        """Fresh dictionaries and codes for the same rows."""
+        self.relation = Relation(SCHEMA, list(self.relation))
         self._remember()
 
     # -- reads ------------------------------------------------------------
     @rule(row=probe_rows_st)
     def contains(self, row):
-        assert (row in self.columnar) == (row in self.reference) == (row in self.model)
+        assert (row in self.relation) == (row in self.reference.rows)
 
     @rule()
     def probe_partner(self):
-        partner_set = self.partner.with_backend("set")
-        keys = {row[0] for row in PARTNER_ROWS}
-        kept = {row for row in self.model if row[1] in keys}
-        assert set(self.columnar.semijoin(self.partner)) == kept
-        assert set(self.reference.semijoin(partner_set)) == kept
-        joined = self.columnar.join(self.partner)
-        assert joined.rows == self.reference.join(partner_set).rows
+        partner = Table(PARTNER_ROWS)
+        kept = _oracle(self.reference, partner, SCHEMA)
+        assert set(self.relation.semijoin(self.partner)) == kept
+        joined = self.relation.join(self.partner)
+        assert joined.rows == _oracle(self.reference, partner, ("A", "B", "C"))
         assert len(joined) == len(kept)  # the partner's B is a key
-        assert set(self.partner.semijoin(self.columnar)) == {
-            row for row in PARTNER_ROWS if row[0] in {r[1] for r in self.model}
-        }
+        assert set(self.partner.semijoin(self.relation)) == _oracle(
+            self.reference, partner, ("B", "C")
+        )
 
     @rule(variables=st.sampled_from([["A"], ["B"], ["A", "B"], ["B", "A"]]))
     def count_distinct(self, variables):
-        expected = len({tuple(row[SCHEMA.index(v)] for v in variables) for row in self.model})
-        assert self.columnar.count_distinct(variables) == expected
-        assert self.reference.count_distinct(variables) == expected
+        rows = self.reference.rows
+        expected = len({tuple(row[SCHEMA.index(v)] for v in variables) for row in rows})
+        assert self.relation.count_distinct(variables) == expected
 
     # -- invariants -------------------------------------------------------
     @invariant()
     def rows_equal_the_model(self):
-        for relation in (self.columnar, self.reference):
-            assert len(relation) == len(self.model)
-            assert set(relation) == self.model  # decoded, not the cached row set
-            assert relation.rows == self.model
+        assert len(self.relation) == len(self.reference.rows)
+        assert set(self.relation) == self.reference.rows  # decoded, not the cached row set
+        assert self.relation.rows == self.reference.rows
 
     @invariant()
     def earlier_versions_are_untouched(self):
-        for columnar, reference, rows in self.history:
-            assert len(columnar) == len(reference) == len(rows)
-            assert set(columnar) == set(reference) == rows
+        for relation, rows in self.history:
+            assert len(relation) == len(rows)
+            assert set(relation) == rows
 
 
 WritePathMachine.TestCase.settings = settings(
@@ -186,26 +189,27 @@ def _base_rows():
     return [(i, (3 * i) % 10) for i in range(10)] + [(i, (i + 1) % 10) for i in range(10)]
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_snapshot_held_across_an_insert(backend, composite_limit):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_snapshot_held_across_an_insert(form, composite_limit):
     rows = _base_rows()
-    old = Relation(SCHEMA, rows, backend=backend)
-    reference = Relation(SCHEMA, rows, backend="set")
+    old = load_relation(form, SCHEMA, rows)
+    reference = Table(rows)
     # The partner already holds the value the insert is about to bring.
-    partner = Relation(("B", "C"), [(99, "new"), (3, "old")], backend=backend)
-    partner_reference = partner.with_backend("set")
+    partner_rows = [(99, "new"), (3, "old")]
+    partner = load_relation(form, ("B", "C"), partner_rows)
+    partner_reference = Table(partner_rows)
     old.semijoin(partner)  # warm the translation tables the write will patch
     row = (98, 99)
     new, added = old.insert_rows([row])
     assert added == (row,)
-    assert new.semijoin(partner).rows == {row, *reference.semijoin(partner_reference).rows}
-    assert partner.semijoin(new).rows == set(partner_reference.rows)
+    assert new.semijoin(partner).rows == {row, *_oracle(reference, partner_reference, SCHEMA)}
+    assert partner.semijoin(new).rows == set(partner_rows)
 
     assert row not in old and len(old) == len(rows) and old.rows == set(rows)
     assert set(old) == set(rows)
-    assert old.semijoin(partner).rows == reference.semijoin(partner_reference).rows
-    assert old.join(partner).rows == reference.join(partner_reference).rows
-    assert partner.semijoin(old).rows == partner_reference.semijoin(reference).rows
+    assert old.semijoin(partner).rows == _oracle(reference, partner_reference, SCHEMA)
+    assert old.join(partner).rows == _oracle(reference, partner_reference, ("A", "B", "C"))
+    assert partner.semijoin(old).rows == _oracle(reference, partner_reference, ("B", "C"))
     same, removed = old.delete_rows([row])
     assert removed == () and same is old
     assert old.select({"A": 98}).is_empty() and old.restrict("B", [99]).is_empty()
@@ -214,9 +218,9 @@ def test_snapshot_held_across_an_insert(backend, composite_limit):
     other_row = (97, 99)
     fork, fork_added = old.insert_rows([other_row, rows[0]])
     assert fork_added == (other_row,)
-    assert fork == reference.insert_rows([other_row])[0]
+    assert fork.rows == set(rows) | {other_row}
     assert other_row not in new and row not in fork
-    assert new == reference.insert_rows([row])[0]
+    assert new.rows == set(rows) | {row}
     assert fork.semijoin(partner).rows == new.semijoin(partner).rows - {row} | {other_row}
     # Both branches keep writing independently.
     fork, _ = fork.insert_rows([row])
@@ -224,32 +228,33 @@ def test_snapshot_held_across_an_insert(backend, composite_limit):
     assert fork.rows == set(rows) | {row, other_row} and new.rows == set(rows)
 
 
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_snapshot_held_across_a_delete(backend, composite_limit):
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_snapshot_held_across_a_delete(form, composite_limit):
     rows = _base_rows()
-    old = Relation(SCHEMA, rows, backend=backend)
-    reference = Relation(SCHEMA, rows, backend="set")
-    partner = Relation(("B", "C"), [(3, "x"), (4, "y")], backend=backend)
-    partner_reference = partner.with_backend("set")
+    old = load_relation(form, SCHEMA, rows)
+    reference = Table(rows)
+    partner_rows = [(3, "x"), (4, "y")]
+    partner = load_relation(form, ("B", "C"), partner_rows)
+    partner_reference = Table(partner_rows)
     victim = (1, 3)
     new, removed = old.delete_rows([victim, (55, 55)])
     assert removed == (victim,)
     assert victim not in new and len(new) == len(rows) - 1
 
     assert victim in old and len(old) == len(rows) and set(old) == set(rows)
-    assert old.semijoin(partner).rows == reference.semijoin(partner_reference).rows
-    assert old.join(partner).rows == reference.join(partner_reference).rows
+    assert old.semijoin(partner).rows == _oracle(reference, partner_reference, SCHEMA)
+    assert old.join(partner).rows == _oracle(reference, partner_reference, ("A", "B", "C"))
     same, added = old.insert_rows([victim])
     assert added == () and same is old
 
     other_victim = (4, 2)
     fork, fork_removed = old.delete_rows([other_victim])
     assert fork_removed == (other_victim,)
-    assert fork == reference.delete_rows([other_victim])[0]
-    assert new == reference.delete_rows([victim])[0]
+    assert fork.rows == set(rows) - {other_victim}
+    assert new.rows == set(rows) - {victim}
     assert victim in fork and other_victim in new
     back, added = new.insert_rows([victim])
-    assert added == (victim,) and back == reference
+    assert added == (victim,) and back.rows == reference.rows
 
 
 def test_threads_forking_one_snapshot_stay_apart():
@@ -260,7 +265,7 @@ def test_threads_forking_one_snapshot_stay_apart():
     writes on its fork; nobody may ever see anybody else's rows.
     """
     rows = _base_rows()
-    base = Relation(SCHEMA, rows, backend="columnar")
+    base = Relation(SCHEMA, rows)
     failures = []
 
     def writer(thread):
@@ -300,10 +305,8 @@ N = 20_000
 
 def _steady_state():
     """A 20 000-row relation with one write and one probe each way behind it."""
-    relation = Relation(SCHEMA, [(i, (7 * i) % N) for i in range(N)], backend="columnar")
-    partner = Relation(
-        ("B", "C"), [(i, i % 5) for i in range(0, 2 * N, 2)], backend="columnar"
-    )
+    relation = Relation(SCHEMA, [(i, (7 * i) % N) for i in range(N)])
+    partner = Relation(("B", "C"), [(i, i % 5) for i in range(0, 2 * N, 2)])
     relation.semijoin(partner), partner.semijoin(relation)
     relation, _ = relation.insert_rows([(N, N + 1)])
     relation.semijoin(partner), partner.semijoin(relation)
@@ -345,8 +348,8 @@ def test_translation_table_is_the_same_built_from_either_side():
     # A small dictionary meeting a large, already indexed one (a one-row
     # delta probing a stored relation) looks its own values up over there
     # instead of walking the large one: same table, |small| lookups.
-    large = Relation(("A",), [(i,) for i in range(60)] + [("x",)], backend="columnar")
-    small = Relation(("A",), [(3,), ("x",), (77,), (59,), ("y",)], backend="columnar")
+    large = Relation(("A",), [(i,) for i in range(60)] + [("x",)])
+    small = Relation(("A",), [(3,), ("x",), (77,), (59,), ("y",)])
     large_dictionary = large._backend._columns[0].dictionary
     small_dictionary = small._backend._columns[0].dictionary
     walked = small_dictionary._build_table(large_dictionary)  # no index over there yet
