@@ -41,13 +41,13 @@ async def one_session(port: int, label: str) -> None:
         count = await client.execute_with_retry(
             "COUNT Q(X, Z) :- R(X, Y), S(Y, Z)"
         )
-        rows = await client.execute_with_retry(
-            "SELECT Q(X, Z) :- R(X, Y), S(Y, Z) LIMIT 3"
-        )
+        # No LIMIT: the full answer arrives sorted, so its first rows do
+        # not depend on the order the relations are stored in.
+        rows = await client.execute_with_retry("SELECT Q(X, Z) :- R(X, Y), S(Y, Z)")
         print(
             f"[{label}] 2-paths: {count['payload']['row_count']} "
             f"(strategy {count['payload']['strategy']}), "
-            f"first rows {[tuple(r) for r in rows['rows']]}"
+            f"first rows {[tuple(r) for r in rows['rows'][:3]]}"
         )
 
 

@@ -32,14 +32,7 @@ from __future__ import annotations
 
 from typing import Callable, Iterator, List, Optional, Tuple, TYPE_CHECKING
 
-from ..db.ordering import (  # noqa: F401  (re-exported contract)
-    _NATURAL_KINDS,
-    _Ordered,
-    _ordered_rows,
-    _uniform_natural_order,
-    row_order_key,
-    value_order_key,
-)
+from ..db.ordering import row_order_key, value_order_key  # noqa: F401  (re-exported contract)
 from ..exec.dispatch import DEFAULT_MORSEL_SIZE
 from ..exec.ir import ENUMERATION_ORDERS
 from ..exec.vm import EnumerationStream, QueryCancelled

@@ -28,7 +28,14 @@ FOUR_CYCLE_QUERY: ConjunctiveQuery = parse_query(
 
 @dataclass
 class FourCycleReport:
-    """Diagnostics of the adaptive 4-cycle detection."""
+    """Diagnostics of the adaptive 4-cycle detection.
+
+    The four (Y-part × W-part) checks short-circuit, light × light first,
+    so ``light_pairs`` (rows of the light-middle relations) and
+    ``heavy_matrix_shape`` (the larger heavy product) cover only the parts
+    the run evaluated: a cycle found among light middles leaves the shape
+    at ``(0, 0, 0)``.
+    """
 
     answer: bool
     threshold: int
@@ -49,8 +56,8 @@ def four_cycle_adaptive(
     combinatorial 2-path enumeration; heavy ``Y`` values (at most ``N/Δ`` of
     them) are handled by a Boolean matrix multiplication restricted to the
     heavy middle.  The same split is applied to ``W`` on the other side of
-    the cycle, after which the two X–Z reachability relations are
-    intersected.
+    the cycle; a cycle exists when an X–Z pair reached through some part of
+    ``Y`` is also reached through some part of ``W``.
 
     The strategy is a *lowering* (:func:`repro.exec.lower.lower_four_cycle`)
     executed on the shared virtual machine; the report is reconstructed
@@ -68,7 +75,7 @@ def four_cycle_adaptive(
     )
     report.light_pairs = sum(
         trace.rows_out
-        for node in roles.light_restricts
+        for node in roles.light_sides
         for trace in [result.trace_for(node, ids)]
         if trace is not None
     )

@@ -125,13 +125,6 @@ class PlannedStep:
     for_loop_cost: float
     mm_cost: Optional[float]
 
-    @property
-    def chosen_cost(self) -> float:
-        if self.step.method is StepMethod.FOR_LOOPS:
-            return self.for_loop_cost
-        assert self.mm_cost is not None
-        return self.mm_cost
-
 
 @dataclass
 class PlannedQuery:

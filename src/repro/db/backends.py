@@ -1216,32 +1216,6 @@ class ColumnarBackend:
             return self._n if root is None else int(root.sum())
         return _checked_count(sum(root.tolist()))
 
-    def union(
-        self, other: "ColumnarBackend", other_positions: Sequence[int]
-    ) -> "ColumnarBackend":
-        """Set union with the other's columns aligned by ``other_positions``."""
-        columns: List[_Column] = []
-        for position, other_position in enumerate(other_positions):
-            own = self._columns[position]
-            other_column = other._columns[other_position]
-            table = own.dictionary.translate_from(other_column.dictionary)
-            missing = np.nonzero(table < 0)[0]
-            dictionary = own.dictionary
-            if len(missing):
-                # A private extension: never mutate the shared dictionary
-                # (strides cached elsewhere bake in its size), and leave
-                # its lineage to the relation's own writes.
-                table = table.copy()
-                table[missing] = len(own.values) + np.arange(len(missing))
-                dictionary = _Dictionary(
-                    np.concatenate((own.values, other_column.values[missing]))
-                )
-            codes = np.concatenate([own.codes, table[other_column.codes]])
-            columns.append(_Column(codes, dictionary))
-        if not columns:
-            return ColumnarBackend(self.schema, (), 1 if (self._n or len(other)) else 0)
-        return ColumnarBackend._from_encoded(self.schema, columns)
-
     def degree_counts(
         self, target_positions: Tuple[int, ...], given_positions: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1283,11 +1257,12 @@ class ColumnarBackend:
         return dict(zip(self.decode_key_rows(given_positions, keys), counts.tolist()))
 
     def degree_split(self, target_positions, given_positions, threshold):
+        """The ``given`` bindings with more than ``threshold`` distinct targets."""
         keys, counts = self.degree_counts(
             tuple(target_positions), tuple(given_positions)
         )
         heavy_rows = keys[counts > threshold]
-        heavy = ColumnarBackend(
+        return ColumnarBackend(
             tuple(self.schema[p] for p in given_positions),
             [
                 self._columns[p].with_codes(heavy_rows[:, i])
@@ -1295,11 +1270,6 @@ class ColumnarBackend:
             ],
             len(heavy_rows),
         )
-        # The light rows are an antijoin against the heavy bindings.
-        light = self.semijoin(
-            given_positions, heavy, range(len(given_positions)), negate=True
-        )
-        return heavy, light
 
     # -- grouped Boolean matrix product ---------------------------------
     def matmul(

@@ -6,7 +6,7 @@ storage orders and strategies.  That contract is used in three places,
 so it lives here at the bottom of the dependency graph:
 
 * :mod:`repro.api.results` re-exports it as the public ordering contract
-  (:func:`row_order_key`, :func:`_ordered_rows` for a plain tuple set);
+  (:func:`row_order_key`, :func:`value_order_key`);
 * :class:`~repro.db.backends.ColumnarBackend` caches *value ranks* on
   each shared dictionary (codes re-ranked by :func:`value_order_key`),
   so relations can hand out value-sorted row orders without decoding;
@@ -23,7 +23,6 @@ fall back to their ``repr``.
 
 from __future__ import annotations
 
-import heapq
 from typing import List, Optional, Sequence, Tuple
 
 Row = Tuple[object, ...]
@@ -81,8 +80,8 @@ def value_order_key(value: object) -> Tuple[str, _Ordered]:
 def row_order_key(row: Sequence[object]) -> Tuple:
     """A total-order sort key over heterogeneous value tuples.
 
-    The fallback comparator behind :func:`_ordered_rows`, used when
-    natural tuple comparison raises: values are compared within their
+    The comparator behind ``select(order="sorted")``, for when natural
+    tuple comparison raises: values are compared within their
     type first (type name, then value), so mixed-type columns — ints next
     to strings — sort deterministically instead of raising ``TypeError``;
     same-type values without a natural order fall back to their ``repr``.
@@ -125,23 +124,3 @@ def _uniform_natural_order(rows) -> bool:
                 if value != value:  # NaN anywhere forces the keyed sort
                     return False
     return True
-
-
-def _ordered_rows(rows, limit: Optional[int]) -> List[Row]:
-    """The deterministic order of an output-tuple set (limited prefix).
-
-    Natural tuple comparison is ~20x cheaper than the keyed sort (no
-    per-value wrapper allocation), so it is used whenever a type-uniformity
-    scan proves it equivalent to :func:`row_order_key`; mixed-type or
-    unorderable columns take the keyed sort.  The comparator choice
-    depends only on the tuple set, so the same set orders the same way
-    everywhere, and the bounded ``heapq.nsmallest`` path (O(n log k))
-    returns exactly the first-``k`` prefix of the corresponding full sort.
-    """
-    if _uniform_natural_order(rows):
-        if limit is not None:
-            return heapq.nsmallest(limit, rows)
-        return sorted(rows)
-    if limit is not None:
-        return heapq.nsmallest(limit, rows, key=row_order_key)
-    return sorted(rows, key=row_order_key)

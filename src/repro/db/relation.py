@@ -4,10 +4,10 @@ A relation ``R(X, Y, ...)`` is a schema (tuple of variable names) plus a
 :class:`~repro.db.backends.ColumnarBackend` holding the tuples as
 dictionary-encoded NumPy code columns.  Besides the classical operators
 (select/project/join/semijoin), relations expose the *degree* statistics of
-Definition E.9 — ``deg_R(Y | X)`` — and the heavy/light partitioning that
-the paper's algorithms (Figure 1, PANDA decomposition steps) are built on,
-plus the grouped Boolean matrix product of the matrix-multiplication
-eliminations.
+Definition E.9 — ``deg_R(Y | X)`` — and the heavy part of a degree split
+that the paper's algorithms (Figure 1, PANDA decomposition steps) are
+built on (the light rows are an antijoin with it), plus the grouped
+Boolean matrix product of the matrix-multiplication eliminations.
 
 This facade maps variable names to column positions, calls the backend's
 positional operator and wraps the result; the storage and every kernel
@@ -187,13 +187,6 @@ class Relation:
         """The active domain of one column (cached distinct-value index)."""
         return self._backend.distinct_values(self._backend.position(variable))
 
-    def active_domain(self) -> FrozenSet[Value]:
-        """All values appearing anywhere in the relation."""
-        domain: set = set()
-        for position in range(len(self.schema)):
-            domain |= self._backend.distinct_values(position)
-        return frozenset(domain)
-
     def sorted_order(self, variables: Sequence[str]) -> Sequence[int]:
         """Row indices ordering the rows by the deterministic value order.
 
@@ -337,38 +330,9 @@ class Relation:
         """
         return Relation._wrap(self._backend.slice_rows(start, stop), self.name)
 
-    def union(self, other: "Relation") -> "Relation":
-        if set(self.schema) != set(other.schema):
-            raise ValueError("union requires identical variable sets")
-        return Relation._wrap(
-            self._backend.union(other._backend, other._positions(self.schema)),
-            self.name,
-        )
-
-    def intersect(self, other: "Relation") -> "Relation":
-        if set(self.schema) != set(other.schema):
-            raise ValueError("intersection requires identical variable sets")
-        # Over identical variable sets, intersection is a semijoin on the
-        # full schema, answered with one probe.
-        return self._semijoin(other, list(self.schema), negate=False)
-
-    def cross(self, other: "Relation") -> "Relation":
-        """Cartesian product (the schemas must be disjoint)."""
-        if self.variables & other.variables:
-            raise ValueError("cross product requires disjoint schemas")
-        return self.join(other)
-
     # ------------------------------------------------------------------
     # Degree statistics (Definition E.9) and heavy/light partitioning
     # ------------------------------------------------------------------
-    def degree(self, target: Sequence[str], given: Sequence[str] = ()) -> int:
-        """``deg_R(target | given)``: the worst-case fan-out of ``given`` into ``target``."""
-        target = [v for v in target if v not in given]
-        schema = set(self.schema)
-        return self.stats.max_degree(
-            [v for v in target if v in schema], [v for v in given if v in schema]
-        )
-
     def _degree_positions(
         self, target: Sequence[str], given: Sequence[str]
     ) -> Tuple[List[int], List[int]]:
@@ -385,30 +349,24 @@ class Relation:
         """Per-binding degrees: for each ``given`` value, how many ``target`` values."""
         return self._backend.degree_map(*self._degree_positions(target, given))
 
-    def heavy_light_split(
-        self,
-        given: Sequence[str],
-        threshold: int,
-        target: Optional[Sequence[str]] = None,
-    ) -> Tuple["Relation", "Relation"]:
-        """Split into (heavy, light) parts by the degree of ``given`` bindings.
+    def heavy_part(self, given: Sequence[str], threshold: int) -> "Relation":
+        """The bindings of ``given`` whose degree exceeds ``threshold``.
 
         This is the database interpretation of the proof-sequence
-        *decomposition step* ``h(XY) → h(X) + h(Y|X)`` (Figure 1): bindings
-        of ``given`` whose degree exceeds ``threshold`` form the heavy part
-        (returned projected onto ``given``); the remaining full rows form
-        the light part.
+        *decomposition step* ``h(XY) → h(X) + h(Y|X)`` (Figure 1): a
+        binding's degree counts the distinct values it takes on the other
+        columns, and the heavy bindings come back projected onto ``given``.
         """
-        if target is None:
-            target = [v for v in self.schema if v not in given]
-        target_positions, _ = self._degree_positions(target, given)
-        heavy, light = self._backend.degree_split(
-            target_positions, self._positions(given), threshold
-        )
-        return (
-            Relation._wrap(heavy, f"{self.name or 'R'}_heavy"),
-            Relation._wrap(light, f"{self.name or 'R'}_light"),
-        )
+        target_positions, _ = self._degree_positions(self.schema, given)
+        heavy = self._backend.degree_split(target_positions, self._positions(given), threshold)
+        return Relation._wrap(heavy, f"{self.name or 'R'}_heavy")
+
+    def heavy_light_split(
+        self, given: Sequence[str], threshold: int
+    ) -> Tuple["Relation", "Relation"]:
+        """``(heavy bindings, light rows)``: the light rows antijoin the heavy ones."""
+        heavy = self.heavy_part(given, threshold)
+        return heavy, self.antijoin(heavy).with_name(f"{self.name or 'R'}_light")
 
     # ------------------------------------------------------------------
     # Matrix multiplication (for MM-based eliminations)

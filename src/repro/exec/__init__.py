@@ -19,15 +19,12 @@ from .ir import (
     GroupedMatMul,
     HeavyPart,
     Join,
-    LightPart,
     NonEmpty,
     Operator,
     Program,
     Project,
-    Restrict,
     Scan,
     Semijoin,
-    Union,
     Wcoj,
 )
 from .cache import CacheStats, ResultCache
@@ -69,7 +66,6 @@ __all__ = [
     "HeavyPart",
     "Join",
     "KernelDispatcher",
-    "LightPart",
     "NonEmpty",
     "OpTrace",
     "Operator",
@@ -78,10 +74,8 @@ __all__ = [
     "Project",
     "QueryCancelled",
     "ResultCache",
-    "Restrict",
     "Scan",
     "Semijoin",
-    "Union",
     "VirtualMachine",
     "Wcoj",
     "lower_clique",

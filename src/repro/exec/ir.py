@@ -20,6 +20,15 @@ the same way under different variable names, both subplans carry the same
 ``skey`` and the second one is served from the VM's bounded
 intermediate-result cache.
 
+Fourteen operator classes cover every strategy: the leaf :class:`Scan`;
+the relational :class:`Project` (and its :class:`Distinct` sink),
+:class:`HeavyPart`, :class:`Join`, :class:`Semijoin`, :class:`Antijoin`,
+:class:`GroupedMatMul` and :class:`Wcoj`; the output sinks :class:`Count`
+and :class:`Enumerate`; and the Boolean :class:`NonEmpty`, :class:`Any_`
+and :class:`All_`.  The paper's heavy/light split needs nothing more:
+:class:`HeavyPart` is the degree filter, the light rows are an
+:class:`Antijoin` with it and the heavy operands a :class:`Semijoin`.
+
 Nodes are frozen dataclasses: equality and hashing are structural (and
 name-sensitive), so a subtree built twice is one node to the VM's per-run
 memo, to :meth:`Program.nodes` and to the optimizer's rewrite memo, and
@@ -303,43 +312,6 @@ class Distinct(Project):
 
 
 @dataclass(frozen=True)
-class Restrict(Operator):
-    """Keep rows whose ``variable`` value appears in a column of ``source``.
-
-    The restriction set is *data-dependent*: it is the active domain of
-    ``source_variable`` in the ``source`` operator's output (e.g. the heavy
-    values computed by a :class:`HeavyPart`).
-    """
-
-    child: Operator
-    variable: Variable
-    source: Operator
-    source_variable: Variable
-
-    def __post_init__(self) -> None:
-        _require_relational(self.child, "Restrict")
-        _require_relational(self.source, "Restrict source")
-        (position,) = _positions(self.child.schema, (self.variable,), "Restrict")
-        (source_position,) = _positions(
-            self.source.schema, (self.source_variable,), "Restrict source"
-        )
-        self._derive(
-            schema=self.child.schema,
-            children=(self.child, self.source),
-            skey=(
-                "restrict",
-                self.child.skey,
-                position,
-                self.source.skey,
-                source_position,
-            ),
-        )
-
-    def label(self) -> str:
-        return f"Restrict[{self.variable}]"
-
-
-@dataclass(frozen=True)
 class HeavyPart(Operator):
     """Bindings of ``given`` whose degree into the rest exceeds ``threshold``.
 
@@ -362,27 +334,6 @@ class HeavyPart(Operator):
 
     def label(self) -> str:
         return f"Heavy[{', '.join(self.given)} > {self.threshold}]"
-
-
-@dataclass(frozen=True)
-class LightPart(Operator):
-    """The full rows whose ``given`` binding is *not* heavy (complement of HeavyPart)."""
-
-    child: Operator
-    given: Schema
-    threshold: int
-
-    def __post_init__(self) -> None:
-        _require_relational(self.child, "LightPart")
-        positions = _positions(self.child.schema, self.given, "LightPart")
-        self._derive(
-            schema=self.child.schema,
-            children=(self.child,),
-            skey=("light", self.child.skey, positions, self.threshold),
-        )
-
-    def label(self) -> str:
-        return f"Light[{', '.join(self.given)} <= {self.threshold}]"
 
 
 # ----------------------------------------------------------------------
@@ -450,35 +401,6 @@ class Antijoin(Operator):
 
     def label(self) -> str:
         return "Antijoin"
-
-
-@dataclass(frozen=True)
-class Union(Operator):
-    """Set union of relations over the same variable set (any column order)."""
-
-    inputs: Tuple[Operator, ...]
-
-    def __post_init__(self) -> None:
-        if not self.inputs:
-            raise ValueError("Union needs at least one input")
-        head = self.inputs[0]
-        _require_relational(head, "Union")
-        aligned = []
-        for node in self.inputs:
-            _require_relational(node, "Union")
-            if set(node.schema) != set(head.schema):
-                raise ValueError(
-                    f"Union over different variable sets: {node.schema} vs {head.schema}"
-                )
-            aligned.append((node.skey, _positions(node.schema, head.schema, "Union")))
-        self._derive(
-            schema=head.schema,
-            children=tuple(self.inputs),
-            skey=("union", tuple(aligned)),
-        )
-
-    def label(self) -> str:
-        return f"Union[{len(self.inputs)}]"
 
 
 # ----------------------------------------------------------------------

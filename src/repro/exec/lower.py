@@ -25,7 +25,11 @@ sinks over the query's free variables:
 * :func:`lower_triangle` / :func:`lower_four_cycle` / :func:`lower_clique`
   — the per-query-class algorithms (Figure 1 degree partitioning, the
   adaptive 4-cycle split, Nešetřil–Poljak clique detection) expressed as
-  IR DAGs rather than standalone engines.
+  IR DAGs rather than standalone engines.  A degree split is one
+  :class:`~repro.exec.ir.HeavyPart` per relation and variable: light rows
+  are an :class:`~repro.exec.ir.Antijoin` with it, heavy operands a
+  :class:`~repro.exec.ir.Semijoin`, and the cases are branches of one
+  short-circuiting :class:`~repro.exec.ir.Any_`.
 
 Lowerings that mirror an instrumented report (triangle, 4-cycle) also
 return *role* records pointing at the operators whose traces
@@ -59,15 +63,12 @@ from .ir import (
     GroupedMatMul,
     HeavyPart,
     Join,
-    LightPart,
     NonEmpty,
     Operator,
     Program,
     Project,
-    Restrict,
     Scan,
     Semijoin,
-    Union,
     Wcoj,
 )
 
@@ -175,7 +176,7 @@ def _static_size(node: Operator, database: Database) -> float:
     """A rough static cardinality used to order join folds smallest-first."""
     if isinstance(node, Scan):
         return float(len(database[node.relation]))
-    if isinstance(node, (Project, Semijoin, Restrict, LightPart)):
+    if isinstance(node, (Project, Semijoin)):
         return _static_size(node.children[0], database)
     return float("inf")
 
@@ -552,23 +553,22 @@ def lower_triangle(
     n = max(len(database["R"]), len(database["S"]), len(database["T"]), 1)
     delta = threshold if threshold is not None else triangle_threshold(n, omega)
 
-    light_joins = []
-    light_checks = []
-    for light_source, given, closing, missing in (
-        (r, ("X",), t, s),  # Q_{ℓ,1}: T(X,Z) ⋈ R_ℓ(X,Y), then check S(Y,Z)
-        (s, ("Y",), r, t),  # Q_{ℓ,2}: R(X,Y) ⋈ S_ℓ(Y,Z), then check T(X,Z)
-        (t, ("Z",), s, r),  # Q_{ℓ,3}: S(Y,Z) ⋈ T_ℓ(Z,X), then check R(X,Y)
-    ):
-        light = LightPart(light_source, given, delta)
-        joined = Join(closing, light)
-        light_joins.append(joined)
-        light_checks.append(NonEmpty(Semijoin(joined, missing)))
-
     heavy_x = HeavyPart(r, ("X",), delta)
     heavy_y = HeavyPart(s, ("Y",), delta)
     heavy_z = HeavyPart(t, ("Z",), delta)
-    m1 = Restrict(Restrict(r, "X", heavy_x, "X"), "Y", heavy_y, "Y")
-    m2 = Restrict(Restrict(s, "Y", heavy_y, "Y"), "Z", heavy_z, "Z")
+    light_joins = []
+    light_checks = []
+    for source, heavy, closing, missing in (
+        (r, heavy_x, t, s),  # Q_{ℓ,1}: T(X,Z) ⋈ R_ℓ(X,Y), then check S(Y,Z)
+        (s, heavy_y, r, t),  # Q_{ℓ,2}: R(X,Y) ⋈ S_ℓ(Y,Z), then check T(X,Z)
+        (t, heavy_z, s, r),  # Q_{ℓ,3}: S(Y,Z) ⋈ T_ℓ(Z,X), then check R(X,Y)
+    ):
+        joined = Join(closing, Antijoin(source, heavy))
+        light_joins.append(joined)
+        light_checks.append(NonEmpty(Semijoin(joined, missing)))
+
+    m1 = Semijoin(Semijoin(r, heavy_x), heavy_y)
+    m2 = Semijoin(Semijoin(s, heavy_y), heavy_z)
     mm = GroupedMatMul(m1, m2, ("X",), ("Y",), ("Z",))
     heavy_check = NonEmpty(Semijoin(_project(t, ("X", "Z")), mm))
 
@@ -591,7 +591,7 @@ class FourCycleRoles:
     """Operators whose traces reconstruct the adaptive 4-cycle report."""
 
     threshold: int
-    light_restricts: Tuple[Operator, ...]
+    light_sides: Tuple[Operator, ...]
     matmuls: Tuple[Operator, ...]
 
 
@@ -601,30 +601,26 @@ def _lower_two_paths(
     middle: str,
     endpoints: Tuple[str, str],
     delta: int,
-) -> Tuple[Operator, Tuple[Operator, ...], Operator]:
-    """All endpoint pairs connected through ``middle``, split by degree.
+) -> Tuple[Operator, Operator, Tuple[Operator, ...]]:
+    """The endpoint pairs connected through ``middle``, split by its degree.
 
-    Returns ``(pairs, light restrict nodes, matmul node)``: light middle
-    values expand through a join, heavy middle values through a Boolean
-    matrix multiplication; the union is the 2-path reachability relation.
+    Returns ``(light pairs, heavy pairs, light sides)``.  A middle value is
+    light when it is heavy on neither side: light values expand through a
+    join, heavy ones through one Boolean matrix product.
     """
     first, second = endpoints
     middle_values = Semijoin(_project(left, (middle,)), _project(right, (middle,)))
-    heavy_union = Union(
-        (HeavyPart(left, (middle,), delta), HeavyPart(right, (middle,), delta))
+    light = Antijoin(
+        Antijoin(middle_values, HeavyPart(left, (middle,), delta)),
+        HeavyPart(right, (middle,), delta),
     )
-    heavy = Semijoin(middle_values, heavy_union)
-    light = Antijoin(middle_values, heavy_union)
-
-    light_left = Restrict(left, middle, light, middle)
-    light_right = Restrict(right, middle, light, middle)
-    light_pairs = _project(Join(light_left, light_right), (first, second))
-
-    heavy_left = Restrict(left, middle, heavy, middle)
-    heavy_right = Restrict(right, middle, heavy, middle)
-    matmul = GroupedMatMul(heavy_left, heavy_right, (first,), (middle,), (second,))
-    pairs = Union((light_pairs, matmul))
-    return pairs, (light_left, light_right), matmul
+    heavy = Antijoin(middle_values, light)
+    light_sides = (Semijoin(left, light), Semijoin(right, light))
+    light_pairs = _project(Join(*light_sides), (first, second))
+    heavy_pairs = GroupedMatMul(
+        Semijoin(left, heavy), Semijoin(right, heavy), (first,), (middle,), (second,)
+    )
+    return light_pairs, heavy_pairs, light_sides
 
 
 def lower_four_cycle(
@@ -632,7 +628,12 @@ def lower_four_cycle(
     omega: float,
     threshold: Optional[int] = None,
 ) -> Tuple[Program, FourCycleRoles]:
-    """The adaptive 4-cycle strategy (Lemma C.9) as an IR DAG."""
+    """The adaptive 4-cycle strategy (Lemma C.9) as an IR DAG.
+
+    Both sides of the cycle split their middle variable (``Y``, ``W``) into
+    light and heavy values; the answer is whether any of the four
+    (Y-part, W-part) pairs of X–Z relations meet, light × light first.
+    """
     r = Scan("R", ("X", "Y"))
     s = Scan("S", ("Y", "Z"))
     t = Scan("T", ("Z", "W"))
@@ -640,17 +641,19 @@ def lower_four_cycle(
     n = max(len(database["R"]), len(database["S"]), len(database["T"]), len(database["U"]), 1)
     delta = threshold if threshold is not None else triangle_threshold(n, omega)
 
-    through_y, light_y, mm_y = _lower_two_paths(r, s, "Y", ("X", "Z"), delta)
-    through_w, light_w, mm_w = _lower_two_paths(
-        _project(u, ("X", "W")), _project(t, ("W", "Z")), "W", ("X", "Z"), delta
+    light_y, heavy_y, sides_y = _lower_two_paths(r, s, "Y", ("X", "Z"), delta)
+    light_w, heavy_w, sides_w = _lower_two_paths(u, t, "W", ("X", "Z"), delta)
+    checks = tuple(
+        NonEmpty(Semijoin(y_part, w_part))
+        for y_part in (light_y, heavy_y)
+        for w_part in (light_w, heavy_w)
     )
-    witness = Semijoin(through_y, through_w)
     roles = FourCycleRoles(
         threshold=delta,
-        light_restricts=light_y + light_w,
-        matmuls=(mm_y, mm_w),
+        light_sides=sides_y + sides_w,
+        matmuls=(heavy_y, heavy_w),
     )
-    return Program(NonEmpty(witness), source="four-cycle-adaptive"), roles
+    return Program(Any_(checks), source="four-cycle-adaptive"), roles
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,8 @@
 """Rewrite passes over physical-operator programs.
 
 One pass runs (:func:`optimize_program`): **dead-operator pruning**
-(:func:`prune_operators`) — identity projections, single-input unions and
-single-branch Boolean combinators are dropped, and anything no longer
+(:func:`prune_operators`) — identity projections and single-branch
+Boolean combinators are dropped, and anything no longer
 reachable from the root disappears with them.
 
 There is no common-subexpression pass: operators hash and compare
@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from .ir import All_, Any_, Operator, Program, Project, Union
+from .ir import All_, Any_, Operator, Program, Project
 
 
 @dataclass
@@ -68,9 +68,6 @@ def prune_operators(program: Program) -> Tuple[Program, int]:
         if isinstance(node, Project) and node.variables_out == node.child.schema:
             pruned += 1
             return node.child
-        if isinstance(node, Union) and len(node.inputs) == 1:
-            pruned += 1
-            return node.inputs[0]
         if isinstance(node, (Any_, All_)) and len(node.inputs) == 1:
             pruned += 1
             return node.inputs[0]

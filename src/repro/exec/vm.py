@@ -12,7 +12,10 @@ Evaluation is lazy where emptiness already decides the result: a join whose
 left side is empty never evaluates its right side, a masked product with
 an empty mask never evaluates its operands, ``Any``/``All``
 short-circuit, and a ``NonEmpty`` root stops as soon as the answer is
-known.  Laziness is nothing more than not recursing into a child.
+known.  Laziness is nothing more than not recursing into a child.  The
+per-run memo makes a node shared by several branches evaluate once: a
+``HeavyPart`` that both a light antijoin and a heavy semijoin read is one
+degree count.
 
 The relational kernels live behind :class:`~repro.db.relation.Relation`,
 and that includes the paper's one non-combinatorial primitive:
@@ -70,7 +73,7 @@ from typing import (
     Optional,
     Sequence,
     Tuple,
-    Union as TUnion,
+    Union,
 )
 
 from ..db.database import Database
@@ -87,15 +90,12 @@ from .ir import (
     GroupedMatMul,
     HeavyPart,
     Join,
-    LightPart,
     NonEmpty,
     Operator,
     Program,
     Project,
-    Restrict,
     Scan,
     Semijoin,
-    Union,
     Wcoj,
 )
 
@@ -103,7 +103,7 @@ from .ir import (
 #: (the Count sink), or a pull-driven :class:`EnumerationStream` (the
 #: streaming Enumerate sink).  ``bool`` must be tested before ``int``
 #: everywhere — Python's bool is an int subclass.
-Payload = TUnion[Relation, bool, int, "EnumerationStream"]
+Payload = Union[Relation, bool, int, "EnumerationStream"]
 
 
 # ----------------------------------------------------------------------
@@ -780,8 +780,6 @@ class _RunState:
         self.fingerprints = fingerprints
         # bounded-by: per-run lifetime (one entry per program operator)
         self.memo: Dict[Operator, Payload] = {}
-        # bounded-by: per-run lifetime (one entry per degree split)
-        self.split_memo: Dict[Operator, Tuple[Relation, Relation]] = {}
         self.traces: List[OpTrace] = []
         self.cache_hits = 0
         self.cache_misses = 0
@@ -885,23 +883,6 @@ class _RunState:
         assert isinstance(payload, Relation)
         return payload
 
-    def _heavy_light(
-        self, node: TUnion[HeavyPart, LightPart]
-    ) -> Tuple[Relation, Relation]:
-        """Both halves of a degree split, computed once per (child, given, Δ)."""
-        twin_key = (
-            HeavyPart(node.child, node.given, node.threshold)
-            if isinstance(node, LightPart)
-            else node
-        )
-        entry = self.split_memo.get(twin_key)
-        if entry is None:
-            child = self._relation(node.child)
-            entry = self.split_memo[twin_key] = child.heavy_light_split(
-                list(node.given), node.threshold
-            )
-        return entry
-
     def _eval_op(self, node: Operator) -> Tuple[Payload, int, dict]:
         """``(payload, rows_in, extra trace fields)`` of one operator."""
         extra: dict = {}
@@ -926,18 +907,9 @@ class _RunState:
                 )
             return child.project(list(node.schema)), len(child), extra
 
-        if isinstance(node, Restrict):
+        if isinstance(node, HeavyPart):
             child = self._relation(node.child)
-            if child.is_empty():
-                return child, 0, extra
-            source = self._relation(node.source)
-            values = source.column_values(node.source_variable)
-            return child.restrict(node.variable, values), len(child) + len(source), extra
-
-        if isinstance(node, (HeavyPart, LightPart)):
-            heavy, light = self._heavy_light(node)
-            child_len = len(self._relation(node.child))
-            return (heavy if isinstance(node, HeavyPart) else light), child_len, extra
+            return child.heavy_part(list(node.given), node.threshold), len(child), extra
 
         if isinstance(node, Join):
             left = self._relation(node.left)
@@ -957,14 +929,6 @@ class _RunState:
                 else child.semijoin(reducer)
             )
             return reduced, len(child) + len(reducer), extra
-
-        if isinstance(node, Union):
-            inputs = [self._relation(x) for x in node.inputs]
-            rows_in = sum(len(r) for r in inputs)
-            result = inputs[0]
-            for other in inputs[1:]:
-                result = result.union(other)
-            return result, rows_in, extra
 
         if isinstance(node, GroupedMatMul):
             return self._matmul(node)

@@ -270,13 +270,6 @@ class Hypergraph:
         edges = [[rename_one(v) for v in edge] for edge in self._edges]
         return Hypergraph(vertices, edges)
 
-    # ------------------------------------------------------------------
-    # Canonical form (used for memoization / dedup)
-    # ------------------------------------------------------------------
-    def canonical_key(self) -> Tuple[Tuple[Vertex, ...], Tuple[Tuple[Vertex, ...], ...]]:
-        """A hashable, deterministic key identifying this labelled hypergraph."""
-        return (self.sorted_vertices(), self.sorted_edges())
-
 
 def subsets(collection: Collection[Vertex], min_size: int = 0) -> Iterator[VertexSet]:
     """All subsets of ``collection`` of size at least ``min_size`` (sorted order)."""

@@ -166,9 +166,6 @@ class SetFunction:
                 result[key] = value
         return result
 
-    def as_dict(self) -> Dict[VertexSet, float]:
-        return dict(self._values)
-
     def almost_equal(self, other: "SetFunction", tolerance: float = 1e-9) -> bool:
         if self._ground_set != other._ground_set:
             return False

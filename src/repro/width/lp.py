@@ -137,15 +137,3 @@ class PolymatroidLP:
         row = np.zeros(self._num_vars)
         row[0] = 1.0
         return row
-
-    # ------------------------------------------------------------------
-    def maximize_expression(self, expr: LinearExpression) -> LPSolution:
-        """Maximize a single linear expression over the edge-dominated cone."""
-        return self.maximize_t([expr])
-
-    def polymatroid_from_vector(self, values: Sequence[float]) -> SetFunction:
-        """Convert a raw LP vector (t excluded) back into a set function."""
-        h = SetFunction(self.hypergraph.vertices)
-        for subset, position in self._index.items():
-            h[subset] = float(values[position])
-        return h

@@ -64,9 +64,6 @@ class Choice:
         """``max`` over alternatives of their value on ``h``."""
         return max(alt.value_at(h) for alt in self.alternatives)
 
-    def satisfied_at(self, h: SetFunction, target: float, tolerance: float = _EPS) -> bool:
-        return self.value_at(h) >= target - tolerance
-
     def relaxation(self) -> LinearExpression:
         """A single row ``t <= expr`` implied by this choice (used for pruning)."""
         return _coefficientwise_max([alt.relaxation() for alt in self.alternatives])

@@ -143,12 +143,11 @@ def test_operator_algebra_matches_reference_backend(seed, composite_limit, monke
     assert a.project(kept).rows == {_key(row, schema_a, kept) for row in set_a}
     if set(schema_a) == set(schema_b):
         aligned_b = {_key(row, schema_b, schema_a) for row in set_b}
-        assert a.union(b).rows == set_a | aligned_b
-        assert a.intersect(b).rows == set_a & aligned_b
+        assert a.semijoin(b).rows == set_a & aligned_b
     given, target = [schema_a[0]], list(schema_a[1:])
     degrees = _degree_map(schema_a, set_a, target, given)
     assert a.degree_map(target, given) == degrees
-    assert a.degree(target, given) == max(degrees.values(), default=0)
+    assert a.stats.max_degree(target, given) == max(degrees.values(), default=0)
     threshold = rng.randint(0, 3)
     heavy, light = a.heavy_light_split(given, threshold)
     heavy_keys = {key for key, degree in degrees.items() if degree > threshold}
@@ -185,7 +184,6 @@ def _reference_results(a, b, c, victims):
         "semijoin": _semijoin(schema, a.rows, b.schema, b.rows),
         "antijoin": _semijoin(schema, a.rows, b.schema, b.rows, negate=True),
         "intersect": a.rows & c.rows,
-        "union": a.rows | c.rows,
         "project": {row[:2] for row in a.rows},
         "heavy": heavy,
         "light": {row for row in a.rows if row[:2] not in heavy},
@@ -216,8 +214,7 @@ def test_wide_keys_never_leave_the_code_domain(monkeypatch):
             "join": a.join(b),
             "semijoin": a.semijoin(b),
             "antijoin": a.antijoin(b),
-            "intersect": a.intersect(c),
-            "union": a.union(c),
+            "intersect": a.semijoin(c),
             "project": a.project(["X", "Y"]),
             "heavy": a.heavy_light_split(["X", "Y"], 1)[0],
             "light": a.heavy_light_split(["X", "Y"], 1)[1],
@@ -261,8 +258,8 @@ def test_composite_keys_at_the_real_int64_limit():
     assert a.semijoin(b).rows == rows_a & rows_b
     assert a.antijoin(b).rows == rows_a - rows_b
     assert a.join(b).rows == rows_a & rows_b
-    assert a.intersect(b).rows == rows_a & rows_b
     reordered = list(reversed(schema))
+    assert a.semijoin(b.project(reordered)).rows == rows_a & rows_b
     assert a.project(reordered).rows == {row[::-1] for row in rows_a}
     assert a.count_distinct(list(schema)) == n
     assert a.join(b).count_distinct(list(schema)) == half

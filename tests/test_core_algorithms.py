@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.analysis.verify import verify_program
 from repro.api import QueryEngine
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.core import (
@@ -25,7 +26,8 @@ from repro.core import (
     four_cycle_adaptive,
     triangle_figure1,
 )
-from repro.db import clique_instance, four_cycle_instance, triangle_instance
+from repro.db import Database, Relation, clique_instance, four_cycle_instance, triangle_instance
+from repro.exec.lower import lower_clique, lower_four_cycle, lower_triangle
 from repro.matmul import triangle_threshold
 from repro.width import MMTerm
 
@@ -52,6 +54,12 @@ FOUR_CYCLE_MATRIX_ONLY = OmegaQueryPlan(
 FOUR_CYCLE_COMBINATORIAL = all_for_loop_plan(
     FOUR_CYCLE_QUERY.hypergraph(), ["Y", "W", "X", "Z"]
 )
+
+
+#: Δ = 0 makes every middle value heavy, ∞ every one light; 1 and the
+#: default N^((ω-1)/(ω+1)) mix the two.
+THRESHOLDS = [0, 1, None, 10**9]
+THRESHOLD_IDS = ["0", "1", "default", "inf"]
 
 
 def _exists(db, query, strategy, plan=None) -> bool:
@@ -95,8 +103,6 @@ class TestTriangleFigure1:
         assert triangle_figure1(db, OMEGA, threshold=threshold).answer
 
     def test_empty_instance(self):
-        from repro.db import Database, Relation
-
         db = Database(
             {
                 "R": Relation(("X", "Y"), []),
@@ -150,6 +156,41 @@ class TestFourCycle:
         with pytest.raises(ValueError):
             _exists(db, FOUR_CYCLE_QUERY, "unknown")
 
+    @pytest.mark.parametrize("threshold", THRESHOLDS, ids=THRESHOLD_IDS)
+    @pytest.mark.parametrize("skew", ["uniform", "heavy"])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_threshold_sweep_matches_oracle(self, oracle, seed, skew, threshold):
+        """The split decides only which of the four checks finds a cycle."""
+        db = four_cycle_instance(
+            90, domain_size=20, plant_cycle=(seed % 2 == 0), skew=skew, seed=seed
+        )
+        expected = bool(oracle(FOUR_CYCLE_QUERY, db))
+        assert four_cycle_adaptive(db, OMEGA, threshold=threshold).answer == expected
+
+    @pytest.mark.parametrize("heavy_w", [False, True], ids=["light_w", "heavy_w"])
+    @pytest.mark.parametrize("heavy_y", [False, True], ids=["light_y", "heavy_y"])
+    def test_each_part_pair_finds_its_cycle(self, oracle, heavy_y, heavy_w):
+        """One cycle 0-1-2-3 whose middles Y = 1 and W = 3 are light or heavy at Δ = 1.
+
+        Only the (Y-part, W-part) check of that pair holds the cycle, so
+        each of the four branches must be evaluated to find it.  Two extra
+        R rows (or U rows) over fresh X values give the middle degree 3
+        without closing a second cycle.
+        """
+        rows = {"R": {(0, 1)}, "S": {(1, 2)}, "T": {(2, 3)}, "U": {(3, 0)}}
+        if heavy_y:
+            rows["R"] |= {(10, 1), (11, 1)}
+        if heavy_w:
+            rows["U"] |= {(3, 20), (3, 21)}
+        schemas = {"R": ("X", "Y"), "S": ("Y", "Z"), "T": ("Z", "W"), "U": ("W", "X")}
+        db = Database({name: Relation(schemas[name], rows[name]) for name in rows})
+        assert oracle(FOUR_CYCLE_QUERY, db) == {()}
+        report = four_cycle_adaptive(db, OMEGA, threshold=1)
+        assert report.answer
+        assert (report.heavy_matrix_shape != (0, 0, 0)) == (heavy_y or heavy_w)
+        without_t = Database({**{n: db[n] for n in "RSU"}, "T": Relation(("Z", "W"), [])})
+        assert not four_cycle_adaptive(without_t, OMEGA, threshold=1).answer
+
 
 class TestCliqueDetection:
     def test_enumerate_cliques_counts(self):
@@ -176,3 +217,21 @@ class TestCliqueDetection:
     def test_small_k_rejected(self):
         with pytest.raises(ValueError):
             clique_detect_mm([(0, 1)], 2, OMEGA)
+
+
+class TestHandWrittenLoweringsVerify:
+    """The three lowerings run outside the engine, so its plan checks never see them."""
+
+    @pytest.mark.parametrize("threshold", THRESHOLDS, ids=THRESHOLD_IDS)
+    def test_triangle_and_four_cycle_programs_verify(self, threshold):
+        triangle_db = triangle_instance(120, domain_size=24, skew="heavy", seed=1)
+        program, _ = lower_triangle(triangle_db, OMEGA, threshold)
+        assert verify_program(program, verb="exists", database=triangle_db) == []
+        cycle_db = four_cycle_instance(90, domain_size=20, skew="heavy", seed=1)
+        program, _ = lower_four_cycle(cycle_db, OMEGA, threshold)
+        assert verify_program(program, verb="exists", database=cycle_db) == []
+
+    def test_clique_program_verifies(self):
+        groups = [(0,), (1,), (2,)]
+        program, compat_db = lower_clique(groups, groups, groups, lambda a, b: a != b)
+        assert verify_program(program, verb="exists", database=compat_db) == []

@@ -128,13 +128,10 @@ def _operator_fixtures():
         ir.Scan: [r],
         ir.Project: [Project(r, ("Y",))],
         ir.Distinct: [ir.Distinct(Join(r, s), ("X", "Z"))],
-        ir.Restrict: [ir.Restrict(r, "X", ir.HeavyPart(t, ("X",), 2), "X")],
         ir.HeavyPart: [ir.HeavyPart(r, ("X",), 3)],
-        ir.LightPart: [ir.LightPart(r, ("Y",), 3)],
         ir.Join: [Join(r, s)],
         ir.Semijoin: [root],
         ir.Antijoin: [ir.Antijoin(r, s)],
-        ir.Union: [ir.Union((r, Scan("U", ("Y", "X"))))],
         ir.GroupedMatMul: [
             ir.GroupedMatMul(r, s, ("X",), ("Y",), ("Z",)),
             ir.GroupedMatMul(

@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 from repro.api import QueryEngine
 from repro.db import Database, Relation, backends, parse_query
 from repro.db.backends import ColumnarBackend, _ranks_within_groups
-from repro.exec.ir import GroupedMatMul, Join, Program, Restrict, Scan
+from repro.exec.ir import GroupedMatMul, Join, Program, Scan, Semijoin
 from repro.exec.vm import VirtualMachine
 from tests.conftest import LOAD_FORMS, load_database, load_relation
 
@@ -192,7 +192,7 @@ def masked_cases(draw):
 
     tables = [table(schemas[0]), table(schemas[1]), table(schemas[2], MASK_VALUES)]
     forms = draw(st.tuples(*[st.sampled_from(LOAD_FORMS)] * 3))
-    # A Restrict keeps the left operand's dictionaries, now larger than its rows.
+    # A Semijoin keeps the left operand's dictionaries, now larger than its rows.
     restrict = bool(rows + inner) and draw(st.booleans())
     narrow, sort = draw(st.booleans()), draw(st.booleans())
     return schemas, tables, forms, (rows, inner, cols, group), restrict, narrow, sort
@@ -211,7 +211,7 @@ def test_masked_product_is_the_join_with_its_mask(case):
         variable = schemas[0][0]
         kept = {row[0] for row in tables[0][::2]}
         database["F"] = load_relation(forms[0], (variable,), [(v,) for v in kept])
-        left = Restrict(left, variable, Scan("F", (variable,)), variable)
+        left = Semijoin(left, Scan("F", (variable,)))
         left_rows = {row for row in left_rows if row[0] in kept}
     node = GroupedMatMul(left, Scan("B", schemas[1]), *map(tuple, dims), mask=Scan("M", schemas[2]))
     with pytest.MonkeyPatch.context() as patch:
