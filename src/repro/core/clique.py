@@ -14,6 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterable, List, Sequence, Set, Tuple
 
+import numpy as np
+
 from ..constants import DEFAULT_OMEGA
 
 Edge = Tuple[int, int]
@@ -105,22 +107,20 @@ def clique_detect_mm(
     size_a = (k + 2) // 3          # ⌈k/3⌉
     size_b = (k + 1) // 3          # ⌈(k-1)/3⌉
     size_c = k // 3                # ⌊k/3⌋
-    group_a = enumerate_cliques(edge_set, size_a)
-    group_b = enumerate_cliques(edge_set, size_b)
-    group_c = enumerate_cliques(edge_set, size_c) if size_c else [()]
-
-    def compatible(left: Tuple[int, ...], right: Tuple[int, ...]) -> bool:
-        if set(left) & set(right):
-            return False
-        return all(
-            (min(a, b), max(a, b)) in edge_set for a in left for b in right
-        )
-
-    program, compat_db = lower_clique(group_a, group_b, group_c, compatible)
+    groups = [enumerate_cliques(edge_set, size) for size in (size_a, size_b, size_c)]
+    vertices = sorted({v for edge in edge_set for v in edge})
+    index = {vertex: i for i, vertex in enumerate(vertices)}
+    ends = np.array([(index[a], index[b]) for a, b in edge_set], dtype=np.int64).reshape(-1, 2)
+    adjacency = np.zeros((len(vertices), len(vertices)), dtype=bool)
+    adjacency[ends[:, 0], ends[:, 1]] = adjacency[ends[:, 1], ends[:, 0]] = True
+    program, compat_db = lower_clique(
+        *([tuple(index[v] for v in clique) for clique in group] for group in groups),
+        adjacency,
+    )
     result = VirtualMachine(compat_db).run(program)
     return CliqueReport(
         answer=result.answer,
         group_sizes=(size_a, size_b, size_c),
-        matrix_shape=(len(group_a), len(group_b), len(group_c)),
+        matrix_shape=tuple(len(group) for group in groups),
         seconds=time.perf_counter() - start,
     )

@@ -41,10 +41,10 @@ patches a table for the values gained instead of rebuilding it
 backend carries a Boolean tombstone mask and compacts **lazily** on first
 kernel access.  Seeded on the successor: the write index, per-column
 distinct codes (exact under appends) and the max-degree entries (sound
-upper bounds, ``old + |Δ|``).  Never seeded: the public ``row_set`` and
-``distinct`` value sets (frozensets: a copy per write) and the caches
-whose values feed *answers* (``ndistinct``, order/probe/sjprobe
-structures) — they rebuild on first use.
+upper bounds, ``old + |Δ|``).  Never seeded: the public ``row_set`` (a
+frozenset: a copy per write) and the caches whose values feed *answers*
+(``ndistinct``, order/probe/sjprobe/trie structures) — they rebuild on
+first use.
 """
 
 from __future__ import annotations
@@ -766,15 +766,6 @@ class ColumnarBackend:
     def distinct_count(self, position: int) -> int:
         return len(self._columns[position].distinct_codes)
 
-    def distinct_values(self, position: int) -> FrozenSet[Value]:
-        key = ("distinct", position)
-        cached = self._cache.get(key)
-        if cached is None:
-            column = self._columns[position]
-            cached = frozenset(column.values[column.distinct_codes].tolist())
-            self._cache[key] = cached
-        return cached
-
     def max_degree(self, target_positions, given_positions) -> int:
         key = ("degree", target_positions, given_positions)
         cached = self._cache.get(key)
@@ -802,6 +793,8 @@ class ColumnarBackend:
         """
         if not positions:
             return 1 if self._n else 0
+        if len(set(positions)) == len(self.schema):
+            return self._n  # every column: the rows are distinct already
         if len(positions) == 1:
             return len(self._columns[positions[0]].distinct_codes)
         key = ("ndistinct", tuple(positions))
@@ -869,12 +862,8 @@ class ColumnarBackend:
         table is built over the (small) dictionaries, not the rows, and
         cached per dictionary pair (see :meth:`_Dictionary.translate_from`).
         """
-        own = self._columns[position]
-        other_column = other._columns[other_position]
-        if own.dictionary is other_column.dictionary:
-            return other_column.codes
-        table = own.dictionary.translate_from(other_column.dictionary)
-        return table[other_column.codes]
+        theirs = other._columns[other_position]
+        return _recode(theirs.codes, theirs.dictionary, self._columns[position].dictionary)
 
     def lookup_code(self, position: int, value: Value) -> Optional[int]:
         """The dictionary code of one value (the per-variable hash index)."""
@@ -996,18 +985,6 @@ class ColumnarBackend:
         return cached
 
     # -- operators ------------------------------------------------------
-    def select_equals(self, items: Sequence[Tuple[int, Value]]) -> "ColumnarBackend":
-        mask: Optional[np.ndarray] = None
-        for position, value in items:
-            code = self.lookup_code(position, value)
-            if code is None:
-                return self.take(np.empty(0, dtype=np.int64))
-            hits = self._columns[position].codes == code
-            mask = hits if mask is None else (mask & hits)
-        if mask is None:
-            return self
-        return self.take(np.nonzero(mask)[0])
-
     def restrict(self, position: int, values: Iterable[Value]) -> "ColumnarBackend":
         """Rows whose ``position`` value lies in ``values`` (index probe)."""
         lookup = self._columns[position].dictionary.lookup
@@ -1216,6 +1193,134 @@ class ColumnarBackend:
             return self._n if root is None else int(root.sum())
         return _checked_count(sum(root.tolist()))
 
+    # -- worst-case-optimal join ----------------------------------------
+    def _trie(self, positions: Tuple[int, ...]) -> List[Tuple[np.ndarray, ...]]:
+        """The rows as a trie over ``positions``, one level per column, cached.
+
+        Level ``j`` is ``(keys, code_j per key, |dict_j|, a dense Boolean
+        table over the key space or None)``: the sorted distinct prefixes
+        over ``positions[:j + 1]`` keyed ``node * |dict_j| + code_j``, with
+        ``node`` the prefix's index in level ``j - 1``, so a node's children
+        are one key range at any row width.  They are read off the
+        :meth:`sorted_composite_keys` order; the table follows
+        :meth:`_semijoin_probe`'s size rule.
+        """
+        levels = self._cache.get(("trie", positions))
+        if levels is None:
+            order = self.sorted_composite_keys(positions)[1]
+            fresh = np.arange(self._n) == 0  # the row opens a node at this level
+            nodes = np.zeros(self._n, dtype=np.int64)  # its node one level up
+            levels = []
+            for position in positions:
+                codes = self._columns[position].codes[order]
+                fresh[1:] |= codes[1:] != codes[:-1]
+                heads = np.nonzero(fresh)[0]
+                size = max(len(self._columns[position].values), 1)
+                keys = nodes[heads] * size + codes[heads]
+                space = (int(nodes[-1]) + 1 if self._n else 1) * size
+                table = None
+                if space <= min(max(8 * max(len(keys), 1), 1 << 16), 1 << 26):
+                    table = np.zeros(space, dtype=bool)
+                    table[keys] = True
+                levels.append((keys, codes[heads], size, table))
+                nodes = np.cumsum(fresh) - 1
+            self._cache[("trie", positions)] = levels  # whole, for concurrent readers
+        return levels
+
+    @staticmethod
+    def wcoj(atoms, schema, find_all, morsel_size, token=None) -> "ColumnarBackend":
+        """GenericJoin on codes: the bindings of ``schema`` every atom holds.
+
+        ``atoms`` pairs each backend with the ``schema`` index of each of
+        its columns.  A batch of bindings is one code array per bound
+        variable, in the dictionary of the first atom holding it.  Each
+        binding's candidates in an atom are the children of its node in the
+        atom's :meth:`_trie`; it expands from the atom with the fewest (the
+        AGM bound) and probes the others.  Depth first, in morsels of
+        ``morsel_size`` bindings, ``token`` checked once per morsel and
+        level; without ``find_all`` it stops at the first complete binding.
+        """
+        tries = []
+        holders: List[List[Tuple[int, int, _Dictionary]]] = [[] for _ in schema]
+        for a, (backend, variables) in enumerate(atoms):
+            positions = tuple(sorted(range(len(variables)), key=variables.__getitem__))
+            tries.append(backend._trie(positions))
+            for level, position in enumerate(positions):
+                dictionary = backend._columns[position].dictionary
+                holders[variables[position]].append((a, level, dictionary))
+        found: List[List[np.ndarray]] = []
+
+        def extend(codes, nodes, depth):
+            """The bindings extended by variable ``depth``.  ``nodes[a]`` is
+            each binding's node in atom ``a``'s trie, None once ``a`` is done."""
+            here = holders[depth]
+            ranges = []
+            for a, level, _ in here:
+                keys, _, size, _ = tries[a][level]
+                low = nodes[a] * size
+                ranges.append((np.searchsorted(keys, low), np.searchsorted(keys, low + size)))
+            counts = np.stack([high - low for low, high in ranges])
+            expand_from = np.argmin(counts, axis=0)
+            # The holders with a deeper variable to bind, and their nodes reached.
+            reached = {a: [] for a, level, _ in here if level + 1 < len(tries[a])}
+            parents, bound = [], []
+            for i, (a, level, dictionary) in enumerate(here):
+                rows = np.nonzero(expand_from == i)[0]
+                fan = counts[i][rows]
+                parent = np.repeat(rows, fan)
+                node = np.repeat(ranges[i][0][rows] - (np.cumsum(fan) - fan), fan)
+                node += np.arange(len(node), dtype=np.int64)
+                code = tries[a][level][1][node]
+                at = {a: node} if a in reached else {}
+                for b, b_level, b_dictionary in here[:i] + here[i + 1:]:
+                    theirs = _recode(code, dictionary, b_dictionary)
+                    keys, _, size, table = tries[b][b_level]
+                    probe = theirs + nodes[b][parent] * size
+                    # A value b does not know (-1) would alias the key before it.
+                    hit = table[probe] if table is not None else _find(keys, probe) >= 0
+                    keep = np.nonzero(hit & (theirs >= 0))[0]
+                    parent, code, probe = parent[keep], code[keep], probe[keep]
+                    at = {x: array[keep] for x, array in at.items()}
+                    if b in reached:
+                        at[b] = np.searchsorted(keys, probe)
+                parents.append(parent)
+                bound.append(_recode(code, dictionary, here[0][2]))
+                for x, array in at.items():
+                    reached[x].append(array)
+            parent = np.concatenate(parents)
+            done = {a for a, _, _ in here}
+            nodes = [
+                np.concatenate(reached[x]) if x in reached
+                else None if x in done or nodes[x] is None else nodes[x][parent]
+                for x in range(len(atoms))
+            ]
+            return [c[parent] for c in codes] + [np.concatenate(bound)], nodes
+
+        def search(codes, nodes, depth) -> bool:
+            if depth == len(schema):
+                found.append(codes)
+                return not find_all
+            for start in range(0, len(nodes[holders[depth][0][0]]), morsel_size):
+                if token is not None:
+                    token.check()
+                window = slice(start, start + morsel_size)
+                codes_out, nodes_out = extend(
+                    [c[window] for c in codes],
+                    [None if n is None else n[window] for n in nodes],
+                    depth,
+                )
+                if len(codes_out[-1]) and search(codes_out, nodes_out, depth + 1):
+                    return True
+            return False
+
+        if all(len(backend) for backend, _ in atoms):
+            search([], [np.zeros(1, dtype=np.int64)] * len(atoms), 0)
+        columns = [np.concatenate([c[d] for c in found] or [_NO_ROWS]) for d in range(len(schema))]
+        n = len(columns[0]) if schema else len(found)
+        n = n if find_all else min(n, 1)
+        columns = [_Column(codes[:n], h[0][2]) for codes, h in zip(columns, holders)]
+        return ColumnarBackend(schema, columns, n)
+
     def degree_counts(
         self, target_positions: Tuple[int, ...], given_positions: Tuple[int, ...]
     ) -> Tuple[np.ndarray, np.ndarray]:
@@ -1238,23 +1343,6 @@ class ColumnarBackend:
             keys = np.zeros((1, 0), dtype=np.int64)
             counts = np.asarray([len(pairs)], dtype=np.int64)
         return keys, counts
-
-    def decode_key_rows(
-        self, positions: Sequence[int], key_rows: np.ndarray
-    ) -> List[Row]:
-        """Turn unique code rows (as from :meth:`degree_counts`) into value tuples."""
-        decoded = [
-            self._columns[p].values[key_rows[:, i]] for i, p in enumerate(positions)
-        ]
-        if not decoded:
-            return [()] * len(key_rows)
-        return list(zip(*decoded))
-
-    def degree_map(self, target_positions, given_positions):
-        keys, counts = self.degree_counts(
-            tuple(target_positions), tuple(given_positions)
-        )
-        return dict(zip(self.decode_key_rows(given_positions, keys), counts.tolist()))
 
     def degree_split(self, target_positions, given_positions, threshold):
         """The ``given`` bindings with more than ``threshold`` distinct targets."""
@@ -1437,6 +1525,11 @@ class ColumnarBackend:
             tuple(largest),
             len(groups),
         )
+
+
+def _recode(codes: np.ndarray, source: _Dictionary, target: _Dictionary) -> np.ndarray:
+    """Codes of ``source`` re-expressed in ``target`` (``-1`` where unknown)."""
+    return codes if source is target else target.translate_from(source)[codes]
 
 
 def _find(sorted_keys: np.ndarray, keys: np.ndarray) -> np.ndarray:

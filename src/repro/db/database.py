@@ -403,8 +403,11 @@ class Database:
         The relation's schema must *cover* the atom's variables after
         positional matching: the convention used throughout the library is
         that the atom's variable list names the relation's columns in
-        order, so arities must agree.
+        order, so arities must agree.  Query text is a ``TypeError``.
         """
+        if not isinstance(query, ConjunctiveQuery):
+            raise TypeError(f"expected a ConjunctiveQuery, got {type(query).__name__}; "
+                            "build one from query text with repro.db.parse_query")
         for atom in query.atoms:
             if atom.relation not in self._relations:
                 raise KeyError(f"query atom {atom} has no relation in the database")

@@ -3,7 +3,7 @@
 A relation ``R(X, Y, ...)`` is a schema (tuple of variable names) plus a
 :class:`~repro.db.backends.ColumnarBackend` holding the tuples as
 dictionary-encoded NumPy code columns.  Besides the classical operators
-(select/project/join/semijoin), relations expose the *degree* statistics of
+(restrict/project/join/semijoin), relations expose the *degree* statistics of
 Definition E.9 — ``deg_R(Y | X)`` — and the heavy part of a degree split
 that the paper's algorithms (Figure 1, PANDA decomposition steps) are
 built on (the light rows are an antijoin with it), plus the grouped
@@ -23,7 +23,6 @@ cost-based planner.
 from __future__ import annotations
 
 from typing import (
-    Dict,
     FrozenSet,
     Iterable,
     Iterator,
@@ -183,10 +182,6 @@ class Relation:
     def _empty(self) -> "Relation":
         return Relation(self.schema, (), self.name)
 
-    def column_values(self, variable: str) -> FrozenSet[Value]:
-        """The active domain of one column (cached distinct-value index)."""
-        return self._backend.distinct_values(self._backend.position(variable))
-
     def sorted_order(self, variables: Sequence[str]) -> Sequence[int]:
         """Row indices ordering the rows by the deterministic value order.
 
@@ -260,22 +255,23 @@ class Relation:
             edges.append((parent, nodes[parent]._positions(keys), child._backend, child._positions(keys)))
         return self._backend.count_tree(edges)
 
-    def select(self, condition: Mapping[str, Value]) -> "Relation":
-        """Select the rows holding every ``variable: value`` of an equality mapping."""
-        positions = self._positions(list(condition.keys()))
-        return Relation._wrap(
-            self._backend.select_equals(list(zip(positions, condition.values()))),
-            self.name,
-        )
-
     def restrict(self, variable: str, values: Iterable[Value]) -> "Relation":
         """Select the rows whose ``variable`` value lies in ``values``.
 
-        The set-membership analogue of an equality select, answered with
-        one vectorized index probe.
+        Answered with one vectorized index probe; an equality select is
+        ``restrict(variable, [value])``.
         """
         position = self._backend.position(variable)
         return Relation._wrap(self._backend.restrict(position, values), self.name)
+
+    @staticmethod
+    def wcoj(relations, variable_order, find_all, morsel_size, token=None) -> "Relation":
+        """GenericJoin binding ``variable_order``: every satisfying assignment
+        with ``find_all``, else at most one (:meth:`ColumnarBackend.wcoj
+        <repro.db.backends.ColumnarBackend.wcoj>`)."""
+        order = tuple(variable_order)
+        atoms = [(r._backend, [order.index(v) for v in r.schema]) for r in relations]
+        return Relation._wrap(ColumnarBackend.wcoj(atoms, order, find_all, morsel_size, token))
 
     def rename(self, mapping: Mapping[str, str]) -> "Relation":
         """Rename columns (variables not mentioned keep their names)."""
@@ -342,12 +338,6 @@ class Relation:
             self._positions([v for v in target if v not in given and v in schema]),
             self._positions([v for v in given if v in schema]),
         )
-
-    def degree_map(
-        self, target: Sequence[str], given: Sequence[str] = ()
-    ) -> Dict[Row, int]:
-        """Per-binding degrees: for each ``given`` value, how many ``target`` values."""
-        return self._backend.degree_map(*self._degree_positions(target, given))
 
     def heavy_part(self, given: Sequence[str], threshold: int) -> "Relation":
         """The bindings of ``given`` whose degree exceeds ``threshold``.

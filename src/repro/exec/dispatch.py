@@ -6,8 +6,8 @@ columnar store (:mod:`repro.db.backends`), and every matrix product runs
 on BLAS.  What is left to choose, :class:`KernelDispatcher`
 chooses from configuration: a select's ``limit``/``order`` pick its
 delivery (stream, ranked any-k, or materialize + bounded sort), and
-``morsel_size`` is the chunk size of the streaming cursors and the
-default ``ResultSet`` batch size.
+``morsel_size`` is the chunk size of the streaming cursors and of
+GenericJoin's binding batches, and the default ``ResultSet`` batch size.
 
 The dispatcher is deliberately deterministic: decisions depend only on
 configuration, never on timing, so runs stay reproducible and
@@ -40,8 +40,9 @@ class KernelDispatcher:
     Parameters
     ----------
     morsel_size:
-        Largest chunk (in rows) of a streaming enumeration cursor, and the
-        default batch size of a :class:`~repro.api.results.ResultSet`.
+        Largest chunk (in rows) of a streaming enumeration cursor and
+        (in bindings) of a GenericJoin step, and the default batch size of
+        a :class:`~repro.api.results.ResultSet`.
     ranked_limit_cap:
         Largest sorted-select ``limit`` served by ranked (any-k)
         enumeration rather than materialize + bounded sort.

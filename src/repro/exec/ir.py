@@ -481,12 +481,13 @@ class GroupedMatMul(Operator):
 # ----------------------------------------------------------------------
 @dataclass(frozen=True)
 class Wcoj(Operator):
-    """GenericJoin: one nested intersection loop per variable.
+    """GenericJoin: one intersection per variable, in ``variable_order``.
 
-    The classic worst-case optimal join is an inherently row-at-a-time
-    backtracking search; it lowers to a single operator whose VM
-    implementation owns the loop (with early termination when
-    ``find_all`` is false).
+    The worst-case optimal join lowers to a single operator.  Its kernel
+    (:meth:`~repro.db.backends.ColumnarBackend.wcoj`) extends a batch of
+    bindings by one variable at a time on dictionary codes, each binding
+    from the input with the fewest candidates, and stops at the first
+    complete binding when ``find_all`` is false.
     """
 
     inputs: Tuple[Operator, ...]

@@ -48,6 +48,8 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from ..core.plan import OmegaQueryPlan, PlanStep, StepMethod
 from ..db.database import Database
 from ..db.query import ConjunctiveQuery
@@ -659,48 +661,47 @@ def lower_four_cycle(
 # ----------------------------------------------------------------------
 # k-clique (Nešetřil–Poljak)
 # ----------------------------------------------------------------------
+def _compatible_pairs(adjacency: np.ndarray, left, right) -> List[np.ndarray]:
+    """The ``(i, j)`` index pairs whose cliques are fully adjacent: one AND
+    of adjacency sub-matrices per position pair (with a ``False`` diagonal,
+    also disjoint).  A zero-width group (``[()]``) fits everything."""
+    left_array, right_array = (
+        np.asarray(group, dtype=np.int64).reshape(len(group), len(group[0]) if group else 0)
+        for group in (left, right)
+    )
+    fits = np.ones((len(left), len(right)), dtype=bool)
+    for p in range(left_array.shape[1]):
+        for q in range(right_array.shape[1]):
+            fits &= adjacency[np.ix_(left_array[:, p], right_array[:, q])]
+    return list(np.nonzero(fits))
+
+
 def lower_clique(
     group_a: Sequence[Tuple[int, ...]],
     group_b: Sequence[Tuple[int, ...]],
     group_c: Sequence[Tuple[int, ...]],
-    compatible,
+    adjacency: np.ndarray,
 ) -> Tuple[Program, Database]:
     """The three-way clique split as a triangle over compatible-clique relations.
 
-    The groups (cliques of sizes ⌈k/3⌉, ⌈(k-1)/3⌉, ⌊k/3⌋) are enumerated by
-    the caller; this builds the pairwise compatibility relations ``AB``,
-    ``BC``, ``AC`` over group indices and lowers the detection to
+    The groups (cliques of sizes ⌈k/3⌉, ⌈(k-1)/3⌉, ⌊k/3⌋, as vertex indices
+    into the dense Boolean ``adjacency`` matrix, whose diagonal is
+    ``False``) are enumerated by the caller; this builds the pairwise
+    compatibility relations ``AB``, ``BC``, ``AC`` over group indices —
+    vertex-disjoint and fully adjacent — and lowers the detection to
     ``NonEmpty(AC ⋉ GroupedMatMul(AB; B; BC))`` — exactly the GVEO σ = (A, B, C)
     with MM term ``MM(B; C; A)`` of Lemma C.8.
     """
     from ..db.relation import Relation
 
-    index_a = {clique: i for i, clique in enumerate(group_a)}
-    index_b = {clique: i for i, clique in enumerate(group_b)}
-    index_c = {clique: i for i, clique in enumerate(group_c)}
-    ab = [
-        (i, j)
-        for a_clique, i in index_a.items()
-        for b_clique, j in index_b.items()
-        if compatible(a_clique, b_clique)
-    ]
-    bc = [
-        (j, k)
-        for b_clique, j in index_b.items()
-        for c_clique, k in index_c.items()
-        if compatible(b_clique, c_clique)
-    ]
-    ac = [
-        (i, k)
-        for a_clique, i in index_a.items()
-        for c_clique, k in index_c.items()
-        if compatible(a_clique, c_clique)
-    ]
     compat_db = Database(
         {
-            "AB": Relation(("A", "B"), ab),
-            "BC": Relation(("B", "C"), bc),
-            "AC": Relation(("A", "C"), ac),
+            name: Relation.from_columns(schema, _compatible_pairs(adjacency, left, right))
+            for name, schema, left, right in (
+                ("AB", ("A", "B"), group_a, group_b),
+                ("BC", ("B", "C"), group_b, group_c),
+                ("AC", ("A", "C"), group_a, group_c),
+            )
         }
     )
     mm = GroupedMatMul(Scan("AB", ("A", "B")), Scan("BC", ("B", "C")), ("A",), ("B",), ("C",))

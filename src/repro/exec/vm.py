@@ -22,9 +22,10 @@ and that includes the paper's one non-combinatorial primitive:
 ``GroupedMatMul`` — the grouped Boolean product ``MM(X; Y; Z | G)`` of
 Definition 4.5, a plain product when ``G`` is empty — is one method here
 and one kernel on dictionary codes there
-(:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`).  The
-single operator whose loop the VM owns is ``Wcoj``, the
-GenericJoin backtracking search, which is row-at-a-time by nature.
+(:meth:`Relation.matmul <repro.db.relation.Relation.matmul>`).  So is
+``Wcoj``, GenericJoin: a frontier of bindings expands one variable at a
+time on codes (:meth:`Relation.wcoj <repro.db.relation.Relation.wcoj>`),
+in morsels that each check the cancellation token.
 
 One query, one thread
 ---------------------
@@ -116,9 +117,9 @@ class CancellationToken:
     disconnected, the server is draining) or a *deadline* — a monotonic
     timestamp after which the token reports cancelled and
     :attr:`timed_out` is true.  The interpreter consults the token between
-    operators (the streaming cursors per chunk, the WCOJ row search
-    between bound-variable extensions), so cancellation latency is one
-    operator/kernel call, not one query.  Checks are lock-free reads;
+    operators (the streaming cursors per chunk, the WCOJ kernel per
+    morsel of bindings and level), so cancellation latency is one
+    operator/kernel call or morsel, not one query.  Checks are lock-free reads;
     tokens are cheap enough to build one per ask.
     """
 
@@ -935,11 +936,9 @@ class _RunState:
 
         if isinstance(node, Wcoj):
             inputs = [self._relation(x) for x in node.inputs]
-            rows_in = sum(len(r) for r in inputs)
-            rows = _wcoj_search(
-                inputs, node.variable_order, node.find_all, token=self.vm.token
-            )
-            return Relation(node.variable_order, rows), rows_in, extra
+            morsel, token = self.dispatcher.morsel_size, self.vm.token
+            result = Relation.wcoj(inputs, node.variable_order, node.find_all, morsel, token)
+            return result, sum(len(r) for r in inputs), extra
 
         if isinstance(node, Count):
             child = self._relation(node.child)
@@ -1023,53 +1022,3 @@ class _RunState:
             sum(len(r) for r in inputs),
             {"matrix_shape": shape, "group_count": group_count},
         )
-
-
-# ----------------------------------------------------------------------
-# The one row-loop kernel: GenericJoin's backtracking search
-# ----------------------------------------------------------------------
-def _wcoj_search(
-    relations: Sequence[Relation],
-    variable_order: Sequence[str],
-    find_all: bool,
-    token: Optional[CancellationToken] = None,
-) -> List[Row]:
-    """The GenericJoin backtracking search over pre-bound atom relations."""
-    results: List[Row] = []
-
-    def extend(assignment: Dict[str, object], depth: int) -> bool:
-        if token is not None:
-            # The exhaustive search is the one kernel whose single
-            # invocation can dominate a query, so it checks the token per
-            # extension step rather than only between operators.
-            token.check()
-        if depth == len(variable_order):
-            results.append(tuple(assignment[v] for v in variable_order))
-            return True
-        variable = variable_order[depth]
-        candidates: Optional[set] = None
-        for relation in relations:
-            if variable not in relation.variables:
-                continue
-            bound = {v: assignment[v] for v in relation.schema if v in assignment}
-            matching = relation.select(bound) if bound else relation
-            values = matching.column_values(variable)
-            candidates = set(values) if candidates is None else candidates & values
-            if not candidates:
-                return False
-        if candidates is None:
-            candidates = set()
-        found = False
-        for value in candidates:
-            assignment[variable] = value
-            if extend(assignment, depth + 1):
-                found = True
-                if not find_all:
-                    del assignment[variable]
-                    return True
-            del assignment[variable]
-        return found
-
-    extend({}, 0)
-    return results
-

@@ -501,6 +501,12 @@ class TestStrictParsing:
         assert len(query.atoms) == 2
         assert len(parse_query("R(X,,Y)", strict=False).atoms[0].variables) == 2
 
+    @pytest.mark.parametrize("verb", ["exists", "ask", "count", "select"])
+    def test_query_text_is_a_type_error_naming_parse_query(self, verb):
+        engine = make_engine()
+        with pytest.raises(TypeError, match="parse_query"):
+            getattr(engine, verb)("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
+
     def test_well_formed_queries_still_parse(self):
         query = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
         assert sorted(query.variables) == ["X", "Y", "Z"]

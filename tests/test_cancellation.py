@@ -6,6 +6,8 @@ number of cooperative checks stand in for wall-clock races.
 """
 
 import json
+import os
+import sys
 
 import pytest
 
@@ -13,6 +15,7 @@ from repro.api.engine import QueryEngine
 from repro.api.errors import QueryCancelledError, QueryTimeout
 from repro.db import Database, Relation
 from repro.db.query import parse_query
+from repro.exec.dispatch import KernelDispatcher
 from repro.exec.vm import CancellationToken, QueryCancelled
 
 
@@ -190,14 +193,33 @@ class TestStrategyCoverage:
         with pytest.raises(QueryTimeout):
             engine.count(parse_query(CHAIN), strategy=strategy, timeout=0)
 
-    def test_wcoj_search_checks_between_extensions(self):
-        # generic_join's row search consults the token between
-        # bound-variable extensions; a tripping token lands inside it.
-        engine = QueryEngine(chain_db())
-        with pytest.raises((QueryCancelledError, QueryTimeout)):
-            engine.count(
-                parse_query(CHAIN), strategy="generic_join", token=TripAfter(4)
-            )
+    def test_wcoj_kernel_checks_per_morsel(self):
+        # GenericJoin's kernel consults the token once per morsel of
+        # bindings and level; with one-binding morsels that is once per
+        # binding.  A token tripping on the kernel's second check cancels
+        # the query from inside the kernel's search, not at an operator
+        # boundary.
+        class Witness(TripAfter):
+            callers = ()
+
+            def check(self):
+                caller = sys._getframe(1).f_code
+                self.callers += ((os.path.basename(caller.co_filename), caller.co_name),)
+                super().check()
+
+        kernel = ("backends.py", "search")
+        engine = QueryEngine(
+            chain_db(), dispatcher=KernelDispatcher(morsel_size=1), result_cache_size=0
+        )
+        query = parse_query(CHAIN)
+        untripped = Witness(10**9)
+        engine.count(query, strategy="generic_join", token=untripped)
+        assert untripped.callers.count(kernel) > 10
+        trip = untripped.callers.index(kernel) + 2
+        token = Witness(trip)
+        with pytest.raises(QueryCancelledError):
+            engine.count(query, strategy="generic_join", token=token)
+        assert len(token.callers) == trip and token.callers[-1] == kernel
 
     def test_boolean_omega_boundary_check(self):
         # The non-lowered omega path checks the token at the strategy

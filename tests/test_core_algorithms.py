@@ -8,6 +8,9 @@ step per eliminated middle variable (``matrix_only``), or for-loops only
 
 from __future__ import annotations
 
+import random
+
+import numpy as np
 import pytest
 
 from repro.analysis.verify import verify_program
@@ -218,6 +221,40 @@ class TestCliqueDetection:
         with pytest.raises(ValueError):
             clique_detect_mm([(0, 1)], 2, OMEGA)
 
+    @pytest.mark.parametrize("k", [3, 4, 5, 6])
+    @pytest.mark.parametrize("seed", [0, 1])
+    def test_compatibility_relations_match_the_pairwise_predicate(self, k, seed):
+        rng = random.Random(seed)
+        n = 14
+        edges = {tuple(sorted(rng.sample(range(n), 2))) for _ in range(55)}
+        adjacency = np.zeros((n, n), dtype=bool)
+        for a, b in edges:
+            adjacency[a, b] = adjacency[b, a] = True
+        sizes = ((k + 2) // 3, (k + 1) // 3, k // 3)
+        groups = [enumerate_cliques(edges, size) for size in sizes]
+
+        def compatible(left, right):  # disjoint, and every cross pair an edge
+            return not set(left) & set(right) and all(
+                (min(a, b), max(a, b)) in edges for a in left for b in right
+            )
+
+        _, compat_db = lower_clique(*groups, adjacency)
+        for name, (x, y) in {"AB": (0, 1), "BC": (1, 2), "AC": (0, 2)}.items():
+            expected = {
+                (i, j)
+                for i, left in enumerate(groups[x])
+                for j, right in enumerate(groups[y])
+                if compatible(left, right)
+            }
+            assert compat_db[name].rows == expected
+
+    def test_a_zero_width_group_is_compatible_with_everything(self):
+        adjacency = ~np.eye(3, dtype=bool)
+        _, compat_db = lower_clique([(0,), (1,)], [(1, 2)], [()], adjacency)
+        assert compat_db["AB"].rows == {(0, 0)}
+        assert compat_db["BC"].rows == {(0, 0)}
+        assert compat_db["AC"].rows == {(0, 0), (1, 0)}
+
 
 class TestHandWrittenLoweringsVerify:
     """The three lowerings run outside the engine, so its plan checks never see them."""
@@ -233,5 +270,6 @@ class TestHandWrittenLoweringsVerify:
 
     def test_clique_program_verifies(self):
         groups = [(0,), (1,), (2,)]
-        program, compat_db = lower_clique(groups, groups, groups, lambda a, b: a != b)
+        # K3 as a dense adjacency matrix: each vertex is its own group.
+        program, compat_db = lower_clique(groups, groups, groups, ~np.eye(3, dtype=bool))
         assert verify_program(program, verb="exists", database=compat_db) == []

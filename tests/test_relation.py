@@ -35,12 +35,12 @@ class TestBasics:
         # Equal objects hash equal: a set keeps one of them.
         assert hash(a) == hash(b) and len({a, b}) == 1
 
-    def test_column_values_and_domain(self):
+    def test_project_gives_the_active_domain(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 2)])
-        assert r.column_values("X") == {1, 3}
-        assert r.column_values("X") | r.column_values("Y") == {1, 2, 3}
+        assert r.project(["X"]).rows == {(1,), (3,)}
+        assert r.project(["X"]).rows | r.project(["Y"]).rows == {(1,), (2,), (3,)}
         with pytest.raises(KeyError):
-            r.column_values("Z")
+            r.project(["Z"])
 
 
 class TestOperators:
@@ -49,11 +49,13 @@ class TestOperators:
         assert r.project(["X"]).rows == {(1,)}
         assert r.project(["Y", "X"]).rows == {(2, 1), (3, 1)}
 
-    def test_select_by_mapping_and_predicate(self):
+    def test_restrict_by_value_set(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 4)])
-        assert r.select({"X": 1}).rows == {(1, 2)}
-        assert r.select({"X": 3, "Y": 4}).rows == {(3, 4)}
-        assert r.select({"X": 1, "Y": 4}).is_empty()
+        assert r.restrict("X", [1]).rows == {(1, 2)}
+        assert r.restrict("X", [3]).restrict("Y", [4]).rows == {(3, 4)}
+        assert r.restrict("X", [1]).restrict("Y", [4]).is_empty()
+        assert r.restrict("X", [1, 3, 5]).rows == r.rows
+        assert r.restrict("X", ["absent"]).is_empty()
 
     def test_rename(self):
         r = Relation(("X", "Y"), [(1, 2)])
@@ -112,8 +114,10 @@ class TestDegreesAndPartitioning:
     def test_degree_definition_e9(self):
         r = Relation(("X", "Y"), [(1, 1), (1, 2), (1, 3), (2, 1)])
         assert r.stats.max_degree(["Y"], ["X"]) == 3
-        assert r.degree_map(["Y"], ["X"])[(1,)] == 3
-        assert r.degree_map(["Y"], ["X"])[(2,)] == 1
+        # X = 1 has three Y values and X = 2 one: heavy past 0 and 1, only 1 past 2.
+        assert r.heavy_part(["X"], 0).rows == {(1,), (2,)}
+        assert r.heavy_part(["X"], 1).rows == r.heavy_part(["X"], 2).rows == {(1,)}
+        assert r.heavy_part(["X"], 3).is_empty()
         assert r.stats.max_degree(["X"], []) == 2  # two distinct X values overall
 
     def test_heavy_light_split(self):
@@ -167,7 +171,7 @@ class TestBackends:
         with pytest.raises(ValueError):
             Relation(("X", "Y"), [(1,)])
         with pytest.raises(KeyError):
-            Relation(("X",), [(1,)]).column_values("Z")
+            Relation(("X",), [(1,)]).restrict("Z", [1])
 
     def test_columnar_rename_shares_storage(self):
         c = Relation(("X", "Y"), [(1, 2), (3, 4)])

@@ -212,7 +212,7 @@ def test_snapshot_held_across_an_insert(form, composite_limit):
     assert partner.semijoin(old).rows == _oracle(reference, partner_reference, ("B", "C"))
     same, removed = old.delete_rows([row])
     assert removed == () and same is old
-    assert old.select({"A": 98}).is_empty() and old.restrict("B", [99]).is_empty()
+    assert old.restrict("A", [98]).is_empty() and old.restrict("B", [99]).is_empty()
 
     # A second write to the snapshot is a fork: correct, and ``new`` is unaffected.
     other_row = (97, 99)
