@@ -41,8 +41,8 @@ def four_cycle_section() -> None:
             num_edges, domain_size=max(40, num_edges // 25), skew="heavy", seed=num_edges
         )
         engine = QueryEngine(database, omega=OMEGA_BEST_KNOWN)
-        generic = engine.ask(FOUR_CYCLE_QUERY, strategy="generic_join")
-        omega_result = engine.ask(FOUR_CYCLE_QUERY, strategy="omega")
+        generic = engine.exists(FOUR_CYCLE_QUERY, strategy="generic_join")
+        omega_result = engine.exists(FOUR_CYCLE_QUERY, strategy="omega")
         report = four_cycle_adaptive(database, OMEGA_BEST_KNOWN)
         if len({generic.answer, omega_result.answer, report.answer}) != 1:
             raise AssertionError("4-cycle strategies disagree")

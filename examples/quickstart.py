@@ -14,6 +14,7 @@ plan-free executions, and (4) cross-validates every strategy.
 from __future__ import annotations
 
 from repro import QueryEngine
+from repro.api import STRATEGIES
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.core import triangle_figure1
 from repro.db import parse_query, triangle_instance
@@ -47,7 +48,7 @@ def main() -> None:
     )
     engine = QueryEngine(database, omega=omega)
     print(f"database size N = {database.size} tuples")
-    print(f"strategies: {engine.registry.names()}")
+    print(f"strategies: {sorted(STRATEGIES)}")
     print()
 
     print("=== explain(): the plan, without executing ===")
@@ -55,10 +56,10 @@ def main() -> None:
     print(explanation.describe())
     print()
 
-    print("=== ask(): first ask plans, the second hits the plan cache ===")
+    print("=== exists(): first ask plans, the second hits the plan cache ===")
     engine.clear_plan_cache()  # explain() above already warmed the cache
-    first = engine.ask(query, strategy="omega")
-    second = engine.ask(query, strategy="omega")
+    first = engine.exists(query, strategy="omega")
+    second = engine.exists(query, strategy="omega")
     for label, result in (("first", first), ("second", second)):
         print(
             f"  {label:<6s} answer={result.answer}  total={result.seconds * 1e3:7.2f} ms  "

@@ -75,7 +75,7 @@ def main() -> None:
     print(explanation.describe())
     print()
     print("=== Executed (same engine, plan served from the cache) ===")
-    result = engine.ask(query, strategy="omega")
+    result = engine.exists(query, strategy="omega")
     print(
         f"answer={result.answer}  plan from {result.plan_source}  "
         f"({result.execute_seconds * 1e3:.2f} ms execute)"

@@ -12,7 +12,7 @@ The package is organised by subsystem:
   per-strategy lowering, the dead-operator pruning pass
   and the instrumented virtual machine every strategy runs on;
 * :mod:`repro.api` — the public query engine: :class:`QueryEngine` facade,
-  pluggable strategy registry, LRU plan+IR cache, batch execution with
+  four fixed strategies, LRU plan+IR cache, batch execution with
   cross-query intermediate-result sharing.
 
 Answering queries goes through :class:`repro.api.QueryEngine`::
@@ -21,13 +21,12 @@ Answering queries goes through :class:`repro.api.QueryEngine`::
     from repro.db import parse_query, triangle_instance
 
     engine = QueryEngine(triangle_instance(1000, domain_size=80, seed=1))
-    result = engine.ask(parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)"))
+    result = engine.exists(parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)"))
 
 Repeated asks of the same query *shape* (up to variable renaming) hit the
 engine's plan cache and skip planning; ``engine.ask_many`` batches queries
-and shares plans across isomorphic shapes; custom strategies register via
-:func:`repro.api.register_strategy`.  The most common entry points are
-re-exported here.
+and shares plans across isomorphic shapes.  The most common entry points
+are re-exported here.
 """
 
 from .api import (
@@ -38,10 +37,7 @@ from .api import (
     ResultSet,
     Strategy,
     StrategyDisagreement,
-    StrategyRegistry,
     UnsupportedWorkload,
-    available_strategies,
-    register_strategy,
 )
 from .constants import (
     DEFAULT_OMEGA,
@@ -77,14 +73,11 @@ __all__ = [
     "SetFunction",
     "Strategy",
     "StrategyDisagreement",
-    "StrategyRegistry",
     "UnsupportedWorkload",
     "__version__",
-    "available_strategies",
     "fractional_edge_cover_number",
     "fractional_hypertree_width",
     "gamma",
     "omega_submodular_width",
-    "register_strategy",
     "submodular_width",
 ]

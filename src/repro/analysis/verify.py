@@ -18,8 +18,8 @@ function ``(program, context) -> iterable of Violation``.  Adding a check
 means writing one function and appending it to the list — see
 ``src/repro/analysis/README.md``.
 
-The engine runs this automatically when constructed with
-``verify_plans='lowered'`` or ``'optimized'`` (default from the
+The engine runs this on every optimized program when constructed with
+``verify_plans='optimized'`` (default from the
 ``REPRO_VERIFY_PLANS`` environment variable — the test suite turns it on
 for every engine via ``tests/conftest.py``), and the front door exposes it
 as ``EXPLAIN VERIFY <statement>`` and ``repro verify``.
@@ -55,7 +55,7 @@ __all__ = [
 ]
 
 #: Verification stages an engine may request (``off`` disables).
-VERIFY_STAGES = ("off", "lowered", "optimized")
+VERIFY_STAGES = ("off", "optimized")
 
 
 @dataclass(frozen=True)

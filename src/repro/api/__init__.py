@@ -5,9 +5,9 @@ Boolean and output-producing.  The moving parts:
 
 :class:`QueryEngine`
     A stateful facade owning a database, organised around three query
-    *verbs*: ``engine.exists(query)`` decides satisfiability (``ask`` is a
-    thin alias), ``engine.count(query)`` reports the number of distinct
-    output tuples, and ``engine.select(query, limit=...)`` returns a lazy
+    *verbs*: ``engine.exists(query)`` decides satisfiability,
+    ``engine.count(query)`` reports the number of distinct output tuples,
+    and ``engine.select(query, limit=...)`` returns a lazy
     deterministic-order :class:`ResultSet` streaming them.
     ``engine.explain(query, verb=...)`` reports the chosen strategy, plan
     and width measures without executing, ``engine.ask_many(queries)``
@@ -16,16 +16,17 @@ Boolean and output-producing.  The moving parts:
     (raising :class:`StrategyDisagreement` on mismatch).  Every strategy
     runs on the columnar store's kernels (:mod:`repro.db.backends`).
 
-Strategy registry (:mod:`repro.api.strategies`)
-    Every execution method is a :class:`Strategy` registered by name —
-    built-ins ``naive``, ``generic_join``, ``yannakakis``, ``omega`` — and
-    new ones plug in via the :func:`register_strategy` decorator.
+Strategies (:mod:`repro.api.strategies`)
+    Every execution method is a :class:`Strategy` in the fixed
+    :data:`STRATEGIES` map — ``naive``, ``generic_join``, ``yannakakis``
+    and ``omega`` — and ``"auto"`` picks one of them per query and verb.
 
 Plan cache (:mod:`repro.api.cache`)
-    An LRU keyed by (canonical query shape, strategy, ω, database
-    statistics fingerprint).  Plans are stored in canonical variable space,
-    so isomorphic queries hit the same entry; any database mutation bumps
-    the fingerprint and transparently invalidates stale plans.
+    An LRU keyed by (strategy, canonical query shape, ω, statistics
+    epochs of the touched relations).  Plans are stored in canonical
+    variable space, so isomorphic queries hit the same entry; any
+    database mutation bumps the fingerprint and transparently invalidates
+    stale plans.
     ``engine.cache_info()`` exposes hit/miss counters.
 
 Typical use::
@@ -34,12 +35,12 @@ Typical use::
     from repro.db import parse_query, triangle_instance
 
     engine = QueryEngine(triangle_instance(1000, domain_size=80, seed=1))
-    result = engine.ask(parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)"))
+    result = engine.exists(parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)"))
     print(result.answer, result.cache_hit, result.plan_seconds)
 """
 
 from ..exec.cache import CacheStats, ResultCache
-from .cache import CachedPlanEntry, PlanCache
+from .cache import CachedPlanEntry
 from .engine import Explanation, QueryEngine, QueryResult
 from .errors import (
     EngineError,
@@ -49,36 +50,23 @@ from .errors import (
     UnsupportedWorkload,
 )
 from .results import ResultSet, row_order_key
-from .strategies import (
-    DEFAULT_REGISTRY,
-    VERBS,
-    Strategy,
-    StrategyRegistry,
-    available_strategies,
-    register_strategy,
-    unregister_strategy,
-)
+from .strategies import STRATEGIES, VERBS, Strategy
 
 __all__ = [
     "CacheStats",
     "CachedPlanEntry",
-    "DEFAULT_REGISTRY",
     "EngineError",
     "Explanation",
-    "PlanCache",
     "QueryEngine",
     "QueryParseError",
     "QueryResult",
     "ResultCache",
     "ResultSet",
+    "STRATEGIES",
     "VERBS",
     "row_order_key",
     "Strategy",
     "StrategyDisagreement",
-    "StrategyRegistry",
     "UnknownStrategyError",
     "UnsupportedWorkload",
-    "available_strategies",
-    "register_strategy",
-    "unregister_strategy",
 ]

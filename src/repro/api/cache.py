@@ -1,16 +1,14 @@
-"""An LRU cache for ω-query plans and their lowered IR programs.
+"""The plan-cache entry and key, and the incremental answer store.
 
 Plans are cached in *canonical shape space*: before insertion the engine
 renames a plan's variables through the query's canonical mapping
 (:meth:`ConjunctiveQuery.canonical_mapping`), so a single cached entry
 serves every query isomorphic to the one that was planned.  Keys combine
 
-* the canonical shape signature (atom scopes over canonical names) plus an
-  output-signature slot and the query verb — so Boolean, counting and
-  enumeration programs over the same body can never collide.  Only the
-  exists verb plans (the ω strategy is exists-only), and exists ignores
-  the query head, so the output slot is normalized to ``()`` there —
-  differently-headed queries over one body share a single cached plan,
+* the canonical shape signature (atom scopes over canonical names) plus
+  each atom's log₂ size class.  Only ω ``exists`` plans are cached, and
+  ``exists`` ignores the query head, so differently-headed queries over
+  one body share a single cached plan,
 * the strategy name and the ω exponent the plan was costed with, and
 * the *per-relation plan fingerprint* of only the relations the query's
   atoms touch (the engine's name-insensitive ``_plan_fingerprint``) — mutating
@@ -27,10 +25,10 @@ answers: each entry remembers the answer plus the per-relation versions it
 was computed at, so the engine can replay the delta log forward instead of
 re-executing (see :meth:`~repro.api.QueryEngine.insert`).
 
-Both are thin subclasses of :class:`~repro.exec.cache.LRUCache`, the one
-locked LRU every engine cache shares (the VM's
-:class:`~repro.exec.cache.ResultCache` is the third): the plan cache adds
-nothing, the store adds its patch / reuse / fallback counters.
+The plan cache is a plain :class:`~repro.exec.cache.LRUCache`, the one
+locked LRU every engine cache shares; the store subclasses it to add its
+patch / reuse / fallback counters (the VM's
+:class:`~repro.exec.cache.ResultCache` is the third).
 
 Since the unified execution layer landed, the engine stores a
 :class:`CachedPlanEntry` — the plan *plus* its optimized physical-operator
@@ -50,8 +48,8 @@ from ..core.plan import OmegaQueryPlan
 from ..exec.cache import LRUCache
 from ..exec.ir import Program
 
-#: (strategy name, (shape signature, output signature, verb, atom sizes),
-#: omega, per-relation plan fingerprint of the atoms' relations)
+#: (strategy name, (shape signature, atom size classes), omega,
+#: per-relation plan fingerprint of the atoms' relations)
 PlanCacheKey = Tuple[str, Hashable, float, Hashable]
 
 
@@ -66,17 +64,6 @@ class CachedPlanEntry:
     #: Which relation each canonical atom scope was lowered against — reuse
     #: of ``program`` requires the requesting query to bind the same way.
     binding: Hashable
-
-
-class PlanCache(LRUCache):
-    """A bounded mapping from :data:`PlanCacheKey` to :class:`CachedPlanEntry`.
-
-    ``maxsize <= 0`` disables caching entirely (every lookup misses and
-    nothing is stored).
-    """
-
-    def __init__(self, maxsize: int = 128) -> None:
-        super().__init__(maxsize)
 
 
 @dataclass
@@ -107,11 +94,10 @@ class IncrementalResultStore(LRUCache):
     Keyed by the exact query identity — ``(sorted (relation, variables)
     atom bindings, output variables, verb)`` — unlike the plan/result
     caches this store is *name-sensitive*: a patched count is only sound
-    for the very query it was computed for.  ``maxsize <= 0`` disables the
-    store (the engine then always re-executes).
+    for the very query it was computed for.
     """
 
-    def __init__(self, maxsize: int = 256) -> None:
+    def __init__(self, maxsize: int) -> None:
         super().__init__(maxsize)
         self._patched = 0
         self._reused = 0
@@ -121,9 +107,8 @@ class IncrementalResultStore(LRUCache):
 
     def put(self, key: Hashable, entry: IncrementalEntry) -> None:
         super().put(key, entry)
-        if self.enabled:
-            with self._lock:
-                self._stored += 1
+        with self._lock:
+            self._stored += 1
 
     def drop(self, key: Hashable) -> None:
         """Remove an entry whose delta replay turned out unavailable."""

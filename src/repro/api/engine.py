@@ -2,11 +2,12 @@
 
 Where the seed exposed one free function that re-planned on every call, the
 engine owns a :class:`~repro.db.database.Database`, resolves strategies
-through a registry, and memoizes ω-query plans in an LRU cache keyed by
-(canonical query shape, strategy, ω, per-relation plan fingerprint of the
-relations the query touches).  The second ask of any previously seen query
-shape therefore skips planning entirely — including asks of *isomorphic*
-queries with different variable or relation names.
+by name in :data:`~repro.api.strategies.STRATEGIES`, and memoizes ω-query
+plans in an LRU cache keyed by (strategy, canonical query shape, ω,
+statistics epochs of the relations the query touches).  The second ask
+of any previously seen query shape therefore skips planning entirely —
+including asks of *isomorphic* queries with different variable or
+relation names.
 
 The engine is also the front door for *incremental maintenance*:
 :meth:`QueryEngine.insert` / :meth:`QueryEngine.delete` route mutations
@@ -31,7 +32,7 @@ from ..db.query import ConjunctiveQuery
 from ..db.relation import Relation
 from ..core.plan import OmegaQueryPlan
 from ..core.planner import PlannedQuery
-from ..exec.cache import CacheStats, ResultCache
+from ..exec.cache import CacheStats, LRUCache, ResultCache
 from ..exec.dispatch import KernelDispatcher
 from ..exec.ir import Program
 from ..exec.lower import SelectOptions, apply_select_options, check_verb, describe_join_tree
@@ -48,7 +49,6 @@ from .cache import (
     CachedPlanEntry,
     IncrementalEntry,
     IncrementalResultStore,
-    PlanCache,
     PlanCacheKey,
 )
 from .errors import (
@@ -56,13 +56,21 @@ from .errors import (
     QueryCancelledError,
     QueryTimeout,
     StrategyDisagreement,
+    UnknownStrategyError,
     UnsupportedWorkload,
 )
 from .results import ResultSet
-from .strategies import DEFAULT_REGISTRY, Strategy, StrategyRegistry
+from .strategies import STRATEGIES, Strategy
+
+#: Entries of the plan cache (ω plans with their lowered programs).
+PLAN_CACHE_SIZE = 128
+#: Operator results the VM keeps across asks (see :class:`ResultCache`).
+RESULT_CACHE_SIZE = 32
+#: Whole-query ``exists``/``count`` answers kept for delta patching.
+INCREMENTAL_STORE_SIZE = 256
 
 #: Environment knob for the default ``verify_plans`` stage — ``off``
-#: (the default), ``lowered`` or ``optimized``.  The test suite exports
+#: (the default) or ``optimized``.  The test suite exports
 #: ``optimized`` from ``tests/conftest.py`` so every engine it builds
 #: statically verifies every program it lowers.
 VERIFY_PLANS_ENV = "REPRO_VERIFY_PLANS"
@@ -336,7 +344,7 @@ class QueryEngine:
     The facade is organised around three query *verbs* sharing the same
     strategies, caches and virtual machine:
 
-    * :meth:`exists` — the Boolean decision (``ask`` is a thin alias);
+    * :meth:`exists` — the Boolean decision;
     * :meth:`count` — the number of distinct output tuples;
     * :meth:`select` — a lazy, deterministically-ordered
       :class:`~repro.api.results.ResultSet` streaming the distinct output
@@ -352,42 +360,25 @@ class QueryEngine:
     omega:
         The default matrix-multiplication exponent for cost models;
         overridable per call.
-    registry:
-        The strategy registry to resolve names through; defaults to the
-        process-wide :data:`~repro.api.strategies.DEFAULT_REGISTRY`.  Pass
-        ``DEFAULT_REGISTRY.copy()`` to customise strategies locally.
-    plan_cache_size:
-        Maximum number of cached plans (LRU eviction); ``0`` disables the
-        cache.
-    result_cache_size:
-        Maximum number of intermediate operator results the virtual machine
-        may keep across asks (LRU eviction; ``0`` disables).  Keyed by the
-        operators' name-insensitive structural hash plus the database
-        fingerprint, this is what lets :meth:`ask_many` batches of
-        isomorphic queries share identical subplans — the same encoded
-        relation semijoined the same way is computed once.
-    dispatcher:
-        Optional :class:`~repro.exec.dispatch.KernelDispatcher` overriding
-        the select-delivery policy (stream chunk size, ranked-enumeration
-        cap).  By default the engine builds one with the default settings.
-    incremental:
-        When ``True`` (the default) the engine keeps a bounded store of
-        whole-query ``exists``/``count`` answers and *patches* them under
-        :meth:`insert`/:meth:`delete` deltas instead of re-executing —
-        a monotone ``exists`` survives inserts in O(1), a ``count`` is
-        adjusted by counting only the delta's contribution.  Patched
-        results report ``plan_source == "incremental"``.  ``False``
-        disables the store (every ask re-executes; the per-relation
-        cache keys still apply).
     verify_plans:
         Static plan verification stage (see
-        :mod:`repro.analysis.verify`): ``"off"`` (no checking),
-        ``"lowered"`` (verify each strategy's raw lowering) or
+        :mod:`repro.analysis.verify`): ``"off"`` (no checking) or
         ``"optimized"`` (verify the final program after the rewrite
         passes and select-option stamping).  Unsound programs raise
         :class:`~repro.api.errors.PlanVerificationError` instead of
         executing.  Defaults to the ``REPRO_VERIFY_PLANS`` environment
         variable, else ``"off"``.
+
+    Three bounded LRUs serve every ask: the plan cache
+    (:data:`PLAN_CACHE_SIZE` ω plans with their lowered programs), the
+    VM's cross-query result cache (:data:`RESULT_CACHE_SIZE` operator
+    results, keyed by name-insensitive structural hash plus the scanned
+    relations' versions, so :meth:`ask_many` batches of isomorphic
+    queries share identical subplans), and the incremental store
+    (:data:`INCREMENTAL_STORE_SIZE` whole-query ``exists``/``count``
+    answers, *patched* under :meth:`insert`/:meth:`delete` deltas instead
+    of re-executed; patched results report ``plan_source ==
+    "incremental"``).
     """
 
     def __init__(
@@ -395,11 +386,6 @@ class QueryEngine:
         database: Database,
         *,
         omega: float = DEFAULT_OMEGA,
-        registry: Optional[StrategyRegistry] = None,
-        plan_cache_size: int = 128,
-        result_cache_size: int = 32,
-        dispatcher: Optional[KernelDispatcher] = None,
-        incremental: bool = True,
         verify_plans: Optional[str] = None,
     ) -> None:
         if verify_plans is None:
@@ -412,14 +398,10 @@ class QueryEngine:
         self.verify_plans = verify_plans
         self.database = database
         self.omega = omega
-        self.registry = registry if registry is not None else DEFAULT_REGISTRY
-        self._plan_cache = PlanCache(plan_cache_size)
-        self._result_cache = ResultCache(result_cache_size)
-        self.dispatcher = dispatcher if dispatcher is not None else KernelDispatcher()
-        self._incremental = bool(incremental)
-        self._incremental_store = IncrementalResultStore(
-            256 if self._incremental else 0
-        )
+        self._plan_cache = LRUCache(PLAN_CACHE_SIZE)
+        self._result_cache = ResultCache(RESULT_CACHE_SIZE)
+        self.dispatcher = KernelDispatcher()
+        self._incremental_store = IncrementalResultStore(INCREMENTAL_STORE_SIZE)
         #: A lazily built sibling engine evaluating the tiny delta queries
         #: the patch rules need (Q with one relation replaced by its delta).
         self._patch_engine: Optional["QueryEngine"] = None
@@ -477,64 +459,37 @@ class QueryEngine:
     ) -> Strategy:
         """Resolve a strategy name (``"auto"`` included) for a query.
 
-        For ``exists``, ``"auto"`` prefers Yannakakis for acyclic queries
-        and the ω-engine otherwise, matching the seed engine's dispatch.
-        For ``count``/``select`` the ω-engine is not an option (it is a
-        decision procedure), so cyclic queries fall back to the exhaustive
-        worst-case-optimal search instead.
+        For ``exists``, ``"auto"`` picks Yannakakis for acyclic queries
+        and the ω-engine otherwise.  For ``count``/``select`` the ω-engine
+        is not an option (it is a decision procedure), so cyclic queries
+        fall back to the exhaustive worst-case-optimal search instead.
         """
-        return self.registry.get(self._resolve_key(query, strategy, verb))
+        return _strategy(self._resolve_key(query, strategy, verb))
 
     def _resolve_key(
         self, query: ConjunctiveQuery, strategy: str, verb: str = "exists"
     ) -> str:
-        """Resolve ``"auto"`` to a concrete *registry key*.
+        """Resolve ``"auto"`` to a concrete key of :data:`STRATEGIES`.
 
-        The registry key (not ``Strategy.name``, which aliases may share)
-        identifies the strategy in results and in plan-cache keys.
         Unknown verbs fail fast here, so every entry point — including the
         public :meth:`resolve_strategy` — rejects a typo'd verb instead of
         silently resolving to the exists-only ω strategy.
         """
         check_verb(verb)
-        if strategy == "auto":
-            if "yannakakis" in self.registry:
-                if self.registry.get("yannakakis").supports(query, verb):
-                    return "yannakakis"
-            if verb != "exists":
-                # The ω/MM engine is exists-only; fall back to a
-                # verb-capable registered strategy — the exhaustive WCOJ
-                # search first, the naive join next, then anything else
-                # that declares the verb (deterministic name order).
-                preferred = ["generic_join", "naive"]
-                candidates = preferred + [
-                    name for name in self.registry.names() if name not in preferred
-                ]
-                for name in candidates:
-                    if name not in self.registry:
-                        continue
-                    if self.registry.get(name).supports(query, verb):
-                        return name
-                # Auto was already tried — don't advise it in the error.
-                raise UnsupportedWorkload(
-                    "auto",
-                    verb,
-                    query,
-                    message=(
-                        f"no registered strategy can serve the {verb!r} verb "
-                        f"for query {query.name}; register a strategy whose "
-                        f"'verbs' includes {verb!r}"
-                    ),
-                )
-            return "omega"
-        return strategy
+        if strategy != "auto":
+            return strategy
+        if query.is_acyclic():
+            return "yannakakis"
+        # The ω/MM engine is exists-only: cyclic count/select asks run the
+        # exhaustive worst-case-optimal search instead.
+        return "omega" if verb == "exists" else "generic_join"
 
     def _resolve_supported(
         self, query: ConjunctiveQuery, strategy: str, verb: str = "exists"
     ) -> Tuple[str, Strategy]:
         check_verb(verb)
         key = self._resolve_key(query, strategy, verb)
-        resolved = self.registry.get(key)
+        resolved = _strategy(key)
         if verb not in resolved.verbs:
             raise UnsupportedWorkload(key, verb, query)
         if not resolved.supports(query, verb):
@@ -547,21 +502,6 @@ class QueryEngine:
     # ------------------------------------------------------------------
     # Asking: the exists / count / select verbs
     # ------------------------------------------------------------------
-    def ask(
-        self,
-        query: ConjunctiveQuery,
-        strategy: str = "auto",
-        *,
-        omega: Optional[float] = None,
-        plan: Optional[OmegaQueryPlan] = None,
-        timeout: Optional[float] = None,
-        token: Optional[CancellationToken] = None,
-    ) -> QueryResult:
-        """Alias of :meth:`exists` (the historical entry point)."""
-        return self._ask(
-            query, strategy, omega=omega, plan=plan, timeout=timeout, token=token
-        )
-
     def exists(
         self,
         query: ConjunctiveQuery,
@@ -779,9 +719,7 @@ class QueryEngine:
         incremental_key = None
         versions_before: Optional[Dict[str, int]] = None
         if (
-            self._incremental
-            and self._incremental_store.enabled
-            and verb in ("exists", "count")
+            verb in ("exists", "count")
             and strategy == "auto"
             and plan is None
             and select_options is None
@@ -941,7 +879,7 @@ class QueryEngine:
         Yannakakis, names the join tree's root and the atoms it joins) where
         the Boolean one shows the upward semijoin pass.  For plan-based
         strategies the plan is obtained through the same cache path as
-        :meth:`ask` (so explaining a query warms the cache for the ask that
+        :meth:`exists` (so explaining a query warms the cache for the ask that
         follows).  With ``include_widths=True`` the report also carries the
         classical width measures ρ* and fhtw of the query hypergraph.
         """
@@ -1032,9 +970,7 @@ class QueryEngine:
             names = ["naive", "generic_join"]
             if verb == "exists":
                 names.append("omega")
-            if "yannakakis" in self.registry and self.registry.get(
-                "yannakakis"
-            ).supports(query, verb):
+            if query.is_acyclic():
                 names.append("yannakakis")
         else:
             names = list(strategies)
@@ -1149,9 +1085,9 @@ class QueryEngine:
                 plan_source="incremental",
             )
         if verb == "exists":
-            patched = self._patch_exists(entry, deltas, query)
+            patched = self._patch_exists(entry, deltas, query, strategy_key)
         else:
-            patched = self._patch_count(entry, deltas, query)
+            patched = self._patch_count(entry, deltas, query, strategy_key)
         if patched is None:
             return None
         if versions == {name: self.database.relation_version(name) for name in names}:
@@ -1179,6 +1115,7 @@ class QueryEngine:
         entry: IncrementalEntry,
         deltas: Dict[str, Tuple],
         query: ConjunctiveQuery,
+        strategy_key: str,
     ) -> Optional[bool]:
         """Patch a Boolean answer, or ``None`` when no rule is sound.
 
@@ -1200,7 +1137,7 @@ class QueryEngine:
         if entry.answer is False and kinds == {"insert"}:
             for name, replay in deltas.items():
                 rows = [row for _, batch in replay for row in batch]
-                if self._patch_ask(query, "exists", name, rows).answer:
+                if self._patch_ask(query, strategy_key, "exists", name, rows).answer:
                     return True
             return False
         return self._fallback("no_rule")
@@ -1210,6 +1147,7 @@ class QueryEngine:
         entry: IncrementalEntry,
         deltas: Dict[str, Tuple],
         query: ConjunctiveQuery,
+        strategy_key: str,
     ) -> Optional[int]:
         """Patch a distinct-output count, or ``None`` when not sound.
 
@@ -1232,9 +1170,13 @@ class QueryEngine:
         count = int(entry.answer)
         inserted, deleted = _net_delta(replay)
         if inserted:
-            count += self._patch_ask(query, "count", name, inserted).row_count
+            count += self._patch_ask(
+                query, strategy_key, "count", name, inserted
+            ).row_count
         if deleted:
-            count -= self._patch_ask(query, "count", name, deleted).row_count
+            count -= self._patch_ask(
+                query, strategy_key, "count", name, deleted
+            ).row_count
         return count
 
     def _fallback(self, reason: str) -> None:
@@ -1243,17 +1185,13 @@ class QueryEngine:
 
     def _ensure_patch_engine(self) -> "QueryEngine":
         if self._patch_engine is None:
-            self._patch_engine = QueryEngine(
-                Database(),
-                omega=self.omega,
-                registry=self.registry,
-                incremental=False,
-            )
+            self._patch_engine = QueryEngine(Database(), omega=self.omega)
         return self._patch_engine
 
     def _patch_ask(
         self,
         query: ConjunctiveQuery,
+        strategy_key: str,
         verb: str,
         delta_name: str,
         rows: List,
@@ -1265,6 +1203,8 @@ class QueryEngine:
         serves every patch evaluation, and unchanged relations keep their
         version (their object identity is checked before swapping) so the
         patch VM's result cache reuses calibrated subtrees across patches.
+        The ask names the strategy ``"auto"`` resolved to for ``query``, so
+        the sibling never consults (or fills) its own incremental store.
         """
         engine = self._ensure_patch_engine()
         patch_db = engine.database
@@ -1276,7 +1216,7 @@ class QueryEngine:
                 if patch_db._relations.get(name) is relation:
                     continue
             patch_db._set_for_patch(name, relation)
-        return engine._ask(query, "auto", verb=verb)
+        return engine._ask(query, strategy_key, verb=verb)
 
     def _atom_sizes(self, query: ConjunctiveQuery) -> Tuple[Tuple[Tuple[str, ...], int], ...]:
         """Per-atom relation *size classes* in canonical variable space.
@@ -1343,10 +1283,6 @@ class QueryEngine:
         program = strategy.lower(
             query, self.database, omega, plan=plan, verb=verb, **kwargs
         )
-        if self.verify_plans == "lowered":
-            assert_verified(
-                program, verb=verb, database=self.database, stage="lowered"
-            )
         program, _ = optimize_program(program)
         if (
             verb == "select"
@@ -1355,9 +1291,7 @@ class QueryEngine:
         ):
             program = apply_select_options(program, select_options)
         if self.verify_plans == "optimized":
-            assert_verified(
-                program, verb=verb, database=self.database, stage="optimized"
-            )
+            assert_verified(program, verb=verb, database=self.database)
         return program
 
     def _plan_fingerprint(self, query: ConjunctiveQuery) -> Hashable:
@@ -1421,16 +1355,12 @@ class QueryEngine:
         the program re-lowered.
         """
         mapping = query.canonical_mapping()
-        # The shape component carries the free-variable positions and the
-        # verb alongside the body signature, so Boolean, counting and
-        # enumeration plans over the same body can never collide.  Plan
-        # caching only serves the exists verb (the exists-only ω strategy),
-        # and exists ignores the query head entirely — so the output slot
-        # is normalized to () here, letting Q() and Q(X) over one body
-        # share a single cached plan instead of fragmenting the cache.
+        # Only ω ``exists`` plans are cached, and ``exists`` ignores the
+        # query head, so the shape is the body signature alone: Q() and
+        # Q(X) over one body share a single cached plan.
         key: PlanCacheKey = (
             strategy_key,
-            (query.shape_signature(), (), "exists", self._atom_sizes(query)),
+            (query.shape_signature(), self._atom_sizes(query)),
             omega,
             # Only the touched relations' epochs: mutating an unrelated
             # relation no longer evicts this entry, and small deltas (which
@@ -1468,9 +1398,16 @@ class QueryEngine:
         stats = self.cache_info()
         return (
             f"QueryEngine({self.database!r}, omega={self.omega}, "
-            f"strategies={self.registry.names()}, "
             f"cache={stats.size}/{stats.maxsize})"
         )
+
+
+def _strategy(key: str) -> Strategy:
+    """The built-in strategy named ``key``."""
+    try:
+        return STRATEGIES[key]
+    except KeyError:
+        raise UnknownStrategyError(key, tuple(sorted(STRATEGIES))) from None
 
 
 def _net_delta(replay: Sequence[Tuple[str, Tuple]]) -> Tuple[List, List]:

@@ -109,9 +109,8 @@ class UnsupportedWorkload(EngineError, NotImplementedError):
 
     The ω/MM strategies are decision procedures: they answer ``exists``
     but have no counting or enumeration semantics, so asking them for
-    ``count``/``select`` raises this error.  ``strategy="auto"`` falls
-    back to a verb-capable strategy from the registry instead, raising
-    only when no registered strategy can serve the verb at all.
+    ``count``/``select`` raises this error.  ``strategy="auto"`` resolves
+    such asks to ``generic_join`` instead.
     """
 
     def __init__(
@@ -133,11 +132,8 @@ class UnsupportedWorkload(EngineError, NotImplementedError):
 
 
 class UnknownStrategyError(EngineError, ValueError):
-    """An unregistered strategy name was requested.
-
-    Subclasses :class:`ValueError` for backwards compatibility with the
-    pre-registry engine, which raised ``ValueError`` directly.
-    """
+    """A strategy name outside :data:`~repro.api.strategies.STRATEGIES`
+    was requested.  Subclasses :class:`ValueError`."""
 
     def __init__(self, name: str, known: tuple) -> None:
         self.name = name

@@ -1,21 +1,11 @@
-"""Pluggable execution strategies and the strategy registry.
+"""The four execution strategies, fixed by name in :data:`STRATEGIES`.
 
-The seed engine dispatched on a hard-coded if/elif chain; here every way of
-answering a Boolean conjunctive query is a :class:`Strategy` object looked
-up by name in a :class:`StrategyRegistry`.  The four shipped strategies —
-``naive``, ``generic_join``, ``yannakakis`` and ``omega`` — are registered
-on import; users add their own with the :func:`register_strategy`
-decorator.  A strategy is a *lowering*: :meth:`Strategy.lower` turns a
-query into a physical-operator :class:`~repro.exec.ir.Program`, and the
-engine optimizes it and runs it on its one shared virtual machine::
-
-    @register_strategy
-    class PairwiseStrategy(Strategy):
-        name = "pairwise"
-        verbs = VERBS
-
-        def lower(self, query, database, omega, plan=None, verb="exists"):
-            return lower_naive(query, verb=verb)
+Every way of answering a conjunctive query is a :class:`Strategy` object:
+``naive`` (the pairwise join), ``generic_join``, ``yannakakis`` and
+``omega`` (the paper's ω-query plans).  A strategy is a *lowering*:
+:meth:`Strategy.lower` turns a query into a physical-operator
+:class:`~repro.exec.ir.Program`, and the engine optimizes it and runs it
+on its one shared virtual machine.
 
 Strategies that plan (``uses_plans = True``) split the work in two: the
 engine obtains a plan — from its LRU plan cache whenever the query shape,
@@ -26,7 +16,7 @@ entirely.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional, Tuple, Union, overload
+from typing import Dict, List, Optional, Tuple
 
 from ..db.database import Database
 from ..db.query import ConjunctiveQuery
@@ -40,7 +30,7 @@ from ..exec.lower import (
     lower_plan,
     lower_yannakakis,
 )
-from .errors import UnknownStrategyError, UnsupportedWorkload
+from .errors import UnsupportedWorkload
 
 
 class Strategy:
@@ -57,7 +47,7 @@ class Strategy:
     :meth:`lower`.  Strategies that can count/enumerate extend ``verbs``.
     """
 
-    #: Registry key; subclasses must override.
+    #: Key in :data:`STRATEGIES` and in results; subclasses must override.
     name: str = ""
     #: Whether the engine should obtain (and cache) a plan for this strategy.
     uses_plans: bool = False
@@ -101,112 +91,9 @@ class Strategy:
         return f"<Strategy {self.name!r}>"
 
 
-class StrategyRegistry:
-    """A mutable name → :class:`Strategy` mapping."""
-
-    def __init__(self, strategies: Dict[str, Strategy] | None = None) -> None:
-        self._strategies: Dict[str, Strategy] = dict(strategies or {})
-
-    def register(
-        self, strategy: Strategy, *, name: Optional[str] = None, replace: bool = False
-    ) -> Strategy:
-        key = name or strategy.name
-        if not key:
-            raise ValueError("strategies must declare a non-empty name")
-        if key in self._strategies and not replace:
-            raise ValueError(
-                f"strategy {key!r} is already registered; pass replace=True "
-                "to override it"
-            )
-        self._strategies[key] = strategy
-        return strategy
-
-    def unregister(self, name: str) -> Strategy:
-        if name not in self._strategies:
-            raise UnknownStrategyError(name, self.names())
-        return self._strategies.pop(name)
-
-    def get(self, name: str) -> Strategy:
-        try:
-            return self._strategies[name]
-        except KeyError:
-            raise UnknownStrategyError(name, self.names()) from None
-
-    def names(self) -> Tuple[str, ...]:
-        return tuple(sorted(self._strategies))
-
-    def __contains__(self, name: str) -> bool:
-        return name in self._strategies
-
-    def copy(self) -> "StrategyRegistry":
-        """An independent copy (engines can customise without global effect)."""
-        return StrategyRegistry(dict(self._strategies))
-
-
-#: The process-wide registry used by default by every :class:`QueryEngine`.
-DEFAULT_REGISTRY = StrategyRegistry()
-
-
-@overload
-def register_strategy(target: type) -> type: ...
-@overload
-def register_strategy(target: Strategy) -> Strategy: ...
-@overload
-def register_strategy(
-    *,
-    name: Optional[str] = None,
-    registry: Optional[StrategyRegistry] = None,
-    replace: bool = False,
-) -> Callable[[Union[type, Strategy]], Union[type, Strategy]]: ...
-
-
-def register_strategy(
-    target: Union[type, Strategy, None] = None,
-    *,
-    name: Optional[str] = None,
-    registry: Optional[StrategyRegistry] = None,
-    replace: bool = False,
-):
-    """Register a :class:`Strategy` class or instance, usable as a decorator.
-
-    ``@register_strategy`` on a class instantiates it and registers the
-    instance under its ``name`` attribute; ``@register_strategy(name=...,
-    replace=True)`` customises the key or allows overriding a built-in.
-    Returns the decorated class/instance unchanged, so classes stay
-    importable.
-    """
-    where = registry if registry is not None else DEFAULT_REGISTRY
-
-    def apply(obj: Union[type, Strategy]):
-        strategy = obj() if isinstance(obj, type) else obj
-        if not isinstance(strategy, Strategy):
-            raise TypeError("register_strategy expects a Strategy subclass or instance")
-        where.register(strategy, name=name, replace=replace)
-        return obj
-
-    if target is not None:
-        return apply(target)
-    return apply
-
-
-def unregister_strategy(
-    name: str, registry: Optional[StrategyRegistry] = None
-) -> Strategy:
-    """Remove a strategy from the (default) registry and return it."""
-    where = registry if registry is not None else DEFAULT_REGISTRY
-    return where.unregister(name)
-
-
-def available_strategies(registry: Optional[StrategyRegistry] = None) -> Tuple[str, ...]:
-    """The registered strategy names (sorted)."""
-    where = registry if registry is not None else DEFAULT_REGISTRY
-    return where.names()
-
-
 # ----------------------------------------------------------------------
 # Built-in strategies
 # ----------------------------------------------------------------------
-@register_strategy
 class NaiveStrategy(Strategy):
     """Materialise the full pairwise join; test, count or enumerate it."""
 
@@ -239,7 +126,6 @@ def default_variable_order(query: ConjunctiveQuery, database: Database) -> List[
     return sorted(query.variables, key=lambda v: (scores[v], v))
 
 
-@register_strategy
 class GenericJoinStrategy(Strategy):
     """Worst-case optimal join: early termination for ``exists``, the
     exhaustive search (projected onto the outputs) for ``count``/``select``."""
@@ -252,7 +138,6 @@ class GenericJoinStrategy(Strategy):
         return lower_generic_join(query, order, verb=verb)
 
 
-@register_strategy
 class YannakakisStrategy(Strategy):
     """Semijoin reduction (α-acyclic only): the upward pass for ``exists``,
     plus calibrating and joining the head's connex subtree for ``count``/``select``."""
@@ -269,7 +154,6 @@ class YannakakisStrategy(Strategy):
         return lower_yannakakis(query, verb=verb, select_options=select_options)
 
 
-@register_strategy
 class OmegaStrategy(Strategy):
     """The paper's engine: cost-based ω-query planning plus execution.
 
@@ -291,3 +175,15 @@ class OmegaStrategy(Strategy):
         if plan is None:
             plan = self.plan(query, database, omega).plan
         return lower_plan(query, database, plan)
+
+
+#: The built-in strategies by name; ``"auto"`` resolves to one of them.
+STRATEGIES: Dict[str, Strategy] = {
+    strategy.name: strategy
+    for strategy in (
+        NaiveStrategy(),
+        GenericJoinStrategy(),
+        YannakakisStrategy(),
+        OmegaStrategy(),
+    )
+}

@@ -19,9 +19,10 @@ append the *exact* delta — only the rows that genuinely changed under set
 semantics — to a bounded per-relation log.  Consumers that cached a result
 at version ``v`` call :meth:`deltas_since` to obtain the contiguous batch
 list replaying ``v → current``, or ``None`` when the log has been truncated
-(then they must fall back to full re-evaluation).  When the cumulative
-delta volume since the last epoch exceeds the configured threshold
-(``max(delta_threshold_rows, delta_threshold_fraction · |R|)``), the
+(then they must fall back to full re-evaluation).  The log keeps the last
+:data:`DELTA_LOG_LIMIT` batches per relation.  When the cumulative delta
+volume since the last epoch exceeds ``max(DELTA_THRESHOLD_ROWS,
+DELTA_THRESHOLD_FRACTION · |R|)``, the
 relation's statistics caches are rebuilt fresh, the epoch bumps, and the
 log clears — worst-case behavior is exactly the old full invalidation.
 """
@@ -55,6 +56,14 @@ RelationSpec = Union[Relation, Tuple[Iterable[str], Iterable]]
 #: ``"insert"`` or ``"delete"`` and ``rows`` is the exact changed set.
 DeltaEntry = Tuple[int, str, Tuple[Row, ...]]
 
+#: Delta batches retained per relation; :meth:`Database.deltas_since`
+#: reports truncation for older versions.
+DELTA_LOG_LIMIT = 32
+#: Delta volume since the last epoch that triggers a statistics rebuild:
+#: ``max(DELTA_THRESHOLD_ROWS, DELTA_THRESHOLD_FRACTION · |R|)`` rows.
+DELTA_THRESHOLD_ROWS = 512
+DELTA_THRESHOLD_FRACTION = 0.05
+
 # Database instances get process-unique ids so fingerprints from different
 # databases (whose per-relation counters evolve independently) can never
 # collide in a shared plan/result cache.
@@ -74,15 +83,6 @@ class Database:
     backend:
         ``"columnar"`` or ``None``; both mean the one columnar store, and
         any other value raises :class:`ValueError`.
-    delta_log_limit:
-        Maximum number of delta batches retained per relation; older
-        entries are dropped and :meth:`deltas_since` reports truncation.
-    delta_threshold_rows / delta_threshold_fraction:
-        Fallback threshold for incremental maintenance: once the
-        cumulative delta volume since the last statistics epoch exceeds
-        ``max(delta_threshold_rows, delta_threshold_fraction · |R|)``,
-        the relation's statistics are recomputed fresh and its epoch
-        bumps (full invalidation for that relation only).
     """
 
     def __init__(
@@ -90,9 +90,6 @@ class Database:
         relations: Union[Mapping[str, Relation], Iterable[Tuple[str, Relation]]] = (),
         *,
         backend: Optional[str] = None,
-        delta_log_limit: int = 32,
-        delta_threshold_rows: int = 512,
-        delta_threshold_fraction: float = 0.05,
     ):
         self._relations: Dict[str, Relation] = {}  # guarded-by: _lock
         self._uid = next(_DB_UIDS)
@@ -108,9 +105,6 @@ class Database:
         #: above).  Readers take no lock: single dict reads are atomic and
         #: the relations they return are immutable.
         self._lock = threading.RLock()
-        self.delta_log_limit = int(delta_log_limit)
-        self.delta_threshold_rows = int(delta_threshold_rows)
-        self.delta_threshold_fraction = float(delta_threshold_fraction)
         if backend not in (None, "columnar"):
             raise ValueError(f"unknown backend {backend!r}; the only backend is 'columnar'")
         items = relations.items() if isinstance(relations, Mapping) else relations
@@ -224,14 +218,13 @@ class Database:
         if name not in self._delta_base:
             self._delta_base[name] = version - 1
         log.append((version, kind, rows))
-        while len(log) > self.delta_log_limit:
+        while len(log) > DELTA_LOG_LIMIT:
             dropped_version, _, _ = log.pop(0)
             self._delta_base[name] = dropped_version
         pending = self._pending_rows.get(name, 0) + len(rows)
         self._pending_rows[name] = pending
         threshold = max(
-            self.delta_threshold_rows,
-            int(self.delta_threshold_fraction * len(relation)),
+            DELTA_THRESHOLD_ROWS, int(DELTA_THRESHOLD_FRACTION * len(relation))
         )
         if pending > threshold:
             # Fallback: rebuild statistics fresh (the seeded degree caches
@@ -385,12 +378,7 @@ class Database:
         return {name: relation.stats for name, relation in self.items()}
 
     def copy(self) -> "Database":
-        return Database(
-            dict(self._relations),
-            delta_log_limit=self.delta_log_limit,
-            delta_threshold_rows=self.delta_threshold_rows,
-            delta_threshold_fraction=self.delta_threshold_fraction,
-        )
+        return Database(dict(self._relations))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         parts = ", ".join(f"{name}[{len(rel)}]" for name, rel in self.items())

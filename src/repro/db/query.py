@@ -155,21 +155,6 @@ class ConjunctiveQuery:
             )
         )
 
-    def output_signature(self) -> Tuple[str, ...]:
-        """The output variables in canonical name space (head order kept).
-
-        Two queries sharing this *and* :meth:`shape_signature` are
-        isomorphic as output queries (same body shape and the same
-        free-variable positions under one witnessing renaming), so a
-        cached counting/enumeration program for one would answer the other
-        after a rename.  Note the engine's plan cache currently normalizes
-        its output slot to ``()`` — only the exists-only ω strategy plans,
-        and exists ignores heads — so today this signature serves
-        verb-aware cache keys built by callers, not the plan cache itself.
-        """
-        mapping = self.canonical_mapping()
-        return tuple(mapping[v] for v in self.output_variables)
-
     def __str__(self) -> str:
         body = ", ".join(str(atom) for atom in self.atoms)
         head = ", ".join(self.output_variables)

@@ -351,13 +351,6 @@ class Relation:
         heavy = self._backend.degree_split(target_positions, self._positions(given), threshold)
         return Relation._wrap(heavy, f"{self.name or 'R'}_heavy")
 
-    def heavy_light_split(
-        self, given: Sequence[str], threshold: int
-    ) -> Tuple["Relation", "Relation"]:
-        """``(heavy bindings, light rows)``: the light rows antijoin the heavy ones."""
-        heavy = self.heavy_part(given, threshold)
-        return heavy, self.antijoin(heavy).with_name(f"{self.name or 'R'}_light")
-
     # ------------------------------------------------------------------
     # Matrix multiplication (for MM-based eliminations)
     # ------------------------------------------------------------------

@@ -42,10 +42,9 @@ class CacheStats:
 class LRUCache:
     """A bounded, thread-safe least-recently-used map.
 
-    ``maxsize <= 0`` disables the cache: every :meth:`get` misses and
-    :meth:`put` stores nothing.  With ``max_weight`` set, eviction also
-    continues until the summed weights of the retained entries (each
-    given to :meth:`put`) fit it.  :meth:`clear` keeps the counters.
+    With ``max_weight`` set, eviction also continues until the summed
+    weights of the retained entries (each given to :meth:`put`) fit it.
+    :meth:`clear` keeps the counters.
     """
 
     def __init__(self, maxsize: int, max_weight: Optional[int] = None) -> None:
@@ -58,10 +57,6 @@ class LRUCache:
         self._hits = 0
         self._misses = 0
         self._evictions = 0
-
-    @property
-    def enabled(self) -> bool:
-        return self.maxsize > 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -78,8 +73,6 @@ class LRUCache:
             return entry[0]
 
     def put(self, key: Hashable, value: object, weight: int = 0) -> None:
-        if not self.enabled:
-            return
         with self._lock:
             self._discard(key)
             self._entries[key] = (value, weight)
@@ -132,7 +125,7 @@ class ResultCache(LRUCache):
 
     def __init__(
         self,
-        maxsize: int = 32,
+        maxsize: int,
         max_entry_rows: int = 1_000_000,
         max_total_rows: int = 4_000_000,
     ) -> None:

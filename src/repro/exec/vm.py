@@ -44,7 +44,7 @@ Cross-query sharing
 The VM consults an optional bounded
 :class:`~repro.exec.cache.ResultCache` (its own module, on the engine's
 one locked LRU) keyed by ``(operator structural key, per-relation
-fingerprint)``, and only when it is enabled.  Because
+fingerprint)``, when one is given.  Because
 structural keys are name-insensitive (see :mod:`repro.exec.ir`), isomorphic
 queries in an :meth:`~repro.api.QueryEngine.ask_many` batch share every
 common subplan: the cached relation is renamed — an O(1) schema swap — into
@@ -801,7 +801,7 @@ class _RunState:
         # Scans read straight from the database; Enumerate passes its
         # child's relation through unchanged — caching either would only
         # duplicate rows the cache already holds (or can rebuild for free).
-        if cache is not None and cache.enabled and not isinstance(node, (Scan, Enumerate)):
+        if cache is not None and not isinstance(node, (Scan, Enumerate)):
             cache_key = (node.skey, self.fingerprints[node])
             hit = cache.get(cache_key)
             if hit is not None:

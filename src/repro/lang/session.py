@@ -18,6 +18,7 @@ from typing import Dict, List, Optional
 
 from ..api.engine import QueryEngine, QueryResult
 from ..api.results import ResultSet
+from ..api.strategies import STRATEGIES
 from ..db.database import Database
 from ..db.query import QueryParseError
 from ..exec.vm import CancellationToken
@@ -322,7 +323,7 @@ class Session:
                 payload={"command": command, "relations": listing, "text": text},
             )
         if command == "strategies":
-            names = list(self.engine.registry.names())
+            names = sorted(STRATEGIES)
             return Outcome(
                 kind="meta",
                 payload={

@@ -75,12 +75,9 @@ def load_relation(form, schema, rows, name=None) -> Relation:
     return Relation.from_columns(schema, columns, name)
 
 
-def load_database(form, tables, **options) -> Database:
-    """A database of ``name -> Relation | (schema, rows)`` built through ``form``.
-
-    ``options`` are :class:`Database` keyword arguments.
-    """
-    database = Database(**options)
+def load_database(form, tables) -> Database:
+    """A database of ``name -> Relation | (schema, rows)`` built through ``form``."""
+    database = Database()
     for name, spec in dict(tables).items():
         schema, rows = (spec.schema, spec.rows) if isinstance(spec, Relation) else spec
         database[name] = load_relation(form, schema, rows, name)

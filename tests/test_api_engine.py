@@ -5,17 +5,13 @@ from __future__ import annotations
 import pytest
 
 from repro.api import (
-    DEFAULT_REGISTRY,
-    PlanCache,
+    STRATEGIES,
     QueryEngine,
     Strategy,
     StrategyDisagreement,
-    StrategyRegistry,
     UnknownStrategyError,
-    available_strategies,
-    register_strategy,
-    unregister_strategy,
 )
+from repro.api import engine as engine_module
 from repro.constants import OMEGA_BEST_KNOWN
 from repro.db import (
     Database,
@@ -27,6 +23,7 @@ from repro.db import (
 )
 from repro.db.backends import ColumnarBackend
 from repro.exec import Antijoin, NonEmpty, Program, Scan
+from repro.exec.cache import LRUCache
 from tests.conftest import LOAD_FORMS, load_database
 
 OMEGA = OMEGA_BEST_KNOWN
@@ -52,87 +49,35 @@ def make_engine(num_edges=120, seed=1, **kwargs) -> QueryEngine:
 
 class TestRegistry:
     def test_builtins_registered(self):
-        for name in ("naive", "generic_join", "yannakakis", "omega"):
-            assert name in DEFAULT_REGISTRY
-            assert DEFAULT_REGISTRY.get(name).name == name
-        assert set(available_strategies()) >= {
-            "naive", "generic_join", "yannakakis", "omega",
-        }
+        assert sorted(STRATEGIES) == ["generic_join", "naive", "omega", "yannakakis"]
+        for name, strategy in STRATEGIES.items():
+            assert strategy.name == name
 
     def test_unknown_strategy_is_value_error(self):
+        engine = make_engine()
         with pytest.raises(UnknownStrategyError):
-            DEFAULT_REGISTRY.get("magic")
+            engine.exists(TRIANGLE, strategy="magic")
         with pytest.raises(ValueError):
-            DEFAULT_REGISTRY.get("magic")
+            engine.resolve_strategy(TRIANGLE, "magic")
 
-    def test_duplicate_registration_rejected(self):
-        registry = StrategyRegistry()
-
-        class Dummy(Strategy):
-            name = "dummy"
-
-            def lower(self, query, database, omega, plan=None, verb="exists"):
-                return constant_lowering(True)
-
-        register_strategy(Dummy, registry=registry)
-        with pytest.raises(ValueError):
-            register_strategy(Dummy, registry=registry)
-        register_strategy(Dummy, registry=registry, replace=True)
-        assert registry.get("dummy").name == "dummy"
-
-    def test_custom_strategy_end_to_end(self):
-        @register_strategy
-        class ConstantTrue(Strategy):
-            name = "constant_true"
-
-            def lower(self, query, database, omega, plan=None, verb="exists"):
-                return constant_lowering(True)
-
-        try:
-            engine = make_engine()
-            result = engine.ask(TRIANGLE, strategy="constant_true")
-            assert result.answer is True
-            assert result.strategy == "constant_true"
-            assert result.plan_source == "none"
-        finally:
-            unregister_strategy("constant_true")
-        with pytest.raises(UnknownStrategyError):
-            make_engine().ask(TRIANGLE, strategy="constant_true")
-
-    def test_engine_local_registry_isolated(self):
-        registry = DEFAULT_REGISTRY.copy()
-
-        class Local(Strategy):
-            name = "local_only"
-
-            def lower(self, query, database, omega, plan=None, verb="exists"):
-                return constant_lowering(False)
-
-        register_strategy(Local, registry=registry)
-        engine = make_engine(registry=registry)
-        assert engine.ask(TRIANGLE, strategy="local_only").answer is False
-        assert "local_only" not in DEFAULT_REGISTRY
-
-    def test_strategy_without_lowering_raises_naming_it(self):
-        registry = StrategyRegistry()
-
-        @register_strategy(registry=registry)
+    def test_strategy_without_lowering_raises_naming_it(self, monkeypatch):
         class NoLowering(Strategy):
             name = "no_lowering"
 
-        engine = make_engine(registry=registry)
+        monkeypatch.setitem(STRATEGIES, "no_lowering", NoLowering())
+        engine = make_engine()
         with pytest.raises(NotImplementedError, match="'no_lowering'"):
-            engine.ask(TRIANGLE, strategy="no_lowering")
+            engine.exists(TRIANGLE, strategy="no_lowering")
 
 
 class TestPlanCache:
     def test_second_ask_hits_cache_and_skips_planning(self):
         engine = make_engine()
-        first = engine.ask(TRIANGLE, strategy="omega")
+        first = engine.exists(TRIANGLE, strategy="omega")
         assert not first.cache_hit
         assert first.plan_source == "planner"
         assert first.plan_seconds > 0
-        second = engine.ask(TRIANGLE, strategy="omega")
+        second = engine.exists(TRIANGLE, strategy="omega")
         assert second.cache_hit
         assert second.plan_source == "cache"
         assert second.plan_seconds == 0.0
@@ -149,18 +94,18 @@ class TestPlanCache:
         engine = QueryEngine(both, omega=OMEGA)
         renamed = parse_query("Q() :- A(U, V), B(V, W), C(U, W)")
         assert TRIANGLE.shape_signature() == renamed.shape_signature()
-        engine.ask(TRIANGLE, strategy="omega")
-        result = engine.ask(renamed, strategy="omega")
+        engine.exists(TRIANGLE, strategy="omega")
+        result = engine.exists(renamed, strategy="omega")
         assert result.cache_hit
         result.plan.validate()
         assert result.answer == bool(oracle(renamed, both))
 
     def test_database_mutation_invalidates(self):
         engine = make_engine()
-        engine.ask(TRIANGLE, strategy="omega")
-        assert engine.ask(TRIANGLE, strategy="omega").cache_hit
+        engine.exists(TRIANGLE, strategy="omega")
+        assert engine.exists(TRIANGLE, strategy="omega").cache_hit
         engine.database["R"] = engine.database["R"]  # same content, still a mutation
-        after = engine.ask(TRIANGLE, strategy="omega")
+        after = engine.exists(TRIANGLE, strategy="omega")
         assert not after.cache_hit
         assert after.plan_source == "planner"
 
@@ -174,18 +119,12 @@ class TestPlanCache:
 
     def test_omega_changes_miss(self):
         engine = make_engine()
-        engine.ask(TRIANGLE, strategy="omega", omega=2.0)
-        result = engine.ask(TRIANGLE, strategy="omega", omega=3.0)
+        engine.exists(TRIANGLE, strategy="omega", omega=2.0)
+        result = engine.exists(TRIANGLE, strategy="omega", omega=3.0)
         assert not result.cache_hit
 
-    def test_cache_disabled(self):
-        engine = make_engine(plan_cache_size=0)
-        engine.ask(TRIANGLE, strategy="omega")
-        result = engine.ask(TRIANGLE, strategy="omega")
-        assert not result.cache_hit
-        assert engine.cache_info().size == 0
-
-    def test_lru_eviction(self):
+    def test_lru_eviction(self, monkeypatch):
+        monkeypatch.setattr(engine_module, "PLAN_CACHE_SIZE", 2)
         db = Database(
             {
                 "R": Relation(("A", "B"), [(1, 2)]),
@@ -194,15 +133,15 @@ class TestPlanCache:
                 "U": Relation(("C", "D"), [(3, 1)]),
             }
         )
-        engine = QueryEngine(db, omega=OMEGA, plan_cache_size=2)
+        engine = QueryEngine(db, omega=OMEGA)
         four_cycle = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z), U(Z, W)")
         path = parse_query("Q() :- R(X, Y), S(Y, Z)")
-        engine.ask(TRIANGLE, strategy="omega")
-        engine.ask(four_cycle, strategy="omega")
-        engine.ask(path, strategy="omega")  # evicts the triangle entry
+        engine.exists(TRIANGLE, strategy="omega")
+        engine.exists(four_cycle, strategy="omega")
+        engine.exists(path, strategy="omega")  # evicts the triangle entry
         stats = engine.cache_info()
         assert stats.evictions == 1 and stats.size == 2
-        assert not engine.ask(TRIANGLE, strategy="omega").cache_hit
+        assert not engine.exists(TRIANGLE, strategy="omega").cache_hit
 
     def test_same_shape_different_relation_sizes_not_shared(self):
         small = triangle_instance(40, domain_size=12, seed=1)
@@ -211,13 +150,13 @@ class TestPlanCache:
         for name, source in (("A", "R"), ("B", "S"), ("C", "T")):
             both[name] = big[source]
         engine = QueryEngine(both, omega=OMEGA)
-        engine.ask(TRIANGLE, strategy="omega")
+        engine.exists(TRIANGLE, strategy="omega")
         over_big = parse_query("Q() :- A(X, Y), B(Y, Z), C(X, Z)")
-        result = engine.ask(over_big, strategy="omega")
+        result = engine.exists(over_big, strategy="omega")
         assert not result.cache_hit  # same shape, different statistics
         assert result.plan_source == "planner"
 
-    def test_alias_strategies_do_not_share_cache_entries(self):
+    def test_alias_strategies_do_not_share_cache_entries(self, monkeypatch):
         from repro.api.strategies import OmegaStrategy
 
         plan_calls = []
@@ -229,21 +168,20 @@ class TestPlanCache:
                 plan_calls.append(query)
                 return super().plan(query, database, omega)
 
-        registry = DEFAULT_REGISTRY.copy()
-        registry.register(MyOmega(), name="my_omega")
-        engine = make_engine(registry=registry)
-        engine.ask(TRIANGLE, strategy="omega")
-        result = engine.ask(TRIANGLE, strategy="my_omega")
+        monkeypatch.setitem(STRATEGIES, "my_omega", MyOmega())
+        engine = make_engine()
+        engine.exists(TRIANGLE, strategy="omega")
+        result = engine.exists(TRIANGLE, strategy="my_omega")
         assert not result.cache_hit  # the alias plans for itself
         assert plan_calls == [TRIANGLE]
         assert result.strategy == "my_omega"
-        assert engine.ask(TRIANGLE, strategy="my_omega").cache_hit
+        assert engine.exists(TRIANGLE, strategy="my_omega").cache_hit
 
     def test_cache_stats_hit_rate(self):
         from repro.core import all_for_loop_plan
         from repro.hypergraph import triangle
 
-        cache = PlanCache(maxsize=1)
+        cache = LRUCache(1)
         key = ("omega", (("v0", "v1"),), 2.0, (0, ()))
         assert cache.get(key) is None
         plan = all_for_loop_plan(triangle(), ["X", "Y", "Z"])
@@ -255,9 +193,9 @@ class TestPlanCache:
 
     def test_clear_plan_cache(self):
         engine = make_engine()
-        engine.ask(TRIANGLE, strategy="omega")
+        engine.exists(TRIANGLE, strategy="omega")
         engine.clear_plan_cache()
-        assert not engine.ask(TRIANGLE, strategy="omega").cache_hit
+        assert not engine.exists(TRIANGLE, strategy="omega").cache_hit
 
 
 class TestAsk:
@@ -268,21 +206,21 @@ class TestAsk:
                 80, domain_size=18, seed=seed, plant_triangle=(seed % 2 == 0)
             )
             engine = QueryEngine(db, omega=OMEGA)
-            result = engine.ask(TRIANGLE, strategy=strategy)
+            result = engine.exists(TRIANGLE, strategy=strategy)
             assert result.answer == bool(oracle(TRIANGLE, db))
             assert result.seconds >= result.execute_seconds
 
     def test_auto_uses_yannakakis_for_acyclic(self):
         q = parse_query("Q() :- R(X, Y), S(Y, Z)")
         db = random_database(q, 30, seed=3, plant_witness=True)
-        result = QueryEngine(db, omega=OMEGA).ask(q)
+        result = QueryEngine(db, omega=OMEGA).exists(q)
         assert result.strategy == "yannakakis"
         assert result.answer
 
     def test_yannakakis_rejected_for_cyclic(self):
         engine = make_engine()
         with pytest.raises(ValueError):
-            engine.ask(TRIANGLE, strategy="yannakakis")
+            engine.exists(TRIANGLE, strategy="yannakakis")
 
     def test_explicit_plan_bypasses_cache(self):
         from repro.core import all_for_loop_plan
@@ -290,7 +228,7 @@ class TestAsk:
 
         engine = make_engine()
         plan = all_for_loop_plan(triangle(), ["Z", "Y", "X"])
-        result = engine.ask(TRIANGLE, plan=plan)
+        result = engine.exists(TRIANGLE, plan=plan)
         assert result.strategy == "omega"
         assert result.plan_source == "given"
         assert result.answer
@@ -303,11 +241,11 @@ class TestAsk:
         engine = make_engine()
         plan = all_for_loop_plan(triangle(), ["X", "Y", "Z"])
         with pytest.raises(ValueError, match="does not execute plans"):
-            engine.ask(TRIANGLE, strategy="naive", plan=plan)
+            engine.exists(TRIANGLE, strategy="naive", plan=plan)
 
     def test_describe_mentions_timing_breakdown(self):
         engine = make_engine()
-        result = engine.ask(TRIANGLE, strategy="omega")
+        result = engine.exists(TRIANGLE, strategy="omega")
         text = result.describe()
         assert "plan" in text and "execute" in text and "strategy" in text
 
@@ -335,7 +273,7 @@ class TestAskMany:
         for name, source in (("A", "R"), ("B", "S"), ("C", "T")):
             both[name] = big[source]
         over_big = parse_query("Q() :- A(X, Y), B(Y, Z), C(X, Z)")
-        engine = QueryEngine(both, omega=OMEGA, plan_cache_size=0)
+        engine = QueryEngine(both, omega=OMEGA)
         results = engine.ask_many([TRIANGLE, over_big], strategy="omega")
         # Same shape but different relation statistics: both plan afresh.
         assert [r.plan_source for r in results] == ["planner", "planner"]
@@ -361,7 +299,7 @@ class TestExplain:
     def test_explain_warms_the_cache(self):
         engine = make_engine()
         engine.explain(TRIANGLE, strategy="omega")
-        assert engine.ask(TRIANGLE, strategy="omega").cache_hit
+        assert engine.exists(TRIANGLE, strategy="omega").cache_hit
 
     def test_explain_rejects_unsupported_strategy(self):
         engine = make_engine()
@@ -383,32 +321,29 @@ class TestCompareAndDisagreement:
         assert set(results) == {"naive", "generic_join", "omega"}
         assert len({r.answer for r in results.values()}) == 1
 
-    def test_disagreement_carries_answers(self):
-        @register_strategy
+    def test_disagreement_carries_answers(self, monkeypatch):
         class ConstantFalse(Strategy):
             name = "constant_false"
 
             def lower(self, query, database, omega, plan=None, verb="exists"):
                 return constant_lowering(False)
 
-        try:
-            engine = make_engine()  # plants a triangle: naive says True
-            with pytest.raises(StrategyDisagreement) as excinfo:
-                engine.compare(TRIANGLE, ["naive", "constant_false"])
-            error = excinfo.value
-            assert error.answers == {"naive": True, "constant_false": False}
-            assert error.query is TRIANGLE
-            assert set(error.results) == {"naive", "constant_false"}
-            assert isinstance(error, AssertionError)  # legacy contract
-        finally:
-            unregister_strategy("constant_false")
+        monkeypatch.setitem(STRATEGIES, "constant_false", ConstantFalse())
+        engine = make_engine()  # plants a triangle: naive says True
+        with pytest.raises(StrategyDisagreement) as excinfo:
+            engine.compare(TRIANGLE, ["naive", "constant_false"])
+        error = excinfo.value
+        assert error.answers == {"naive": True, "constant_false": False}
+        assert error.query is TRIANGLE
+        assert set(error.results) == {"naive", "constant_false"}
+        assert isinstance(error, AssertionError)  # legacy contract
 
 
 class TestBackCompatWrappers:
     """What the deleted ``repro.core.engine`` free functions did, on the engine.
 
-    They built a throwaway ``QueryEngine(db, plan_cache_size=0)``; the
-    tests keep their names and check that one-shot engine directly.
+    They built a throwaway engine per call; the tests keep their names and
+    check that one-shot engine directly.
     """
 
     @pytest.mark.parametrize("seed", range(4))
@@ -417,36 +352,33 @@ class TestBackCompatWrappers:
         db = triangle_instance(
             70, domain_size=16, seed=seed, plant_triangle=(seed % 2 == 0)
         )
-        one_shot = QueryEngine(db, omega=OMEGA, plan_cache_size=0).exists(
+        one_shot = QueryEngine(db, omega=OMEGA).exists(
             TRIANGLE, strategy
         )
-        engine_result = QueryEngine(db, omega=OMEGA).ask(TRIANGLE, strategy=strategy)
+        engine_result = QueryEngine(db, omega=OMEGA).exists(TRIANGLE, strategy=strategy)
         assert one_shot.answer == engine_result.answer == bool(oracle(TRIANGLE, db))
         assert one_shot.strategy == engine_result.strategy
 
     def test_compare_strategies_matches_engine(self):
         db = four_cycle_instance(60, domain_size=14, seed=2, plant_cycle=True)
-        reports = QueryEngine(db, omega=OMEGA, plan_cache_size=0).compare(FOUR_CYCLE)
+        reports = QueryEngine(db, omega=OMEGA).compare(FOUR_CYCLE)
         assert len({r.answer for r in reports.values()}) == 1
         assert set(reports) == {"naive", "generic_join", "omega"}
 
-    def test_compare_strategies_raises_strategy_disagreement(self):
-        @register_strategy
+    def test_compare_strategies_raises_strategy_disagreement(self, monkeypatch):
         class ConstantFalse2(Strategy):
             name = "constant_false2"
 
             def lower(self, query, database, omega, plan=None, verb="exists"):
                 return constant_lowering(False)
 
-        try:
-            db = triangle_instance(50, domain_size=12, seed=0, plant_triangle=True)
-            engine = QueryEngine(db, plan_cache_size=0)
-            with pytest.raises(StrategyDisagreement):
-                engine.compare(TRIANGLE, ["naive", "constant_false2"])
-            with pytest.raises(AssertionError):
-                engine.compare(TRIANGLE, ["naive", "constant_false2"])
-        finally:
-            unregister_strategy("constant_false2")
+        monkeypatch.setitem(STRATEGIES, "constant_false2", ConstantFalse2())
+        db = triangle_instance(50, domain_size=12, seed=0, plant_triangle=True)
+        engine = QueryEngine(db)
+        with pytest.raises(StrategyDisagreement):
+            engine.compare(TRIANGLE, ["naive", "constant_false2"])
+        with pytest.raises(AssertionError):
+            engine.compare(TRIANGLE, ["naive", "constant_false2"])
 
 
 class TestCanonicalSignatures:
@@ -501,7 +433,7 @@ class TestStrictParsing:
         assert len(query.atoms) == 2
         assert len(parse_query("R(X,,Y)", strict=False).atoms[0].variables) == 2
 
-    @pytest.mark.parametrize("verb", ["exists", "ask", "count", "select"])
+    @pytest.mark.parametrize("verb", ["exists", "count", "select"])
     def test_query_text_is_a_type_error_naming_parse_query(self, verb):
         engine = make_engine()
         with pytest.raises(TypeError, match="parse_query"):
@@ -519,8 +451,8 @@ class TestStorageBackends:
         for form in LOAD_FORMS:
             db = load_database(form, triangle_instance(80, domain_size=20, seed=5).items())
             engine = QueryEngine(db, omega=OMEGA)
-            first = engine.ask(TRIANGLE, strategy="omega")
-            second = engine.ask(TRIANGLE, strategy="omega")
+            first = engine.exists(TRIANGLE, strategy="omega")
+            second = engine.exists(TRIANGLE, strategy="omega")
             assert not first.cache_hit and second.cache_hit
             assert first.answer == second.answer
 

@@ -208,15 +208,15 @@ class TestStrategyCoverage:
                 super().check()
 
         kernel = ("backends.py", "search")
-        engine = QueryEngine(
-            chain_db(), dispatcher=KernelDispatcher(morsel_size=1), result_cache_size=0
-        )
+        engine = QueryEngine(chain_db())
+        engine.dispatcher = KernelDispatcher(morsel_size=1)
         query = parse_query(CHAIN)
         untripped = Witness(10**9)
         engine.count(query, strategy="generic_join", token=untripped)
         assert untripped.callers.count(kernel) > 10
         trip = untripped.callers.index(kernel) + 2
         token = Witness(trip)
+        engine.clear_result_cache()
         with pytest.raises(QueryCancelledError):
             engine.count(query, strategy="generic_join", token=token)
         assert len(token.callers) == trip and token.callers[-1] == kernel
@@ -229,4 +229,4 @@ class TestStrategyCoverage:
         token = CancellationToken()
         token.cancel()
         with pytest.raises(QueryCancelledError):
-            engine.ask(query, token=token)
+            engine.exists(query, token=token)

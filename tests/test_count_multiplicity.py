@@ -34,6 +34,7 @@ from repro.api.cache import FALLBACK_REASONS
 from repro.api.engine import _net_delta
 from repro.db import Database, Relation, parse_query
 from repro.db import backends as backends_module
+from repro.db import database as database_module
 from repro.db.backends import _FAMILY_CACHE_LIMIT, _Dictionary
 from repro.db.query import Atom, ConjunctiveQuery
 from repro.exec.ir import Count
@@ -272,16 +273,16 @@ def _fresh_count(engine, query):
     db = Database()
     for name, relation in engine.database.items():
         db[name] = relation
-    return QueryEngine(db, incremental=False).count(query).row_count
+    return QueryEngine(db).count(query).row_count
 
 
 def _spy_patch_asks(engine, monkeypatch):
     calls = []
     original = engine._patch_ask
 
-    def spy(query, verb, name, rows):
+    def spy(query, strategy_key, verb, name, rows):
         calls.append((verb, name, tuple(rows)))
-        return original(query, verb, name, rows)
+        return original(query, strategy_key, verb, name, rows)
 
     monkeypatch.setattr(engine, "_patch_ask", spy)
     return calls
@@ -339,10 +340,12 @@ def test_many_batches_patch_with_at_most_two_evaluations(form, monkeypatch):
 
 
 @pytest.mark.parametrize("form", LOAD_FORMS)
-def test_a_log_past_its_limit_falls_back_correctly(form):
+def test_a_log_past_its_limit_falls_back_correctly(form, monkeypatch):
+    limit = 4
+    monkeypatch.setattr(database_module, "DELTA_LOG_LIMIT", limit)
     engine = _chain_engine(form)
     engine.count(FULL)
-    for value in range(engine.database.delta_log_limit + 1):
+    for value in range(limit + 1):
         engine.insert("S", [(1, 100 + value)])
     result = engine.count(FULL)
     assert result.plan_source != "incremental"
@@ -387,11 +390,12 @@ def _ask_after(engine, verb, query, *writes):
     return {reason for reason in FALLBACK_REASONS if after[reason] != before[reason]}, after
 
 
-def test_each_fallback_reason_is_counted_once():
+def test_each_fallback_reason_is_counted_once(monkeypatch):
+    limit = 4
+    monkeypatch.setattr(database_module, "DELTA_LOG_LIMIT", limit)
     engine = _chain_engine()
     engine.count(FULL)
     assert _fallbacks(engine)["no_entry"] == 1
-    limit = engine.database.delta_log_limit
     scenarios = {
         "truncated_log": ("count", FULL, *[("insert", "S", [(9, i)]) for i in range(limit + 1)]),
         "multi_relation": ("count", FULL, ("insert", "R", [(7, 7)]), ("insert", "S", [(7, 8)])),

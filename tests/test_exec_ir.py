@@ -197,7 +197,7 @@ class TestLoweringEquivalence:
         )
         engine = QueryEngine(load_database(form, db.items()), omega=OMEGA)
         answers = {
-            strategy: engine.ask(TRIANGLE, strategy=strategy).answer
+            strategy: engine.exists(TRIANGLE, strategy=strategy).answer
             for strategy in ("naive", "generic_join", "omega")
         }
         assert len(set(answers.values())) == 1
@@ -206,7 +206,7 @@ class TestLoweringEquivalence:
         db = chain_database()
         engine = QueryEngine(db, omega=OMEGA)
         for strategy in ("naive", "generic_join", "yannakakis", "omega"):
-            result = engine.ask(CHAIN, strategy=strategy)
+            result = engine.exists(CHAIN, strategy=strategy)
             assert result.program is not None, strategy
             assert result.execution is not None
             assert result.execution.operators, strategy
@@ -322,8 +322,8 @@ class TestEngineResultCache:
     def test_repeated_ask_hits_result_cache(self):
         db = chain_database()
         engine = QueryEngine(db, omega=OMEGA)
-        first = engine.ask(CHAIN, strategy="yannakakis")
-        second = engine.ask(CHAIN, strategy="yannakakis")
+        first = engine.exists(CHAIN, strategy="yannakakis")
+        second = engine.exists(CHAIN, strategy="yannakakis")
         assert first.answer == second.answer
         assert engine.result_cache_info().hits > 0
 
@@ -339,22 +339,25 @@ class TestEngineResultCache:
     def test_mutation_invalidates_result_cache(self):
         db = chain_database()
         engine = QueryEngine(db, omega=OMEGA)
-        engine.ask(CHAIN, strategy="yannakakis")
+        engine.exists(CHAIN, strategy="yannakakis")
         hits_before = engine.result_cache_info().hits
         # Empty one relation: the answer must flip to False, cached results
         # keyed by the old fingerprint must not be served.
         db["R"] = Relation(("X", "Y"), [])
-        result = engine.ask(CHAIN, strategy="yannakakis")
+        result = engine.exists(CHAIN, strategy="yannakakis")
         assert result.answer is False
         assert engine.result_cache_info().hits == hits_before
 
     def test_result_cache_disabled(self):
+        # A cleared cache serves nothing to the next ask.
         db = chain_database()
-        engine = QueryEngine(db, omega=OMEGA, result_cache_size=0)
-        engine.ask(CHAIN, strategy="yannakakis")
-        engine.ask(CHAIN, strategy="yannakakis")
-        stats = engine.result_cache_info()
-        assert stats.hits == 0 and stats.size == 0
+        engine = QueryEngine(db, omega=OMEGA)
+        engine.exists(CHAIN, strategy="yannakakis")
+        engine.clear_result_cache()
+        engine.exists(CHAIN, strategy="yannakakis")
+        assert engine.result_cache_info().hits == 0
+        engine.clear_result_cache()
+        assert engine.result_cache_info().size == 0
 
 
 class TestExplainRendersDag:
@@ -378,7 +381,7 @@ class TestExplainRendersDag:
     def test_per_step_traces_sum_to_execute_time(self):
         db = triangle_instance(80, domain_size=18, seed=5, plant_triangle=True)
         engine = QueryEngine(db, omega=OMEGA)
-        result = engine.ask(TRIANGLE, strategy="omega")
+        result = engine.exists(TRIANGLE, strategy="omega")
         execution = result.execution
         assert execution is not None and execution.operators
         operator_seconds = sum(t.seconds for t in execution.operators)
@@ -395,7 +398,7 @@ class TestExplainRendersDag:
         assert second.program is not None
         assert second.program.root.skey == first.program.root.skey
         # The ask after an explain reuses the cached IR and reports it.
-        result = engine.ask(TRIANGLE, strategy="omega")
+        result = engine.exists(TRIANGLE, strategy="omega")
         assert result.cache_hit and result.plan_source == "cache"
         assert result.program is not None
 
@@ -415,8 +418,8 @@ class TestExplainRendersDag:
         )
         assert q1.shape_signature() == q2.shape_signature()
         engine = QueryEngine(db, omega=OMEGA)
-        first = engine.ask(q1, strategy="omega")
-        second = engine.ask(q2, strategy="omega")
+        first = engine.exists(q1, strategy="omega")
+        second = engine.exists(q2, strategy="omega")
         assert first.answer == bool(oracle(q1, db))
         assert second.answer == bool(oracle(q2, db))
         assert second.answer is True and first.answer is False
@@ -428,8 +431,8 @@ class TestExplainRendersDag:
         )
         renamed = parse_query("Q() :- A(U, V), B(V, W), C(U, W)")
         engine = QueryEngine(both, omega=OMEGA)
-        engine.ask(TRIANGLE, strategy="omega")
-        result = engine.ask(renamed, strategy="omega")
+        engine.exists(TRIANGLE, strategy="omega")
+        result = engine.exists(renamed, strategy="omega")
         assert result.cache_hit  # the plan is shared ...
         assert result.program is not None
         scans = {n.relation for n in result.program.nodes() if n.kind() == "scan"}

@@ -28,6 +28,7 @@ import pytest
 
 from repro.api import QueryEngine
 from repro.db import Database, Relation, parse_query
+from repro.db import database as database_module
 from tests.conftest import LOAD_FORMS, load_database, load_relation
 
 SCHEMA = ("a", "b")
@@ -37,13 +38,13 @@ CHAIN_BOOL = parse_query("Q() :- R(X, Y), S(Y, Z)")
 TRIANGLE_BOOL = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 
 
-def make_database(form="columnar", **kwargs):
+def make_database(form="columnar"):
     tables = {
         "R": (SCHEMA, [(1, 2), (2, 3), (3, 1)]),
         "S": (SCHEMA, [(2, 5), (3, 6), (1, 7)]),
         "T": (SCHEMA, [(1, 5), (9, 9)]),
     }
-    return load_database(form, tables, **kwargs)
+    return load_database(form, tables)
 
 
 # ----------------------------------------------------------------------
@@ -142,8 +143,9 @@ class TestDatabaseDeltas:
         assert set(replay[1][1]) == {(1, 2)}
         assert db.deltas_since("R", db.relation_version("R")) == ()
 
-    def test_delta_log_is_bounded(self):
-        db = make_database(delta_log_limit=2)
+    def test_delta_log_is_bounded(self, monkeypatch):
+        monkeypatch.setattr(database_module, "DELTA_LOG_LIMIT", 2)
+        db = make_database()
         v0 = db.relation_version("R")
         for i in range(5):
             db.insert("R", [(100 + i, i)])
@@ -158,8 +160,9 @@ class TestDatabaseDeltas:
         db["R"] = Relation.from_pairs(SCHEMA, [(5, 5)], "R")
         assert db.deltas_since("R", v0) is None
 
-    def test_threshold_fallback_refreshes_statistics(self):
-        db = make_database(delta_threshold_rows=4)
+    def test_threshold_fallback_refreshes_statistics(self, monkeypatch):
+        monkeypatch.setattr(database_module, "DELTA_THRESHOLD_ROWS", 4)
+        db = make_database()
         epoch = db.relation_epoch("R")
         v0 = db.relation_version("R")
         db.insert("R", [(100 + i, i) for i in range(5)])  # crosses threshold
@@ -183,17 +186,14 @@ class TestDatabaseDeltas:
         assert db.fingerprint_for(["R", "S"]) != fp_rs
 
     @pytest.mark.parametrize("form", LOAD_FORMS)
-    def test_concurrent_writers_lose_no_update(self, form):
+    def test_concurrent_writers_lose_no_update(self, form, monkeypatch):
         # insert is a read-modify-write of the stored relation: four server
         # threads writing one relation must serialise on the database lock,
         # while readers (who take no lock) probe whatever version is current.
         threads, per_thread, stored = 4, 200, 5000
-        db = load_database(
-            form,
-            {"R": (SCHEMA, [(i, i + 1) for i in range(stored)])},
-            delta_log_limit=10**4,
-            delta_threshold_rows=10**6,
-        )
+        monkeypatch.setattr(database_module, "DELTA_LOG_LIMIT", 10**4)
+        monkeypatch.setattr(database_module, "DELTA_THRESHOLD_ROWS", 10**6)
+        db = load_database(form, {"R": (SCHEMA, [(i, i + 1) for i in range(stored)])})
         # Every written row brings a new value in both columns; the partner
         # holds exactly the written b-values, so a consistent snapshot of n
         # rows semijoins to n - stored of them.
@@ -306,7 +306,7 @@ class TestEnginePatching:
         engine.insert("S", [(2, 99)])
         result = engine.count(CHAIN)
         assert result.plan_source != "incremental"  # guard refused the patch
-        fresh = QueryEngine(make_database(), incremental=False)
+        fresh = QueryEngine(make_database())
         fresh.insert("S", [(2, 99)])
         assert result.row_count == fresh.count(CHAIN).row_count
         assert base == 3
@@ -392,14 +392,35 @@ class TestEnginePatching:
         assert engine.exists(CHAIN_BOOL, "naive").answer is True
         assert result.plan_source == "incremental"
 
-    def test_incremental_disabled_still_correct(self):
-        engine = QueryEngine(make_database(), incremental=False)
-        assert engine.exists(CHAIN_BOOL).answer is True
-        engine.insert("R", [(50, 60)])
-        result = engine.exists(CHAIN_BOOL)
-        assert result.answer is True
-        assert result.plan_source != "incremental"
-        assert engine.incremental_info()["maxsize"] == 0
+
+@pytest.mark.parametrize("form", LOAD_FORMS)
+def test_patch_evaluations_bypass_the_sibling_store(form, oracle):
+    """Patch evaluations name their strategy, so the sibling engine that
+    runs them never stores an answer or counts a fallback."""
+    engine = QueryEngine(
+        load_database(
+            form,
+            {
+                "R": (SCHEMA, [(1, 2), (2, 3)]),
+                "S": (SCHEMA, [(2, 5), (3, 6)]),
+                "T": (SCHEMA, [(9, 9)]),
+            },
+        )
+    )
+    assert engine.exists(TRIANGLE_BOOL).answer is False
+    assert engine.count(CHAIN_FULL).row_count == 2
+    engine.insert("T", [(1, 5)])  # closes the triangle (1, 2, 5)
+    patched = engine.exists(TRIANGLE_BOOL)
+    assert patched.plan_source == "incremental"
+    assert patched.answer is bool(oracle(TRIANGLE_BOOL, engine.database)) is True
+    engine.insert("S", [(2, 7)])
+    engine.delete("S", [(3, 6)])
+    counted = engine.count(CHAIN_FULL)
+    assert counted.plan_source == "incremental"
+    assert counted.row_count == len(oracle(CHAIN_FULL, engine.database)) == 2
+    sibling = engine._patch_engine.incremental_info()
+    assert sibling["stored"] == 0
+    assert all(value == 0 for key, value in sibling.items() if key.startswith("fallback_"))
 
 
 # ----------------------------------------------------------------------
@@ -441,7 +462,7 @@ def _trace(rng, steps):
 def _reference_answers(rows_by_name, verb_key, form, strategy):
     """From-scratch ground truth on the current data (no caches)."""
     db = load_database(form, {name: (SCHEMA, rows) for name, rows in rows_by_name.items()})
-    engine = QueryEngine(db, incremental=False)
+    engine = QueryEngine(db)
     query = TRACE_QUERIES[verb_key]
     if verb_key.startswith("exists"):
         return engine.exists(query, strategy).answer
@@ -527,9 +548,10 @@ def test_sorted_select_prefixes_after_updates(form):
     assert engine.select(CHAIN, limit=1, order="sorted").to_rows() == full[:1]
 
 
-def test_threshold_fallback_mid_trace_stays_correct():
+def test_threshold_fallback_mid_trace_stays_correct(monkeypatch):
     """Crossing the delta threshold mid-stream must not strand caches."""
-    engine = QueryEngine(make_database(delta_threshold_rows=4))
+    monkeypatch.setattr(database_module, "DELTA_THRESHOLD_ROWS", 4)
+    engine = QueryEngine(make_database())
     assert engine.exists(CHAIN_BOOL).answer is True
     base = engine.count(CHAIN_FULL).row_count
     # One big batch blows past the threshold: full invalidation path.

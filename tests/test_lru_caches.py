@@ -2,11 +2,10 @@
 
 The plan cache, the VM's result cache and the incremental answer store
 each see one scripted sequence of gets and puts — an LRU eviction, a
-replacement in place, a clear, and a disabled (``maxsize=0``) variant —
-and must report exactly these ``stats()``.  Each cache is consulted the
-way the engine consults it: the VM never asks a disabled result cache.
-The server's request threads share these caches, so a stress test checks
-that concurrent use loses no counter update and no entry weight.
+replacement in place and a clear — and must report exactly these
+``stats()``.  The server's request threads share these caches, so a
+stress test checks that concurrent use loses no counter update and no
+entry weight.
 """
 
 from __future__ import annotations
@@ -18,19 +17,10 @@ import threading
 
 import pytest
 
-from repro.api import PlanCache
 from repro.api.cache import FALLBACK_REASONS, IncrementalEntry, IncrementalResultStore
 from repro.db import Relation
 from repro.exec import ResultCache
 from repro.exec.cache import LRUCache
-
-
-def always_get(cache, key):
-    return cache.get(key)
-
-
-def vm_get(cache, key):
-    return cache.get(key) if cache.enabled else None
 
 
 def put_value(cache, key, value):
@@ -45,15 +35,15 @@ def put_entry(cache, key, value):
     cache.put(key, IncrementalEntry(value, {}, 0))
 
 
-def run_script(cache, get, put):
-    seen = [get(cache, "a")]
+def run_script(cache, put):
+    seen = [cache.get("a")]
     put(cache, "a", 1)
     put(cache, "b", 2)
-    seen.append(get(cache, "a"))
+    seen.append(cache.get("a"))
     put(cache, "c", 3)  # over the bound: b is the least recently used
-    seen += [get(cache, "b"), get(cache, "c")]
+    seen += [cache.get("b"), cache.get("c")]
     put(cache, "a", 4)  # a replacement (or, past max_entry_rows, refused)
-    seen.append(get(cache, "a"))
+    seen.append(cache.get("a"))
     if hasattr(cache, "drop"):
         cache.drop("c")
         cache.drop("absent")
@@ -77,32 +67,25 @@ def store(size, maxsize, stored, dropped):
 
 
 HITS = [False, True, False, True, True]
-MISSES = [False] * 5
 
 CASES = {
-    "plan": (lambda: PlanCache(2), always_get, put_value, HITS,
+    "plan": (lambda: LRUCache(2), put_value, HITS,
              (2, counters(3, 2, 1, 2, 2)), (0, counters(3, 2, 1, 0, 2))),
-    "plan-disabled": (lambda: PlanCache(0), always_get, put_value, MISSES,
-                      (0, counters(0, 5, 0, 0, 0)), (0, counters(0, 5, 0, 0, 0))),
-    "result": (lambda: ResultCache(2), vm_get, put_rows, HITS,
+    "result": (lambda: ResultCache(2), put_rows, HITS,
                (2, counters(3, 2, 1, 2, 2)), (0, counters(3, 2, 1, 0, 2))),
     # Rows weigh: a (1) + b (2) + c (3) passes max_total_rows=4, so b goes;
     # a second a of 4 rows is wider than max_entry_rows=3 and never stored.
-    "result-rows": (lambda: ResultCache(8, 3, 4), vm_get, put_rows, HITS,
+    "result-rows": (lambda: ResultCache(8, 3, 4), put_rows, HITS,
                     (2, counters(3, 2, 1, 2, 8)), (0, counters(3, 2, 1, 0, 8))),
-    "result-disabled": (lambda: ResultCache(0), vm_get, put_rows, MISSES,
-                        (0, counters(0, 0, 0, 0, 0)), (0, counters(0, 0, 0, 0, 0))),
-    "store": (lambda: IncrementalResultStore(2), always_get, put_entry, HITS,
+    "store": (lambda: IncrementalResultStore(2), put_entry, HITS,
               (1, store(1, 2, 4, 1)), (0, store(0, 2, 4, 1))),
-    "store-disabled": (lambda: IncrementalResultStore(0), always_get, put_entry, MISSES,
-                       (0, store(0, 0, 0, 0)), (0, store(0, 0, 0, 0))),
 }
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lru_counters(name):
-    factory, get, put, hits, before, after = CASES[name]
-    assert run_script(factory(), get, put) == (hits, before, after)
+    factory, put, hits, before, after = CASES[name]
+    assert run_script(factory(), put) == (hits, before, after)
 
 
 class Key(int):

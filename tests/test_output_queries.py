@@ -19,14 +19,13 @@ import random
 import pytest
 
 from repro.api import (
+    STRATEGIES,
     QueryEngine,
     QueryParseError,
     ResultSet,
     Strategy,
     StrategyDisagreement,
-    StrategyRegistry,
     UnsupportedWorkload,
-    register_strategy,
     row_order_key,
 )
 from repro.constants import OMEGA_BEST_KNOWN
@@ -117,10 +116,9 @@ def test_count_and_select_match_brute_force(shape, seed):
             assert rows == sorted(rows, key=row_order_key)  # deterministic order
             assert set(rows) == expected, label
             assert len(rows) == len(expected), label  # distinct
-            # exists agrees with the count being positive and with ask().
+            # exists agrees with the count being positive.
             exists = engine.exists(query, strategy=strategy)
             assert exists.answer == (len(expected) > 0), label
-            assert engine.ask(query, strategy=strategy).answer == exists.answer
 
 
 @pytest.mark.parametrize("shape", ["path2", "triangle", "chain3"])
@@ -142,8 +140,9 @@ def test_select_limits_are_prefixes_of_the_full_order(shape):
     assert engine.count(query).row_count == total
 
 
-def test_exists_matches_pre_verb_ask_on_differential_cases():
-    """`exists` answers byte-identically to `ask` across the old suite."""
+def test_exists_matches_pre_verb_ask_on_differential_cases(oracle):
+    """`exists`, the one Boolean entry point, answers the old differential
+    suite's cases like the oracle, on a cold and on a warm engine."""
     from test_backends_differential import (
         SHAPES as BOOLEAN_SHAPES,
         _case_parameters as boolean_parameters,
@@ -157,11 +156,11 @@ def test_exists_matches_pre_verb_ask_on_differential_cases():
                 query, tuples, domain_size=domain, seed=seed, plant_witness=plant
             )
             engine = QueryEngine(database)
-            asked = engine.ask(query)
-            existed = engine.exists(query)
-            assert asked.answer == existed.answer
-            assert asked.verb == existed.verb == "exists"
-            assert existed.row_count is None
+            cold = engine.exists(query)
+            warm = engine.exists(query)
+            assert cold.answer == warm.answer == bool(oracle(query, database))
+            assert cold.verb == warm.verb == "exists"
+            assert warm.row_count is None
 
 
 class TestResultSet:
@@ -259,15 +258,6 @@ class TestVerbResolution:
         assert engine.count(path).strategy == "yannakakis"
         assert engine.select(path).result.strategy == "yannakakis"
 
-    def test_auto_fallback_without_generic_join(self):
-        registry = QueryEngine(self._db()).registry.copy()
-        registry.unregister("generic_join")
-        engine = QueryEngine(self._db(), registry=registry)
-        triangle = parse_query("Q(X) :- R(X, Y), S(Y, Z), T(X, Z)")
-        counted = engine.count(triangle)  # cyclic: falls back to naive
-        assert counted.strategy == "naive"
-        assert counted.row_count > 0
-
     def test_unorderable_values_still_sort_deterministically(self):
         database = Database(
             {"R": Relation(("A", "B"), [(1j, 1), (2j, 2), (1 + 1j, 3)])}
@@ -316,16 +306,10 @@ class TestVerbResolution:
             limited = engine.select(query, limit=k, order="sorted").to_rows()
             assert [repr(r) for r in limited] == [repr(r) for r in full[:k]]
 
-    def test_auto_exhausted_error_does_not_advise_auto(self):
-        registry = StrategyRegistry()  # no verb-capable strategies at all
-        engine = QueryEngine(self._db(), registry=registry)
-        with pytest.raises(UnsupportedWorkload, match="no registered strategy"):
-            engine.count(parse_query("Q(X) :- R(X, Y)"))
-
     def test_explicit_plan_rejected_for_output_verbs(self):
         engine = QueryEngine(self._db(), omega=OMEGA_BEST_KNOWN)
         triangle = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
-        plan = engine.ask(triangle, strategy="omega").plan
+        plan = engine.exists(triangle, strategy="omega").plan
         with pytest.raises(ValueError, match="exists"):
             engine._ask(triangle, "omega", plan=plan, verb="count")
 
@@ -342,7 +326,7 @@ class TestVerbResolution:
         engine = QueryEngine(self._db(), omega=OMEGA_BEST_KNOWN)
         boolean = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
         headed = parse_query("Q(X) :- R(X, Y), S(Y, Z), T(X, Z)")
-        first = engine.ask(boolean, strategy="omega")
+        first = engine.exists(boolean, strategy="omega")
         second = engine.exists(headed, strategy="omega")
         assert not first.cache_hit
         assert second.cache_hit  # exists ignores heads: one shared plan
@@ -389,10 +373,7 @@ class TestVerbBatchesAndCompare:
                 counts = {r.row_count for r in results.values()}
                 assert len(counts) == 1
 
-    def test_compare_disagreement_carries_verb(self):
-        registry = StrategyRegistry()
-
-        @register_strategy(registry=registry)
+    def test_compare_disagreement_carries_verb(self, monkeypatch):
         class WrongCount(Strategy):
             name = "wrong"
             verbs = ("exists", "count", "select")
@@ -404,7 +385,6 @@ class TestVerbBatchesAndCompare:
                     verb=verb,
                 )
 
-        @register_strategy(registry=registry)
         class Good(Strategy):
             name = "good"
             verbs = ("exists", "count", "select")
@@ -419,7 +399,9 @@ class TestVerbBatchesAndCompare:
                 "S": Relation(("A", "B"), [(2, 3)]),
             }
         )
-        engine = QueryEngine(database, registry=registry)
+        monkeypatch.setitem(STRATEGIES, "wrong", WrongCount())
+        monkeypatch.setitem(STRATEGIES, "good", Good())
+        engine = QueryEngine(database)
         with pytest.raises(StrategyDisagreement) as info:
             engine.compare(query, ["wrong", "good"], verb="count")
         assert info.value.verb == "count"
@@ -537,8 +519,8 @@ class TestCacheInvalidation:
     TRIANGLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(X, Z)")
 
     def _warm(self, engine):
-        first = engine.ask(self.TRIANGLE, strategy="omega")
-        second = engine.ask(self.TRIANGLE, strategy="omega")
+        first = engine.exists(self.TRIANGLE, strategy="omega")
+        second = engine.exists(self.TRIANGLE, strategy="omega")
         assert not first.cache_hit and second.cache_hit
         return first.answer
 
@@ -550,7 +532,7 @@ class TestCacheInvalidation:
         fingerprint_before = database.fingerprint_for(database)
         database.bulk_load({"R": (("X", "Y"), [])})  # drop every R edge
         assert database.fingerprint_for(database) != fingerprint_before
-        refreshed = engine.ask(self.TRIANGLE, strategy="omega")
+        refreshed = engine.exists(self.TRIANGLE, strategy="omega")
         assert refreshed.answer is False
         assert not refreshed.cache_hit  # the plan cache saw the new fingerprint
         assert refreshed.plan_source == "planner"
@@ -610,18 +592,6 @@ class TestLoweringShapes:
 
 
 class TestOutputSignatures:
-    def test_output_signature_distinguishes_heads(self):
-        a = parse_query("Q(X) :- R(X, Y), S(Y, Z)")
-        b = parse_query("Q(Z) :- R(X, Y), S(Y, Z)")
-        assert a.shape_signature() == b.shape_signature()
-        assert a.output_signature() != b.output_signature()
-
-    def test_isomorphic_output_queries_share_signatures(self):
-        a = parse_query("Q(X, Z) :- R(X, Y), S(Y, Z)")
-        b = parse_query("Q(U, W) :- A(U, V), B(V, W)")
-        assert a.shape_signature() == b.shape_signature()
-        assert a.output_signature() == b.output_signature()
-
     def test_with_outputs(self):
         q = parse_query("Q() :- R(X, Y)")
         widened = q.with_outputs(("Y",))

@@ -34,7 +34,7 @@ FOUR_CYCLE = parse_query("Q() :- R(X, Y), S(Y, Z), T(Z, W), U(W, X)")
 
 def run_plan(query, db, plan):
     """Execute an explicit ω-query plan: the engine's ``exists`` with ``plan=``."""
-    return QueryEngine(db, omega=OMEGA, plan_cache_size=0).exists(
+    return QueryEngine(db, omega=OMEGA).exists(
         query, "omega", plan=plan
     )
 

@@ -245,11 +245,13 @@ def test_tree_count_dropping_a_tree_variable_is_flagged():
 def test_engine_rejects_unknown_stage():
     with pytest.raises(ValueError, match="verify_plans"):
         QueryEngine(Database(), verify_plans="paranoid")
+    with pytest.raises(ValueError, match="verify_plans"):
+        QueryEngine(Database(), verify_plans="lowered")
 
 
 def test_engine_env_default(monkeypatch):
-    monkeypatch.setenv("REPRO_VERIFY_PLANS", "lowered")
-    assert QueryEngine(Database()).verify_plans == "lowered"
+    monkeypatch.setenv("REPRO_VERIFY_PLANS", "optimized")
+    assert QueryEngine(Database()).verify_plans == "optimized"
     monkeypatch.setenv("REPRO_VERIFY_PLANS", "off")
     assert QueryEngine(Database()).verify_plans == "off"
     # Explicit argument wins over the environment.

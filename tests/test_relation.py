@@ -123,7 +123,8 @@ class TestDegreesAndPartitioning:
     def test_heavy_light_split(self):
         rows = [(1, i) for i in range(5)] + [(2, 0), (3, 0)]
         r = Relation(("X", "Y"), rows)
-        heavy, light = r.heavy_light_split(["X"], threshold=2)
+        heavy = r.heavy_part(["X"], 2)
+        light = r.antijoin(heavy)
         assert heavy.rows == {(1,)}
         assert light.rows == {(2, 0), (3, 0)}
         # Every original row is accounted for by exactly one part.
@@ -132,10 +133,10 @@ class TestDegreesAndPartitioning:
 
     def test_heavy_light_split_threshold_extremes(self):
         r = Relation(("X", "Y"), [(1, 2), (3, 4)])
-        heavy, light = r.heavy_light_split(["X"], threshold=0)
-        assert light.is_empty() and len(heavy) == 2
-        heavy, light = r.heavy_light_split(["X"], threshold=10)
-        assert heavy.is_empty() and light == r
+        heavy = r.heavy_part(["X"], 0)
+        assert r.antijoin(heavy).is_empty() and len(heavy) == 2
+        heavy = r.heavy_part(["X"], 10)
+        assert heavy.is_empty() and r.antijoin(heavy) == r
 
 
 class TestBackends:
