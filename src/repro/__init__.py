@@ -2,7 +2,8 @@
 
 The package is organised by subsystem:
 
-* :mod:`repro.hypergraph` — query hypergraphs, tree decompositions, (G)VEOs;
+* :mod:`repro.hypergraph` — query hypergraphs, tree decompositions, (G)VEOs,
+  the MM terms of Definition 4.5;
 * :mod:`repro.polymatroid` — set functions, polymatroids, Shannon machinery;
 * :mod:`repro.width` — ρ*, fhtw, submodular width, ω-submodular width;
 * :mod:`repro.matmul` — Boolean/counting MM, the rectangular cost model;
@@ -27,6 +28,13 @@ Repeated asks of the same query *shape* (up to variable renaming) hit the
 engine's plan cache and skip planning; ``engine.ask_many`` batches queries
 and shares plans across isomorphic shapes.  The most common entry points
 are re-exported here.
+
+The width measures and the polymatroid machinery are analysis, solved with
+LPs: import them from :mod:`repro.width` (``fractional_edge_cover_number``,
+``fractional_hypertree_width``, ``submodular_width``,
+``omega_submodular_width``) and :mod:`repro.polymatroid` (``SetFunction``).
+Only those two packages load SciPy, so ``import repro`` and the query engine
+start without it.
 """
 
 from .api import (
@@ -48,13 +56,6 @@ from .constants import (
     gamma,
 )
 from .hypergraph import Hypergraph
-from .polymatroid import SetFunction
-from .width import (
-    fractional_edge_cover_number,
-    fractional_hypertree_width,
-    omega_submodular_width,
-    submodular_width,
-)
 
 __version__ = "1.2.0"
 
@@ -70,14 +71,9 @@ __all__ = [
     "QueryParseError",
     "QueryResult",
     "ResultSet",
-    "SetFunction",
     "Strategy",
     "StrategyDisagreement",
     "UnsupportedWorkload",
     "__version__",
-    "fractional_edge_cover_number",
-    "fractional_hypertree_width",
     "gamma",
-    "omega_submodular_width",
-    "submodular_width",
 ]

@@ -14,7 +14,9 @@ invariants *specific to this engine* that no off-the-shelf linter knows:
   annotation;
 * ``swallowed-cancel`` — a catch-all ``except`` must not silently drop
   :class:`~repro.exec.vm.QueryCancelled` (cooperative cancellation dies
-  if a handler eats the control-flow exception).
+  if a handler eats the control-flow exception);
+* ``layering`` — no ``repro`` module outside ``width/`` and
+  ``polymatroid/`` imports those LP packages (and so SciPy) at module level.
 
 Run as ``repro lint`` (exit 1 on any non-baselined finding) or through
 :func:`lint_paths`.  Findings already accepted live in

@@ -270,3 +270,59 @@ def swallowed_cancel(module: LintModule) -> Iterator[LintFinding]:
                     ),
                 )
 
+
+#: Dotted names inside the packages that solve LPs with SciPy.
+_LP_MODULE = re.compile(r"repro\.(width|polymatroid)(\.|$)")
+
+
+def _package_of(path: str) -> Optional[List[str]]:
+    """The package of a module under ``repro/`` as name parts, or ``None``."""
+    directories = path.split("/")[:-1]
+    if "repro" not in directories:
+        return None
+    return directories[max(i for i, d in enumerate(directories) if d == "repro"):]
+
+
+def _imported_modules(node: ast.AST, package: List[str]) -> List[str]:
+    """The dotted modules an import statement may load (relative ones resolved)."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if not isinstance(node, ast.ImportFrom):
+        return []
+    base = package[: len(package) - node.level + 1] if node.level else []
+    module = ".".join(base + (node.module.split(".") if node.module else []))
+    return [module] + [f"{module}.{alias.name}" for alias in node.names]
+
+
+@register_rule("layering")
+def layering(module: LintModule) -> Iterator[LintFinding]:
+    """Importing the engine must not load the LP stack.
+
+    ``repro.width`` and ``repro.polymatroid`` solve LPs with SciPy, about
+    0.3 s and 45 MB at every server, CLI and REPL start.  A module-level
+    import of either from any other ``repro`` module (``repro/__init__.py``
+    included) is a finding; an import inside a function runs only when the
+    function does, and is allowed.
+    """
+    package = _package_of(module.path)
+    if package is None or _LP_MODULE.match(".".join(package)):
+        return
+    stack: List[ast.AST] = [module.tree]
+    while stack:  # every node that runs at import time: all but function bodies
+        for node in ast.iter_child_nodes(stack.pop()):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            stack.append(node)
+            names = [n for n in _imported_modules(node, package) if _LP_MODULE.match(n)]
+            if names:
+                yield LintFinding(
+                    rule="layering",
+                    path=module.path,
+                    line=node.lineno,
+                    scope="<module>",
+                    symbol=names[0],
+                    message=(
+                        f"module-level import of {names[0]} loads SciPy with the "
+                        f"engine; import it inside the function that needs it"
+                    ),
+                )

@@ -485,10 +485,9 @@ def assert_verified(
     *,
     verb: Optional[str] = None,
     database=None,
-    stage: str = "optimized",
 ) -> Program:
     """Raise :class:`PlanVerificationError` on any violation; else pass through."""
     violations = verify_program(program, verb=verb, database=database)
     if violations:
-        raise PlanVerificationError(program, violations, stage=stage)
+        raise PlanVerificationError(program, violations)
     return program

@@ -27,7 +27,7 @@ class EngineError(Exception):
 
 
 class PlanVerificationError(EngineError):
-    """A lowered/optimized program failed static verification.
+    """An optimized program failed static verification.
 
     Raised by :func:`repro.analysis.verify.assert_verified` (and by the
     engine when constructed with ``verify_plans != 'off'``) before the
@@ -37,14 +37,13 @@ class PlanVerificationError(EngineError):
     ``describe()`` rendering — and ``program`` the rejected program.
     """
 
-    def __init__(self, program, violations, stage: str = "optimized") -> None:
+    def __init__(self, program, violations) -> None:
         self.program = program
         self.violations = tuple(violations)
-        self.stage = stage
         lines = [
             f"{len(self.violations)} plan verification "
             f"failure{'s' if len(self.violations) != 1 else ''} "
-            f"({stage} program, source {program.source!r}):"
+            f"(program, source {program.source!r}):"
         ]
         lines.extend(f"  {v.describe()}" for v in self.violations)
         lines.append("program:")

@@ -11,8 +11,9 @@ decision, for every elimination step, of *how* the step is executed:
 
 Plans can be written by hand, produced by the cost-based planner
 (:mod:`repro.core.planner`), or derived from the width machinery (the MM
-terms here are exactly the :class:`repro.width.mm_expr.MMTerm` objects that
-appear in ``EMM``).
+terms here are exactly the :class:`repro.hypergraph.mm_terms.MMTerm` objects
+that appear in ``EMM``, whose polymatroid values :mod:`repro.width.mm_expr`
+computes).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from typing import FrozenSet, Optional, Sequence, Tuple
 
 from ..hypergraph.elimination import elimination_sequence
 from ..hypergraph.hypergraph import Hypergraph, VertexSet
-from ..width.mm_expr import MMTerm, enumerate_mm_terms
+from ..hypergraph.mm_terms import MMTerm, enumerate_mm_terms
 
 
 class StepMethod(str, Enum):
@@ -87,11 +88,6 @@ class OmegaQueryPlan:
     @property
     def order(self) -> Tuple[VertexSet, ...]:
         return tuple(step.block for step in self.steps)
-
-    def uses_matrix_multiplication(self) -> bool:
-        return any(
-            step.method is StepMethod.MATRIX_MULTIPLICATION for step in self.steps
-        )
 
     def describe(self) -> str:
         return "\n".join(

@@ -72,7 +72,7 @@ from ..db.query import ConjunctiveQuery
 from ..db.relation import Relation
 from ..hypergraph.hypergraph import Hypergraph
 from ..matmul.rectangular import rectangular_cost
-from ..width.mm_expr import MMTerm, mm_terms_over_edges
+from ..hypergraph.mm_terms import MMTerm, mm_terms_over_edges
 from .plan import OmegaQueryPlan, PlanStep, StepMethod
 
 #: Orders are searched exhaustively up to this many variables; beyond it a

@@ -9,8 +9,7 @@ hypergraph operations the paper relies on:
   ``N_H(X)`` of a vertex set (Section 3 and Section 4.1),
 * elimination of a vertex set (the building block of generalized variable
   elimination orders, Definition 4.1),
-* structural predicates (connectivity, acyclicity, clustered-ness
-  Definition C.11).
+* structural predicates (acyclicity, clustered-ness Definition C.11).
 """
 
 from __future__ import annotations
@@ -173,32 +172,12 @@ class Hypergraph:
     # ------------------------------------------------------------------
     # Structural predicates
     # ------------------------------------------------------------------
-    def is_connected(self) -> bool:
-        """Whether the hypergraph is connected (isolated vertices count)."""
-        if not self._vertices:
-            return True
-        seen = set()
-        frontier = [next(iter(self._vertices))]
-        while frontier:
-            vertex = frontier.pop()
-            if vertex in seen:
-                continue
-            seen.add(vertex)
-            for edge in self._edges:
-                if vertex in edge:
-                    frontier.extend(edge - seen)
-        return seen == set(self._vertices)
-
     def is_clustered(self) -> bool:
         """Definition C.11: every pair of vertices co-occurs in some edge."""
         for u, v in itertools.combinations(self._vertices, 2):
             if not any(u in edge and v in edge for edge in self._edges):
                 return False
         return True
-
-    def is_graph(self) -> bool:
-        """Whether every hyperedge has exactly two vertices."""
-        return all(len(edge) == 2 for edge in self._edges)
 
     def is_acyclic(self) -> bool:
         """Whether the hypergraph is α-acyclic (GYO reduction succeeds)."""
@@ -244,20 +223,6 @@ class Hypergraph:
         self._require_vertices(keep)
         edges = [edge & keep for edge in self._edges if edge & keep]
         return Hypergraph(keep, edges)
-
-    def with_edge(self, edge: Iterable[Vertex]) -> "Hypergraph":
-        """Return a copy with one additional hyperedge."""
-        new_edge = frozenset(edge)
-        return Hypergraph(self._vertices | new_edge, list(self._edges) + [new_edge])
-
-    def remove_redundant_edges(self) -> "Hypergraph":
-        """Drop hyperedges strictly contained in other hyperedges."""
-        kept = [
-            edge
-            for edge in self._edges
-            if not any(edge < other for other in self._edges)
-        ]
-        return Hypergraph(self._vertices, kept)
 
     def rename(self, mapping: dict[Vertex, Vertex]) -> "Hypergraph":
         """Rename vertices according to ``mapping`` (missing keys unchanged)."""

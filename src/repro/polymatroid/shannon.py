@@ -224,32 +224,6 @@ class OmegaShannonInequality:
         """``RHS - LHS`` as a single expression (valid iff ``>= 0`` on the cone)."""
         return add_expressions(self.rhs_expression(), negate(self.lhs_expression()))
 
-    def is_well_formed(self) -> bool:
-        """Check the coefficient-sign and ω-dominance side conditions of Def. E.3."""
-        if any(coeff < 0 for coeff, _ in self.plain_terms):
-            return False
-        if any(term.weight < 0 for term in self.rhs_terms):
-            return False
-        for group in self.mm_groups:
-            if min(group.alpha, group.beta, group.zeta) < 0 or group.kappa <= 0:
-                return False
-            if not is_omega_dominant(group.dominant_triple(), self.omega):
-                return False
-        return True
-
-    def is_valid(self, tolerance: float = 1e-7) -> bool:
-        """Whether the inequality holds for every polymatroid (LP check)."""
-        return is_shannon_inequality(self.ground_set, self.slack_expression(), tolerance)
-
-    def holds_for(self, h: SetFunction, tolerance: float = 1e-9) -> bool:
-        return evaluate(self.slack_expression(), h) >= -tolerance
-
-    def norm_lambda_plus_kappa(self) -> float:
-        """``‖λ‖₁ + ‖κ‖₁``, the denominator of Theorem E.10's objective."""
-        return sum(coeff for coeff, _ in self.plain_terms) + sum(
-            group.kappa for group in self.mm_groups
-        )
-
 
 def triangle_inequality(omega: float) -> OmegaShannonInequality:
     """The concrete ω-Shannon inequality (13) for the triangle query.

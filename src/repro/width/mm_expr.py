@@ -10,25 +10,18 @@ which captures (on a log scale) the cost of multiplying two matrices of
 dimensions ``n^{h(X|G)} × n^{h(Z|G)}`` and ``n^{h(Z|G)} × n^{h(Y|G)}`` for
 each of the ``n^{h(G)}`` group-by values.  Definition 4.5 then defines
 ``EMM_H(X)`` — the cheapest way to eliminate the vertex block ``X`` with a
-single (grouped) matrix multiplication — as a minimum of such terms over
-all ways of splitting the incident hyperedges into two (possibly
-overlapping) matrices.
-
-Because the split only matters through the vertex sets it induces, the
-enumeration implemented here works directly over partitions of the
-neighbourhood ``N_H(X)`` into the two matrix-only parts ``Y``, ``Z`` and the
-group-by part ``G``, with an explicit feasibility test that a hyperedge
-cover realizing the partition exists (see :func:`enumerate_mm_terms`).
+single (grouped) matrix multiplication — as a minimum of such terms.  The
+terms and their enumeration are combinatorial and live, re-exported here,
+in :mod:`repro.hypergraph.mm_terms`; this module evaluates them.
 """
 
 from __future__ import annotations
 
-import itertools
-from dataclasses import dataclass
-from typing import Iterable, List, Optional
+from typing import Iterable, List
 
 from ..constants import gamma as gamma_of
-from ..hypergraph.hypergraph import Hypergraph, VertexSet
+from ..hypergraph.hypergraph import Hypergraph
+from ..hypergraph.mm_terms import MMTerm, enumerate_mm_terms
 from ..polymatroid.setfunction import SetFunction
 from ..polymatroid.shannon import (
     LinearExpression,
@@ -37,169 +30,35 @@ from ..polymatroid.shannon import (
     expression,
 )
 
-
-@dataclass(frozen=True)
-class MMTerm:
-    """One term ``MM(first; second; eliminated | group_by)`` of an EMM minimum.
-
-    ``eliminated`` is the vertex block being eliminated (the shared matrix
-    dimension); ``first`` and ``second`` are the two outer dimensions;
-    ``group_by`` holds the variables iterated over outside the
-    multiplication.
-    """
-
-    first: VertexSet
-    second: VertexSet
-    eliminated: VertexSet
-    group_by: VertexSet
-
-    def __post_init__(self) -> None:
-        parts = [self.first, self.second, self.eliminated, self.group_by]
-        for a, b in itertools.combinations(parts, 2):
-            if a & b:
-                raise ValueError("MM term parts must be pairwise disjoint")
-        if not self.first or not self.second or not self.eliminated:
-            raise ValueError("MM terms need non-empty first/second/eliminated parts")
-
-    # ------------------------------------------------------------------
-    def expressions(self, omega: float) -> List[LinearExpression]:
-        """The three linear expressions whose maximum is the MM cost (Eq. 21)."""
-        g = gamma_of(omega)
-        dims = (self.first, self.second, self.eliminated)
-        result = []
-        for discounted in range(3):
-            parts = [expression((1.0, self.group_by))] if self.group_by else []
-            for position, dim in enumerate(dims):
-                coefficient = g if position == discounted else 1.0
-                parts.append(conditional_expression(dim, self.group_by, coefficient))
-            result.append(add_expressions(*parts))
-        return result
-
-    def relaxation(self, omega: float) -> LinearExpression:
-        """A single linear expression upper-bounding the MM cost.
-
-        The coefficient-wise maximum of the three expressions is a valid
-        upper bound because polymatroids are non-negative; it is used for
-        LP-based pruning in the branch-and-bound width solver.
-        """
-        del omega  # the coefficient-wise maximum puts weight 1 on every dimension
-        parts = [expression((1.0, self.group_by))] if self.group_by else []
-        for dim in (self.first, self.second, self.eliminated):
-            parts.append(conditional_expression(dim, self.group_by, 1.0))
-        return add_expressions(*parts)
-
-    def evaluate(self, h: SetFunction, omega: float) -> float:
-        """The value ``MM(first; second; eliminated | group_by)`` on ``h``."""
-        g = gamma_of(omega)
-        first = h.conditional(self.first, self.group_by)
-        second = h.conditional(self.second, self.group_by)
-        eliminated = h.conditional(self.eliminated, self.group_by)
-        base = h(self.group_by)
-        return max(
-            first + second + g * eliminated,
-            first + g * second + eliminated,
-            g * first + second + eliminated,
-        ) + base
-
-    def label(self) -> str:
-        def fmt(subset: VertexSet) -> str:
-            return "".join(sorted(subset)) or "∅"
-
-        text = f"MM({fmt(self.first)};{fmt(self.second)};{fmt(self.eliminated)}"
-        if self.group_by:
-            text += f"|{fmt(self.group_by)}"
-        return text + ")"
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return self.label()
+__all__ = ["MMTerm", "emm_value", "enumerate_mm_terms", "mm_expressions", "mm_value"]
 
 
-def enumerate_mm_terms(
-    hypergraph: Hypergraph,
-    block: Iterable[str] | str,
-    max_neighbourhood: Optional[int] = None,
-) -> List[MMTerm]:
-    """All (non-trivial, deduplicated) MM terms usable to eliminate ``block``.
-
-    The terms returned are exactly those of Definition 4.5 written in the
-    vertex-partition form: for every split of the neighbourhood ``N(block)``
-    into disjoint non-empty ``first``/``second`` parts and a group-by rest,
-    provided a hyperedge cover realizing the split exists.  Unordered
-    duplicates (``first`` and ``second`` swapped) are removed since the MM
-    measure is symmetric.
-
-    ``max_neighbourhood`` optionally skips blocks whose neighbourhood is too
-    large for exhaustive enumeration (returning an empty list, i.e. "no MM
-    elimination considered"), which keeps planning tractable on large
-    hypergraphs; widths computed with such a cap are upper bounds.
-    """
-    block_set = frozenset([block]) if isinstance(block, str) else frozenset(block)
-    return mm_terms_over_edges(
-        block_set, hypergraph.incident_edges(block_set), max_neighbourhood
-    )
+def mm_expressions(term: MMTerm, omega: float) -> List[LinearExpression]:
+    """The three linear expressions whose maximum is the MM cost (Eq. 21)."""
+    g = gamma_of(omega)
+    dims = (term.first, term.second, term.eliminated)
+    result = []
+    for discounted in range(3):
+        parts = [expression((1.0, term.group_by))] if term.group_by else []
+        for position, dim in enumerate(dims):
+            coefficient = g if position == discounted else 1.0
+            parts.append(conditional_expression(dim, term.group_by, coefficient))
+        result.append(add_expressions(*parts))
+    return result
 
 
-def mm_terms_over_edges(
-    block: VertexSet,
-    incident: Iterable[VertexSet],
-    max_neighbourhood: Optional[int] = None,
-) -> List[MMTerm]:
-    """:func:`enumerate_mm_terms` given only ``∂(block)``, the incident edges.
-
-    The terms depend on nothing else of the hypergraph, which lets the
-    planner enumerate them from the scopes of its pseudo-relations.
-
-    Per Definition 4.5 a split needs hyperedge families ``A ∪ B = ∂(block)``
-    with ``∪A ⊇ block ∪ first``, ``∪A ∩ second = ∅`` and symmetrically for
-    ``B``.  This holds iff (i) no incident hyperedge meets both ``first``
-    and ``second`` and (ii) every vertex of ``block`` lies in some incident
-    edge avoiding ``second`` and in some incident edge avoiding ``first``.
-    Neighbour sets are bitmasks over the sorted neighbourhood: for a given
-    ``first``, (i) confines ``second`` to the neighbours no edge shares with
-    ``first``, so only submasks of that set are visited.  Of each unordered
-    pair the orientation with the smaller least neighbour in ``first`` is
-    kept — for disjoint sets that is ``sorted(first) < sorted(second)``.
-    """
-    edges = list(incident)
-    neighbourhood = frozenset().union(*edges) - block
-    if max_neighbourhood is not None and len(neighbourhood) > max_neighbourhood:
-        return []
-    neighbours = sorted(neighbourhood)
-    bit = {vertex: 1 << index for index, vertex in enumerate(neighbours)}
-    masks = [sum(bit[v] for v in edge if v in bit) for edge in edges]
-    # Per block vertex, the neighbour masks of the incident edges holding it.
-    covers = [
-        [mask for edge, mask in zip(edges, masks) if vertex in edge]
-        for vertex in block
-    ]
-    full = (1 << len(neighbours)) - 1
-
-    def members(mask: int) -> VertexSet:
-        return frozenset(v for v in neighbours if bit[v] & mask)
-
-    terms: List[MMTerm] = []
-    for first in range(1, full):
-        if not all(any(not mask & first for mask in cover) for cover in covers):
-            continue
-        allowed = full & ~first
-        for mask in masks:
-            if mask & first:
-                allowed &= ~mask
-        # Keep only neighbours above the least one of ``first``.
-        allowed &= ~((first & -first) - 1)
-        second = allowed
-        while second:
-            if all(any(not mask & second for mask in cover) for cover in covers):
-                terms.append(
-                    MMTerm(
-                        first=members(first),
-                        second=members(second),
-                        eliminated=block,
-                        group_by=members(full & ~first & ~second),
-                    )
-                )
-            second = (second - 1) & allowed
-    return sorted(terms, key=lambda t: t.label())
+def mm_value(term: MMTerm, h: SetFunction, omega: float) -> float:
+    """The value ``MM(first; second; eliminated | group_by)`` on ``h``."""
+    g = gamma_of(omega)
+    first = h.conditional(term.first, term.group_by)
+    second = h.conditional(term.second, term.group_by)
+    eliminated = h.conditional(term.eliminated, term.group_by)
+    base = h(term.group_by)
+    return max(
+        first + second + g * eliminated,
+        first + g * second + eliminated,
+        g * first + second + eliminated,
+    ) + base
 
 
 def emm_value(
@@ -216,4 +75,4 @@ def emm_value(
     terms = enumerate_mm_terms(hypergraph, block)
     if not terms:
         return float("inf")
-    return min(term.evaluate(h, omega) for term in terms)
+    return min(mm_value(term, h, omega) for term in terms)

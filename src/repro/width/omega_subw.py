@@ -29,7 +29,7 @@ from ..hypergraph.elimination import all_gveos, elimination_sequence, relevant_s
 from ..hypergraph.hypergraph import Hypergraph, VertexSet, subsets
 from ..polymatroid.constructions import modular
 from ..polymatroid.setfunction import SetFunction
-from .mm_expr import MMTerm, enumerate_mm_terms
+from .mm_expr import MMTerm, enumerate_mm_terms, mm_expressions, mm_value
 from .solver import Alternative, Choice, MaxMinResult, MaxMinSolver, simple_choice
 from .subw import _default_seeds
 
@@ -115,7 +115,7 @@ def omega_subw_objective(
         if hypergraph.is_clustered():
             terms = clustered_first_step_terms(hypergraph)
             emm = min(
-                (term.evaluate(h, omega) for term in terms), default=float("inf")
+                (mm_value(term, h, omega) for term in terms), default=float("inf")
             )
             return min(h(hypergraph.vertices), emm)
         signatures = gveo_signatures(hypergraph)
@@ -123,7 +123,7 @@ def omega_subw_objective(
     for signature in signatures:
         worst_step = 0.0
         for union, terms in signature:
-            emm = min((t.evaluate(h, omega) for t in terms), default=float("inf"))
+            emm = min((mm_value(t, h, omega) for t in terms), default=float("inf"))
             worst_step = max(worst_step, min(h(union), emm))
         best = min(best, worst_step)
     return best
@@ -133,7 +133,7 @@ def omega_subw_objective(
 # Choice construction for the solver
 # ----------------------------------------------------------------------
 def _mm_choice(term: MMTerm, omega: float) -> Choice:
-    return simple_choice(term.expressions(omega), label=term.label())
+    return simple_choice(mm_expressions(term, omega), label=term.label())
 
 
 def _clustered_choices(hypergraph: Hypergraph, omega: float) -> Tuple[List[Choice], int]:

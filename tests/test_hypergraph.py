@@ -115,11 +115,6 @@ class TestElimination:
 
 
 class TestStructuralPredicates:
-    def test_connectivity(self):
-        assert triangle().is_connected()
-        disconnected = Hypergraph("ABCD", [("A", "B"), ("C", "D")])
-        assert not disconnected.is_connected()
-
     def test_clustered(self):
         assert triangle().is_clustered()
         assert four_clique().is_clustered()
@@ -136,8 +131,9 @@ class TestStructuralPredicates:
         assert not four_cycle().is_acyclic()
 
     def test_is_graph(self):
-        assert triangle().is_graph()
-        assert not three_pyramid().is_graph()
+        """The triangle is a graph; the 3-pyramid's base is one ternary edge."""
+        assert all(len(edge) == 2 for edge in triangle().edges)
+        assert sorted(len(edge) for edge in three_pyramid().edges) == [2, 2, 2, 3]
 
 
 class TestDerivedHypergraphs:
@@ -146,22 +142,15 @@ class TestDerivedHypergraphs:
         induced = h.induced({"X", "Y", "Z"})
         assert induced.vertices == frozenset("XYZ")
         # Edges clipped to the subset may become singletons contained in the
-        # binary edges; after removing redundant edges this is the triangle.
-        assert induced.remove_redundant_edges() == triangle()
+        # binary edges: the triangle plus one singleton per clipped W-edge.
+        singletons = {frozenset(v) for v in "XYZ"}
+        assert induced.edges == triangle().edges | singletons
 
     def test_rename(self):
         renamed = triangle().rename({"X": "A", "Y": "B", "Z": "C"})
         assert renamed.vertices == frozenset("ABC")
         with pytest.raises(ValueError):
             triangle().rename({"X": "Y"})
-
-    def test_remove_redundant_edges(self):
-        h = Hypergraph("XYZ", [("X", "Y"), ("X", "Y", "Z")])
-        assert h.remove_redundant_edges().num_edges == 1
-
-    def test_with_edge(self):
-        h = path(3).with_edge(("X1", "X3"))
-        assert h == triangle().rename({"X": "X1", "Y": "X2", "Z": "X3"})
 
     def test_subsets_helper(self):
         all_subsets = list(subsets("XY"))
@@ -190,7 +179,7 @@ class TestQueryGenerators:
         for k in range(3, 8):
             h = cycle(k)
             assert h.num_vertices == k and h.num_edges == k
-            assert h.is_graph()
+            assert all(len(edge) == 2 for edge in h.edges)
         assert cycle(3) == triangle().rename({"X": "X1", "Y": "X2", "Z": "X3"})
 
     def test_pyramid_structure(self):

@@ -17,7 +17,7 @@ from repro.hypergraph import (
     triangle,
 )
 from repro.polymatroid import evaluate, modular
-from repro.width import MMTerm, emm_value, enumerate_mm_terms
+from repro.width import MMTerm, emm_value, enumerate_mm_terms, mm_expressions, mm_value
 from tests.conftest import random_entropic_polymatroid
 
 
@@ -49,7 +49,7 @@ class TestMMTerm:
             eliminated=frozenset("Z"),
             group_by=frozenset(),
         )
-        assert len(term.expressions(omega)) == 3
+        assert len(mm_expressions(term, omega)) == 3
         h = modular({"X": 0.7, "Y": 0.3, "Z": 0.9})
         swapped = MMTerm(
             first=frozenset("Y"),
@@ -57,7 +57,7 @@ class TestMMTerm:
             eliminated=frozenset("X"),
             group_by=frozenset(),
         )
-        assert term.evaluate(h, omega) == pytest.approx(swapped.evaluate(h, omega))
+        assert mm_value(term, h, omega) == pytest.approx(mm_value(swapped, h, omega))
 
     def test_evaluate_matches_eq7(self, omega):
         """Against the explicit formula (7) for MM(X;Y;Z) on a modular h."""
@@ -74,7 +74,7 @@ class TestMMTerm:
             0.4 + gamma * 0.8 + 0.2,
             gamma * 0.4 + 0.8 + 0.2,
         )
-        assert term.evaluate(h, omega) == pytest.approx(expected)
+        assert mm_value(term, h, omega) == pytest.approx(expected)
 
     def test_expressions_agree_with_evaluate(self, omega):
         term = MMTerm(
@@ -84,19 +84,8 @@ class TestMMTerm:
             group_by=frozenset("W"),
         )
         h = random_entropic_polymatroid(["X", "Y", "Z", "W"], 9)
-        via_expressions = max(evaluate(e, h) for e in term.expressions(omega))
-        assert via_expressions == pytest.approx(term.evaluate(h, omega))
-
-    def test_relaxation_upper_bounds_value(self, omega):
-        term = MMTerm(
-            first=frozenset("X"),
-            second=frozenset("Y"),
-            eliminated=frozenset("Z"),
-            group_by=frozenset("W"),
-        )
-        for seed in (0, 3, 17):
-            h = random_entropic_polymatroid(["X", "Y", "Z", "W"], seed)
-            assert evaluate(term.relaxation(omega), h) >= term.evaluate(h, omega) - 1e-9
+        via_expressions = max(evaluate(e, h) for e in mm_expressions(term, omega))
+        assert via_expressions == pytest.approx(mm_value(term, h, omega))
 
     @given(st.integers(min_value=0, max_value=2_000))
     def test_proposition_4_3(self, seed):
@@ -109,7 +98,7 @@ class TestMMTerm:
             eliminated=frozenset("Z"),
             group_by=frozenset("W"),
         )
-        value = term.evaluate(h, omega)
+        value = mm_value(term, h, omega)
         assert value >= h(["X", "Y", "W"]) - 1e-9
         assert value >= h(["Y", "Z", "W"]) - 1e-9
         assert value >= h(["X", "Z", "W"]) - 1e-9
@@ -124,7 +113,7 @@ class TestMMTerm:
             eliminated=frozenset("Z"),
             group_by=frozenset("W"),
         )
-        assert term.evaluate(h, 3.0) >= h(["X", "Y", "Z", "W"]) - 1e-9
+        assert mm_value(term, h, 3.0) >= h(["X", "Y", "Z", "W"]) - 1e-9
 
 
 def _reference_terms(hypergraph, block):

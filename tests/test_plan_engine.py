@@ -51,7 +51,7 @@ def mm_step(hypergraph, block) -> PlanStep:
 class TestPlanConstruction:
     def test_all_for_loop_plan(self):
         plan = all_for_loop_plan(triangle(), ["X", "Y", "Z"])
-        assert not plan.uses_matrix_multiplication()
+        assert all(step.method is StepMethod.FOR_LOOPS for step in plan.steps)
         assert len(plan.steps) == 3
         plan.validate()
 

@@ -69,10 +69,10 @@ def test_violation_and_error_rendering():
     bad = Program(Project(program.root.child, ("X",)), source="test")
     violations = verify_program(bad, verb="exists")
     assert violations, "verb mismatch must be reported"
-    text = str(PlanVerificationError(bad, violations, stage="optimized"))
+    text = str(PlanVerificationError(bad, violations))
     for violation in violations:
         assert violation.describe() in text
-    assert "optimized program" in text
+    assert "(program, source 'test'):" in text
     assert "#1" in text  # the embedded program listing
 
 
@@ -263,8 +263,8 @@ def test_engine_env_default(monkeypatch):
 def test_assert_verified_raises_with_violations():
     bad = strip_parents(ranked_program())
     with pytest.raises(PlanVerificationError) as info:
-        assert_verified(bad, verb="select", stage="optimized")
-    assert info.value.stage == "optimized"
+        assert_verified(bad, verb="select")
+    assert info.value.program is bad
     assert {v.rule for v in info.value.violations} == {"enumerate"}
     assert assert_verified(ranked_program(), verb="select") is not None
 

@@ -33,7 +33,8 @@ def findings(source, path="<string>", rules=None):
 
 def test_rule_registry():
     assert registered_rules() == (
-        "guarded-state", "swallowed-cancel", "unbounded-cache", "wall-clock",
+        "guarded-state", "layering", "swallowed-cancel", "unbounded-cache",
+        "wall-clock",
     )
 
 
@@ -179,6 +180,52 @@ def test_swallowed_cancel_fires_on_silent_catch_all():
 )
 def test_swallowed_cancel_allows_routed_handlers(source):
     assert findings(source, rules=["swallowed-cancel"]) == []
+
+
+# ----------------------------------------------------------------------
+# layering
+# ----------------------------------------------------------------------
+def test_layering_fires_on_module_level_lp_import():
+    source = """
+        from ..width import omega_submodular_width
+
+        def plan():
+            return omega_submodular_width
+    """
+    found = findings(source, path="src/repro/core/plan.py", rules=["layering"])
+    assert [(f.symbol, f.line) for f in found] == [("repro.width", 2)]
+
+
+def test_layering_allows_function_local_lp_import():
+    source = """
+        def explain():
+            from ..width import omega_submodular_width
+            return omega_submodular_width
+    """
+    assert findings(source, path="src/repro/core/plan.py", rules=["layering"]) == []
+
+
+@pytest.mark.parametrize(
+    "path, source, symbol",
+    [
+        ("src/repro/__init__.py", "from .polymatroid import SetFunction", "repro.polymatroid"),
+        ("src/repro/__init__.py", "from . import width", "repro.width"),
+        ("src/repro/hypergraph/x.py", "import repro.width.lp", "repro.width.lp"),
+        ("src/repro/api/x.py", "from repro.polymatroid.shannon import expression",
+         "repro.polymatroid.shannon"),
+    ],
+    ids=["package-init", "from-dot-import", "absolute", "absolute-from"],
+)
+def test_layering_resolves_every_import_form(path, source, symbol):
+    found = findings(source, path=path, rules=["layering"])
+    assert [f.symbol for f in found] == [symbol]
+
+
+def test_layering_exempts_the_lp_packages_and_outside_modules():
+    source = "from ..polymatroid.shannon import expression"
+    assert findings(source, path="src/repro/width/lp.py", rules=["layering"]) == []
+    assert findings("from repro.width import MMTerm", path="tests/test_x.py",
+                    rules=["layering"]) == []
 
 
 # ----------------------------------------------------------------------

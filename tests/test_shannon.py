@@ -92,15 +92,24 @@ class TestOmegaShannon:
     def test_triangle_inequality_is_valid(self, omega):
         """Inequality (13) is a genuine ω-Shannon inequality."""
         inequality = triangle_inequality(omega)
-        assert inequality.is_well_formed()
-        assert inequality.is_valid()
-        assert inequality.norm_lambda_plus_kappa() == pytest.approx(omega + 1.0)
+        # Definition E.3's side conditions: non-negative coefficients and an
+        # ω-dominant triple per MM group.
+        assert all(coeff >= 0 for coeff, _ in inequality.plain_terms)
+        assert all(term.weight >= 0 for term in inequality.rhs_terms)
+        for group in inequality.mm_groups:
+            assert is_omega_dominant(group.dominant_triple(), omega)
+        assert is_shannon_inequality(inequality.ground_set, inequality.slack_expression())
+        # ‖λ‖₁ + ‖κ‖₁, the denominator of Theorem E.10's objective.
+        norm = sum(coeff for coeff, _ in inequality.plain_terms) + sum(
+            group.kappa for group in inequality.mm_groups
+        )
+        assert norm == pytest.approx(omega + 1.0)
 
     @pytest.mark.parametrize("omega", [2.0, OMEGA_BEST_KNOWN, 3.0])
     @pytest.mark.parametrize("seed", [1, 7, 42])
     def test_triangle_inequality_on_random_polymatroids(self, omega, seed):
         h = random_entropic_polymatroid(["X", "Y", "Z"], seed)
-        assert triangle_inequality(omega).holds_for(h, tolerance=1e-7)
+        assert evaluate(triangle_inequality(omega).slack_expression(), h) >= -1e-7
 
     def test_tightness_on_triangle_witness(self):
         """The witness of Lemma C.5 makes (13) tight (both sides equal 2ω)."""
